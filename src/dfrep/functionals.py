@@ -37,6 +37,7 @@ from .linalg import (
     identity_projection,
     kron_trace,
     mat,
+    pairing_realignment,
     projector_tensor_sum,
     random_projection,
     spectral_projections,
@@ -89,11 +90,14 @@ class DecoherenceFunctional:
         raise NotImplementedError
 
     def pair_table(self, left, right) -> np.ndarray:
-        """Matrix of values ``D(left[s], right[t])``.
+        """Matrix of values ``D(left[s], right[t])``, shape
+        ``(len(left), len(right))``.
 
-        Fallback loops over :meth:`bilinear`; backends override this with a
-        vectorized contraction since the representation extractors evaluate
-        O(dim^4) pairs.
+        Fallback loops over :meth:`bilinear`, and is the reference the
+        backends are tested against.  Every backend overrides it with a
+        matmul on flattened operands, since the representation extractors
+        evaluate O(dim^4) pairs; they call it on fixed-size blocks of left
+        operands against all right operands.
         """
         return np.array(
             [[self.bilinear(a, b) for b in right] for a in left], dtype=complex
@@ -119,13 +123,11 @@ class OperatorBackedFunctional(DecoherenceFunctional):
         return kron_trace(x, y, self.x_op)
 
     def pair_table(self, left, right) -> np.ndarray:
-        l = np.asarray(left, dtype=complex)
-        r = np.asarray(right, dtype=complex)
-        d = self.dim
-        x4 = self.x_op.reshape(d, d, d, d)
-        # tr((a (x) b) X) = a_ik b_jl X[k,l,i,j]; contract b first.
-        half = np.einsum("tjl,klij->tki", r, x4)
-        return np.einsum("sik,tki->st", l, half)
+        # tr((a (x) b) X) = vec(a) Xr vec(b)^T with Xr[(i,k),(j,l)] = X[k,l,i,j].
+        xr = pairing_realignment(self.x_op, self.dim, self.dim)
+        l = np.asarray(left, dtype=complex).reshape(len(left), -1)
+        r = np.asarray(right, dtype=complex).reshape(len(right), -1)
+        return (l @ xr) @ r.T
 
 
 class PureStateFunctional(DecoherenceFunctional):
@@ -153,9 +155,10 @@ class PureStateFunctional(DecoherenceFunctional):
 
     def pair_table(self, left, right) -> np.ndarray:
         l = np.asarray(left, dtype=complex) @ self.psi
-        r = np.einsum("tji,j->ti", np.asarray(right, dtype=complex).conj(), self.psi)
-        # table[s, t] = (right[t]^dag psi)^dag (left[s] psi)
-        return np.einsum("sk,tk->st", l, r.conj())
+        # table[s, t] = (right[t]^dag psi)^dag (left[s] psi), and
+        # conj(right[t]^dag psi) = right[t]^T conj(psi).
+        r_conj = np.asarray(right, dtype=complex).transpose(0, 2, 1) @ self.psi.conj()
+        return l @ r_conj.T
 
 
 class FormBackedFunctional(DecoherenceFunctional):

@@ -182,9 +182,10 @@ class ClassOperatorFunctional(DecoherenceFunctional):
         return complex(np.trace(mat(x) @ self._rho_rot @ mat(y)))
 
     def pair_table(self, left, right) -> np.ndarray:
-        l = np.asarray(left, dtype=complex)
-        r = np.asarray(right, dtype=complex)
-        return np.einsum("sij,jk,tki->st", l, self._rho_rot, r)
+        # tr(a rho' b) = vec(a rho') . vec(b^T)
+        l = np.asarray(left, dtype=complex) @ self._rho_rot
+        r = np.asarray(right, dtype=complex).transpose(0, 2, 1)
+        return l.reshape(len(left), -1) @ r.reshape(len(right), -1).T
 
 
 def standard_df(model: ClassOperatorModel) -> ClassOperatorFunctional:

@@ -46,24 +46,33 @@ from .functionals import (
     _check_dim,
 )
 from .linalg import (
-    Projection,
     as_matrix,
     kron_trace,
+    kron_trace_batch,
     random_projection,
-    swap_operator,
     trace_norm,
 )
 
 _SQ2 = np.sqrt(2.0)
 
 
-def polarization_atoms(dim: int):
-    """Rank-one projections spanning all matrix units, plus the expansion
-    coefficients of each unit over them.
+# Left atoms per pair-table call in :func:`bilinear_unit_table`.
+ATOM_BLOCK = 256
 
-    Returns ``(atoms, coeffs)`` where ``atoms`` is an ``(N, dim, dim)``
-    stack of projection matrices and ``coeffs`` is a dense ``(dim^2, N)``
-    matrix with ``E_ab = sum_s coeffs[a*dim+b, s] atoms[s]``.
+
+def polarization_atoms(dim: int):
+    """Rank-one projections spanning all matrix units, plus the sparse
+    expansion of each unit over them.
+
+    Returns ``(atoms, index, coeffs)``: ``atoms`` is an ``(N, dim, dim)``
+    stack of projection matrices with ``N = 2 dim^2 - dim``; ``index`` and
+    ``coeffs`` are ``(dim^2, 4)`` arrays with
+
+        ``E_ab = sum_k coeffs[a*dim+b, k] atoms[index[a*dim+b, k]]``.
+
+    Every matrix unit has at most four nonzero coefficients: an off-diagonal
+    unit uses the four atoms of its basis pair, a diagonal unit ``E_aa`` is
+    atom ``a`` itself (its three spare slots carry coefficient 0).
     """
     atoms = []
     for a in range(dim):
@@ -85,20 +94,19 @@ def polarization_atoms(dim: int):
                 (ea - 1j * eb) / _SQ2,
             ):
                 atoms.append(np.outer(vec, vec.conj()))
-    coeffs = np.zeros((dim * dim, len(atoms)), dtype=complex)
+    index = np.zeros((dim * dim, 4), dtype=np.intp)
+    coeffs = np.zeros((dim * dim, 4), dtype=complex)
     for a in range(dim):
         for b in range(dim):
             row = a * dim + b
             if a == b:
-                coeffs[row, a] = 1.0
+                index[row] = a
+                coeffs[row, 0] = 1.0
                 continue
-            base = pair_base[(min(a, b), max(a, b))]
             sign = 1.0 if a < b else -1.0
-            coeffs[row, base] = 0.5
-            coeffs[row, base + 1] = -0.5
-            coeffs[row, base + 2] = sign * 0.5j
-            coeffs[row, base + 3] = -sign * 0.5j
-    return np.stack(atoms), coeffs
+            index[row] = pair_base[(min(a, b), max(a, b))] + np.arange(4)
+            coeffs[row] = (0.5, -0.5, sign * 0.5j, -sign * 0.5j)
+    return np.stack(atoms), index, coeffs
 
 
 def bilinear_unit_table(d: DecoherenceFunctional, dim: int) -> np.ndarray:
@@ -106,11 +114,27 @@ def bilinear_unit_table(d: DecoherenceFunctional, dim: int) -> np.ndarray:
 
     Returns a ``(dim, dim, dim, dim)`` array ``U[a, b, c, e] = D(E_ab, E_ce)``
     obtained purely from d on the polarization projections.
+
+    The atom table ``D(atoms[s], atoms[t])`` is evaluated in blocks of
+    ``ATOM_BLOCK`` left atoms against all N right atoms, and each block is
+    combined into U at once through the four-slot expansion of
+    :func:`polarization_atoms`.  Peak memory is O(block N + N dim^2) for the
+    block and the atom stack, instead of O(N^2) for the whole table.
     """
-    atoms, coeffs = polarization_atoms(dim)
-    table = d.pair_table(atoms, atoms)
-    flat = coeffs @ table @ coeffs.T
-    return flat.reshape(dim, dim, dim, dim)
+    atoms, index, coeffs = polarization_atoms(dim)
+    n_units = dim * dim
+    units = np.zeros((n_units, n_units), dtype=complex)
+    for start in range(0, len(atoms), ATOM_BLOCK):
+        stop = min(start + ATOM_BLOCK, len(atoms))
+        rows = d.pair_table(atoms[start:stop], atoms)
+        # D(atoms[s], E_ce) for the block's atoms s.
+        right = sum(rows[:, index[:, k]] * coeffs[:, k] for k in range(4))
+        # Each slot k names at most one atom per unit, so the masked rows
+        # below are distinct and the in-place add is exact.
+        for k in range(4):
+            hit = (index[:, k] >= start) & (index[:, k] < stop)
+            units[hit] += coeffs[hit, k, None] * right[index[hit, k] - start]
+    return units.reshape(dim, dim, dim, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,20 +208,22 @@ class ConditionViolationError(ValueError):
 
 def _sample_positivity_min(x_op: np.ndarray, dim: int, samples: int, seed: int) -> float:
     """Min of Re tr((p (x) p) X) over basis rank-one plus seeded random
-    projections across all ranks."""
+    projections across all ranks, evaluated in one batched pairing."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-    worst = np.inf
-    pool = [
-        Projection(np.diag((np.arange(dim) == i).astype(complex)), 1)
-        for i in range(dim)
-    ]
-    pool.append(Projection(np.eye(dim, dtype=complex), dim))
+    pool = [np.diag((np.arange(dim) == i).astype(complex)) for i in range(dim)]
+    pool.append(np.eye(dim, dtype=complex))
     for _ in range(samples):
         rank = int(rng.integers(1, dim + 1))
-        pool.append(random_projection(dim, rank, rng))
-    for p in pool:
-        worst = min(worst, kron_trace(p, p, x_op).real)
-    return float(worst)
+        pool.append(random_projection(dim, rank, rng).matrix)
+    p = np.stack(pool)
+    return float(np.min(kron_trace_batch(p, p, x_op).real))
+
+
+def _swap_adjoint_residual(x: np.ndarray, dim: int) -> float:
+    """``||X - W X^dag W||_F`` with W the swap unitary, by index transpose:
+    ``(W X^dag W)[(i,j), (k,l)] = conj(X[(l,k), (j,i)])``."""
+    x4 = x.reshape(dim, dim, dim, dim)
+    return float(np.linalg.norm(x4 - x4.transpose(3, 2, 1, 0).conj()))
 
 
 def ils_operator_from_matrix(
@@ -208,12 +234,11 @@ def ils_operator_from_matrix(
     dim = int(round(np.sqrt(x.shape[0])))
     if dim * dim != x.shape[0]:
         raise ValueError(f"operator side {x.shape[0]} is not a perfect square")
-    w = swap_operator(dim)
     return ILSOperator(
         x_op=x,
         trace=complex(np.trace(x)),
         trace_norm=trace_norm(x),
-        swap_adjoint_residual=float(np.linalg.norm(x - w @ x.conj().T @ w)),
+        swap_adjoint_residual=_swap_adjoint_residual(x, dim),
         positivity_min_sampled=_sample_positivity_min(x, dim, samples, seed),
         dim=dim,
         samples=samples,
@@ -256,10 +281,9 @@ def verify_ils_conditions(
     x: ILSOperator, samples: int = 200, seed: int = 0, tol: float = 1e-8
 ) -> ConditionsReport:
     """Report the residuals of the three operator conditions on X."""
-    w = swap_operator(x.dim)
     m = x.x_op
     return ConditionsReport(
-        swap_adjoint_residual=float(np.linalg.norm(m - w @ m.conj().T @ w)),
+        swap_adjoint_residual=_swap_adjoint_residual(m, x.dim),
         positivity_min=_sample_positivity_min(m, x.dim, samples, seed),
         normalization_residual=float(abs(np.trace(m) - 1.0)),
         samples=samples,

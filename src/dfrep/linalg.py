@@ -204,6 +204,37 @@ def kron_trace(p, q, x) -> complex:
     return complex(np.einsum("ik,jl,klij->", pm, qm, x4))
 
 
+def pairing_realignment(x, dp: int, dq: int) -> np.ndarray:
+    """Realignment ``Xr[(i,k), (j,l)] = X[(k,l), (i,j)]`` of an operator on
+    ``C^dp (x) C^dq``, so that ``tr((p (x) q) X) = vec(p) Xr vec(q)^T`` with
+    row-major ``vec``.  Pair tables and batched pairings then become plain
+    matrix products against ``Xr``."""
+    xm = mat(x)
+    if xm.shape != (dp * dq, dp * dq):
+        raise ValueError(
+            f"dimension mismatch: x is {xm.shape[0]}, factors give {dp * dq}"
+        )
+    x4 = xm.reshape(dp, dq, dp, dq)
+    return np.ascontiguousarray(x4.transpose(2, 0, 3, 1)).reshape(dp * dp, dq * dq)
+
+
+def kron_trace_batch(p, q, x) -> np.ndarray:
+    """``tr((p_s (x) q_s) x)`` for stacks ``p`` (n, dp, dp) and ``q``
+    (n, dq, dq): one matmul against the realignment of ``x``, never
+    materializing a Kronecker product.  Row s equals ``kron_trace(p[s],
+    q[s], x)`` up to summation order."""
+    pm = np.asarray(p, dtype=complex)
+    qm = np.asarray(q, dtype=complex)
+    if pm.ndim != 3 or qm.ndim != 3 or len(pm) != len(qm):
+        raise ValueError(
+            f"need two equal-length matrix stacks, got {pm.shape} and {qm.shape}"
+        )
+    dp, dq = pm.shape[1], qm.shape[1]
+    xr = pairing_realignment(x, dp, dq)
+    n = len(pm)
+    return np.einsum("sk,sk->s", pm.reshape(n, -1) @ xr, qm.reshape(n, -1))
+
+
 def spectral_projections(h, tol: float = TOL_PROJ):
     """Spectral decomposition of a Hermitian matrix into (eigenvalue,
     Projection) pairs with ascending eigenvalues.

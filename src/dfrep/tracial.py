@@ -32,6 +32,7 @@ trace-pairing representative grows linearly with the dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .linalg import (
     kron_trace,
     mat,
     operator_norm,
-    swap_operator,
     trace_pair,
 )
 
@@ -103,15 +103,30 @@ class Decomposition:
     signature: tuple
     dim: int
 
+    @cached_property
+    def _flat_families(self):
+        """Signs and flattened families for :meth:`beta`: rows of ``left``
+        are ``vec(F_i^T)`` and rows of ``right`` are ``conj(vec(F_i))``, so
+        ``tr(a F_i) = vec(a) . left[i]`` and ``tr(b F_i^dag) = vec(b) . right[i]``."""
+        dim = self.dim
+        fam = np.array(self.x_family + self.y_family, dtype=complex)
+        fam = fam.reshape(-1, dim, dim)
+        signs = np.concatenate(
+            [np.ones(len(self.x_family)), -np.ones(len(self.y_family))]
+        )
+        left = fam.transpose(0, 2, 1).reshape(len(fam), dim * dim)
+        right = fam.reshape(len(fam), dim * dim).conj()
+        return signs, left, right
+
     def beta(self, s: ElementaryTensorSum) -> complex:
-        """beta(S) evaluated through the decomposition families."""
-        out = 0.0 + 0.0j
-        for a, b in s.terms:
-            for x in self.x_family:
-                out += trace_pair(a, x) * trace_pair(b, x.conj().T)
-            for y in self.y_family:
-                out -= trace_pair(a, y) * trace_pair(b, y.conj().T)
-        return complex(out)
+        """beta(S) evaluated through the decomposition families:
+        ``sum_m sum_i sign_i tr(a_m F_i) tr(b_m F_i^dag)``."""
+        if s.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {s.dim} vs {self.dim}")
+        signs, left, right = self._flat_families
+        a = np.stack([t[0] for t in s.terms]).reshape(len(s.terms), -1)
+        b = np.stack([t[1] for t in s.terms]).reshape(len(s.terms), -1)
+        return complex(np.sum(((a @ left.T) * (b @ right.T)) @ signs))
 
     def pairing_operator(self) -> np.ndarray:
         """``sum_i X_i (x) X_i^dag - sum_i Y_i (x) Y_i^dag`` on H (x) H."""
@@ -243,8 +258,8 @@ def pure_state_m(psi, verify: bool = True, seed: int = 0) -> np.ndarray:
     for i in range(dim):
         col = np.kron(v, basis[:, i])
         p += np.outer(col, col.conj())
-    u = swap_operator(dim)
-    m = p @ u
+    # P U: right multiplication by the swap permutes columns (k,l) -> (l,k).
+    m = p.reshape(n, dim, dim).transpose(0, 2, 1).reshape(n, n)
     if verify:
         resid = float(np.linalg.norm(m @ m.conj().T - p))
         if resid > 1e-10:

@@ -1,0 +1,214 @@
+"""Batched pairing kernels against their scalar references.
+
+The pair tables, the blocked unit-table combine, the batched kron trace and
+the index-transpose swap residual are all reorganisations of the same sums;
+each is checked here against the straightforward formula it replaces.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from dfrep import (
+    ClassOperatorModel,
+    DecoherenceFunctional,
+    FormBackedFunctional,
+    OperatorBackedFunctional,
+    Projection,
+    PureStateFunctional,
+    random_projection,
+    standard_df,
+    swap_operator,
+    verify_ils_conditions,
+)
+from dfrep.cli import _pairing_residual
+from dfrep.ils import (
+    ATOM_BLOCK,
+    _sample_positivity_min,
+    _swap_adjoint_residual,
+    bilinear_unit_table,
+    ils_operator_from_matrix,
+    polarization_atoms,
+)
+from dfrep.linalg import ElementaryTensorSum, haar_unitary, kron_trace, kron_trace_batch
+from dfrep.tracial import Decomposition
+from conftest import random_density, random_valid_pairing_operator
+
+
+def _cmats(rng, n, dim):
+    return rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+
+
+def _random_backends(dim: int, rng) -> dict:
+    """One functional per backend, none aligned with the standard basis."""
+    n = dim * dim
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = haar_unitary(dim, rng)
+    model = ClassOperatorModel(
+        dim=dim,
+        rho=random_density(dim, rng),
+        hamiltonian=(h + h.conj().T) / 2,
+        times=(0.37,),
+        schedules=(tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(dim)),),
+    )
+    return {
+        "operator": OperatorBackedFunctional(x),
+        "pure_state": PureStateFunctional(psi / np.linalg.norm(psi)),
+        "form": FormBackedFunctional((g + g.conj().T) / 2),
+        "class_operator": standard_df(model),
+    }
+
+
+def _dense_coeffs(index, coeffs, n_atoms) -> np.ndarray:
+    dense = np.zeros((len(index), n_atoms), dtype=complex)
+    for row in range(len(index)):
+        for k in range(4):
+            dense[row, index[row, k]] += coeffs[row, k]
+    return dense
+
+
+class TestPairTableParity:
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["operator", "pure_state", "form", "class_operator"])
+    def test_matches_bilinear_loop(self, kind, dim, rng):
+        d = _random_backends(dim, rng)[kind]
+        left = _cmats(rng, 5, dim)
+        right = _cmats(rng, 7, dim)
+        fast = d.pair_table(left, right)
+        ref = DecoherenceFunctional.pair_table(d, left, right)
+        assert fast.shape == (5, 7)
+        assert np.abs(fast - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+class TestBlockedUnitTable:
+    def test_expansion_reproduces_matrix_units(self):
+        dim = 4
+        atoms, index, coeffs = polarization_atoms(dim)
+        assert atoms.shape == (2 * dim * dim - dim, dim, dim)
+        assert index.shape == coeffs.shape == (dim * dim, 4)
+        for a in range(dim):
+            for b in range(dim):
+                row = a * dim + b
+                unit = np.einsum("k,kij->ij", coeffs[row], atoms[index[row]])
+                expect = np.zeros((dim, dim))
+                expect[a, b] = 1.0
+                assert np.abs(unit - expect).max() <= 1e-15
+
+    # N = 2 d^2 - d: 15 atoms at d = 3 (below one block), 276 at d = 12
+    # (one full block plus a partial one).
+    @pytest.mark.parametrize("dim,n_blocks", [(3, 1), (12, 2)])
+    @pytest.mark.parametrize("kind", ["operator", "class_operator"])
+    def test_matches_dense_combine(self, kind, dim, n_blocks, rng):
+        n_atoms = 2 * dim * dim - dim
+        assert n_atoms % ATOM_BLOCK != 0
+        d = _random_backends(dim, rng)[kind]
+        atoms, index, coeffs = polarization_atoms(dim)
+        dense = _dense_coeffs(index, coeffs, n_atoms)
+        ref = (dense @ d.pair_table(atoms, atoms) @ dense.T).reshape(dim, dim, dim, dim)
+        blocks = []
+        original = d.pair_table
+
+        def recording(left, right):
+            blocks.append((len(left), len(right)))
+            return original(left, right)
+
+        d.pair_table = recording
+        units = bilinear_unit_table(d, dim)
+        assert np.abs(units - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        # The whole N x N atom table is never requested at once.
+        assert len(blocks) == n_blocks
+        assert sum(rows for rows, _ in blocks) == n_atoms
+        assert all(rows <= ATOM_BLOCK and cols == n_atoms for rows, cols in blocks)
+
+
+class TestKronTraceBatch:
+    @pytest.mark.parametrize("dp,dq", [(3, 3), (2, 4), (5, 3)])
+    def test_rows_match_scalar(self, dp, dq, rng):
+        p = _cmats(rng, 9, dp)
+        q = _cmats(rng, 9, dq)
+        x = rng.standard_normal((dp * dq, dp * dq)) + 1j * rng.standard_normal((dp * dq, dp * dq))
+        vals = kron_trace_batch(p, q, x)
+        assert vals.shape == (9,)
+        for s in range(9):
+            ref = kron_trace(p[s], q[s], x)
+            assert abs(vals[s] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_rejects_mismatched_stacks(self, rng):
+        with pytest.raises(ValueError):
+            kron_trace_batch(_cmats(rng, 3, 2), _cmats(rng, 4, 2), np.eye(4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kron_trace_batch(_cmats(rng, 3, 2), _cmats(rng, 3, 2), np.eye(5))
+
+
+class TestSwapResidual:
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_matches_dense_swap_on_planted_violation(self, dim, rng):
+        n = dim * dim
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = swap_operator(dim)
+        ref = float(np.linalg.norm(x - w @ x.conj().T @ w))
+        assert ref > 1.0
+        assert _swap_adjoint_residual(x, dim) == pytest.approx(ref, rel=1e-12)
+        holder = ils_operator_from_matrix(x, samples=5)
+        assert holder.swap_adjoint_residual == pytest.approx(ref, rel=1e-12)
+        report = verify_ils_conditions(holder, samples=5)
+        assert report.swap_adjoint_residual == pytest.approx(ref, rel=1e-12)
+        assert not report.hermiticity_ok
+
+    def test_zero_on_valid_operator(self, rng):
+        x = random_valid_pairing_operator(4, rng)
+        assert _swap_adjoint_residual(x, 4) <= 1e-14
+
+
+class TestSampledDiagnosticsKeepDraws:
+    """The batched diagnostics consume the generator exactly as the scalar
+    loops they replace, so a seed still names the same samples."""
+
+    def test_positivity_min_matches_scalar_loop(self, rng):
+        dim, samples, seed = 4, 40, 3
+        x = random_valid_pairing_operator(dim, rng)
+        gen = np.random.default_rng(np.random.SeedSequence([seed, dim]))
+        pool = [Projection(np.diag((np.arange(dim) == i).astype(complex)), 1) for i in range(dim)]
+        pool.append(Projection(np.eye(dim, dtype=complex), dim))
+        for _ in range(samples):
+            pool.append(random_projection(dim, int(gen.integers(1, dim + 1)), gen))
+        ref = min(kron_trace(p, p, x).real for p in pool)
+        assert _sample_positivity_min(x, dim, samples, seed) == pytest.approx(ref, abs=1e-14)
+
+    def test_pairing_residual_matches_scalar_loop(self, rng):
+        dim, samples, seed = 4, 30, 5
+        d = OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
+        x = d.x_op + 1e-3 * rng.standard_normal(d.x_op.shape)
+        gen = np.random.default_rng(np.random.SeedSequence([seed, dim, 17]))
+        ref = 0.0
+        for _ in range(samples):
+            p = random_projection(dim, int(gen.integers(0, dim + 1)), gen)
+            q = random_projection(dim, int(gen.integers(0, dim + 1)), gen)
+            ref = max(ref, abs(d.evaluate(p, q) - kron_trace(p, q, x)))
+        assert ref > 1e-6
+        assert _pairing_residual(d, x, samples, seed) == pytest.approx(ref, rel=1e-10)
+
+
+class TestStackedBeta:
+    def test_matches_term_loop(self, rng):
+        dim = 3
+        xs = tuple(_cmats(rng, 2, dim))
+        ys = tuple(_cmats(rng, 3, dim))
+        dec = Decomposition(x_family=xs, y_family=ys, signature=(), dim=dim)
+        s = ElementaryTensorSum(tuple(zip(_cmats(rng, 3, dim), _cmats(rng, 3, dim))))
+        ref = 0.0 + 0.0j
+        for a, b in s.terms:
+            ref += sum(np.trace(a @ f) * np.trace(b @ f.conj().T) for f in xs)
+            ref -= sum(np.trace(a @ f) * np.trace(b @ f.conj().T) for f in ys)
+        assert abs(dec.beta(s) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_empty_families_and_dimension_check(self, rng):
+        dec = Decomposition(x_family=(), y_family=(), signature=(), dim=3)
+        s = ElementaryTensorSum(((_cmats(rng, 1, 3)[0], _cmats(rng, 1, 3)[0]),))
+        assert dec.beta(s) == 0
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dec.beta(ElementaryTensorSum(((np.eye(2), np.eye(2)),)))
