@@ -50,6 +50,7 @@ from .linalg import (
     kron_trace_batch,
     operator_norm,
     random_projection,
+    sample_projections,
     trace_norm,
     trace_pair,
 )
@@ -193,19 +194,13 @@ class ResultRecord:
 
 
 def _pairing_residual(d, x_op, samples: int, seed: int) -> float:
-    """Max |d(p, q) - tr((p (x) q) X)| over seeded random projection pairs;
-    the X side is one batched pairing over all pairs."""
+    """Max |d(p, q) - tr((p (x) q) X)| over seeded random projection pairs,
+    drawn p, q alternately; each side is one batched evaluation."""
     dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 17]))
-    ps, qs, direct = [], [], []
-    for _ in range(max(samples, 1)):
-        p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
-        q = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
-        ps.append(p.matrix)
-        qs.append(q.matrix)
-        direct.append(d.evaluate(p, q))
-    paired = kron_trace_batch(np.stack(ps), np.stack(qs), x_op)
-    return float(np.max(np.abs(np.array(direct) - paired)))
+    pq = sample_projections(dim, 2 * max(samples, 1), rng)
+    p, q = pq[0::2], pq[1::2]
+    return float(np.max(np.abs(d.pair_values(p, q) - kron_trace_batch(p, q, x_op))))
 
 
 def _random_tensor_sums(dim: int, count: int, rng):

@@ -31,15 +31,17 @@ import numpy as np
 
 from .linalg import (
     ElementaryTensorSum,
-    Projection,
     as_matrix,
+    check_projection_stack,
+    ginibre,
+    haar_from_ginibre,
     haar_unitary,
-    identity_projection,
     kron_trace,
+    kron_trace_batch,
+    kron_trace_table,
     mat,
-    pairing_realignment,
     projector_tensor_sum,
-    random_projection,
+    sample_projections,
     spectral_projections,
 )
 
@@ -64,6 +66,19 @@ def _check_dim(dim: int, what: str, allow_dim_two: bool = False):
     minimum = 1 if allow_dim_two else 3
     if dim < minimum:
         raise DimensionExclusionError(dim, what)
+
+
+def _rows(stack) -> np.ndarray:
+    """An ``(n, d, d)`` stack flattened row-major to ``(n, d*d)``."""
+    a = np.asarray(stack, dtype=complex)
+    return a.reshape(len(a), -1)
+
+
+def _transposed_rows(stack) -> np.ndarray:
+    """Rows ``vec(b^T)`` of an ``(n, d, d)`` stack, so that
+    ``vec(a) . vec(b^T) = tr(a b)``."""
+    a = np.asarray(stack, dtype=complex)
+    return a.transpose(0, 2, 1).reshape(len(a), -1)
 
 
 class DecoherenceFunctional:
@@ -103,6 +118,32 @@ class DecoherenceFunctional:
             [[self.bilinear(a, b) for b in right] for a in left], dtype=complex
         )
 
+    def pair_values(self, left, right) -> np.ndarray:
+        """Values ``D(left[s], right[s])`` on two equal-length stacks: the
+        diagonal of :meth:`pair_table` without the off-diagonal work.
+
+        Fallback loops over :meth:`bilinear`; every backend overrides it
+        with an elementwise product of flattened operands, so the sampled
+        checks evaluate all their pairs in one call.
+        """
+        left, right = self._value_stacks(left, right)
+        return np.array([self.bilinear(a, b) for a, b in zip(left, right)], dtype=complex)
+
+    def _value_stacks(self, left, right):
+        """Operands of :meth:`pair_values` as complex ``(n, dim, dim)``
+        stacks of one length, or ``ValueError``."""
+        l = np.asarray(left, dtype=complex)
+        r = np.asarray(right, dtype=complex)
+        square = (self.dim, self.dim)
+        if l.shape[1:] != square or r.shape[1:] != square:
+            raise ValueError(
+                f"dimension mismatch: functional has dim {self.dim}, "
+                f"got stacks of shape {l.shape} and {r.shape}"
+            )
+        if len(l) != len(r):
+            raise ValueError(f"pair_values needs equal-length stacks, got {len(l)} and {len(r)}")
+        return l, r
+
 
 class OperatorBackedFunctional(DecoherenceFunctional):
     """d(p, q) = tr((p (x) q) X) for a fixed operator X on H (x) H.
@@ -123,11 +164,11 @@ class OperatorBackedFunctional(DecoherenceFunctional):
         return kron_trace(x, y, self.x_op)
 
     def pair_table(self, left, right) -> np.ndarray:
-        # tr((a (x) b) X) = vec(a) Xr vec(b)^T with Xr[(i,k),(j,l)] = X[k,l,i,j].
-        xr = pairing_realignment(self.x_op, self.dim, self.dim)
-        l = np.asarray(left, dtype=complex).reshape(len(left), -1)
-        r = np.asarray(right, dtype=complex).reshape(len(right), -1)
-        return (l @ xr) @ r.T
+        return kron_trace_table(left, right, self.x_op)
+
+    def pair_values(self, left, right) -> np.ndarray:
+        left, right = self._value_stacks(left, right)
+        return kron_trace_batch(left, right, self.x_op)
 
 
 class PureStateFunctional(DecoherenceFunctional):
@@ -153,12 +194,20 @@ class PureStateFunctional(DecoherenceFunctional):
         yv = mat(y).conj().T @ self.psi
         return complex(np.vdot(yv, xv))
 
-    def pair_table(self, left, right) -> np.ndarray:
+    def _sides(self, left, right):
+        # D(a, b) = (b^dag psi)^dag (a psi), and conj(b^dag psi) = b^T conj(psi).
         l = np.asarray(left, dtype=complex) @ self.psi
-        # table[s, t] = (right[t]^dag psi)^dag (left[s] psi), and
-        # conj(right[t]^dag psi) = right[t]^T conj(psi).
         r_conj = np.asarray(right, dtype=complex).transpose(0, 2, 1) @ self.psi.conj()
+        return l, r_conj
+
+    def pair_table(self, left, right) -> np.ndarray:
+        l, r_conj = self._sides(left, right)
         return l @ r_conj.T
+
+    def pair_values(self, left, right) -> np.ndarray:
+        left, right = self._value_stacks(left, right)
+        l, r_conj = self._sides(left, right)
+        return np.sum(l * r_conj, axis=-1)
 
 
 class FormBackedFunctional(DecoherenceFunctional):
@@ -191,10 +240,11 @@ class FormBackedFunctional(DecoherenceFunctional):
         return complex(xf @ self.gram @ yf)
 
     def pair_table(self, left, right) -> np.ndarray:
-        l = np.asarray(left, dtype=complex).reshape(len(left), -1)
-        r = np.asarray(right, dtype=complex)
-        rt = np.transpose(r, (0, 2, 1)).reshape(len(right), -1)
-        return l @ self.gram @ rt.T
+        return _rows(left) @ self.gram @ _transposed_rows(right).T
+
+    def pair_values(self, left, right) -> np.ndarray:
+        left, right = self._value_stacks(left, right)
+        return np.sum((_rows(left) @ self.gram) * _transposed_rows(right), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -246,6 +296,53 @@ class AxiomReport:
         }
 
 
+# Sampled pairs per batched evaluation in :func:`check_axioms`, which keeps
+# its temporaries to a few stacks of this many matrices.
+SAMPLE_BLOCK = 256
+
+
+def _blocks(samples: int):
+    """Sizes of the consecutive sample blocks covering ``samples``."""
+    return [min(SAMPLE_BLOCK, samples - start) for start in range(0, samples, SAMPLE_BLOCK)]
+
+
+def _hermiticity_residual(d, pool, samples: int, rng) -> float:
+    """``max |d(p, q) - conj d(q, p)|`` over ``samples`` pool pairs."""
+    pick = np.array([[rng.integers(len(pool)), rng.integers(len(pool))] for _ in range(samples)])
+    p, q = pool[pick[:, 0]], pool[pick[:, 1]]
+    return float(np.max(np.abs(d.pair_values(p, q) - np.conj(d.pair_values(q, p)))))
+
+
+def _orthogonal_splits(dim: int, samples: int, pool_size: int, rng):
+    """Orthogonal pairs ``p1 _|_ p2`` spanned by the first ``r1`` and the
+    next ``r2`` columns of Haar unitaries, with a pool index per pair;
+    drawn in the order of a per-sample loop, then built as stacks."""
+    g = np.empty((samples, dim, dim), dtype=complex)
+    cuts = np.empty((samples, 3), dtype=int)
+    for s in range(samples):
+        g[s] = ginibre(dim, dim, rng)
+        r1 = int(rng.integers(1, dim))
+        cuts[s] = r1, rng.integers(1, dim - r1 + 1), rng.integers(pool_size)
+    u = haar_from_ginibre(g)
+    r1, r2, qi = cuts.T
+    cols = np.arange(dim)
+    u_dag = u.conj().transpose(0, 2, 1)
+    p1 = (u * (cols < r1[:, None])[:, None, :]) @ u_dag
+    p2 = (u * ((cols >= r1[:, None]) & (cols < (r1 + r2)[:, None]))[:, None, :]) @ u_dag
+    return p1, p2, r1, r2, qi
+
+
+def _orthoadditivity_residual(d, pool, samples: int, rng) -> float:
+    """``max |d(p1 + p2, q) - d(p1, q) - d(p2, q)|`` over ``samples``
+    orthogonal pairs and pool projections q."""
+    p1, p2, r1, r2, qi = _orthogonal_splits(d.dim, samples, len(pool), rng)
+    p12 = p1 + p2
+    for m, r in ((p1, r1), (p2, r2), (p12, r1 + r2)):
+        check_projection_stack(m, r)
+    q = pool[qi]
+    return float(np.max(np.abs(d.pair_values(p12, q) - d.pair_values(p1, q) - d.pair_values(p2, q))))
+
+
 def check_axioms(
     d: DecoherenceFunctional, samples: int = 200, seed: int = 0, tol: float = 1e-8
 ) -> AxiomReport:
@@ -260,46 +357,21 @@ def check_axioms(
         raise ValueError("samples must be >= 1")
     dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    eye = identity_projection(dim)
-
-    pool = [eye] + [
-        Projection(np.diag((np.arange(dim) == i).astype(complex)), 1)
-        for i in range(dim)
-    ]
-    for _ in range(samples):
-        rank = int(rng.integers(0, dim + 1))
-        pool.append(random_projection(dim, rank, rng))
-
-    herm = 0.0
-    for _ in range(samples):
-        p = pool[int(rng.integers(len(pool)))]
-        q = pool[int(rng.integers(len(pool)))]
-        herm = max(herm, abs(d.evaluate(p, q) - np.conj(d.evaluate(q, p))))
-
-    pos_min = np.inf
-    pos_imag = 0.0
-    for p in pool:
-        v = d.evaluate(p, p)
-        pos_min = min(pos_min, v.real)
-        pos_imag = max(pos_imag, abs(v.imag))
-
+    # The generator is consumed sample by sample in the order of the scalar
+    # loops this replaces, so a seed still names the same projections; the
+    # QRs, validations and evaluations run on whole stacks.
+    eye = np.eye(dim, dtype=complex)
+    pool = np.concatenate(
+        [eye[None], eye[:, :, None] * eye[:, None, :], sample_projections(dim, samples, rng)]
+    )
+    herm = max(_hermiticity_residual(d, pool, n, rng) for n in _blocks(samples))
+    v = d.pair_values(pool, pool)
+    pos_min = np.min(v.real)
+    pos_imag = np.max(np.abs(v.imag))
     norm_res = abs(d.evaluate(eye, eye) - 1.0)
-
     ortho = 0.0
-    for _ in range(samples if dim >= 2 else 0):
-        u = haar_unitary(dim, rng)
-        r1 = int(rng.integers(1, dim))
-        r2 = int(rng.integers(1, dim - r1 + 1))
-        b1 = u[:, :r1]
-        b2 = u[:, r1 : r1 + r2]
-        p1 = Projection(b1 @ b1.conj().T, r1)
-        p2 = Projection(b2 @ b2.conj().T, r2)
-        p12 = Projection(p1.matrix + p2.matrix, r1 + r2)
-        q = pool[int(rng.integers(len(pool)))]
-        ortho = max(
-            ortho,
-            abs(d.evaluate(p12, q) - d.evaluate(p1, q) - d.evaluate(p2, q)),
-        )
+    if dim >= 2:
+        ortho = max(_orthoadditivity_residual(d, pool, n, rng) for n in _blocks(samples))
 
     return AxiomReport(
         hermiticity_residual=float(herm),
@@ -374,21 +446,23 @@ def bilinear_refined(d: DecoherenceFunctional, x, y, rng) -> complex:
     ym = as_matrix(mat(y), "y")
 
     def refine(h):
-        pieces = []
+        """Weights and a validated stack of the rank-one pieces."""
+        weights, frames = [], []
         for w, proj in spectral_projections(h):
             vals, vecs = np.linalg.eigh(proj.matrix)
             cols = vecs[:, vals > 0.5]
-            r = cols.shape[1]
-            cols = cols @ haar_unitary(r, rng)
-            for k in range(r):
-                pieces.append((w, np.outer(cols[:, k], cols[:, k].conj())))
-        return pieces
+            frames.append(cols @ haar_unitary(cols.shape[1], rng))
+            weights += [w] * cols.shape[1]
+        cols = np.concatenate(frames, axis=1).T
+        pieces = cols[:, :, None] * cols[:, None, :].conj()
+        return np.array(weights), check_projection_stack(pieces, np.ones(len(cols)))
 
     def pair(a, b) -> complex:
+        wa, pa = refine(a)
         out = 0.0 + 0.0j
-        for wa, pa in refine(a):
-            for wb, pb in refine(b):
-                out += wa * wb * d.evaluate(Projection(pa, 1), Projection(pb, 1))
+        for s in range(len(wa)):
+            wb, pb = refine(b)  # b is refined afresh for every piece of a
+            out += wa[s] * (d.pair_table(pa[s : s + 1], pb)[0] @ wb)
         return out
 
     xr = (xm + xm.conj().T) / 2

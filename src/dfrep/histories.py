@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .functionals import DecoherenceFunctional
+from .functionals import DecoherenceFunctional, _rows, _transposed_rows
 from .linalg import Projection, as_matrix, mat, trace_pair
 
 _MODEL_TOL = 1e-9
@@ -184,8 +184,11 @@ class ClassOperatorFunctional(DecoherenceFunctional):
     def pair_table(self, left, right) -> np.ndarray:
         # tr(a rho' b) = vec(a rho') . vec(b^T)
         l = np.asarray(left, dtype=complex) @ self._rho_rot
-        r = np.asarray(right, dtype=complex).transpose(0, 2, 1)
-        return l.reshape(len(left), -1) @ r.reshape(len(right), -1).T
+        return _rows(l) @ _transposed_rows(right).T
+
+    def pair_values(self, left, right) -> np.ndarray:
+        left, right = self._value_stacks(left, right)
+        return np.sum(_rows(left @ self._rho_rot) * _transposed_rows(right), axis=-1)
 
 
 def standard_df(model: ClassOperatorModel) -> ClassOperatorFunctional:
@@ -244,17 +247,20 @@ def consistency_report(
     if not projs:
         raise ValueError("need at least one projection")
     for i in range(len(projs)):
+        if projs[i].dim != d.dim:
+            raise ValueError(
+                f"dimension mismatch: functional has dim {d.dim}, "
+                f"projection {i} has dim {projs[i].dim}"
+            )
         for j in range(i + 1, len(projs)):
             if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > 1e-8:
                 raise ValueError(f"projections {i} and {j} are not orthogonal")
-    off = 0.0
-    for i in range(len(projs)):
-        for j in range(len(projs)):
-            if i == j:
-                continue
-            v = d.evaluate(projs[i], projs[j])
-            off = max(off, abs(v.real) if mode == "weak" else abs(v))
-    diags = tuple(float(d.evaluate(p, p).real) for p in projs)
+    stack = np.stack([p.matrix for p in projs])
+    table = d.pair_table(stack, stack)
+    off_diag = table[~np.eye(len(projs), dtype=bool)]
+    off_vals = np.abs(off_diag.real) if mode == "weak" else np.abs(off_diag)
+    off = float(np.max(off_vals, initial=0.0))
+    diags = tuple(float(v) for v in table.diagonal().real)
     return ConsistencyReport(
         off_diagonal_max=float(off),
         diagonals=diags,

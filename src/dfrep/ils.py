@@ -49,7 +49,7 @@ from .linalg import (
     as_matrix,
     kron_trace,
     kron_trace_batch,
-    random_projection,
+    sample_projections,
     trace_norm,
 )
 
@@ -210,12 +210,10 @@ def _sample_positivity_min(x_op: np.ndarray, dim: int, samples: int, seed: int) 
     """Min of Re tr((p (x) p) X) over basis rank-one plus seeded random
     projections across all ranks, evaluated in one batched pairing."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-    pool = [np.diag((np.arange(dim) == i).astype(complex)) for i in range(dim)]
-    pool.append(np.eye(dim, dtype=complex))
-    for _ in range(samples):
-        rank = int(rng.integers(1, dim + 1))
-        pool.append(random_projection(dim, rank, rng).matrix)
-    p = np.stack(pool)
+    eye = np.eye(dim, dtype=complex)
+    p = np.concatenate(
+        [eye[:, :, None] * eye[:, None, :], eye[None], sample_projections(dim, samples, rng, 1)]
+    )
     return float(np.min(kron_trace_batch(p, p, x_op).real))
 
 

@@ -65,18 +65,7 @@ class Projection:
     def __post_init__(self):
         m = as_matrix(self.matrix, "projection")
         object.__setattr__(self, "matrix", m)
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if np.linalg.norm(m - m.conj().T) > TOL_PROJ * scale:
-            raise ValueError("projection is not Hermitian within tolerance")
-        if np.linalg.norm(m @ m - m) > TOL_PROJ * scale:
-            raise ValueError("projection is not idempotent within tolerance")
-        tr = complex(np.trace(m))
-        if not (0 <= self.rank <= m.shape[0]):
-            raise ValueError(f"rank {self.rank} out of range for dim {m.shape[0]}")
-        if abs(tr - self.rank) > TOL_PROJ * max(1.0, self.rank):
-            raise ValueError(
-                f"trace {tr:.3g} inconsistent with declared rank {self.rank}"
-            )
+        check_projection_stack(m[None], (self.rank,))
 
     @property
     def dim(self) -> int:
@@ -87,6 +76,55 @@ class Projection:
         m = as_matrix(m, "projection")
         rank = int(round(float(np.trace(m).real)))
         return cls(m, rank)
+
+
+def stack_norms(a: np.ndarray) -> np.ndarray:
+    """2-norm of each entry of a complex ``(n, ...)`` stack (the Frobenius
+    norm for matrices), without complex temporaries."""
+    v = np.ascontiguousarray(a).view(float).reshape(len(a), -1)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _which(stack: np.ndarray, k: int) -> str:
+    return "projection" if len(stack) == 1 else f"projection {k}"
+
+
+def check_projection_stack(mats, ranks) -> np.ndarray:
+    """Validate a stack of projection matrices against their declared ranks
+    with the :class:`Projection` invariants, vectorised over the stack.
+
+    Returns the stack as a complex array; raises ``ValueError`` naming the
+    first failing matrix (by index when the stack has more than one).
+    """
+    m = np.asarray(mats, dtype=complex)
+    r = np.asarray(ranks, dtype=float).reshape(-1)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or len(r) != len(m):
+        raise ValueError(
+            f"need an (n, d, d) stack with n ranks, got {m.shape} and {len(r)} ranks"
+        )
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"{_which(m, k)} has non-finite entries")
+    dim = m.shape[1]
+    scale = TOL_PROJ * np.maximum(1.0, stack_norms(m))
+    tr = np.einsum("sii->s", m)
+    herm = stack_norms(m - m.conj().transpose(0, 2, 1)) > scale
+    idem = stack_norms(m @ m - m) > scale
+    rank = (r < 0) | (r > dim)
+    trace = np.abs(tr - r) > TOL_PROJ * np.maximum(1.0, r)
+    bad = herm | idem | rank | trace
+    if not bad.any():
+        return m
+    k = int(np.argmax(bad))
+    where = _which(m, k)
+    if herm[k]:
+        raise ValueError(f"{where} is not Hermitian within tolerance")
+    if idem[k]:
+        raise ValueError(f"{where} is not idempotent within tolerance")
+    if rank[k]:
+        raise ValueError(f"{where} rank {r[k]:g} out of range for dim {dim}")
+    raise ValueError(f"{where} trace {tr[k]:.3g} inconsistent with declared rank {r[k]:g}")
 
 
 def identity_projection(dim: int) -> Projection:
@@ -201,7 +239,10 @@ def kron_trace(p, q, x) -> complex:
             f"dimension mismatch: x is {xm.shape[0]}, factors give {dp * dq}"
         )
     x4 = xm.reshape(dp, dq, dp, dq)
-    return complex(np.einsum("ik,jl,klij->", pm, qm, x4))
+    # t[k, i] = sum_{l,j} x[k,l,i,j] q[j,l] as one matrix-vector product (a
+    # tensordot without its Python overhead), then sum_{i,k} p[i,k] t[k,i].
+    t = x4.transpose(0, 2, 1, 3).reshape(dp * dp, dq * dq) @ qm.T.reshape(-1)
+    return complex(np.sum(pm.T * t.reshape(dp, dp)))
 
 
 def pairing_realignment(x, dp: int, dq: int) -> np.ndarray:
@@ -216,6 +257,18 @@ def pairing_realignment(x, dp: int, dq: int) -> np.ndarray:
         )
     x4 = xm.reshape(dp, dq, dp, dq)
     return np.ascontiguousarray(x4.transpose(2, 0, 3, 1)).reshape(dp * dp, dq * dq)
+
+
+def kron_trace_table(p, q, x) -> np.ndarray:
+    """Table ``tr((p_s (x) q_t) x)`` for stacks ``p`` (m, dp, dp) and ``q``
+    (n, dq, dq): two matmuls against the realignment of ``x``.  Entry
+    (s, t) equals ``kron_trace(p[s], q[t], x)`` up to summation order."""
+    pm = np.asarray(p, dtype=complex)
+    qm = np.asarray(q, dtype=complex)
+    if pm.ndim != 3 or qm.ndim != 3:
+        raise ValueError(f"need two matrix stacks, got {pm.shape} and {qm.shape}")
+    xr = pairing_realignment(x, pm.shape[1], qm.shape[1])
+    return (pm.reshape(len(pm), -1) @ xr) @ qm.reshape(len(qm), -1).T
 
 
 def kron_trace_batch(p, q, x) -> np.ndarray:
@@ -301,14 +354,64 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+def ginibre(rows: int, cols: int, rng) -> np.ndarray:
+    """Complex Ginibre matrix: the draw behind :func:`haar_unitary` and
+    :func:`random_projection` (real parts first, then imaginary parts)."""
+    z = rng.standard_normal((2, rows, cols))  # the same stream as two draws
+    return z[0] + 1j * z[1]
+
+
+def haar_from_ginibre(g) -> np.ndarray:
+    """Phase-fixed QR of a complex Ginibre matrix, or of an ``(n, d, d)``
+    stack of them in one batched call: Haar-distributed unitaries."""
+    q, r = np.linalg.qr(g)
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    ph = ph / np.abs(ph)
+    return q * ph[..., None, :]
+
+
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix."""
-    rng = _as_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
-    ph = ph / np.abs(ph)
-    return q * ph
+    return haar_from_ginibre(ginibre(dim, dim, _as_rng(seed)))
+
+
+def _draw_projection_factor(dim: int, rank: int, rng):
+    """The Gaussian draw behind :func:`random_projection`: a ``(dim, rank)``
+    complex Ginibre factor, or ``None`` for rank 0 or ``dim``, which draw
+    nothing.  Pass the factors to :func:`_projection_matrices`."""
+    if not (0 <= rank <= dim):
+        raise ValueError(f"rank {rank} out of range for dim {dim}")
+    if rank == 0 or rank == dim:
+        return None
+    return ginibre(dim, rank, rng)
+
+
+def _projection_matrices(dim: int, ranks, factors) -> np.ndarray:
+    """``(n, dim, dim)`` stack of the projections onto the column spans of
+    ``factors`` (from :func:`_draw_projection_factor`), orthonormalised by
+    one batched QR per rank.  The matrices are not validated; see
+    :func:`check_projection_stack`."""
+    ranks = np.asarray(ranks, dtype=int).reshape(-1)
+    out = np.zeros((len(ranks), dim, dim), dtype=complex)
+    out[ranks == dim] = np.eye(dim)
+    for rank in np.unique(ranks[(ranks > 0) & (ranks < dim)]):
+        idx = np.flatnonzero(ranks == rank)
+        q, _ = np.linalg.qr(np.stack([factors[i] for i in idx]))
+        out[idx] = q @ q.conj().transpose(0, 2, 1)
+    return out
+
+
+def sample_projections(dim: int, count: int, rng, min_rank: int = 0) -> np.ndarray:
+    """``(count, dim, dim)`` stack of validated random projections, drawing
+    from ``rng`` exactly as ``count`` successive calls
+    ``random_projection(dim, int(rng.integers(min_rank, dim + 1)), rng)``
+    would; the QRs and the validation then run batched."""
+    ranks = []
+    factors = []
+    for _ in range(count):
+        ranks.append(int(rng.integers(min_rank, dim + 1)))
+        factors.append(_draw_projection_factor(dim, ranks[-1], rng))
+    return check_projection_stack(_projection_matrices(dim, ranks, factors), ranks)
 
 
 def random_projection(dim: int, rank: int, seed) -> Projection:
@@ -316,13 +419,5 @@ def random_projection(dim: int, rank: int, seed) -> Projection:
 
     Built by orthonormalizing Gaussian columns; deterministic per seed.
     """
-    if not (0 <= rank <= dim):
-        raise ValueError(f"rank {rank} out of range for dim {dim}")
-    if rank == 0:
-        return zero_projection(dim)
-    if rank == dim:
-        return identity_projection(dim)
-    rng = _as_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    q, _ = np.linalg.qr(g)
-    return Projection(q @ q.conj().T, rank)
+    factor = _draw_projection_factor(dim, rank, _as_rng(seed))
+    return Projection(_projection_matrices(dim, [rank], [factor])[0], rank)

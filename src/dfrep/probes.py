@@ -26,7 +26,7 @@ import numpy as np
 
 from .functionals import DecoherenceFunctional
 from .ils import extract_ils
-from .linalg import random_projection
+from .linalg import sample_projections, stack_norms
 
 VERDICT_TENSOR_BOUNDED = "tensor_bounded_evidence"
 VERDICT_DIVERGENCE = "divergence_evidence"
@@ -50,38 +50,48 @@ def boundedness_probe(
     if dim is None:
         dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-    best = 0.0
-    for _ in range(samples):
-        p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
-        q = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
-        best = max(best, abs(d.evaluate(p, q)))
-    return best
+    # p and q alternate in the stream, as in a per-pair loop.
+    pq = sample_projections(dim, 2 * samples, rng)
+    return float(np.max(np.abs(d.pair_values(pq[0::2], pq[1::2]))))
 
 
 def _sample_tensor_vectors(dim: int, samples: int, rng, max_terms: int = 4):
     """Seeded unit vectors in the algebraic tensor subspace.
 
     Each sample is a normalized sum of one to ``max_terms`` elementary
-    tensors of complex Gaussian factors.  Draws happen strictly per sample,
-    so for a fixed generator state the first n samples do not depend on the
-    total count (running suprema are exactly monotone in ``samples``).
+    tensors ``a (x) g`` of complex Gaussian factors.  Draws happen strictly
+    per sample (the term count, then one fused ``standard_normal`` for the
+    real and imaginary parts of every ``a`` and ``g``, which is the same
+    stream as drawing them one by one), so for a fixed generator state the
+    first n samples do not depend on the total count (running suprema are
+    exactly monotone in ``samples``).  The tensors are then assembled in one
+    batch per term count.  Returns the ``(samples, dim*dim)`` rows and the
+    number of samples per term count.
     """
+    terms = np.empty(samples, dtype=int)
+    z = np.empty((samples, max_terms, 4, dim))
+    for n in range(samples):
+        terms[n] = rng.integers(1, max_terms + 1)
+        rng.standard_normal(out=z[n, : terms[n]].reshape(-1))  # a contiguous view
     rows = np.empty((samples, dim * dim), dtype=complex)
     counts = {}
-    for n in range(samples):
-        terms = int(rng.integers(1, max_terms + 1))
-        xi = np.zeros(dim * dim, dtype=complex)
-        for _ in range(terms):
-            a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            xi += np.kron(a, g)
-        nrm = np.linalg.norm(xi)
-        if nrm < 1e-12:  # measure-zero cancellation; fall back to e1 (x) e1
-            xi = np.zeros(dim * dim, dtype=complex)
-            xi[0] = 1.0
-            nrm = 1.0
-        rows[n] = xi / nrm
-        counts[terms] = counts.get(terms, 0) + 1
+    for t in np.unique(terms):
+        idx = np.flatnonzero(terms == t)
+        a = z[idx, :t, 0] + 1j * z[idx, :t, 1]
+        g = z[idx, :t, 2] + 1j * z[idx, :t, 3]
+        # Summed term by term, in the order the vectors were drawn.
+        xi = a[:, 0, :, None] * g[:, 0, None, :]
+        for k in range(1, t):
+            xi += a[:, k, :, None] * g[:, k, None, :]
+        rows[idx] = xi.reshape(len(idx), dim * dim)
+        counts[int(t)] = len(idx)
+    nrm = stack_norms(rows)
+    # Measure-zero cancellation: fall back to e1 (x) e1.
+    small = nrm < 1e-12
+    rows[small] = 0.0
+    rows[small, 0] = 1.0
+    nrm[small] = 1.0
+    rows /= nrm[:, None]
     return rows, counts
 
 

@@ -44,7 +44,7 @@ from .linalg import (
     Projection,
     as_vector,
     kron,
-    kron_trace,
+    kron_trace_table,
     mat,
     operator_norm,
     trace_pair,
@@ -291,38 +291,52 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
         ``<L(a (x) b), a' (x) b'> =
           (1/16) sum_{k,l=0..3} i^{k+l} f(a + i^k a', b + i^l b')``,
 
-    iterated over basis vectors.  The zero oracle reconstructs the zero
+    iterated over basis vectors.  The oracle is called once per basis pair
+    ``(a, a')`` on broadcastable ``(..., dim)`` stacks: ``alpha`` has shape
+    ``(4, 1, 1, 1, dim)`` (the four ``a + i^k a'``) and ``beta`` has shape
+    ``(1, dim, dim, 4, dim)`` (every ``b + i^l b'``), and it must return
+    values that broadcast to ``(4, dim, dim, 4)``; a scalar return, as from
+    ``lambda a, b: 0.0``, broadcasts.  The zero oracle reconstructs the zero
     operator; for inputs that are not genuine product diagonals the output
     is unspecified (garbage in, garbage out).
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    phases = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]
+    phases = np.array([1.0, 1.0j, -1.0, -1.0j])
     eye = np.eye(dim, dtype=complex)
-    n = dim * dim
-    out = np.zeros((n, n), dtype=complex)
+    # rights[b, b', l] = e_b + i^l e_b'
+    rights = eye[:, None, None, :] + phases[:, None] * eye[None, :, None, :]
+    # weights[k, l] = i^(k+l) / 16
+    weights = phases[np.add.outer(np.arange(4), np.arange(4)) % 4] / 16.0
+    out = np.zeros((dim, dim, dim, dim), dtype=complex)  # [a', b', a, b]
     for a in range(dim):
         for a2 in range(dim):
-            lefts = [eye[a] + phases[k] * eye[a2] for k in range(4)]
-            for b in range(dim):
-                for b2 in range(dim):
-                    rights = [eye[b] + phases[l] * eye[b2] for l in range(4)]
-                    acc = 0.0 + 0.0j
-                    for k in range(4):
-                        for l in range(4):
-                            acc += phases[(k + l) % 4] * f(lefts[k], rights[l])
-                    out[a2 * dim + b2, a * dim + b] = acc / 16.0
-    return out
+            lefts = eye[a] + phases[:, None] * eye[a2]
+            vals = np.broadcast_to(
+                np.asarray(f(lefts[:, None, None, None, :], rights[None]), dtype=complex),
+                (4, dim, dim, 4),
+            )
+            out[a2, :, a, :] = np.einsum("kl,kbcl->cb", weights, vals)
+    return out.reshape(dim * dim, dim * dim)
 
 
 def product_diagonal_of(m) -> "callable":
     """Diagonal oracle ``f(alpha, beta) = <M(alpha (x) beta), alpha (x) beta>``
-    of a dense operator, for feeding the reconstructor."""
+    of a dense operator, for feeding the reconstructor.
+
+    ``alpha`` and ``beta`` are broadcastable ``(..., d)`` stacks of vectors;
+    the result has their broadcast batch shape, and is a complex scalar for
+    two single vectors.
+    """
     mm = np.asarray(m, dtype=complex)
 
     def f(alpha, beta):
-        vec = np.kron(np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex))
-        return complex(np.vdot(vec, mm @ vec))
+        a = np.asarray(alpha, dtype=complex)
+        b = np.asarray(beta, dtype=complex)
+        prod = a[..., :, None] * b[..., None, :]
+        vec = prod.reshape(prod.shape[:-2] + (-1,))
+        vals = np.sum(vec.conj() * (vec @ mm.T), axis=-1)
+        return complex(vals) if vals.ndim == 0 else vals
 
     return f
 
@@ -331,16 +345,21 @@ def evaluate_double_sum(m, p: Projection, q: Projection, block_rank: int) -> com
     """``sum_i sum_j tr((p_i (x) q_j) M)`` over orthogonal block
     decompositions of p and q with blocks of rank at most ``block_rank``.
 
-    By trace linearity the value equals ``tr(M (p (x) q))`` for every
-    admissible block decomposition.
+    Every term is one entry of a single block pair table
+    (:func:`dfrep.linalg.kron_trace_table`), which is summed.  By trace
+    linearity the value equals ``tr(M (p (x) q))`` for every admissible
+    block decomposition.
     """
     mm = m.m_op if isinstance(m, TracialOperator) else np.asarray(m, dtype=complex)
     if not isinstance(p, Projection):
         p = Projection.from_matrix(mat(p))
     if not isinstance(q, Projection):
         q = Projection.from_matrix(mat(q))
-    out = 0.0 + 0.0j
-    for pi in orthogonal_decompose(p, block_rank):
-        for qj in orthogonal_decompose(q, block_rank):
-            out += kron_trace(pi, qj, mm)
-    return complex(out)
+    p_blocks = orthogonal_decompose(p, block_rank)
+    q_blocks = orthogonal_decompose(q, block_rank)
+    if not p_blocks or not q_blocks:
+        return 0j
+    table = kron_trace_table(
+        np.stack([b.matrix for b in p_blocks]), np.stack([b.matrix for b in q_blocks]), mm
+    )
+    return complex(np.sum(table))
