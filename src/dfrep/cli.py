@@ -59,7 +59,7 @@ from .scenarios import Scenario, ScenarioError, parse_scenario
 from .tracial import (
     GramHermiticityError,
     build_tracial_operator,
-    evaluate_double_sum,
+    double_sum_table,
     hermitian_form_decomposition,
     householder_basis,
     product_diagonal_of,
@@ -316,13 +316,18 @@ def _cmd_tracial(scenario: Scenario, args) -> ResultRecord:
     requested = args.block_rank
     if requested is not None and requested not in block_ranks:
         block_ranks.append(int(requested))
+    pairs = [
+        (
+            random_projection(d.dim, int(rng.integers(1, d.dim + 1)), rng),
+            random_projection(d.dim, int(rng.integers(1, d.dim + 1)), rng),
+        )
+        for _ in range(20)
+    ]
+    sums = double_sum_table(top, *zip(*pairs), block_ranks)
     double_res = 0.0
-    for _ in range(20):
-        p = random_projection(d.dim, int(rng.integers(1, d.dim + 1)), rng)
-        q = random_projection(d.dim, int(rng.integers(1, d.dim + 1)), rng)
+    for (p, q), row in zip(pairs, sums):
         direct = kron_trace(p, q, top.m_op)
-        for br in block_ranks:
-            double_res = max(double_res, abs(evaluate_double_sum(top, p, q, br) - direct))
+        double_res = max(double_res, *(abs(v - direct) for v in row))
     tol = _tol(args, scenario, "pairing")
     rec = {
         "operator_norm": top.operator_norm,

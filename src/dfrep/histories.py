@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .functionals import DecoherenceFunctional, _rows, _transposed_rows
 from .linalg import Projection, as_matrix, mat, trace_pair
@@ -53,6 +52,11 @@ class ClassOperatorModel:
     Hamiltonian is Hermitian; times are ascending with one schedule each;
     every schedule is a family of pairwise orthogonal projections summing
     to the identity.
+
+    Construction also diagonalises the Hermitian part of the Hamiltonian
+    once, ``(H + H^dag)/2 = V diag(energies) V^dag``.  ``energies`` and
+    ``eigenbasis`` are stored read-only, and nothing is cached on the model
+    afterwards, so it can be shared between callers.
     """
 
     dim: int
@@ -79,6 +83,9 @@ class ClassOperatorModel:
             1.0, float(np.linalg.norm(ham))
         ):
             raise ValueError("hamiltonian must be Hermitian")
+        energies, eigenbasis = np.linalg.eigh((ham + ham.conj().T) / 2)
+        energies.flags.writeable = False
+        eigenbasis.flags.writeable = False
         times = tuple(float(t) for t in self.times)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must be strictly ascending")
@@ -104,15 +111,18 @@ class ClassOperatorModel:
         object.__setattr__(self, "hamiltonian", ham)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "schedules", tuple(schedules))
-        object.__setattr__(self, "_propagators", {})
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "eigenbasis", eigenbasis)
 
     def propagator(self, t: float) -> np.ndarray:
-        """U(t) = exp(-i t H), cached per time (Pade scaling-and-squaring)."""
-        key = float(t)
-        cache = self._propagators
-        if key not in cache:
-            cache[key] = scipy.linalg.expm(-1j * key * self.hamiltonian)
-        return cache[key]
+        """U(t) = exp(-i t H) = V diag(exp(-i t lambda)) V^dag from the
+        stored eigendecomposition, which is exact for Hermitian H; t = 0
+        gives the identity exactly.  A fresh array on every call."""
+        t = float(t)
+        if t == 0.0:
+            return np.eye(self.dim, dtype=complex)
+        v = self.eigenbasis
+        return (v * np.exp(-1j * t * self.energies)) @ v.conj().T
 
     def heisenberg(self, p, t: float) -> np.ndarray:
         """Heisenberg-picture operator U(t)^dag p U(t)."""
@@ -204,13 +214,21 @@ def orthogonal_decompose(p: Projection, max_rank: int):
         raise ValueError("max_rank must be >= 1")
     if p.rank == 0:
         return []
+    return [
+        Projection(block @ block.conj().T, block.shape[1])
+        for block in _column_blocks(_range_columns(p), max_rank)
+    ]
+
+
+def _range_columns(p: Projection) -> np.ndarray:
+    """Orthonormal eigenvectors spanning the range of p, as columns."""
     vals, vecs = np.linalg.eigh(p.matrix)
-    cols = vecs[:, vals > 0.5]
-    out = []
-    for start in range(0, cols.shape[1], max_rank):
-        block = cols[:, start : start + max_rank]
-        out.append(Projection(block @ block.conj().T, block.shape[1]))
-    return out
+    return vecs[:, vals > 0.5]
+
+
+def _column_blocks(cols: np.ndarray, max_rank: int) -> list:
+    """Consecutive groups of at most ``max_rank`` columns."""
+    return [cols[:, start : start + max_rank] for start in range(0, cols.shape[1], max_rank)]
 
 
 @dataclass(frozen=True)

@@ -278,11 +278,21 @@ def evaluate_ils(x: ILSOperator, p, q) -> complex:
 def verify_ils_conditions(
     x: ILSOperator, samples: int = 200, seed: int = 0, tol: float = 1e-8
 ) -> ConditionsReport:
-    """Report the residuals of the three operator conditions on X."""
+    """Report the residuals of the three operator conditions on X.
+
+    When ``samples`` and ``seed`` match the holder's, its eager swap
+    residual and sampled positivity minimum are the same numbers and are
+    reused; otherwise both are computed afresh.
+    """
     m = x.x_op
+    if (samples, seed) == (x.samples, x.seed):
+        swap, positivity = x.swap_adjoint_residual, x.positivity_min_sampled
+    else:
+        swap = _swap_adjoint_residual(m, x.dim)
+        positivity = _sample_positivity_min(m, x.dim, samples, seed)
     return ConditionsReport(
-        swap_adjoint_residual=_swap_adjoint_residual(m, x.dim),
-        positivity_min=_sample_positivity_min(m, x.dim, samples, seed),
+        swap_adjoint_residual=swap,
+        positivity_min=positivity,
         normalization_residual=float(abs(np.trace(m) - 1.0)),
         samples=samples,
         seed=seed,

@@ -394,7 +394,8 @@ def _projection_matrices(dim: int, ranks, factors) -> np.ndarray:
     ranks = np.asarray(ranks, dtype=int).reshape(-1)
     out = np.zeros((len(ranks), dim, dim), dtype=complex)
     out[ranks == dim] = np.eye(dim)
-    for rank in np.unique(ranks[(ranks > 0) & (ranks < dim)]):
+    # sorted(set(...)), not np.unique, which imports numpy.ma on first use.
+    for rank in sorted(set(ranks[(ranks > 0) & (ranks < dim)].tolist())):
         idx = np.flatnonzero(ranks == rank)
         q, _ = np.linalg.qr(np.stack([factors[i] for i in idx]))
         out[idx] = q @ q.conj().transpose(0, 2, 1)

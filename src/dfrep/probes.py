@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import DecoherenceFunctional
+from .functionals import SAMPLE_BLOCK, DecoherenceFunctional
 from .ils import extract_ils
 from .linalg import sample_projections, stack_norms
 
@@ -65,26 +65,28 @@ def _sample_tensor_vectors(dim: int, samples: int, rng, max_terms: int = 4):
     stream as drawing them one by one), so for a fixed generator state the
     first n samples do not depend on the total count (running suprema are
     exactly monotone in ``samples``).  The tensors are then assembled in one
-    batch per term count.  Returns the ``(samples, dim*dim)`` rows and the
-    number of samples per term count.
+    batch per term count within each block of ``SAMPLE_BLOCK`` samples, so
+    the draw buffer stays at one block.  Returns the ``(samples, dim*dim)``
+    rows and the number of samples per term count.
     """
     terms = np.empty(samples, dtype=int)
-    z = np.empty((samples, max_terms, 4, dim))
-    for n in range(samples):
-        terms[n] = rng.integers(1, max_terms + 1)
-        rng.standard_normal(out=z[n, : terms[n]].reshape(-1))  # a contiguous view
     rows = np.empty((samples, dim * dim), dtype=complex)
-    counts = {}
-    for t in np.unique(terms):
-        idx = np.flatnonzero(terms == t)
-        a = z[idx, :t, 0] + 1j * z[idx, :t, 1]
-        g = z[idx, :t, 2] + 1j * z[idx, :t, 3]
-        # Summed term by term, in the order the vectors were drawn.
-        xi = a[:, 0, :, None] * g[:, 0, None, :]
-        for k in range(1, t):
-            xi += a[:, k, :, None] * g[:, k, None, :]
-        rows[idx] = xi.reshape(len(idx), dim * dim)
-        counts[int(t)] = len(idx)
+    z = np.empty((min(samples, SAMPLE_BLOCK), max_terms, 4, dim))
+    for start in range(0, samples, SAMPLE_BLOCK):
+        block = terms[start : start + SAMPLE_BLOCK]
+        for n in range(len(block)):
+            block[n] = rng.integers(1, max_terms + 1)
+            rng.standard_normal(out=z[n, : block[n]].reshape(-1))  # a contiguous view
+        for t in sorted(set(block.tolist())):  # np.unique would import numpy.ma
+            idx = np.flatnonzero(block == t)
+            a = z[idx, :t, 0] + 1j * z[idx, :t, 1]
+            g = z[idx, :t, 2] + 1j * z[idx, :t, 3]
+            # Summed term by term, in the order the vectors were drawn.
+            xi = a[:, 0, :, None] * g[:, 0, None, :]
+            for k in range(1, t):
+                xi += a[:, k, :, None] * g[:, k, None, :]
+            rows[start + idx] = xi.reshape(len(idx), dim * dim)
+    counts = {t: int(c) for t, c in enumerate(np.bincount(terms)) if c}
     nrm = stack_norms(rows)
     # Measure-zero cancellation: fall back to e1 (x) e1.
     small = nrm < 1e-12
@@ -105,8 +107,13 @@ def _sup_beta_rank_one(x_op: np.ndarray, dim: int, samples: int, seed: int, max_
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
     xis, counts = _sample_tensor_vectors(dim, samples, rng, max_terms)
-    vals = np.abs(np.einsum("nd,nd->n", xis.conj(), xis @ x_op.T))
-    return float(np.max(vals)), counts
+    # Row blocks keep the complex temporaries at SAMPLE_BLOCK rows.
+    sup = 0.0
+    for start in range(0, samples, SAMPLE_BLOCK):
+        blk = xis[start : start + SAMPLE_BLOCK]
+        vals = np.abs(np.einsum("nd,nd->n", blk.conj(), blk @ x_op.T))
+        sup = max(sup, float(np.max(vals)))
+    return sup, counts
 
 
 def tracial_bound_probe(

@@ -37,16 +37,16 @@ from functools import cached_property
 import numpy as np
 
 from .functionals import DecoherenceFunctional, _check_dim
-from .histories import orthogonal_decompose
+from .histories import _column_blocks, _range_columns
 from .ils import bilinear_unit_table
 from .linalg import (
     ElementaryTensorSum,
     Projection,
     as_vector,
     kron,
-    kron_trace_table,
     mat,
     operator_norm,
+    pairing_realignment,
     trace_pair,
 )
 
@@ -343,23 +343,44 @@ def product_diagonal_of(m) -> "callable":
 
 def evaluate_double_sum(m, p: Projection, q: Projection, block_rank: int) -> complex:
     """``sum_i sum_j tr((p_i (x) q_j) M)`` over orthogonal block
-    decompositions of p and q with blocks of rank at most ``block_rank``.
+    decompositions of p and q with blocks of rank at most ``block_rank``
+    (those of :func:`dfrep.histories.orthogonal_decompose`).
 
-    Every term is one entry of a single block pair table
-    (:func:`dfrep.linalg.kron_trace_table`), which is summed.  By trace
+    Every term is one entry of a single block pair table (the product of
+    the block stacks with the realignment of M, as in
+    :func:`dfrep.linalg.kron_trace_table`), which is summed.  By trace
     linearity the value equals ``tr(M (p (x) q))`` for every admissible
     block decomposition.
     """
+    return double_sum_table(m, [p], [q], [block_rank])[0][0]
+
+
+def double_sum_table(m, ps, qs, block_ranks) -> list:
+    """``out[s][k] = evaluate_double_sum(m, ps[s], qs[s], block_ranks[k])``
+    as nested lists, with M realigned once and every projection
+    eigendecomposed once for all block ranks."""
     mm = m.m_op if isinstance(m, TracialOperator) else np.asarray(m, dtype=complex)
-    if not isinstance(p, Projection):
-        p = Projection.from_matrix(mat(p))
-    if not isinstance(q, Projection):
-        q = Projection.from_matrix(mat(q))
-    p_blocks = orthogonal_decompose(p, block_rank)
-    q_blocks = orthogonal_decompose(q, block_rank)
-    if not p_blocks or not q_blocks:
-        return 0j
-    table = kron_trace_table(
-        np.stack([b.matrix for b in p_blocks]), np.stack([b.matrix for b in q_blocks]), mm
-    )
-    return complex(np.sum(table))
+    if any(br < 1 for br in block_ranks):
+        raise ValueError("max_rank must be >= 1")
+    realigned = {}
+    out = []
+    for p, q in zip(ps, qs):
+        if not isinstance(p, Projection):
+            p = Projection.from_matrix(mat(p))
+        if not isinstance(q, Projection):
+            q = Projection.from_matrix(mat(q))
+        if p.rank == 0 or q.rank == 0:
+            out.append([0j] * len(block_ranks))
+            continue
+        dims = (p.dim, q.dim)
+        if dims not in realigned:
+            realigned[dims] = pairing_realignment(mm, *dims)
+        xr = realigned[dims]
+        p_cols, q_cols = _range_columns(p), _range_columns(q)
+        row = []
+        for br in block_ranks:
+            pm = np.stack([b @ b.conj().T for b in _column_blocks(p_cols, br)])
+            qm = np.stack([b @ b.conj().T for b in _column_blocks(q_cols, br)])
+            row.append(complex(np.sum((pm.reshape(len(pm), -1) @ xr) @ qm.reshape(len(qm), -1).T)))
+        out.append(row)
+    return out

@@ -18,6 +18,7 @@ from dfrep import (
     standard_df,
     zero_projection,
 )
+from dfrep.histories import _MODEL_TOL
 from conftest import basis_proj, rho_half_half, trivial_model
 
 
@@ -135,6 +136,118 @@ class TestStandardDf:
             for h in iter_homogeneous_histories(model)
         )
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _expm_taylor(a):
+    # Reference exponential without any eigendecomposition: scaling and
+    # squaring around a 30-term Taylor series.
+    squarings = max(0, int(np.ceil(np.log2(max(np.linalg.norm(a, 1), 1e-300)))) + 1)
+    b = a / 2.0**squarings
+    out = term = np.eye(len(a), dtype=complex)
+    for k in range(1, 31):
+        term = term @ b / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _random_hermitian(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + g.conj().T) / 2
+
+
+def _model(h, times=(0.5,)):
+    dim = len(h)
+    return ClassOperatorModel(
+        dim=dim,
+        rho=np.eye(dim) / dim,
+        hamiltonian=h,
+        times=times,
+        schedules=tuple(_basis_schedule(dim) for _ in times),
+    )
+
+
+class TestSpectralPropagator:
+    def test_embedded_sigma_x_rotation(self):
+        omega, t = 1.3, 0.7
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        h = np.zeros((3, 3), dtype=complex)
+        h[:2, :2] = omega * sx
+        expect = np.eye(3, dtype=complex)
+        expect[:2, :2] = np.cos(omega * t) * np.eye(2) - 1j * np.sin(omega * t) * sx
+        assert_allclose(_model(h).propagator(t), expect, atol=1e-14)
+
+    def test_diagonal_hamiltonian(self):
+        lam = np.array([-2.0, 0.0, 0.5, 3.25])
+        t = 1.7
+        u = _model(np.diag(lam)).propagator(t)
+        assert_allclose(u, np.diag(np.exp(-1j * t * lam)), atol=1e-14)
+
+    def test_time_zero_is_exact_identity(self, rng):
+        u = _model(_random_hermitian(6, rng)).propagator(0.0)
+        assert np.array_equal(u, np.eye(6))
+
+    def test_degenerate_spectrum(self, rng):
+        # H = a P + b (I - P), so U(t) = e^{-ita} P + e^{-itb} (I - P).
+        dim, a, b, t = 7, 1.5, -0.25, 2.3
+        p = random_projection(dim, 3, rng).matrix
+        h = a * p + b * (np.eye(dim) - p)
+        expect = np.exp(-1j * t * a) * p + np.exp(-1j * t * b) * (np.eye(dim) - p)
+        assert_allclose(_model(h).propagator(t), expect, atol=1e-13)
+
+    def test_matches_taylor_reference(self, rng):
+        h = _random_hermitian(14, rng)
+        model = _model(h)
+        for t in (0.3, -1.1, 4.0):
+            assert np.linalg.norm(model.propagator(t) - _expm_taylor(-1j * t * h)) <= 1e-12
+
+    def test_group_law(self, rng):
+        model = _model(_random_hermitian(8, rng))
+        s, t = 0.6, -1.9
+        assert_allclose(
+            model.propagator(s) @ model.propagator(t), model.propagator(s + t), atol=1e-13
+        )
+
+    def test_unitary_at_dense_limit(self, rng):
+        dim = 64
+        u = _model(_random_hermitian(dim, rng)).propagator(2.5)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-13 * dim
+
+    def test_hamiltonian_hermitian_only_within_tolerance(self, rng):
+        dim, t = 5, 1.3
+        herm = _random_hermitian(dim, rng)
+        skew = _random_hermitian(dim, rng) * 1j  # anti-Hermitian
+        skew *= 0.4 * _MODEL_TOL * np.linalg.norm(herm) / np.linalg.norm(skew)
+        h = herm + skew
+        model = _model(h)
+        assert np.array_equal(model.hamiltonian, h)
+        u = model.propagator(t)
+        # The Hermitian part drives the dynamics, so U stays unitary ...
+        assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-13 * dim
+        assert np.linalg.norm(u - _expm_taylor(-1j * t * herm)) <= 1e-12
+        # ... and differs from exp(-itH) by O(t ||skew||) only.
+        assert np.linalg.norm(u - _expm_taylor(-1j * t * h)) <= 2 * t * np.linalg.norm(skew)
+
+
+class TestModelImmutability:
+    def test_spectrum_is_read_only(self, rng):
+        model = _model(_random_hermitian(4, rng))
+        for arr in (model.energies, model.eigenbasis):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_propagator_calls_leave_model_unchanged(self, rng):
+        model = _model(_random_hermitian(4, rng), times=(0.2, 0.9))
+        before = dict(vars(model))
+        u = model.propagator(0.9)
+        u[:] = 0.0  # a caller's array, not shared state
+        class_operator(model, HomogeneousHistory((1, 2)))
+        standard_df(model)
+        assert vars(model).keys() == before.keys()
+        assert all(vars(model)[k] is v for k, v in before.items())
+        assert np.linalg.norm(model.propagator(0.9)) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestModelValidation:

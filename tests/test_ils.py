@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,7 +22,12 @@ from dfrep import (
     verify_ils_conditions,
     zero_projection,
 )
-from dfrep.ils import bilinear_unit_table, ils_operator_from_matrix
+from dfrep.ils import (
+    _sample_positivity_min,
+    _swap_adjoint_residual,
+    bilinear_unit_table,
+    ils_operator_from_matrix,
+)
 from conftest import (
     backend_fixtures,
     basis_proj,
@@ -200,6 +207,27 @@ class TestConditions:
             np.kron(rho_half_half(dim), rho_half_half(dim)) + _skew_corruption(dim)
         )
         assert bad.swap_adjoint_residual > 1e-3
+
+    def test_reuses_holder_diagnostics_bit_for_bit(self, rng):
+        dim, samples, seed = 4, 150, 9
+        x0 = random_valid_pairing_operator(dim, rng)
+        x0 = x0 + 1e-3 * _skew_corruption(dim)  # a nonzero swap residual
+        holder = ils_operator_from_matrix(x0, samples=samples, seed=seed)
+        report = verify_ils_conditions(holder, samples=samples, seed=seed)
+        assert report.swap_adjoint_residual == _swap_adjoint_residual(holder.x_op, dim)
+        assert report.positivity_min == _sample_positivity_min(holder.x_op, dim, samples, seed)
+
+    def test_recomputes_unless_samples_and_seed_match(self, rng):
+        dim, samples, seed = 3, 80, 5
+        holder = ils_operator_from_matrix(random_valid_pairing_operator(dim, rng), samples=samples, seed=seed)
+        # A holder whose stored diagnostics are marked shows which were read.
+        marked = dataclasses.replace(holder, swap_adjoint_residual=-1.0, positivity_min_sampled=-2.0)
+        same = verify_ils_conditions(marked, samples=samples, seed=seed)
+        assert (same.swap_adjoint_residual, same.positivity_min) == (-1.0, -2.0)
+        for s, sd in ((samples, seed + 1), (samples + 1, seed)):
+            fresh = verify_ils_conditions(marked, samples=s, seed=sd)
+            assert fresh.swap_adjoint_residual == _swap_adjoint_residual(holder.x_op, dim)
+            assert fresh.positivity_min == _sample_positivity_min(holder.x_op, dim, s, sd)
 
 
 class TestDfFromOperator:

@@ -21,6 +21,7 @@ from dfrep.probes import (
     VERDICT_INCONCLUSIVE,
     VERDICT_TENSOR_BOUNDED,
     _sample_tensor_vectors,
+    _sup_beta_rank_one,
     _sweep_verdict,
 )
 from conftest import rho_half_half
@@ -141,6 +142,21 @@ class TestSampling:
         a, _ = _sample_tensor_vectors(3, 50, r1)
         b, _ = _sample_tensor_vectors(3, 200, r2)
         assert np.array_equal(a, b[:50])
+
+
+class TestSupBetaBlocks:
+    @pytest.mark.parametrize("samples", [1, 256, 700])
+    def test_blocked_sup_matches_whole_stack(self, samples):
+        # 700 rows: two full blocks of SAMPLE_BLOCK and a partial one.
+        dim, seed = 4, 3
+        x_op = extract_ils(PureStateFunctional(_e(dim, 1)), dim).x_op
+        x_op = x_op + 0.1 * np.random.default_rng(0).standard_normal(x_op.shape)
+        sup, counts = _sup_beta_rank_one(x_op, dim, samples, seed, 4)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
+        xis, ref_counts = _sample_tensor_vectors(dim, samples, rng, 4)
+        ref = float(np.max(np.abs(np.einsum("nd,nd->n", xis.conj(), xis @ x_op.T))))
+        assert counts == ref_counts
+        assert sup == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestTensorBoundProbe:

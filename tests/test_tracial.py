@@ -20,14 +20,17 @@ from dfrep import (
     identity_projection,
     kron_trace,
     operator_norm,
+    orthogonal_decompose,
     pure_state_m,
     random_projection,
     reconstruct_from_product_diagonal,
     swap_operator,
     trace_norm,
     trace_pair,
+    zero_projection,
 )
-from dfrep.tracial import householder_basis, product_diagonal_of
+from dfrep.linalg import kron_trace_table
+from dfrep.tracial import double_sum_table, householder_basis, product_diagonal_of
 from conftest import backend_fixtures, basis_proj, rho_half_half
 
 
@@ -298,6 +301,34 @@ class TestDoubleSum:
         v2 = evaluate_double_sum(top, p, q, 2)
         assert abs(v1 - v2) <= 1e-10
         assert abs(v1 - kron_trace(p, q, top.m_op)) <= 1e-10
+
+    def test_table_matches_per_block_route_exactly(self, rng):
+        # Reference: each (pair, block rank) decomposed and paired on its own,
+        # as orthogonal_decompose and kron_trace_table do.
+        dim = 6
+        top = build_tracial_operator(backend_fixtures(dim)["operator"], dim)
+        ps = [random_projection(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(4)]
+        qs = [random_projection(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(4)]
+        ps[1] = zero_projection(dim)
+        ranks = [1, 2, dim, 4]
+        table = double_sum_table(top, ps, qs, ranks)
+        for s, (p, q) in enumerate(zip(ps, qs)):
+            for k, br in enumerate(ranks):
+                pb = orthogonal_decompose(p, br)
+                qb = orthogonal_decompose(q, br)
+                ref = 0j
+                if pb and qb:
+                    ref = complex(np.sum(kron_trace_table(
+                        np.stack([b.matrix for b in pb]), np.stack([b.matrix for b in qb]), top.m_op
+                    )))
+                assert table[s][k] == ref
+                assert evaluate_double_sum(top, p, q, br) == ref
+
+    def test_rejects_block_rank_below_one(self, rng):
+        top = build_tracial_operator(backend_fixtures(3)["operator"], 3)
+        p = random_projection(3, 2, rng)
+        with pytest.raises(ValueError, match=">= 1"):
+            double_sum_table(top, [p], [p], [1, 0])
 
 
 class TestPureStateDichotomySignature:
