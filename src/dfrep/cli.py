@@ -32,10 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import (
-    DimensionExclusionError,
-    check_axioms,
-)
+from .functionals import check_axioms
 from .histories import consistency_report
 from .ils import (
     extract_ils,
@@ -43,7 +40,6 @@ from .ils import (
     verify_ils_conditions,
 )
 from .linalg import (
-    DimensionLimitError,
     ElementaryTensorSum,
     Projection,
     kron_trace,
@@ -61,9 +57,9 @@ from .tracial import (
     build_tracial_operator,
     double_sum_table,
     hermitian_form_decomposition,
-    householder_basis,
     product_diagonal_of,
     pure_state_m,
+    pure_state_projector,
     reconstruct_from_product_diagonal,
 )
 
@@ -370,13 +366,8 @@ def _cmd_demo_pure_state(scenario: Scenario, args) -> ResultRecord:
     psi = scenario.payload["amplitudes"]
     m = pure_state_m(psi, verify=False)
     dim = scenario.dimension
-    # (PU)(PU)^dag must reproduce P; rebuild the projector independently.
-    basis = householder_basis(psi)
-    proj = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        col = np.kron(psi, basis[:, i])
-        proj += np.outer(col, col.conj())
-    adjoint_residual = float(np.linalg.norm(m @ m.conj().T - proj))
+    # (PU)(PU)^dag must reproduce P.
+    adjoint_residual = float(np.linalg.norm(m @ m.conj().T - pure_state_projector(psi)))
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 31]))
     beta_res = 0.0
     for s in _random_tensor_sums(dim, _samples(args, "demo-pure-state"), rng):

@@ -385,6 +385,16 @@ def check_axioms(
     )
 
 
+def _combine_hermitian_parts(xm, ym, pair) -> complex:
+    """Split x and y into Hermitian parts ``xr + i xi`` and combine the four
+    ``pair`` values bilinearly, in the order (xr, yr), (xi, yr), (xr, yi), (xi, yi)."""
+    xr = (xm + xm.conj().T) / 2
+    xi = (xm - xm.conj().T) / 2j
+    yr = (ym + ym.conj().T) / 2
+    yi = (ym - ym.conj().T) / 2j
+    return pair(xr, yr) + 1j * pair(xi, yr) + 1j * pair(xr, yi) - pair(xi, yi)
+
+
 @dataclass(frozen=True, eq=False)
 class BilinearForm:
     """The bounded bilinear extension D of a decoherence functional.
@@ -406,16 +416,7 @@ class BilinearForm:
         ym = as_matrix(mat(y), "y")
         if xm.shape[0] != self.source.dim or ym.shape[0] != self.source.dim:
             raise ValueError("dimension mismatch with the source functional")
-        xr = (xm + xm.conj().T) / 2
-        xi = (xm - xm.conj().T) / 2j
-        yr = (ym + ym.conj().T) / 2
-        yi = (ym - ym.conj().T) / 2j
-        return (
-            self._hermitian_pair(xr, yr)
-            + 1j * self._hermitian_pair(xi, yr)
-            + 1j * self._hermitian_pair(xr, yi)
-            - self._hermitian_pair(xi, yi)
-        )
+        return _combine_hermitian_parts(xm, ym, self._hermitian_pair)
 
     def _hermitian_pair(self, a, b) -> complex:
         pa = spectral_projections(a)
@@ -465,11 +466,7 @@ def bilinear_refined(d: DecoherenceFunctional, x, y, rng) -> complex:
             out += wa[s] * (d.pair_table(pa[s : s + 1], pb)[0] @ wb)
         return out
 
-    xr = (xm + xm.conj().T) / 2
-    xi = (xm - xm.conj().T) / 2j
-    yr = (ym + ym.conj().T) / 2
-    yi = (ym - ym.conj().T) / 2j
-    return pair(xr, yr) + 1j * pair(xi, yr) + 1j * pair(xr, yi) - pair(xi, yi)
+    return _combine_hermitian_parts(xm, ym, pair)
 
 
 def sesquilinear_q(bform, x, y) -> complex:

@@ -23,6 +23,11 @@ among bounded operators with that property (see
 operator from its diagonal on product vectors and in particular shows that
 a vanishing product diagonal forces the zero operator).
 
+The family sum is the realignment ``M[(p,r),(q,s)] = G[(q,p),(r,s)]`` of
+G itself, and equals the swap-symmetrised trace-pairing operator
+``(X + W X^dag W)/2`` of :func:`dfrep.ils.extract_ils`, so M is read off G
+by one transpose and the families are computed only on demand.
+
 At a fixed finite truncation every functional is tracially bounded, so the
 interesting content is the sweep behaviour: for the pure-state functional
 the operator norm of M stays at one while the trace norm of the
@@ -71,7 +76,15 @@ class NotTraciallyBoundedError(RuntimeError):
         )
 
 
-def gram_matrix(d: DecoherenceFunctional, dim: int, tol: float = 1e-8) -> np.ndarray:
+# gram_matrix raises GramHermiticityError when ||G - G^dag||_F > this * max(1, ||G||_F).
+GRAM_HERMITICITY_REL = 1e-8
+
+# Gram eigenvalues below this fraction of the spectral scale are dropped;
+# keeps the families minimal and free of noise operators.
+EIG_DROP_REL = 1e-12
+
+
+def gram_matrix(d: DecoherenceFunctional, dim: int) -> np.ndarray:
     """Gram matrix ``G[(i,j), (k,l)] = Q(E_ij, E_kl)`` of the Hermitian
     form over the matrix-unit basis, assembled from d on the polarization
     projections."""
@@ -81,11 +94,8 @@ def gram_matrix(d: DecoherenceFunctional, dim: int, tol: float = 1e-8) -> np.nda
     units = bilinear_unit_table(d, dim)
     # Q(E_ij, E_kl) = D(E_ij, (E_kl)^dag) = D(E_ij, E_lk)
     g = np.transpose(units, (0, 1, 3, 2)).reshape(dim * dim, dim * dim)
-    scale = max(1.0, float(np.linalg.norm(g)))
-    if np.linalg.norm(g - g.conj().T) > tol * scale:
-        raise GramHermiticityError(
-            "Gram matrix is not Hermitian; the functional violates Hermiticity"
-        )
+    if np.linalg.norm(g - g.conj().T) > GRAM_HERMITICITY_REL * max(1.0, float(np.linalg.norm(g))):
+        raise GramHermiticityError("Gram matrix is not Hermitian; the functional violates Hermiticity")
     return (g + g.conj().T) / 2
 
 
@@ -129,7 +139,7 @@ class Decomposition:
         return complex(np.sum(((a @ left.T) * (b @ right.T)) @ signs))
 
     def pairing_operator(self) -> np.ndarray:
-        """``sum_i X_i (x) X_i^dag - sum_i Y_i (x) Y_i^dag`` on H (x) H."""
+        """``sum_i X_i (x) X_i^dag - sum_i Y_i (x) Y_i^dag`` on H (x) H, summed literally."""
         n = self.dim * self.dim
         m = np.zeros((n, n), dtype=complex)
         for x in self.x_family:
@@ -139,14 +149,21 @@ class Decomposition:
         return m
 
 
-# Gram eigenvalues below this fraction of the spectral scale are dropped;
-# keeps the families minimal and free of noise operators.
-EIG_DROP_REL = 1e-12
+def _decompose_gram(g: np.ndarray, dim: int) -> Decomposition:
+    """The signed families of a Hermitian Gram matrix (see
+    :func:`hermitian_form_decomposition`)."""
+    w, v = np.linalg.eigh(g)
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    keep = np.abs(w) >= EIG_DROP_REL * max(scale, 1e-300)
+    order = np.argsort(-w[keep])
+    w, v = w[keep][order], v[:, keep][:, order]
+    fam = np.sqrt(np.abs(w))[:, None, None] * v.T.reshape(-1, dim, dim).transpose(0, 2, 1)
+    return Decomposition(
+        x_family=tuple(fam[w > 0]), y_family=tuple(fam[w <= 0]), signature=tuple(w.tolist()), dim=dim
+    )
 
 
-def hermitian_form_decomposition(
-    d: DecoherenceFunctional, dim: int | None = None, drop_tol: float = EIG_DROP_REL
-) -> Decomposition:
+def hermitian_form_decomposition(d: DecoherenceFunctional, dim: int | None = None) -> Decomposition:
     """Constructive decomposition of the Hermitian form into signed
     rank-one families.
 
@@ -158,41 +175,24 @@ def hermitian_form_decomposition(
     """
     if dim is None:
         dim = d.dim
-    g = gram_matrix(d, dim)
-    w, v = np.linalg.eigh(g)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = np.abs(w) >= drop_tol * max(scale, 1e-300)
-    w = w[keep]
-    v = v[:, keep]
-    order = np.argsort(-w)
-    xs = []
-    ys = []
-    sig = []
-    for idx in order:
-        lam = float(w[idx])
-        a = v[:, idx].reshape(dim, dim).T
-        sig.append(lam)
-        if lam > 0:
-            xs.append(np.sqrt(lam) * a)
-        else:
-            ys.append(np.sqrt(-lam) * a)
-    return Decomposition(
-        x_family=tuple(xs), y_family=tuple(ys), signature=tuple(sig), dim=dim
-    )
+    return _decompose_gram(gram_matrix(d, dim), dim)
 
 
 @dataclass(frozen=True, eq=False)
 class TracialOperator:
     """Bounded representative M with ``d(p, q) = tr(M (p (x) q))`` on
-    finite-rank projections."""
+    finite-rank projections: M = realign(G) = the swap-symmetrised X, and
+    the signed families (:attr:`source`) are computed from G on first read."""
 
     m_op: np.ndarray
     operator_norm: float
-    source: Decomposition
+    gram: np.ndarray
+    dim: int
 
-    @property
-    def dim(self) -> int:
-        return self.source.dim
+    @cached_property
+    def source(self) -> Decomposition:
+        """The signed families whose Kronecker sum is M."""
+        return _decompose_gram(self.gram, self.dim)
 
 
 def build_tracial_operator(
@@ -202,7 +202,7 @@ def build_tracial_operator(
     probe_samples: int = 2000,
     seed: int = 0,
 ) -> TracialOperator:
-    """Assemble the bounded operator M from the form decomposition.
+    """Assemble the bounded operator M by realigning the Gram matrix.
 
     At a fixed truncation every functional yields a finite M, so the
     tracial-boundedness precondition only bites when a ``bound`` is given:
@@ -217,9 +217,9 @@ def build_tracial_operator(
         sup = tracial_bound_probe(d, dim, samples=probe_samples, seed=seed)
         if sup > bound:
             raise NotTraciallyBoundedError(sup, bound, dim, probe_samples, seed)
-    dec = hermitian_form_decomposition(d, dim)
-    m = dec.pairing_operator()
-    return TracialOperator(m_op=m, operator_norm=operator_norm(m), source=dec)
+    g = gram_matrix(d, dim)
+    m = g.reshape(dim, dim, dim, dim).transpose(1, 2, 0, 3).reshape(dim * dim, dim * dim)
+    return TracialOperator(m_op=m, operator_norm=operator_norm(m), gram=g, dim=dim)
 
 
 def householder_basis(psi) -> np.ndarray:
@@ -241,6 +241,19 @@ def householder_basis(psi) -> np.ndarray:
     return -phase * reflector
 
 
+def pure_state_projector(psi) -> np.ndarray:
+    """``P = sum_i |psi (x) psi_i><psi (x) psi_i|`` for the orthonormal basis
+    {psi_i} of :func:`householder_basis` extending psi."""
+    v = as_vector(psi, "psi")
+    dim = v.size
+    basis = householder_basis(v)
+    p = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        col = np.kron(v, basis[:, i])
+        p += np.outer(col, col.conj())
+    return p
+
+
 def pure_state_m(psi, verify: bool = True, seed: int = 0) -> np.ndarray:
     """The bounded representative of the pure-state functional, built as
     P U: U swaps the tensor factors and P projects onto
@@ -252,12 +265,8 @@ def pure_state_m(psi, verify: bool = True, seed: int = 0) -> np.ndarray:
     """
     v = as_vector(psi, "psi")
     dim = v.size
-    basis = householder_basis(v)
     n = dim * dim
-    p = np.zeros((n, n), dtype=complex)
-    for i in range(dim):
-        col = np.kron(v, basis[:, i])
-        p += np.outer(col, col.conj())
+    p = pure_state_projector(v)
     # P U: right multiplication by the swap permutes columns (k,l) -> (l,k).
     m = p.reshape(n, dim, dim).transpose(0, 2, 1).reshape(n, n)
     if verify:

@@ -31,7 +31,7 @@ from dfrep import (
 )
 from dfrep.linalg import kron_trace_table
 from dfrep.tracial import double_sum_table, householder_basis, product_diagonal_of
-from conftest import backend_fixtures, basis_proj, rho_half_half
+from conftest import backend_fixtures, basis_proj, random_valid_pairing_operator, rho_half_half
 
 
 def _e(dim, i):
@@ -168,6 +168,107 @@ class TestTracialOperator:
         d = backend_fixtures(dim)["pure_state"]
         top = build_tracial_operator(d, dim, bound=2.0, probe_samples=200, seed=5)
         assert top.operator_norm <= 1 + 1e-9
+
+
+def _random_form(dim, rng):
+    """Form backend on a random Hermitian, almost surely full-rank Gram."""
+    a = rng.standard_normal((dim * dim, dim * dim)) + 1j * rng.standard_normal((dim * dim, dim * dim))
+    return FormBackedFunctional((a + a.conj().T) / 2)
+
+
+def _fixture(kind, dim, rng):
+    """A backend fixture, a random full-rank form or a random valid,
+    non-basis-aligned operator."""
+    if kind == "random_form":
+        return _random_form(dim, rng)
+    if kind == "random_operator":
+        return OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
+    return backend_fixtures(dim)[kind]
+
+
+KINDS = ["operator", "pure_state", "form", "class_operator", "random_form", "random_operator"]
+
+
+def _swap_adjoint(x, dim):
+    """``W X^dag W`` by index transpose (W the swap)."""
+    return x.reshape(dim, dim, dim, dim).transpose(3, 2, 1, 0).conj().reshape(dim * dim, dim * dim)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+class TestRealignedRepresentative:
+    """M is the realigned Gram matrix, the literal family sum and the
+    swap-symmetrised trace-pairing operator at once."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_family_sum(self, kind, dim, rng):
+        top = build_tracial_operator(_fixture(kind, dim, rng), dim)
+        if kind == "random_form":
+            assert len(top.source.signature) == dim * dim  # full rank
+        assert _rel(top.m_op, top.source.pairing_operator()) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_matches_family_sum_with_dropped_eigenvalues(self, dim, rng):
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        top = build_tracial_operator(PureStateFunctional(psi / np.linalg.norm(psi)), dim)
+        assert len(top.source.signature) < dim * dim
+        assert _rel(top.m_op, top.source.pairing_operator()) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_swap_symmetrised_trace_pairing_operator(self, kind, dim, rng):
+        d = _fixture(kind, dim, rng)
+        x = extract_ils(d, dim, samples=10).x_op
+        m = build_tracial_operator(d, dim).m_op
+        assert _rel(m, (x + _swap_adjoint(x, dim)) / 2) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_hermiticity_error_exactly_above_swap_bound(self, scale, factor, rng):
+        """The Gram check fires iff ``||X - W X^dag W||_F`` exceeds
+        ``1e-8 max(1, ||X||_F)``: a planted swap-skew part sits at half or
+        twice that bound."""
+        dim = 3
+        x0 = scale * np.kron(rho_half_half(dim), rho_half_half(dim)).astype(complex)
+        k = rng.standard_normal((dim * dim, dim * dim)) + 1j * rng.standard_normal((dim * dim, dim * dim))
+        skew = (k - _swap_adjoint(k, dim)) / 2
+        unit = np.linalg.norm(skew - _swap_adjoint(skew, dim))
+        x = x0 + (factor * 1e-8 * max(1.0, np.linalg.norm(x0)) / unit) * skew
+        residual = np.linalg.norm(x - _swap_adjoint(x, dim))
+        bound = 1e-8 * max(1.0, np.linalg.norm(x))
+        assert residual == pytest.approx(factor * bound, rel=1e-6)
+        d = OperatorBackedFunctional(x)
+        if residual > bound:
+            with pytest.raises(GramHermiticityError):
+                build_tracial_operator(d, dim)
+        else:
+            top = build_tracial_operator(d, dim)
+            assert _rel(top.m_op, (x + _swap_adjoint(x, dim)) / 2) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_building_and_reading_m_runs_no_eigh(self, kind, rng, monkeypatch):
+        dim = 4
+        d = _fixture(kind, dim, rng)
+
+        def refuse(*a, **k):
+            raise AssertionError("np.linalg.eigh called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", refuse)
+            top = build_tracial_operator(d, dim)
+            assert top.m_op.shape == (dim * dim, dim * dim)
+            assert np.isfinite(top.operator_norm)
+        ref = hermitian_form_decomposition(d, dim)
+        dec = top.source
+        assert dec.signature == ref.signature
+        assert dec.dim == ref.dim == top.dim
+        for got, want in ((dec.x_family, ref.x_family), (dec.y_family, ref.y_family)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert top.source is dec  # computed once
 
 
 class TestPureStateM:
