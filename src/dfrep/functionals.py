@@ -38,12 +38,19 @@ from .linalg import (
     haar_unitary,
     kron_trace,
     kron_trace_batch,
+    kron_trace_rank_one,
     kron_trace_table,
     mat,
     projector_tensor_sum,
+    rank_one_matrices,
+    rank_one_rows,
+    rank_one_vectors,
     sample_projections,
     spectral_projections,
 )
+
+# A Gram matrix is rejected when ||G - G^dag||_F > this * max(1, ||G||_F).
+GRAM_HERMITICITY_REL = 1e-8
 
 
 class DimensionExclusionError(ValueError):
@@ -81,6 +88,12 @@ def _transposed_rows(stack) -> np.ndarray:
     return a.transpose(0, 2, 1).reshape(len(a), -1)
 
 
+def _overlap_table(left, w) -> np.ndarray:
+    """Overlaps ``<w_t|v_s>`` of sparse left vectors ``left = (support,
+    coeff)`` with the dense right vectors ``w`` (rows), shape ``(m, n)``."""
+    return rank_one_rows(*left, np.ascontiguousarray(w.T).conj())
+
+
 class DecoherenceFunctional:
     """Common interface of the four evaluation backends.
 
@@ -110,12 +123,25 @@ class DecoherenceFunctional:
 
         Fallback loops over :meth:`bilinear`, and is the reference the
         backends are tested against.  Every backend overrides it with a
-        matmul on flattened operands, since the representation extractors
-        evaluate O(dim^4) pairs; they call it on fixed-size blocks of left
-        operands against all right operands.
+        matmul on flattened operands.
         """
         return np.array(
             [[self.bilinear(a, b) for b in right] for a in left], dtype=complex
+        )
+
+    def rank_one_pair_table(self, left, right) -> np.ndarray:
+        """Matrix of values ``D(|v_s><v_s|, |w_t><w_t|)`` for rank-one
+        operands in the sparse ``(support, coeff)`` form of
+        :func:`dfrep.linalg.rank_one_vectors`.
+
+        The default materialises the projections and calls
+        :meth:`pair_table`; every backend overrides it with a closed form
+        that reads only the entries on the supports, which is what lets the
+        representation extractors work on the atoms of
+        :func:`dfrep.ils.polarization_atoms` without a dense atom stack.
+        """
+        return self.pair_table(
+            rank_one_matrices(*left, self.dim), rank_one_matrices(*right, self.dim)
         )
 
     def pair_values(self, left, right) -> np.ndarray:
@@ -166,6 +192,10 @@ class OperatorBackedFunctional(DecoherenceFunctional):
     def pair_table(self, left, right) -> np.ndarray:
         return kron_trace_table(left, right, self.x_op)
 
+    def rank_one_pair_table(self, left, right) -> np.ndarray:
+        d = self.dim
+        return kron_trace_rank_one(left, right, self.x_op.reshape(d, d, d, d))
+
     def pair_values(self, left, right) -> np.ndarray:
         left, right = self._value_stacks(left, right)
         return kron_trace_batch(left, right, self.x_op)
@@ -204,6 +234,15 @@ class PureStateFunctional(DecoherenceFunctional):
         l, r_conj = self._sides(left, right)
         return l @ r_conj.T
 
+    def rank_one_pair_table(self, left, right) -> np.ndarray:
+        # D(|v><v|, |w><w|) = (psi^dag w)(w^dag v)(v^dag psi)
+        sv, cv = left
+        w = rank_one_vectors(*right, self.dim)
+        table = _overlap_table(left, w)
+        table *= rank_one_rows(sv, cv.conj(), self.psi)[:, None]
+        table *= w @ self.psi.conj()
+        return table
+
     def pair_values(self, left, right) -> np.ndarray:
         left, right = self._value_stacks(left, right)
         l, r_conj = self._sides(left, right)
@@ -223,13 +262,13 @@ class FormBackedFunctional(DecoherenceFunctional):
     the bilinear extension is ``D(x, y) = Q(x, y^dag)``.
     """
 
-    def __init__(self, gram, tol: float = 1e-8):
+    def __init__(self, gram):
         g = as_matrix(gram, "gram")
         dim = int(round(np.sqrt(g.shape[0])))
         if dim * dim != g.shape[0]:
             raise ValueError(f"gram side {g.shape[0]} is not a perfect square")
         scale = max(1.0, float(np.linalg.norm(g)))
-        if np.linalg.norm(g - g.conj().T) > tol * scale:
+        if np.linalg.norm(g - g.conj().T) > GRAM_HERMITICITY_REL * scale:
             raise ValueError("gram matrix must be Hermitian")
         self.gram = g
         self.dim = dim
@@ -241,6 +280,12 @@ class FormBackedFunctional(DecoherenceFunctional):
 
     def pair_table(self, left, right) -> np.ndarray:
         return _rows(left) @ self.gram @ _transposed_rows(right).T
+
+    def rank_one_pair_table(self, left, right) -> np.ndarray:
+        # D is the pairing with the realignment M[(p,r),(q,s)] = G[(q,p),(r,s)].
+        d = self.dim
+        m4 = self.gram.reshape(d, d, d, d).transpose(1, 2, 0, 3)
+        return kron_trace_rank_one(left, right, m4)
 
     def pair_values(self, left, right) -> np.ndarray:
         left, right = self._value_stacks(left, right)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import DecoherenceFunctional, _rows, _transposed_rows
-from .linalg import Projection, as_matrix, mat, trace_pair
+from .functionals import DecoherenceFunctional, _overlap_table, _rows, _transposed_rows
+from .linalg import Projection, as_matrix, mat, rank_one_rows, rank_one_vectors, trace_pair
 
 _MODEL_TOL = 1e-9
 
@@ -195,6 +195,14 @@ class ClassOperatorFunctional(DecoherenceFunctional):
         # tr(a rho' b) = vec(a rho') . vec(b^T)
         l = np.asarray(left, dtype=complex) @ self._rho_rot
         return _rows(l) @ _transposed_rows(right).T
+
+    def rank_one_pair_table(self, left, right) -> np.ndarray:
+        # D(|v><v|, |w><w|) = (v^dag rho' w)(w^dag v)
+        sv, cv = left
+        w = rank_one_vectors(*right, self.dim)
+        table = _overlap_table(left, w)
+        table *= rank_one_rows(sv, cv.conj(), self._rho_rot @ w.T)
+        return table
 
     def pair_values(self, left, right) -> np.ndarray:
         left, right = self._value_stacks(left, right)

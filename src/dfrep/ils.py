@@ -24,6 +24,18 @@ combination coefficients follow from
 with ``u+- = (e_a +- e_b)/sqrt(2)`` and ``v+- = (e_a +- i e_b)/sqrt(2)``;
 the linear system is solved in closed form, never by least squares.
 
+Every atom ``|v><v|`` has v supported on at most two basis vectors, so the
+atoms are passed in the sparse form ``(support, coeff)`` of
+:func:`polarization_atoms` and no ``(N, dim, dim)`` stack is built.  Each
+backend evaluates d on such pairs in closed form
+(:meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_pair_table`):
+``<v (x) w|X|v (x) w>`` from 16 entries of X (or of the realigned Gram
+matrix), ``(psi^dag w)(w^dag v)(v^dag psi)`` for a pure state and
+``(v^dag rho' w)(w^dag v)`` for a class operator.  The base-class default
+materialises the projections, so X still comes from d on projections
+alone.  The pair groups of four atoms fold into ``(E_ab, E_ba)`` through
+one fixed 2x4 coefficient block.
+
 The axioms of d translate into three operator conditions on X:
 
     (i)   ``X = W X^dag W``  with W the swap unitary   (Hermiticity),
@@ -31,12 +43,17 @@ The axioms of d translate into three operator conditions on X:
     (iii) ``tr(X) = 1``                                (normalization).
 
 Positivity quantifies over a continuum and is reported as a sampled
-minimum with its sample count and seed; no global claim is made.
+minimum with its sample count and seed; no global claim is made.  By (i),
+``W X`` is Hermitian, so the trace norm ``||X||_1 = ||W X||_1`` is read
+off ``eigvalsh`` of its Hermitian part whenever the swap residual provably
+cannot move it by more than 1e-13 relative (:func:`dfrep.linalg.trace_norm`
+falls back to the SVD otherwise).  It is computed on first read only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,63 +67,68 @@ from .linalg import (
     kron_trace,
     kron_trace_batch,
     sample_projections,
+    swap_left,
     trace_norm,
 )
 
 _SQ2 = np.sqrt(2.0)
 
 
-# Left atoms per pair-table call in :func:`bilinear_unit_table`.
+# Left atoms per rank-one pair-table call in :func:`bilinear_unit_table`;
+# blocks hold whole pair groups, the first one after the basis atoms.
 ATOM_BLOCK = 256
+
+# Expansion of (E_ab, E_ba), a < b, over the four atoms of the pair (a, b):
+#     E_ab + E_ba = p_{u+} - p_{u-},   E_ab - E_ba = i (p_{v+} - p_{v-}).
+_PAIR_COEFFS = np.array([[0.5, -0.5, 0.5j, -0.5j], [0.5, -0.5, -0.5j, 0.5j]])
 
 
 def polarization_atoms(dim: int):
-    """Rank-one projections spanning all matrix units, plus the sparse
-    expansion of each unit over them.
+    """The rank-one polarization projections ``|v><v|`` in sparse form.
 
-    Returns ``(atoms, index, coeffs)``: ``atoms`` is an ``(N, dim, dim)``
-    stack of projection matrices with ``N = 2 dim^2 - dim``; ``index`` and
-    ``coeffs`` are ``(dim^2, 4)`` arrays with
-
-        ``E_ab = sum_k coeffs[a*dim+b, k] atoms[index[a*dim+b, k]]``.
-
-    Every matrix unit has at most four nonzero coefficients: an off-diagonal
-    unit uses the four atoms of its basis pair, a diagonal unit ``E_aa`` is
-    atom ``a`` itself (its three spare slots carry coefficient 0).
+    Returns ``(support, coeff)``, two ``(N, 2)`` arrays with
+    ``N = 2 dim^2 - dim`` and ``v_s = sum_k coeff[s, k] e_{support[s, k]}``
+    (see :func:`dfrep.linalg.rank_one_vectors`).  The first ``dim`` atoms
+    are the basis projections ``e_a`` (support ``(a, a)``, coefficients
+    ``(1, 0)``); then each pair ``a < b``, in row-major order, contributes
+    the group ``(e_a + e_b, e_a - e_b, e_a + i e_b, e_a - i e_b)/sqrt(2)``,
+    whose projections expand ``E_ab`` and ``E_ba`` through the fixed 2x4
+    block ``_PAIR_COEFFS``; ``E_aa`` is atom ``a`` itself.
     """
-    atoms = []
-    for a in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[a] = 1.0
-        atoms.append(np.outer(e, e.conj()))
-    pair_base = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            ea = np.zeros(dim, dtype=complex)
-            eb = np.zeros(dim, dtype=complex)
-            ea[a] = 1.0
-            eb[b] = 1.0
-            pair_base[(a, b)] = len(atoms)
-            for vec in (
-                (ea + eb) / _SQ2,
-                (ea - eb) / _SQ2,
-                (ea + 1j * eb) / _SQ2,
-                (ea - 1j * eb) / _SQ2,
-            ):
-                atoms.append(np.outer(vec, vec.conj()))
-    index = np.zeros((dim * dim, 4), dtype=np.intp)
-    coeffs = np.zeros((dim * dim, 4), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            row = a * dim + b
-            if a == b:
-                index[row] = a
-                coeffs[row, 0] = 1.0
-                continue
-            sign = 1.0 if a < b else -1.0
-            index[row] = pair_base[(min(a, b), max(a, b))] + np.arange(4)
-            coeffs[row] = (0.5, -0.5, sign * 0.5j, -sign * 0.5j)
-    return np.stack(atoms), index, coeffs
+    ia, ib = np.triu_indices(dim, 1)
+    support = np.empty((dim + 4 * len(ia), 2), dtype=np.intp)
+    coeff = np.zeros(support.shape, dtype=complex)
+    support[:dim] = np.arange(dim)[:, None]
+    coeff[:dim, 0] = 1.0
+    support[dim:] = np.repeat(np.stack([ia, ib], axis=1), 4, axis=0)
+    coeff[dim:, 0] = 1.0 / _SQ2
+    coeff[dim:, 1] = np.tile(np.array([1.0, -1.0, 1.0j, -1.0j]) / _SQ2, len(ia))
+    return support, coeff
+
+
+def _unit_order(dim: int) -> np.ndarray:
+    """Row-major index ``a*dim + b`` of each matrix unit in atom order:
+    ``E_aa`` for every a, then ``(E_ab, E_ba)`` for each pair ``a < b``."""
+    ia, ib = np.triu_indices(dim, 1)
+    pairs = np.stack([ia * dim + ib, ib * dim + ia], axis=1).reshape(-1)
+    return np.concatenate([np.arange(dim) * (dim + 1), pairs])
+
+
+def _fold_rows(t: np.ndarray, head: int) -> np.ndarray:
+    """Fold atom rows into matrix-unit rows in atom order: the first
+    ``head`` rows are basis atoms and pass through, and every later group
+    of four becomes the rows of ``(E_ab, E_ba)`` by one reshape and one
+    matmul with ``_PAIR_COEFFS``."""
+    pairs = _PAIR_COEFFS @ t[head:].reshape(-1, 4, t.shape[1])
+    return np.concatenate([t[:head], pairs.reshape(-1, t.shape[1])])
+
+
+def _fold_columns(t: np.ndarray, dim: int) -> np.ndarray:
+    """Fold the columns of all N atoms into matrix units in atom order: the
+    ``dim`` basis columns pass through, and each pair group is folded by
+    one reshape and one matmul with ``_PAIR_COEFFS``."""
+    pairs = t[:, dim:].reshape(len(t), -1, 4) @ _PAIR_COEFFS.T
+    return np.concatenate([t[:, :dim], pairs.reshape(len(t), -1)], axis=1)
 
 
 def bilinear_unit_table(d: DecoherenceFunctional, dim: int) -> np.ndarray:
@@ -115,25 +137,29 @@ def bilinear_unit_table(d: DecoherenceFunctional, dim: int) -> np.ndarray:
     Returns a ``(dim, dim, dim, dim)`` array ``U[a, b, c, e] = D(E_ab, E_ce)``
     obtained purely from d on the polarization projections.
 
-    The atom table ``D(atoms[s], atoms[t])`` is evaluated in blocks of
-    ``ATOM_BLOCK`` left atoms against all N right atoms, and each block is
-    combined into U at once through the four-slot expansion of
-    :func:`polarization_atoms`.  Peak memory is O(block N + N dim^2) for the
-    block and the atom stack, instead of O(N^2) for the whole table.
+    The atom table ``D(atom_s, atom_t)`` comes from the backend's
+    :meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_pair_table`
+    in blocks of at most ``ATOM_BLOCK`` left atoms (the basis atoms and
+    then whole pair groups) against all N atoms.  Each block is folded
+    into matrix units on both sides (:func:`_fold_rows`,
+    :func:`_fold_columns`), and its rows and columns are put in row-major
+    unit order by one fixed permutation.  Peak memory is
+    O(ATOM_BLOCK N + dim^4); no ``(N, dim, dim)`` atom stack and no N x N
+    table is built.
     """
-    atoms, index, coeffs = polarization_atoms(dim)
-    n_units = dim * dim
-    units = np.zeros((n_units, n_units), dtype=complex)
-    for start in range(0, len(atoms), ATOM_BLOCK):
-        stop = min(start + ATOM_BLOCK, len(atoms))
-        rows = d.pair_table(atoms[start:stop], atoms)
-        # D(atoms[s], E_ce) for the block's atoms s.
-        right = sum(rows[:, index[:, k]] * coeffs[:, k] for k in range(4))
-        # Each slot k names at most one atom per unit, so the masked rows
-        # below are distinct and the in-place add is exact.
-        for k in range(4):
-            hit = (index[:, k] >= start) & (index[:, k] < stop)
-            units[hit] += coeffs[hit, k, None] * right[index[hit, k] - start]
+    support, coeff = polarization_atoms(dim)
+    n_atoms = len(support)
+    order = _unit_order(dim)
+    cols = np.argsort(order)  # atom-order column of each row-major unit
+    units = np.empty((dim * dim, dim * dim), dtype=complex)
+    first = dim + 4 * ((ATOM_BLOCK - dim) // 4)
+    bounds = [0, *range(first, n_atoms, ATOM_BLOCK), n_atoms]
+    unit = 0  # atom-order index of the block's first matrix unit
+    for start, stop in zip(bounds, bounds[1:]):
+        table = d.rank_one_pair_table((support[start:stop], coeff[start:stop]), (support, coeff))
+        rows = _fold_columns(_fold_rows(table, dim if start == 0 else 0), dim)[:, cols]
+        units[order[unit : unit + len(rows)]] = rows
+        unit += len(rows)
     return units.reshape(dim, dim, dim, dim)
 
 
@@ -144,17 +170,24 @@ class ILSOperator:
     ``swap_adjoint_residual`` is ``||X - W X^dag W||_F``, the operator form
     of the Hermiticity axiom; ``positivity_min_sampled`` is the smallest
     sampled diagonal value ``Re tr((p (x) p) X)`` (sample count and seed
-    recorded); the trace norm feeds the tensor-boundedness sweeps.
+    recorded); the trace norm, which feeds the tensor-boundedness sweeps,
+    is computed on first read.
     """
 
     x_op: np.ndarray
     trace: complex
-    trace_norm: float
     swap_adjoint_residual: float
     positivity_min_sampled: float
     dim: int
     samples: int
     seed: int
+
+    @cached_property
+    def trace_norm(self) -> float:
+        """``||X||_1 = ||W X||_1`` (W is unitary).  W X is Hermitian exactly
+        when the swap residual vanishes, so its guarded Hermitian route
+        replaces the SVD of X whenever the residual is at round-off."""
+        return trace_norm(swap_left(self.x_op, self.dim), overwrite_a=True)
 
 
 @dataclass(frozen=True)
@@ -219,9 +252,11 @@ def _sample_positivity_min(x_op: np.ndarray, dim: int, samples: int, seed: int) 
 
 def _swap_adjoint_residual(x: np.ndarray, dim: int) -> float:
     """``||X - W X^dag W||_F`` with W the swap unitary, by index transpose:
-    ``(W X^dag W)[(i,j), (k,l)] = conj(X[(l,k), (j,i)])``."""
+    ``(W X^dag W)[(i,j), (k,l)] = conj(X[(l,k), (j,i)])``, one leading
+    index i at a time so the temporaries stay at ``dim^3`` entries."""
     x4 = x.reshape(dim, dim, dim, dim)
-    return float(np.linalg.norm(x4 - x4.transpose(3, 2, 1, 0).conj()))
+    mirror = x4.transpose(3, 2, 1, 0)
+    return float(np.sqrt(sum(np.linalg.norm(x4[i] - mirror[i].conj()) ** 2 for i in range(dim))))
 
 
 def ils_operator_from_matrix(
@@ -235,7 +270,6 @@ def ils_operator_from_matrix(
     return ILSOperator(
         x_op=x,
         trace=complex(np.trace(x)),
-        trace_norm=trace_norm(x),
         swap_adjoint_residual=_swap_adjoint_residual(x, dim),
         positivity_min_sampled=_sample_positivity_min(x, dim, samples, seed),
         dim=dim,
@@ -264,9 +298,9 @@ def extract_ils(
     if dim != d.dim:
         raise ValueError(f"dimension mismatch: functional has dim {d.dim}, got {dim}")
     _check_dim(dim, "trace-pairing extraction", allow_dim_two=allow_dim_two)
-    units = bilinear_unit_table(d, dim)
-    # X[(b,e),(a,c)] = D(E_ab, E_ce)
-    x = np.transpose(units, (1, 3, 0, 2)).reshape(dim * dim, dim * dim)
+    # X[(b,e),(a,c)] = D(E_ab, E_ce); the unit table is dropped before the
+    # diagnostics run.
+    x = np.transpose(bilinear_unit_table(d, dim), (1, 3, 0, 2)).reshape(dim * dim, dim * dim)
     return ils_operator_from_matrix(x, samples=samples, seed=seed)
 
 

@@ -288,6 +288,60 @@ def kron_trace_batch(p, q, x) -> np.ndarray:
     return np.einsum("sk,sk->s", pm.reshape(n, -1) @ xr, qm.reshape(n, -1))
 
 
+def rank_one_vectors(support, coeff, dim: int) -> np.ndarray:
+    """Dense ``(n, dim)`` rows ``v_s = sum_k coeff[s, k] e_{support[s, k]}``
+    of rank-one operators ``|v_s><v_s|`` given in sparse form: ``support``
+    and ``coeff`` are ``(n, k)`` arrays of basis indices and amplitudes."""
+    v = np.zeros((len(support), dim), dtype=complex)
+    rows = np.arange(len(support))
+    for k in range(support.shape[1]):
+        v[rows, support[:, k]] += coeff[:, k]  # rows are distinct within one slot
+    return v
+
+
+def rank_one_matrices(support, coeff, dim: int) -> np.ndarray:
+    """The ``(n, dim, dim)`` stack ``|v_s><v_s|`` of sparse rank-one
+    operators (see :func:`rank_one_vectors`)."""
+    v = rank_one_vectors(support, coeff, dim)
+    return v[:, :, None] * v[:, None, :].conj()
+
+
+def rank_one_rows(support, coeff, m) -> np.ndarray:
+    """``v_s^T m`` for the sparse vectors ``v_s``: each row is a
+    combination of the rows of m picked by ``support``."""
+    m = np.asarray(m)
+    shape = (len(coeff),) + (1,) * (m.ndim - 1)
+    out = np.take(m, support[:, 0], axis=0) * coeff[:, 0].reshape(shape)
+    for k in range(1, support.shape[1]):
+        out += np.take(m, support[:, k], axis=0) * coeff[:, k].reshape(shape)
+    return out
+
+
+def kron_trace_rank_one(left, right, x4) -> np.ndarray:
+    """Table ``<v_s (x) w_t| X |v_s (x) w_t> = tr((|v_s><v_s| (x) |w_t><w_t|) X)``
+    for sparse rank-one operands ``left = (support, coeff)`` and ``right``,
+    with X given as a ``(d, d, d, d)`` array (or view) ``X[i, j, k, l] =
+    X[(i,j), (k,l)]``.
+
+    Each left operand gathers ``Y_s[j, l] = sum_{i,k} conj(v_i) v_k X[i, j, k, l]``
+    from the entries on its support, and each right operand then reads the
+    entries of ``Y_s`` on its own support: 16 entries of X per pair, for
+    two-point supports.
+    """
+    (sv, cv), (sw, cw) = left, right
+    dim = x4.shape[0]
+    y = np.zeros((len(sv), dim, dim), dtype=complex)
+    for a in range(sv.shape[1]):
+        for b in range(sv.shape[1]):
+            y += (cv[:, a].conj() * cv[:, b])[:, None, None] * x4[sv[:, a], :, sv[:, b], :]
+    y = y.reshape(len(sv), dim * dim)
+    table = np.zeros((len(sv), len(sw)), dtype=complex)
+    for a in range(sw.shape[1]):
+        for b in range(sw.shape[1]):
+            table += (cw[:, a].conj() * cw[:, b]) * y[:, sw[:, a] * dim + sw[:, b]]
+    return table
+
+
 def spectral_projections(h, tol: float = TOL_PROJ):
     """Spectral decomposition of a Hermitian matrix into (eigenvalue,
     Projection) pairs with ascending eigenvalues.
@@ -314,16 +368,87 @@ def spectral_projections(h, tol: float = TOL_PROJ):
     return out
 
 
-def trace_norm(a) -> float:
-    """Schatten-1 norm: the sum of singular values."""
-    am = as_matrix(a, "matrix")
-    return float(np.sum(np.linalg.svd(am, compute_uv=False)))
+# The trace and operator norms are read off the eigenvalues of the Hermitian
+# part H = (a + a^dag)/2 when the skew part provably moves them by at most
+# this much relative to the result; otherwise they come from an SVD.
+HERMITIAN_ROUTE_REL = 1e-13
+
+# Side of the square blocks in which the Hermitian part is split off.
+_SPLIT_BLOCK = 512
 
 
-def operator_norm(a) -> float:
-    """Spectral norm: the largest singular value."""
+def _block_pairs(n: int):
+    """Index ranges ``(r, c)`` of the blocks on and above the diagonal."""
+    starts = range(0, n, _SPLIT_BLOCK)
+    return [
+        (slice(r, r + _SPLIT_BLOCK), slice(c, c + _SPLIT_BLOCK))
+        for r in starts
+        for c in starts
+        if c >= r
+    ]
+
+
+def _hermitian_eigvals(a: np.ndarray, overwrite_a: bool):
+    """Eigenvalues of ``H = (a + a^dag)/2`` when the skew part ``S = a - H``
+    cannot move a unitarily invariant norm of a by more than
+    ``HERMITIAN_ROUTE_REL`` relative; ``None`` otherwise.
+
+    Singular-value perturbation gives ``| ||a||_1 - ||H||_1 | <= ||S||_1 <=
+    sqrt(n) ||S||_F`` and ``| ||a||_2 - ||H||_2 | <= ||S||_F``.  The route is
+    taken when ``sqrt(n) ||S||_F <= HERMITIAN_ROUTE_REL ||H||_F``; as
+    ``||H||_1 >= ||H||_F`` and ``||H||_2 >= ||H||_F / sqrt(n)``, both bounds
+    are then at most ``HERMITIAN_ROUTE_REL`` times the norm of H that is
+    returned.  The Frobenius norms are accumulated over block pairs, and H
+    overwrites a only with ``overwrite_a`` and only once the route is taken.
+    """
+    n = len(a)
+    skew2 = herm2 = 0.0
+    for r, c in _block_pairs(n):
+        blk, mirror = a[r, c], a[c, r].conj().T
+        weight = 1.0 if r == c else 2.0  # block (c, r) of H and S mirrors (r, c)
+        herm2 += weight * float(np.linalg.norm(blk + mirror)) ** 2 / 4
+        skew2 += weight * float(np.linalg.norm(blk - mirror)) ** 2 / 4
+    if np.sqrt(n * skew2) > HERMITIAN_ROUTE_REL * np.sqrt(herm2):
+        return None
+    h = a if overwrite_a else a.copy()
+    for r, c in _block_pairs(n):
+        part = (h[r, c] + h[c, r].conj().T) / 2
+        h[r, c] = part
+        h[c, r] = part.conj().T
+    return np.linalg.eigvalsh(h)
+
+
+def trace_norm(a, overwrite_a: bool = False) -> float:
+    """Schatten-1 norm: the sum of singular values.
+
+    Taken as ``sum |eig(H)|`` of the Hermitian part H when the skew part
+    is negligible (see :data:`HERMITIAN_ROUTE_REL`), else from an SVD.
+    ``overwrite_a`` lets the Hermitian route reuse a's memory for H.
+    """
     am = as_matrix(a, "matrix")
-    return float(np.linalg.norm(am, 2))
+    w = _hermitian_eigvals(am, overwrite_a)
+    if w is None:
+        return float(np.sum(np.linalg.svd(am, compute_uv=False)))
+    return float(np.sum(np.abs(w)))
+
+
+def operator_norm(a, overwrite_a: bool = False) -> float:
+    """Spectral norm: the largest singular value, by the same guarded
+    Hermitian route as :func:`trace_norm`."""
+    am = as_matrix(a, "matrix")
+    w = _hermitian_eigvals(am, overwrite_a)
+    if w is None:
+        return float(np.linalg.norm(am, 2))
+    return float(np.max(np.abs(w)))
+
+
+def swap_left(a, dim: int) -> np.ndarray:
+    """``W a`` for the swap unitary W on ``C^dim (x) C^dim``, as the index
+    transpose ``(W a)[(i,j), :] = a[(j,i), :]``."""
+    am = mat(a)
+    if am.shape[0] != dim * dim:
+        raise ValueError(f"dimension mismatch: a has {am.shape[0]} rows, need {dim * dim}")
+    return am.reshape(dim, dim, -1).transpose(1, 0, 2).reshape(am.shape)
 
 
 def rank_one_proj(xi, tol: float = TOL_PROJ) -> Projection:

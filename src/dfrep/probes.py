@@ -175,6 +175,15 @@ def _sweep_verdict(dims, trace_norms, slope) -> str:
     return VERDICT_INCONCLUSIVE
 
 
+def _extract_member(d_family, dim: int):
+    """The trace-pairing operator of ``d_family(dim)``; the functional,
+    which may hold a dense operator as large as X, is not kept."""
+    d = d_family(dim)
+    if d.dim != dim:
+        raise ValueError(f"family returned dim {d.dim} for requested {dim}")
+    return extract_ils(d, dim, allow_dim_two=True)
+
+
 def tensor_bound_probe(
     d_family, dims, samples: int = 1000, seed: int = 0, max_terms: int = 4
 ) -> SweepReport:
@@ -202,10 +211,7 @@ def tensor_bound_probe(
     lengths = []
     for dim in dims:
         t0 = time.perf_counter()
-        d = d_family(dim)
-        if d.dim != dim:
-            raise ValueError(f"family returned dim {d.dim} for requested {dim}")
-        x = extract_ils(d, dim, allow_dim_two=True)
+        x = _extract_member(d_family, dim)
         sup, counts = _sup_beta_rank_one(x.x_op, dim, samples, seed, max_terms)
         trace_norms.append(x.trace_norm)
         sups.append(sup)

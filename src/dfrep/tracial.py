@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .functionals import DecoherenceFunctional, _check_dim
+from .functionals import GRAM_HERMITICITY_REL, DecoherenceFunctional, _check_dim
 from .histories import _column_blocks, _range_columns
 from .ils import bilinear_unit_table
 from .linalg import (
@@ -52,6 +52,7 @@ from .linalg import (
     mat,
     operator_norm,
     pairing_realignment,
+    swap_left,
     trace_pair,
 )
 
@@ -75,9 +76,6 @@ class NotTraciallyBoundedError(RuntimeError):
             f"{bound:.6g} at dim {dim} ({samples} samples, seed {seed})"
         )
 
-
-# gram_matrix raises GramHermiticityError when ||G - G^dag||_F > this * max(1, ||G||_F).
-GRAM_HERMITICITY_REL = 1e-8
 
 # Gram eigenvalues below this fraction of the spectral scale are dropped;
 # keeps the families minimal and free of noise operators.
@@ -133,10 +131,16 @@ class Decomposition:
         ``sum_m sum_i sign_i tr(a_m F_i) tr(b_m F_i^dag)``."""
         if s.dim != self.dim:
             raise ValueError(f"dimension mismatch: {s.dim} vs {self.dim}")
+        a, b = zip(*s.terms)
+        return complex(np.sum(self.term_values(np.stack(a), np.stack(b))))
+
+    def term_values(self, a, b) -> np.ndarray:
+        """``beta(a_m (x) b_m)`` for each pair of two equal-length
+        ``(n, dim, dim)`` stacks, in one contraction with the families."""
         signs, left, right = self._flat_families
-        a = np.stack([t[0] for t in s.terms]).reshape(len(s.terms), -1)
-        b = np.stack([t[1] for t in s.terms]).reshape(len(s.terms), -1)
-        return complex(np.sum(((a @ left.T) * (b @ right.T)) @ signs))
+        a = np.asarray(a, dtype=complex).reshape(len(a), -1)
+        b = np.asarray(b, dtype=complex).reshape(len(b), -1)
+        return ((a @ left.T) * (b @ right.T)) @ signs
 
     def pairing_operator(self) -> np.ndarray:
         """``sum_i X_i (x) X_i^dag - sum_i Y_i (x) Y_i^dag`` on H (x) H, summed literally."""
@@ -149,12 +153,17 @@ class Decomposition:
         return m
 
 
+def _kept(w: np.ndarray) -> np.ndarray:
+    """Mask of the Gram eigenvalues kept under ``EIG_DROP_REL``."""
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    return np.abs(w) >= EIG_DROP_REL * max(scale, 1e-300)
+
+
 def _decompose_gram(g: np.ndarray, dim: int) -> Decomposition:
     """The signed families of a Hermitian Gram matrix (see
     :func:`hermitian_form_decomposition`)."""
     w, v = np.linalg.eigh(g)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = np.abs(w) >= EIG_DROP_REL * max(scale, 1e-300)
+    keep = _kept(w)
     order = np.argsort(-w[keep])
     w, v = w[keep][order], v[:, keep][:, order]
     fam = np.sqrt(np.abs(w))[:, None, None] * v.T.reshape(-1, dim, dim).transpose(0, 2, 1)
@@ -194,6 +203,14 @@ class TracialOperator:
         """The signed families whose Kronecker sum is M."""
         return _decompose_gram(self.gram, self.dim)
 
+    @cached_property
+    def family_sizes(self) -> tuple:
+        """``(len(x_family), len(y_family))`` of :attr:`source`, read off
+        the inertia of the Gram eigenvalues without eigenvectors."""
+        w = np.linalg.eigvalsh(self.gram)
+        w = w[_kept(w)]
+        return int(np.count_nonzero(w > 0)), int(np.count_nonzero(w <= 0))
+
 
 def build_tracial_operator(
     d: DecoherenceFunctional,
@@ -219,7 +236,9 @@ def build_tracial_operator(
             raise NotTraciallyBoundedError(sup, bound, dim, probe_samples, seed)
     g = gram_matrix(d, dim)
     m = g.reshape(dim, dim, dim, dim).transpose(1, 2, 0, 3).reshape(dim * dim, dim * dim)
-    return TracialOperator(m_op=m, operator_norm=operator_norm(m), gram=g, dim=dim)
+    # ||M|| = ||W M||, and W M is exactly Hermitian because G is.
+    norm = operator_norm(swap_left(m, dim), overwrite_a=True)
+    return TracialOperator(m_op=m, operator_norm=norm, gram=g, dim=dim)
 
 
 def householder_basis(psi) -> np.ndarray:

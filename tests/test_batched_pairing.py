@@ -31,7 +31,13 @@ from dfrep.ils import (
     ils_operator_from_matrix,
     polarization_atoms,
 )
-from dfrep.linalg import ElementaryTensorSum, haar_unitary, kron_trace, kron_trace_batch
+from dfrep.linalg import (
+    ElementaryTensorSum,
+    haar_unitary,
+    kron_trace,
+    kron_trace_batch,
+    rank_one_matrices,
+)
 from dfrep.tracial import Decomposition
 from conftest import random_density, random_valid_pairing_operator
 
@@ -63,6 +69,66 @@ def _random_backends(dim: int, rng) -> dict:
     }
 
 
+_SQ2 = np.sqrt(2.0)
+
+
+def frozen_polarization_atoms(dim: int):
+    """The dense ``(atoms, index, coeffs)`` form of the polarization atoms
+    as it was before the sparse ``(support, coeff)`` form, kept verbatim as
+    a reference: an ``(N, dim, dim)`` atom stack and the ``(dim^2, 4)``
+    expansion ``E_ab = sum_k coeffs[a*dim+b, k] atoms[index[a*dim+b, k]]``."""
+    atoms = []
+    for a in range(dim):
+        e = np.zeros(dim, dtype=complex)
+        e[a] = 1.0
+        atoms.append(np.outer(e, e.conj()))
+    pair_base = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            ea = np.zeros(dim, dtype=complex)
+            eb = np.zeros(dim, dtype=complex)
+            ea[a] = 1.0
+            eb[b] = 1.0
+            pair_base[(a, b)] = len(atoms)
+            for vec in (
+                (ea + eb) / _SQ2,
+                (ea - eb) / _SQ2,
+                (ea + 1j * eb) / _SQ2,
+                (ea - 1j * eb) / _SQ2,
+            ):
+                atoms.append(np.outer(vec, vec.conj()))
+    index = np.zeros((dim * dim, 4), dtype=np.intp)
+    coeffs = np.zeros((dim * dim, 4), dtype=complex)
+    for a in range(dim):
+        for b in range(dim):
+            row = a * dim + b
+            if a == b:
+                index[row] = a
+                coeffs[row, 0] = 1.0
+                continue
+            sign = 1.0 if a < b else -1.0
+            index[row] = pair_base[(min(a, b), max(a, b))] + np.arange(4)
+            coeffs[row] = (0.5, -0.5, sign * 0.5j, -sign * 0.5j)
+    return np.stack(atoms), index, coeffs
+
+
+def frozen_unit_table(d, dim: int) -> np.ndarray:
+    """The index/coeff combine that the grouped fold replaced, kept
+    verbatim: dense atom pair tables in blocks of 256 left atoms, gathered
+    through the four-slot expansion and scattered into U by masks."""
+    atoms, index, coeffs = frozen_polarization_atoms(dim)
+    n_units = dim * dim
+    units = np.zeros((n_units, n_units), dtype=complex)
+    for start in range(0, len(atoms), 256):
+        stop = min(start + 256, len(atoms))
+        rows = d.pair_table(atoms[start:stop], atoms)
+        right = sum(rows[:, index[:, k]] * coeffs[:, k] for k in range(4))
+        for k in range(4):
+            hit = (index[:, k] >= start) & (index[:, k] < stop)
+            units[hit] += coeffs[hit, k, None] * right[index[hit, k] - start]
+    return units.reshape(dim, dim, dim, dim)
+
+
 def _dense_coeffs(index, coeffs, n_atoms) -> np.ndarray:
     dense = np.zeros((len(index), n_atoms), dtype=complex)
     for row in range(len(index)):
@@ -87,7 +153,11 @@ class TestPairTableParity:
 class TestBlockedUnitTable:
     def test_expansion_reproduces_matrix_units(self):
         dim = 4
-        atoms, index, coeffs = polarization_atoms(dim)
+        support, coeff = polarization_atoms(dim)
+        assert support.shape == coeff.shape == (2 * dim * dim - dim, 2)
+        atoms = rank_one_matrices(support, coeff, dim)
+        frozen_atoms, index, coeffs = frozen_polarization_atoms(dim)
+        assert np.abs(atoms - frozen_atoms).max() <= 1e-15
         assert atoms.shape == (2 * dim * dim - dim, dim, dim)
         assert index.shape == coeffs.shape == (dim * dim, 4)
         for a in range(dim):
@@ -106,23 +176,47 @@ class TestBlockedUnitTable:
         n_atoms = 2 * dim * dim - dim
         assert n_atoms % ATOM_BLOCK != 0
         d = _random_backends(dim, rng)[kind]
-        atoms, index, coeffs = polarization_atoms(dim)
+        atoms, index, coeffs = frozen_polarization_atoms(dim)
         dense = _dense_coeffs(index, coeffs, n_atoms)
         ref = (dense @ d.pair_table(atoms, atoms) @ dense.T).reshape(dim, dim, dim, dim)
         blocks = []
-        original = d.pair_table
+        original = d.rank_one_pair_table
 
         def recording(left, right):
-            blocks.append((len(left), len(right)))
+            blocks.append((len(left[0]), len(right[0])))
             return original(left, right)
 
-        d.pair_table = recording
+        d.rank_one_pair_table = recording
         units = bilinear_unit_table(d, dim)
         assert np.abs(units - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
         # The whole N x N atom table is never requested at once.
         assert len(blocks) == n_blocks
         assert sum(rows for rows, _ in blocks) == n_atoms
         assert all(rows <= ATOM_BLOCK and cols == n_atoms for rows, cols in blocks)
+
+    # The grouped fold against the index/coeff combine it replaced, at d = 3
+    # (one block) and at d = 12, where N = 276 is not a multiple of the block.
+    @pytest.mark.parametrize("dim", [3, 12])
+    @pytest.mark.parametrize("kind", ["operator", "pure_state", "form", "class_operator"])
+    def test_matches_frozen_combine(self, kind, dim, rng):
+        d = _random_backends(dim, rng)[kind]
+        ref = frozen_unit_table(d, dim)
+        units = bilinear_unit_table(d, dim)
+        assert np.abs(units - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_extraction_builds_no_atom_stack(self, rng, monkeypatch):
+        """No backend materialises projections on the extraction path: the
+        dense pair table and the rank-one materialiser are never called."""
+        backends = _random_backends(5, rng)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense atom stack requested")
+
+        for cls in {type(d) for d in backends.values()} | {DecoherenceFunctional}:
+            monkeypatch.setattr(cls, "pair_table", forbidden)
+        monkeypatch.setattr("dfrep.functionals.rank_one_matrices", forbidden)
+        for d in backends.values():
+            assert bilinear_unit_table(d, 5).shape == (5, 5, 5, 5)
 
 
 class TestKronTraceBatch:

@@ -1,0 +1,243 @@
+"""Rank-one pair tables, the guarded Hermitian norm route, the lazy trace
+norm and the batched beta checks, each against the dense or scalar
+computation it replaces."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dfrep import (
+    DecoherenceFunctional,
+    ElementaryTensorSum,
+    FormBackedFunctional,
+    OperatorBackedFunctional,
+    build_tracial_operator,
+    df_from_operator,
+    hermitian_form_decomposition,
+    swap_operator,
+    tracial_bound_probe,
+)
+from dfrep import functionals, tracial
+from dfrep.cli import _random_tensor_sums, main
+from dfrep.ils import ils_operator_from_matrix, polarization_atoms
+from dfrep.linalg import (
+    HERMITIAN_ROUTE_REL,
+    operator_norm,
+    rank_one_matrices,
+    rank_one_vectors,
+    swap_left,
+    trace_norm,
+)
+from conftest import random_valid_pairing_operator
+from test_batched_pairing import _random_backends
+
+ROOT = Path(__file__).resolve().parent.parent
+KINDS = ["operator", "pure_state", "form", "class_operator"]
+
+
+def _cmat(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _rel(a, ref) -> float:
+    return float(np.abs(a - ref).max() / max(1.0, np.abs(ref).max()))
+
+
+def _svd(a):
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def _forbid(monkeypatch, *names):
+    def raiser(*args, **kwargs):
+        raise AssertionError("unexpected dense decomposition")
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, raiser)
+
+
+class TestRankOnePairTables:
+    @pytest.mark.parametrize("dim", range(3, 13))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_polarization_atoms_match_materialised(self, kind, dim, rng):
+        d = _random_backends(dim, rng)[kind]
+        support, coeff = polarization_atoms(dim)
+        atoms = rank_one_matrices(support, coeff, dim)
+        fast = d.rank_one_pair_table((support, coeff), (support, coeff))
+        assert fast.shape == (len(support), len(support))
+        assert _rel(fast, d.pair_table(atoms, atoms)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_supports_match_scalar_loop(self, kind, rng):
+        """Unnormalised vectors with random, sometimes repeated, supports."""
+        dim = 6
+        d = _random_backends(dim, rng)[kind]
+        left = (rng.integers(0, dim, (7, 2)), _cmat(rng, 7)[:, :2])
+        right = (rng.integers(0, dim, (9, 2)), _cmat(rng, 9)[:, :2])
+        fast = d.rank_one_pair_table(left, right)
+        ref = DecoherenceFunctional.pair_table(
+            d, rank_one_matrices(*left, dim), rank_one_matrices(*right, dim)
+        )
+        assert _rel(fast, ref) <= 1e-12
+        assert _rel(DecoherenceFunctional.rank_one_pair_table(d, left, right), ref) <= 1e-12
+
+    def test_vectors_accumulate_repeated_support(self):
+        support = np.array([[0, 2], [1, 1]])
+        coeff = np.array([[1.0, 2.0j], [3.0, 4.0]])
+        v = rank_one_vectors(support, coeff, 3)
+        assert np.array_equal(v, [[1, 0, 2j], [0, 7, 0]])
+        assert np.array_equal(rank_one_matrices(support, coeff, 3)[1], np.diag([0, 49, 0]))
+
+
+class TestHermitianNormRoute:
+    # 600 exceeds the split block, so the blockwise split covers block pairs.
+    @pytest.mark.parametrize("n", [1, 7, 40, 600])
+    def test_hermitian_input_matches_svd_without_svd(self, n, rng, monkeypatch):
+        a = _cmat(rng, n)
+        h = (a + a.conj().T) / 2
+        s = _svd(h)
+        _forbid(monkeypatch, "svd")
+        assert trace_norm(h) == pytest.approx(s.sum(), rel=1e-13)
+        assert operator_norm(h) == pytest.approx(s.max(), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 9, 600])
+    def test_non_hermitian_input_uses_svd(self, n, rng, monkeypatch):
+        a = _cmat(rng, n)
+        s = _svd(a)
+        _forbid(monkeypatch, "eigvalsh")
+        assert trace_norm(a) == pytest.approx(s.sum(), rel=1e-14)
+        assert operator_norm(a) == pytest.approx(s.max(), rel=1e-14)
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_swapped_pairing_operator_takes_hermitian_route(self, dim, rng, monkeypatch):
+        x = random_valid_pairing_operator(dim, rng)
+        wx = swap_left(x, dim)
+        assert np.array_equal(wx, swap_operator(dim) @ x)
+        s = _svd(x)
+        _forbid(monkeypatch, "svd")
+        assert trace_norm(wx) == pytest.approx(s.sum(), rel=1e-13)
+        assert operator_norm(wx) == pytest.approx(s.max(), rel=1e-13)
+        assert ils_operator_from_matrix(x, samples=5).trace_norm == pytest.approx(s.sum(), rel=1e-13)
+
+    def test_planted_swap_violation_falls_back_to_svd(self, rng, monkeypatch):
+        dim = 4
+        x = random_valid_pairing_operator(dim, rng) + 1e-6 * _cmat(rng, dim * dim)
+        holder = ils_operator_from_matrix(x, samples=5)
+        assert holder.swap_adjoint_residual > 1e-7
+        _forbid(monkeypatch, "eigvalsh")
+        assert holder.trace_norm == pytest.approx(_svd(x).sum(), rel=1e-14)
+
+    def test_guard_threshold(self, rng, monkeypatch):
+        """The route switches where sqrt(n) ||S||_F crosses
+        HERMITIAN_ROUTE_REL ||H||_F, and inside it the result still agrees
+        with the SVD to that relative bound."""
+        n = 16
+        a = _cmat(rng, n)
+        h = (a + a.conj().T) / 2
+        s = _cmat(rng, n)
+        s = (s - s.conj().T) / 2
+        s /= np.linalg.norm(s)
+        edge = HERMITIAN_ROUTE_REL * np.linalg.norm(h) / np.sqrt(n)
+        inside, outside = h + 0.5 * edge * s, h + 2.0 * edge * s
+        ref = _svd(inside).sum()
+        with monkeypatch.context() as m:
+            _forbid(m, "svd")
+            assert abs(trace_norm(inside) - ref) <= HERMITIAN_ROUTE_REL * ref
+            with pytest.raises(AssertionError):
+                trace_norm(outside)
+        _forbid(monkeypatch, "eigvalsh")
+        assert trace_norm(outside) == pytest.approx(_svd(outside).sum(), rel=1e-14)
+
+    def test_overwrite_only_when_asked(self, rng):
+        x = random_valid_pairing_operator(4, rng)
+        wx = swap_left(x, 4)
+        kept = wx.copy()
+        ref = trace_norm(wx)
+        assert np.array_equal(wx, kept)
+        assert trace_norm(wx, overwrite_a=True) == pytest.approx(ref, rel=1e-15)
+        h = (kept + kept.conj().T) / 2
+        assert np.abs(wx - h).max() <= 1e-15 * np.abs(h).max()
+
+
+class TestLazyTraceNorm:
+    def test_verify_conditions_df_from_operator_and_probe_skip_it(self, rng, monkeypatch, capsys):
+        x = random_valid_pairing_operator(4, rng)
+        _forbid(monkeypatch, "svd", "eigvalsh")
+        scenario = ROOT / "scenarios" / "operator_product_state_dim3.json"
+        assert main(["verify-conditions", "--scenario", str(scenario)]) == 0
+        assert '"verdict":"pass"' in capsys.readouterr().out
+        d = df_from_operator(x)
+        assert tracial_bound_probe(d, samples=20) > 0
+        holder = ils_operator_from_matrix(x, samples=5)
+        assert "trace_norm" not in vars(holder)
+        with pytest.raises(AssertionError):
+            holder.trace_norm
+
+    def test_computed_once(self, rng, monkeypatch):
+        holder = ils_operator_from_matrix(random_valid_pairing_operator(3, rng), samples=5)
+        first = holder.trace_norm
+        _forbid(monkeypatch, "svd", "eigvalsh")
+        assert holder.trace_norm == first
+
+
+class TestTracialWithoutEigenvectors:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_family_sizes_and_operator_norm(self, kind, rng, monkeypatch):
+        d = _random_backends(4, rng)[kind]
+        if kind == "operator":  # the random X of _random_backends is not swap-Hermitian
+            d = OperatorBackedFunctional(random_valid_pairing_operator(4, rng))
+        top = build_tracial_operator(d, 4)
+        assert top.operator_norm == pytest.approx(_svd(top.m_op).max(), rel=1e-13)
+        with monkeypatch.context() as m:
+            _forbid(m, "eigh")
+            sizes = top.family_sizes
+        assert sizes == (len(top.source.x_family), len(top.source.y_family))
+
+    def test_swapped_representative_is_exactly_hermitian(self, rng):
+        top = build_tracial_operator(_random_backends(4, rng)["form"], 4)
+        wm = swap_left(top.m_op, 4)
+        assert np.array_equal(wm, wm.conj().T)
+
+
+class TestBatchedBetaChecks:
+    def test_tensor_sums_keep_the_draw_stream(self):
+        dim, count = 3, 6
+        a, b, starts = _random_tensor_sums(dim, count, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        ref_a, ref_b, ref_starts = [], [], []
+        for _ in range(count):
+            ref_starts.append(len(ref_a))
+            for _ in range(int(rng.integers(1, 5))):
+                ref_a.append(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+                ref_b.append(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        assert list(starts) == ref_starts
+        empty = _random_tensor_sums(dim, 0, np.random.default_rng(11))
+        assert [len(v) for v in empty] == [0, 0, 0]
+
+    def test_term_values_sum_to_beta(self, rng):
+        dec = hermitian_form_decomposition(_random_backends(3, rng)["form"])
+        a = np.stack([_cmat(rng, 3) for _ in range(4)])
+        b = np.stack([_cmat(rng, 3) for _ in range(4)])
+        vals = dec.term_values(a, b)
+        assert vals.shape == (4,)
+        ref = dec.beta(ElementaryTensorSum(tuple(zip(a, b))))
+        assert abs(vals.sum() - ref) <= 1e-12 * max(1.0, abs(ref))
+        for k in range(4):
+            one = dec.beta(ElementaryTensorSum(((a[k], b[k]),)))
+            assert abs(vals[k] - one) <= 1e-12 * max(1.0, abs(one))
+
+
+class TestGramTolerance:
+    def test_one_tolerance_for_form_and_gram(self):
+        assert tracial.GRAM_HERMITICITY_REL is functionals.GRAM_HERMITICITY_REL
+        g = np.eye(9, dtype=complex)
+        g[0, 1] = 1e-8
+        FormBackedFunctional(g)
+        g[0, 1] = 3e-8  # ||G - G^dag||_F = 4.2e-8 > 1e-8 * ||G||_F
+        with pytest.raises(ValueError, match="Hermitian"):
+            FormBackedFunctional(g)
+        with pytest.raises(TypeError):
+            FormBackedFunctional(np.eye(9), tol=1.0)
