@@ -46,6 +46,7 @@ from .linalg import (
     operator_norm,
     random_projection,
     sample_projections,
+    swap_left,
     trace_norm,
 )
 from .probes import tensor_bound_probe
@@ -385,10 +386,11 @@ def _cmd_demo_pure_state(scenario: Scenario, args) -> ResultRecord:
     a, b, starts = _random_tensor_sums(dim, _samples(args, "demo-pure-state"), rng)
     beta_res = _max_sum_residual(kron_trace_batch(a, b, m), d.pair_values(a, b), starts)
     tol_beta = args.tolerance if args.tolerance is not None else 1e-9
+    wm = swap_left(m, dim)  # W P U = I (x) |psi><psi|, PSD of rank dim; W is unitary
     rec = {
         "trace": complex(np.trace(m)),
-        "trace_norm": trace_norm(m),
-        "operator_norm": operator_norm(m),
+        "trace_norm": trace_norm(wm),
+        "operator_norm": operator_norm(wm),
         "pu_adjoint_residual": adjoint_residual,
         "beta_series_residual": beta_res,
         "beta_tolerance": tol_beta,

@@ -44,10 +44,15 @@ The axioms of d translate into three operator conditions on X:
 
 Positivity quantifies over a continuum and is reported as a sampled
 minimum with its sample count and seed; no global claim is made.  By (i),
-``W X`` is Hermitian, so the trace norm ``||X||_1 = ||W X||_1`` is read
-off ``eigvalsh`` of its Hermitian part whenever the swap residual provably
-cannot move it by more than 1e-13 relative (:func:`dfrep.linalg.trace_norm`
-falls back to the SVD otherwise).  It is computed on first read only.
+``W X`` is Hermitian, so the trace norm ``||X||_1 = ||W X||_1`` is taken
+from its Hermitian part H whenever the swap residual provably cannot move
+it by more than 1e-13 relative (:func:`dfrep.linalg.trace_norm` falls back
+to the SVD otherwise).  For the valid functionals W X is usually positive
+semidefinite (``I (x) |psi><psi|`` for a pure state, ``I (x) rho'`` for a
+single-time class operator), and then ``||X||_1 = tr H``, certified by a
+blocked Cholesky (full rank) or a pivoted partial Cholesky (low rank);
+only an indefinite H pays for ``eigvalsh``.  It is computed on first read
+only.
 """
 
 from __future__ import annotations
@@ -186,7 +191,9 @@ class ILSOperator:
     def trace_norm(self) -> float:
         """``||X||_1 = ||W X||_1`` (W is unitary).  W X is Hermitian exactly
         when the swap residual vanishes, so its guarded Hermitian route
-        replaces the SVD of X whenever the residual is at round-off."""
+        replaces the SVD of X whenever the residual is at round-off; when
+        W X is also positive semidefinite, a Cholesky certificate gives
+        ``tr(W X)`` without eigvalsh."""
         return trace_norm(swap_left(self.x_op, self.dim), overwrite_a=True)
 
 

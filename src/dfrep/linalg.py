@@ -370,10 +370,14 @@ def spectral_projections(h, tol: float = TOL_PROJ):
 
 # The trace and operator norms are read off the eigenvalues of the Hermitian
 # part H = (a + a^dag)/2 when the skew part provably moves them by at most
-# this much relative to the result; otherwise they come from an SVD.
+# this much relative to the result; otherwise they come from an SVD.  The
+# trace norm first tries to certify H >= 0, where ||H||_1 = tr H: a blocked
+# Cholesky for full rank, a pivoted partial Cholesky for low rank (the same
+# relative bound), and only then falls through to eigvalsh on an unchanged H.
 HERMITIAN_ROUTE_REL = 1e-13
 
-# Side of the square blocks in which the Hermitian part is split off.
+# Side of the square blocks in which the Hermitian part is split off and
+# factored.
 _SPLIT_BLOCK = 512
 
 
@@ -388,9 +392,9 @@ def _block_pairs(n: int):
     ]
 
 
-def _hermitian_eigvals(a: np.ndarray, overwrite_a: bool):
-    """Eigenvalues of ``H = (a + a^dag)/2`` when the skew part ``S = a - H``
-    cannot move a unitarily invariant norm of a by more than
+def _hermitian_part(a: np.ndarray, overwrite_a: bool):
+    """``H = (a + a^dag)/2``, exactly Hermitian, when the skew part ``S =
+    a - H`` cannot move a unitarily invariant norm of a by more than
     ``HERMITIAN_ROUTE_REL`` relative; ``None`` otherwise.
 
     Singular-value perturbation gives ``| ||a||_1 - ||H||_1 | <= ||S||_1 <=
@@ -415,31 +419,114 @@ def _hermitian_eigvals(a: np.ndarray, overwrite_a: bool):
         part = (h[r, c] + h[c, r].conj().T) / 2
         h[r, c] = part
         h[c, r] = part.conj().T
-    return np.linalg.eigvalsh(h)
+    return h
+
+
+def _cholesky_certifies(h: np.ndarray) -> bool:
+    """Whether a blocked Cholesky factorization of the Hermitian H succeeds,
+    so that H is positive definite up to its backward error.  H is left
+    unchanged when it fails.
+
+    Left-looking, in ``_SPLIT_BLOCK`` column blocks: L overwrites the lower
+    triangle in place, so no second n^2 array is held.  A failure restores
+    the lower triangle from the untouched upper one and the diagonal blocks
+    from copies.
+    """
+    n = len(h)
+    saved = []
+    for k in range(0, n, _SPLIT_BLOCK):
+        cols, below = slice(k, k + _SPLIT_BLOCK), slice(k + _SPLIT_BLOCK, n)
+        saved.append(h[cols, cols].copy())
+        if k:
+            h[k:, cols] -= h[k:, :k] @ h[cols, :k].conj().T
+        try:
+            lkk = np.linalg.cholesky(h[cols, cols])
+        except np.linalg.LinAlgError:
+            for j, block in enumerate(saved):
+                done = slice(j * _SPLIT_BLOCK, (j + 1) * _SPLIT_BLOCK)
+                h[done, done] = block
+                h[done.stop :, done] = h[done, done.stop :].conj().T
+            return False
+        if k + _SPLIT_BLOCK < n:  # the last block's factor is never read
+            h[cols, cols] = lkk
+            h[below, cols] = np.linalg.solve(lkk, h[below, cols].conj().T).conj().T
+    return True
+
+
+def _pivoted_trace(h: np.ndarray, tr: float):
+    """``||L||_F^2`` of a diagonally pivoted partial Cholesky factor
+    ``H ~ L L^dag`` of the Hermitian H, when it certifies ``||H||_1``;
+    ``None`` otherwise.  H is only read.
+
+    Pivoting stops once the largest remaining diagonal of the Schur
+    complement ``S = H - L L^dag`` is at most ``HERMITIAN_ROUTE_REL tr H /
+    n``.  As ``||L L^dag||_1 = ||L||_F^2`` and ``| ||H||_1 - ||L L^dag||_1 |
+    <= ||S||_1 <= sqrt(n) ||S||_F``, the result is accepted when
+    ``sqrt(n) ||S||_F <= HERMITIAN_ROUTE_REL ||L||_F^2``.  A remaining
+    diagonal below ``-HERMITIAN_ROUTE_REL tr H / n``, a sign that H is not
+    PSD, or more than ``max(n/8, min(n, 8))`` pivots end the attempt early.
+    """
+    n = len(h)
+    floor = HERMITIAN_ROUTE_REL * tr / n
+    # At n/8 pivots the factor holds an eighth of H's memory, and the
+    # O(n k^2) loop plus the O(n^2 k) residual cost a few percent of
+    # eigvalsh's O(n^3); below n = 64 the floor of 8 pivots costs < 0.3 ms.
+    cap = max(n // 8, min(n, 8))
+    diag = h.diagonal().real.copy()
+    rows = np.zeros((cap, n), dtype=complex)  # row j is column j of L
+    k = 0
+    while diag.max() > floor:
+        if k == cap or diag.min() < -floor:
+            return None
+        p = int(np.argmax(diag))
+        col = h[p].conj() - rows[:k].T @ rows[:k, p].conj()  # column p of S
+        rows[k] = col / np.sqrt(diag[p])
+        diag -= rows[k].real ** 2 + rows[k].imag ** 2
+        k += 1
+    lf = rows[:k]
+    resid2 = 0.0
+    for r, c in _block_pairs(n):
+        blk = h[r, c] - lf[:, r].T @ lf[:, c].conj()
+        resid2 += (1.0 if r == c else 2.0) * float(np.linalg.norm(blk)) ** 2
+    fro2 = float(np.vdot(lf, lf).real)
+    if np.sqrt(n * resid2) > HERMITIAN_ROUTE_REL * fro2:
+        return None
+    return fro2
 
 
 def trace_norm(a, overwrite_a: bool = False) -> float:
     """Schatten-1 norm: the sum of singular values.
 
-    Taken as ``sum |eig(H)|`` of the Hermitian part H when the skew part
-    is negligible (see :data:`HERMITIAN_ROUTE_REL`), else from an SVD.
-    ``overwrite_a`` lets the Hermitian route reuse a's memory for H.
+    When the skew part of a is negligible (see :data:`HERMITIAN_ROUTE_REL`)
+    it is taken from the Hermitian part H: as ``tr H`` once a blocked
+    Cholesky certifies H positive definite, as ``||L||_F^2`` once a
+    pivoted partial Cholesky ``H ~ L L^dag`` certifies it positive
+    semidefinite of low rank, else as ``sum |eig(H)|``.  Otherwise it comes
+    from an SVD.  ``overwrite_a`` lets these routes reuse a's memory for H
+    and its factor; a's contents are then unspecified.
     """
     am = as_matrix(a, "matrix")
-    w = _hermitian_eigvals(am, overwrite_a)
-    if w is None:
+    h = _hermitian_part(am, overwrite_a)
+    if h is None:
         return float(np.sum(np.linalg.svd(am, compute_uv=False)))
-    return float(np.sum(np.abs(w)))
+    tr = float(np.trace(h).real)  # read before a factor overwrites it
+    if tr >= 0:
+        if _cholesky_certifies(h):
+            return tr
+        norm = _pivoted_trace(h, tr)
+        if norm is not None:
+            return norm
+    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
 
 
 def operator_norm(a, overwrite_a: bool = False) -> float:
     """Spectral norm: the largest singular value, by the same guarded
-    Hermitian route as :func:`trace_norm`."""
+    Hermitian route as :func:`trace_norm` (always through eigvalsh)."""
     am = as_matrix(a, "matrix")
-    w = _hermitian_eigvals(am, overwrite_a)
-    if w is None:
+    h = _hermitian_part(am, overwrite_a)
+    if h is None:
         return float(np.linalg.norm(am, 2))
-    return float(np.max(np.abs(w)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
 def swap_left(a, dim: int) -> np.ndarray:

@@ -241,14 +241,19 @@ def build_tracial_operator(
     return TracialOperator(m_op=m, operator_norm=norm, gram=g, dim=dim)
 
 
-def householder_basis(psi) -> np.ndarray:
-    """Orthonormal basis (as columns) whose first column is psi, obtained
-    from a single complex Householder reflection; deterministic in psi."""
+def _unit_psi(psi) -> np.ndarray:
     v = as_vector(psi, "psi")
-    dim = v.size
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"psi must be a unit vector, got norm {nrm:.6g}")
+    return v
+
+
+def householder_basis(psi) -> np.ndarray:
+    """Orthonormal basis (as columns) whose first column is psi, obtained
+    from a single complex Householder reflection; deterministic in psi."""
+    v = _unit_psi(psi)
+    dim = v.size
     e1 = np.zeros(dim, dtype=complex)
     e1[0] = 1.0
     alpha = v[0]
@@ -261,16 +266,11 @@ def householder_basis(psi) -> np.ndarray:
 
 
 def pure_state_projector(psi) -> np.ndarray:
-    """``P = sum_i |psi (x) psi_i><psi (x) psi_i|`` for the orthonormal basis
-    {psi_i} of :func:`householder_basis` extending psi."""
-    v = as_vector(psi, "psi")
-    dim = v.size
-    basis = householder_basis(v)
-    p = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        col = np.kron(v, basis[:, i])
-        p += np.outer(col, col.conj())
-    return p
+    """``P = sum_i |psi (x) psi_i><psi (x) psi_i| = |psi><psi| (x) I`` for
+    any orthonormal basis {psi_i}, such as :func:`householder_basis`
+    extending psi."""
+    v = _unit_psi(psi)
+    return np.kron(np.outer(v, v.conj()), np.eye(v.size))
 
 
 def pure_state_m(psi, verify: bool = True, seed: int = 0) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Rank-one pair tables, the guarded Hermitian norm route, the lazy trace
-norm and the batched beta checks, each against the dense or scalar
-computation it replaces."""
+"""Rank-one pair tables, the guarded Hermitian norm route, the certified
+positive-semidefinite trace norm, the lazy trace norm and the batched beta
+checks, each against the dense or scalar computation it replaces."""
 
 from __future__ import annotations
 
@@ -20,18 +20,19 @@ from dfrep import (
     swap_operator,
     tracial_bound_probe,
 )
-from dfrep import functionals, tracial
+from dfrep import functionals, linalg, tracial
 from dfrep.cli import _random_tensor_sums, main
-from dfrep.ils import ils_operator_from_matrix, polarization_atoms
+from dfrep.ils import extract_ils, ils_operator_from_matrix, polarization_atoms
 from dfrep.linalg import (
     HERMITIAN_ROUTE_REL,
+    haar_unitary,
     operator_norm,
     rank_one_matrices,
     rank_one_vectors,
     swap_left,
     trace_norm,
 )
-from conftest import random_valid_pairing_operator
+from conftest import product_state_operator, random_density, random_valid_pairing_operator
 from test_batched_pairing import _random_backends
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,12 +51,41 @@ def _svd(a):
     return np.linalg.svd(a, compute_uv=False)
 
 
+# Every kernel a trace norm can end in: the dense decompositions and the
+# pivoted low-rank route (the blocked route enters through cholesky).
+NORM_KERNELS = ("svd", "eigvalsh", "cholesky", "_pivoted_trace")
+
+
 def _forbid(monkeypatch, *names):
+    """Make each named ``np.linalg`` function, or private ``dfrep.linalg``
+    kernel, raise when called."""
+
     def raiser(*args, **kwargs):
         raise AssertionError("unexpected dense decomposition")
 
     for name in names:
-        monkeypatch.setattr(np.linalg, name, raiser)
+        monkeypatch.setattr(linalg if name.startswith("_") else np.linalg, name, raiser)
+
+
+def _spy(monkeypatch, name) -> list:
+    """Record the return value of every call to the ``dfrep.linalg`` kernel."""
+    calls = []
+    kernel = getattr(linalg, name)
+
+    def recorder(*args):
+        calls.append(kernel(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(linalg, name, recorder)
+    return calls
+
+
+def _psd(rng, n, rank):
+    """``V D V^dag`` with Haar V (n x rank) and D uniform in [0.5, 1.5],
+    made exactly Hermitian."""
+    v = haar_unitary(n, rng)[:, :rank]
+    h = (v * rng.uniform(0.5, 1.5, rank)) @ v.conj().T
+    return (h + h.conj().T) / 2
 
 
 class TestRankOnePairTables:
@@ -161,10 +191,99 @@ class TestHermitianNormRoute:
         assert np.abs(wx - h).max() <= 1e-15 * np.abs(h).max()
 
 
+class TestCertifiedTraceNorm:
+    """Positive semidefinite H: tr H from a blocked Cholesky (full rank) or
+    ||L||_F^2 from a pivoted partial Cholesky (low rank); anything else
+    falls through to eigvalsh on an unchanged H."""
+
+    # 600 exceeds the factor block, so the left-looking update and the
+    # off-diagonal solve run.
+    @pytest.mark.parametrize("n", [7, 40, 600])
+    def test_positive_definite_takes_blocked_cholesky(self, n, rng, monkeypatch):
+        h = _psd(rng, n, n)
+        ref = _svd(h).sum()
+        _forbid(monkeypatch, "svd", "eigvalsh", "_pivoted_trace")
+        assert trace_norm(h) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [3, 10, 25])
+    @pytest.mark.parametrize("which", ["one", "dim", "tenth"])
+    def test_low_rank_takes_pivoted_cholesky(self, dim, which, rng, monkeypatch):
+        n = dim * dim
+        rank = {"one": 1, "dim": dim, "tenth": max(1, n // 10)}[which]
+        h = _psd(rng, n, rank)
+        ref = _svd(h).sum()
+        blocked = _spy(monkeypatch, "_cholesky_certifies")
+        pivoted = _spy(monkeypatch, "_pivoted_trace")
+        _forbid(monkeypatch, "svd", "eigvalsh")
+        got = trace_norm(h)
+        assert blocked == [False] and pivoted == [got]
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def _assert_falls_through(self, h, monkeypatch):
+        pristine = h.copy()
+        ref = float(np.sum(np.abs(np.linalg.eigvalsh(pristine))))
+        blocked = _spy(monkeypatch, "_cholesky_certifies")
+        pivoted = _spy(monkeypatch, "_pivoted_trace")
+        _forbid(monkeypatch, "svd")
+        assert trace_norm(h, overwrite_a=True) == ref
+        assert np.array_equal(h, pristine)
+        assert blocked == [False] and pivoted == [None]
+
+    @pytest.mark.parametrize("n, rank", [(40, 40), (600, 600), (600, 60)])
+    def test_planted_negative_eigenvalue_falls_back(self, n, rank, rng, monkeypatch):
+        v = haar_unitary(n, rng)
+        lam = np.zeros(n)
+        lam[:rank] = rng.uniform(0.5, 1.5, rank)
+        lam[-1] = -1e-10 * lam.sum()
+        h = (v * lam) @ v.conj().T
+        self._assert_falls_through((h + h.conj().T) / 2, monkeypatch)
+
+    def test_indefinite_swapped_product_state_falls_back(self, rng, monkeypatch):
+        dim = 5
+        wx = swap_left(product_state_operator(random_density(dim, rng)), dim)
+        h = (wx + wx.conj().T) / 2  # exactly Hermitian, so trace_norm keeps it
+        assert np.linalg.eigvalsh(h).min() < -1e-3
+        self._assert_falls_through(h, monkeypatch)
+
+    @pytest.mark.parametrize("n", [1, 5, 600])
+    def test_zero_matrix(self, n, monkeypatch):
+        _forbid(monkeypatch, "svd", "eigvalsh")
+        assert trace_norm(np.zeros((n, n))) == 0.0
+
+    def test_one_by_one(self, monkeypatch):
+        with monkeypatch.context() as m:
+            _forbid(m, "svd", "eigvalsh", "_pivoted_trace")
+            assert trace_norm([[2.5]]) == 2.5
+        _forbid(monkeypatch, "svd", "cholesky", "_pivoted_trace")
+        assert trace_norm([[-2.5]]) == 2.5  # tr H < 0: straight to eigvalsh
+
+    @pytest.mark.parametrize("dim", range(3, 13))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ils_trace_norm_matches_svd(self, kind, dim, rng, monkeypatch):
+        """W X is I (x) |psi><psi| for a pure state and I (x) rho' for a
+        single-time class operator: both are certified without eigvalsh.
+        The other backends may be indefinite, and then no certificate may
+        be issued."""
+        d = _random_backends(dim, rng)[kind]
+        if kind == "operator":  # the random X of _random_backends is not swap-Hermitian
+            d = OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
+        holder = extract_ils(d, dim, samples=5)
+        ref = _svd(holder.x_op).sum()
+        wx = swap_left(holder.x_op, dim)
+        indefinite = np.linalg.eigvalsh((wx + wx.conj().T) / 2).min() < -1e-9 * ref
+        blocked = _spy(monkeypatch, "_cholesky_certifies")
+        pivoted = _spy(monkeypatch, "_pivoted_trace")
+        if kind in ("pure_state", "class_operator"):
+            _forbid(monkeypatch, "svd", "eigvalsh")
+        assert holder.trace_norm == pytest.approx(ref, rel=1e-12)
+        if indefinite:  # tr H < 0 skips both attempts
+            assert blocked + pivoted in ([], [False, None])
+
+
 class TestLazyTraceNorm:
     def test_verify_conditions_df_from_operator_and_probe_skip_it(self, rng, monkeypatch, capsys):
         x = random_valid_pairing_operator(4, rng)
-        _forbid(monkeypatch, "svd", "eigvalsh")
+        _forbid(monkeypatch, *NORM_KERNELS)
         scenario = ROOT / "scenarios" / "operator_product_state_dim3.json"
         assert main(["verify-conditions", "--scenario", str(scenario)]) == 0
         assert '"verdict":"pass"' in capsys.readouterr().out
@@ -178,7 +297,7 @@ class TestLazyTraceNorm:
     def test_computed_once(self, rng, monkeypatch):
         holder = ils_operator_from_matrix(random_valid_pairing_operator(3, rng), samples=5)
         first = holder.trace_norm
-        _forbid(monkeypatch, "svd", "eigvalsh")
+        _forbid(monkeypatch, *NORM_KERNELS)
         assert holder.trace_norm == first
 
 

@@ -30,7 +30,12 @@ from dfrep import (
     zero_projection,
 )
 from dfrep.linalg import kron_trace_table
-from dfrep.tracial import double_sum_table, householder_basis, product_diagonal_of
+from dfrep.tracial import (
+    double_sum_table,
+    householder_basis,
+    product_diagonal_of,
+    pure_state_projector,
+)
 from conftest import backend_fixtures, basis_proj, random_valid_pairing_operator, rho_half_half
 
 
@@ -339,6 +344,19 @@ class TestHouseholderBasis:
     def test_basis_vector_input(self):
         b = householder_basis(_e(4, 0))
         assert np.linalg.norm(b[:, 0] - _e(4, 0)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    def test_projector_is_basis_free(self, dim, rng):
+        """sum_i |psi (x) psi_i><psi (x) psi_i| over the Householder basis
+        equals the basis-free |psi><psi| (x) I of pure_state_projector."""
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi = psi / np.linalg.norm(psi)
+        basis = householder_basis(psi)
+        ref = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for i in range(dim):
+            col = np.kron(psi, basis[:, i])
+            ref += np.outer(col, col.conj())
+        assert np.abs(pure_state_projector(psi) - ref).max() <= 1e-14
 
 
 class TestReconstructor:
