@@ -193,7 +193,7 @@ def _pairing_residual(d, x_op, samples: int, seed: int) -> float:
     drawn p, q alternately; each side is one batched evaluation."""
     dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 17]))
-    pq = sample_projections(dim, 2 * max(samples, 1), rng)
+    pq = sample_projections(dim, 2 * samples, rng)
     p, q = pq[0::2], pq[1::2]
     return float(np.max(np.abs(d.pair_values(p, q) - kron_trace_batch(p, q, x_op))))
 
@@ -219,9 +219,7 @@ def _random_tensor_sums(dim: int, count: int, rng):
 
 def _max_sum_residual(values, ref, starts) -> float:
     """``max_k |sum_m values_m - sum_m ref_m|`` over the terms m of each
-    tensor sum k (0 for no sums)."""
-    if len(starts) == 0:
-        return 0.0
+    tensor sum k (at least one sum)."""
     return float(np.max(np.abs(np.add.reduceat(values, starts) - np.add.reduceat(ref, starts))))
 
 
@@ -295,7 +293,7 @@ def _cmd_decompose(scenario: Scenario, args) -> ResultRecord:
     except GramHermiticityError as exc:
         return _result("decompose", scenario, seed, [{"error": str(exc)}], "violation")
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 23]))
-    a, b, starts = _random_tensor_sums(d.dim, max(samples, 1), rng)
+    a, b, starts = _random_tensor_sums(d.dim, samples, rng)
     worst = _max_sum_residual(dec.term_values(a, b), d.pair_values(a, b), starts)
     tol = _tol(args, scenario, "pairing")
     rec = {
@@ -462,7 +460,13 @@ def _seed(scenario: Scenario, args) -> int:
 
 
 def _samples(args, command: str) -> int:
-    return int(args.samples) if args.samples is not None else _DEFAULT_SAMPLES[command]
+    """The sample count of a sampling command: ``--samples`` if given (at
+    least 1), else the command's default."""
+    if args.samples is None:
+        return _DEFAULT_SAMPLES[command]
+    if args.samples < 1:
+        raise ScenarioError(f"--samples: must be >= 1, got {args.samples}")
+    return int(args.samples)
 
 
 def _tol(args, scenario: Scenario, key: str) -> float:

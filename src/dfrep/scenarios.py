@@ -61,6 +61,12 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _is_number(v, types=(int, float)) -> bool:
+    """A JSON number of the given Python types; never a ``bool``, which
+    Python counts as an ``int``."""
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
 def _complex_array(node, path: str, shape) -> np.ndarray:
     if not isinstance(node, dict) or "re" not in node:
         raise ScenarioError(f"{path}: expected an object with 're' (and optional 'im') arrays")
@@ -176,18 +182,19 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("document: expected a JSON object")
 
     dim = doc.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_number(dim, int) or dim < 1:
         raise ScenarioError("dimension: expected a positive integer")
     if dim > MAX_DIM:
         raise ScenarioError(f"dimension: {dim} exceeds the dense limit {MAX_DIM}")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_number(seed, int) or seed < 0:
         raise ScenarioError("seed: expected a non-negative integer")
     tol = doc.get("tolerances", {})
-    if not isinstance(tol, dict) or not all(
-        isinstance(v, (int, float)) for v in tol.values()
-    ):
+    if not isinstance(tol, dict):
         raise ScenarioError("tolerances: expected an object of numbers")
+    for key, v in tol.items():
+        if not _is_number(v):
+            raise ScenarioError(f"tolerances.{key}: expected a number")
 
     fn = doc.get("functional")
     if not isinstance(fn, dict):
@@ -234,10 +241,11 @@ def parse_scenario(text: str) -> Scenario:
         ):
             raise ScenarioError("functional.hamiltonian: hermiticity violated")
         times = fn.get("times")
-        if not isinstance(times, list) or not all(
-            isinstance(t, (int, float)) for t in times
-        ):
+        if not isinstance(times, list):
             raise ScenarioError("functional.times: expected a list of numbers")
+        for k, t in enumerate(times):
+            if not _is_number(t):
+                raise ScenarioError(f"functional.times[{k}]: expected a number")
         schedules_node = fn.get("schedules")
         if not isinstance(schedules_node, list) or len(schedules_node) != len(times):
             raise ScenarioError(

@@ -36,6 +36,7 @@ trace-pairing representative grows linearly with the dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -324,9 +325,11 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
     ``(4, 1, 1, 1, dim)`` (the four ``a + i^k a'``) and ``beta`` has shape
     ``(1, dim, dim, 4, dim)`` (every ``b + i^l b'``), and it must return
     values that broadcast to ``(4, dim, dim, 4)``; a scalar return, as from
-    ``lambda a, b: 0.0``, broadcasts.  The zero oracle reconstructs the zero
-    operator; for inputs that are not genuine product diagonals the output
-    is unspecified (garbage in, garbage out).
+    ``lambda a, b: 0.0``, broadcasts.  That is d^2 oracle calls of 16 d^2
+    values each; with :func:`product_diagonal_of`, which realigns M once,
+    the whole reconstruction costs O(d^6).  The zero oracle reconstructs
+    the zero operator; for inputs that are not genuine product diagonals
+    the output is unspecified (garbage in, garbage out).
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -350,23 +353,34 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
 
 def product_diagonal_of(m) -> "callable":
     """Diagonal oracle ``f(alpha, beta) = <M(alpha (x) beta), alpha (x) beta>``
-    of a dense operator, for feeding the reconstructor.
+    of a dense ``(d^2, d^2)`` operator, for feeding the reconstructor.
 
     ``alpha`` and ``beta`` are broadcastable ``(..., d)`` stacks of vectors;
     the result has their broadcast batch shape, and is a complex scalar for
-    two single vectors.
+    two single vectors.  M is realigned once, here, so that
+    ``f = vec(|alpha><alpha|) Mr vec(|beta><beta|)^T``: one
+    ``(..., d^2) x (d^2, d^2)`` product per left stack and one length-d^2
+    contraction per value, never a Kronecker vector.  The d^2 calls of
+    :func:`reconstruct_from_product_diagonal` then cost O(d^6) in all.
     """
     mm = np.asarray(m, dtype=complex)
+    dim = math.isqrt(mm.shape[0]) if mm.ndim else 0
+    if dim < 1 or mm.shape != (dim * dim, dim * dim):
+        raise ValueError(f"m must have shape (d^2, d^2) for an integer d, got {mm.shape}")
+    mr = pairing_realignment(mm, dim, dim)
 
     def f(alpha, beta):
-        a = np.asarray(alpha, dtype=complex)
-        b = np.asarray(beta, dtype=complex)
-        prod = a[..., :, None] * b[..., None, :]
-        vec = prod.reshape(prod.shape[:-2] + (-1,))
-        vals = np.sum(vec.conj() * (vec @ mm.T), axis=-1)
+        vals = np.einsum("...r,...r->...", _vec_projectors(alpha) @ mr, _vec_projectors(beta))
         return complex(vals) if vals.ndim == 0 else vals
 
     return f
+
+
+def _vec_projectors(v) -> np.ndarray:
+    """Row-major ``vec(|v><v|)`` of each vector of a ``(..., d)`` stack,
+    as a ``(..., d^2)`` stack."""
+    v = np.asarray(v, dtype=complex)
+    return (v[..., :, None] * v[..., None, :].conj()).reshape(v.shape[:-1] + (-1,))
 
 
 def evaluate_double_sum(m, p: Projection, q: Projection, block_rank: int) -> complex:

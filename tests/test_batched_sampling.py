@@ -40,10 +40,12 @@ from dfrep.linalg import (
     haar_unitary,
     kron_trace,
     kron_trace_table,
+    pairing_realignment,
     sample_projections,
     spectral_projections,
 )
 from dfrep.probes import _sample_tensor_vectors
+from dfrep import tracial
 from dfrep.tracial import product_diagonal_of
 from conftest import random_density, random_valid_pairing_operator
 from test_batched_pairing import _cmats, _random_backends
@@ -447,11 +449,21 @@ class TestRefinedBilinear:
 
 
 class TestReconstructor:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_matches_scalar_reconstructor(self, dim, rng):
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matches_scalar_reconstructor(self, dim, rng, monkeypatch):
         n = dim * dim
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        out = reconstruct_from_product_diagonal(product_diagonal_of(m), dim)
+        realigned = []
+
+        def spy(*args):
+            realigned.append(args[1:])
+            return pairing_realignment(*args)
+
+        monkeypatch.setattr(tracial, "pairing_realignment", spy)
+        f = product_diagonal_of(m)
+        assert realigned == [(dim, dim)]
+        out = reconstruct_from_product_diagonal(f, dim)
+        assert realigned == [(dim, dim)]  # none inside the d^2 oracle calls
         ref = _scalar_reconstruct(_scalar_product_diagonal_of(m), dim)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(out - m).max() <= 1e-12 * np.abs(m).max()
@@ -462,6 +474,11 @@ class TestReconstructor:
         assert out.shape == (dim * dim, dim * dim)
         assert np.array_equal(out, _scalar_reconstruct(lambda a, b: 0.0, dim))
         assert not out.any()
+
+    @pytest.mark.parametrize("shape", [(5, 5), (9, 8)])
+    def test_oracle_rejects_non_pair_operator(self, shape):
+        with pytest.raises(ValueError, match=r"\(d\^2, d\^2\)"):
+            product_diagonal_of(np.zeros(shape))
 
     def test_oracle_broadcasts_and_keeps_scalar_calls(self, rng):
         m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))

@@ -187,10 +187,21 @@ class TestBasicRuns:
             capsys, "sweep", "--scenario", paths["ps3"], "--dims", "4,nope"
         )
         assert code == 2 and "--dims" in err
-        code, _, _ = run_cli(
-            capsys, "check-axioms", "--scenario", paths["ps3"], "--samples", "0"
-        )
-        assert code == 2
+        for command, key in SAMPLING_COMMANDS.items():
+            for samples in ("0", "-3"):
+                code, out, err = run_cli(
+                    capsys, command, "--scenario", paths[key], "--samples", samples
+                )
+                assert (code, out) == (2, ""), (command, samples)
+                assert "--samples" in err, (command, samples)
+
+    def test_boolean_scenario_field_exit_two(self, capsys, tmp_path):
+        doc = json.loads(pure_state_scenario_text(dim=3))
+        doc["dimension"] = True
+        path = _write(tmp_path, "bool.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, "check-axioms", "--scenario", path)
+        assert (code, out) == (2, "")
+        assert "dimension" in err
 
     def test_missing_file_exit_two(self, capsys):
         assert run_cli(capsys, "check-axioms", "--scenario", "/nonexistent.json")[0] == 2
@@ -247,6 +258,17 @@ class TestBasicRuns:
         assert code == 1
         assert json.loads(out)["verdict"] == "violation"
 
+
+# every command that reads --samples -> a scenario it accepts
+SAMPLING_COMMANDS = {
+    "check-axioms": "ps3",
+    "extract-ils": "op3",
+    "verify-conditions": "op3",
+    "decompose": "ps3",
+    "tracial": "op3",
+    "sweep": "ps3",
+    "demo-pure-state": "ps3",
+}
 
 # command -> (fixture key, expected exit code) for each scenario class
 EXIT_MATRIX = {

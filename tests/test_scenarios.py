@@ -105,6 +105,23 @@ class TestParse:
         with pytest.raises(ScenarioError, match="dimension"):
             parse_scenario(json.dumps({"dimension": 0, "functional": {}}))
 
+    @pytest.mark.parametrize(
+        "field",
+        ["dimension", "seed", "tolerances.axioms", "functional.times[0]"],
+    )
+    def test_boolean_scalar_names_field(self, field):
+        # JSON true is a Python int; it must not pass for a number.
+        doc = json.loads(class_operator_scenario_text(dim=3))
+        if field == "tolerances.axioms":
+            doc["tolerances"] = {"axioms": True}
+        elif field == "functional.times[0]":
+            doc["functional"]["times"] = [True]
+        else:
+            doc[field] = True
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(doc))
+        assert str(err.value).startswith(field + ":")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
