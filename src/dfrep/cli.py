@@ -74,6 +74,7 @@ COMMANDS = (
     "reconstruct",
 )
 
+# The commands that take --samples, with their defaults.
 _DEFAULT_SAMPLES = {
     "check-axioms": 200,
     "extract-ils": 100,
@@ -82,8 +83,6 @@ _DEFAULT_SAMPLES = {
     "tracial": 200,
     "sweep": 1000,
     "demo-pure-state": 100,
-    "consistency": 0,
-    "reconstruct": 0,
 }
 
 SWEEP_CSV_HEADER = "dim,trace_norm,sup_beta_rank_one,elapsed_ms"
@@ -223,11 +222,10 @@ def _max_sum_residual(values, ref, starts) -> float:
     return float(np.max(np.abs(np.add.reduceat(values, starts) - np.add.reduceat(ref, starts))))
 
 
-def _cmd_check_axioms(scenario: Scenario, args) -> ResultRecord:
+def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    seed = _seed(scenario, args)
     tol = _tol(args, scenario, "axioms")
-    report = check_axioms(d, samples=_samples(args, "check-axioms"), seed=seed, tol=tol)
+    report = check_axioms(d, samples=args.samples, seed=seed, tol=tol)
     rec = {
         "hermiticity_residual": report.hermiticity_residual,
         "positivity_min": report.positivity_min,
@@ -241,13 +239,12 @@ def _cmd_check_axioms(scenario: Scenario, args) -> ResultRecord:
     return _result("check-axioms", scenario, seed, [rec], "pass" if report.passed else "violation")
 
 
-def _cmd_extract_ils(scenario: Scenario, args) -> ResultRecord:
+def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    seed = _seed(scenario, args)
-    samples = _samples(args, "extract-ils")
-    x = extract_ils(d, samples=samples, seed=seed)
-    conds = verify_ils_conditions(x, samples=samples, seed=seed, tol=_tol(args, scenario, "conditions"))
-    pairing = _pairing_residual(d, x.x_op, samples, seed)
+    x = extract_ils(d, samples=args.samples, seed=seed)
+    tol = _tol(args, scenario, "conditions")
+    conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
+    pairing = _pairing_residual(d, x.x_op, args.samples, seed)
     tol_pair = _tol(args, scenario, "pairing")
     ok = conds.passed and pairing <= tol_pair
     rec = {
@@ -257,25 +254,24 @@ def _cmd_extract_ils(scenario: Scenario, args) -> ResultRecord:
         "positivity_min_sampled": x.positivity_min_sampled,
         "pairing_residual": pairing,
         "pairing_tolerance": tol_pair,
-        "samples": samples,
+        "samples": args.samples,
     }
     rec.update({f"{k}_ok": v for k, v in conds.verdicts().items()})
     return _result("extract-ils", scenario, seed, [rec], "pass" if ok else "violation")
 
 
-def _cmd_verify_conditions(scenario: Scenario, args) -> ResultRecord:
-    seed = _seed(scenario, args)
-    samples = _samples(args, "verify-conditions")
+def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
     if scenario.kind == "operator":
-        x = ils_operator_from_matrix(scenario.payload["matrix"], samples=samples, seed=seed)
+        x = ils_operator_from_matrix(scenario.payload["matrix"], samples=args.samples, seed=seed)
     else:
-        x = extract_ils(scenario.build(), samples=samples, seed=seed)
-    conds = verify_ils_conditions(x, samples=samples, seed=seed, tol=_tol(args, scenario, "conditions"))
+        x = extract_ils(scenario.build(), samples=args.samples, seed=seed)
+    tol = _tol(args, scenario, "conditions")
+    conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
     rec = {
         "swap_adjoint_residual": conds.swap_adjoint_residual,
         "positivity_min": conds.positivity_min,
         "normalization_residual": conds.normalization_residual,
-        "samples": samples,
+        "samples": args.samples,
         "tolerance": conds.tol,
     }
     rec.update({f"{k}_ok": v for k, v in conds.verdicts().items()})
@@ -284,16 +280,14 @@ def _cmd_verify_conditions(scenario: Scenario, args) -> ResultRecord:
     )
 
 
-def _cmd_decompose(scenario: Scenario, args) -> ResultRecord:
+def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    seed = _seed(scenario, args)
-    samples = _samples(args, "decompose")
     try:
         dec = hermitian_form_decomposition(d, d.dim)
     except GramHermiticityError as exc:
         return _result("decompose", scenario, seed, [{"error": str(exc)}], "violation")
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 23]))
-    a, b, starts = _random_tensor_sums(d.dim, samples, rng)
+    a, b, starts = _random_tensor_sums(d.dim, args.samples, rng)
     worst = _max_sum_residual(dec.term_values(a, b), d.pair_values(a, b), starts)
     tol = _tol(args, scenario, "pairing")
     rec = {
@@ -303,27 +297,24 @@ def _cmd_decompose(scenario: Scenario, args) -> ResultRecord:
         "signature_min": min(dec.signature) if dec.signature else 0.0,
         "beta_residual": worst,
         "tolerance": tol,
-        "samples": samples,
+        "samples": args.samples,
     }
     return _result(
         "decompose", scenario, seed, [rec], "pass" if worst <= tol else "violation"
     )
 
 
-def _cmd_tracial(scenario: Scenario, args) -> ResultRecord:
+def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    seed = _seed(scenario, args)
-    samples = _samples(args, "tracial")
     try:
         top = build_tracial_operator(d, d.dim)
     except GramHermiticityError as exc:
         return _result("tracial", scenario, seed, [{"error": str(exc)}], "violation")
-    pairing = _pairing_residual(d, top.m_op, samples, seed)
+    pairing = _pairing_residual(d, top.m_op, args.samples, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 29]))
     block_ranks = sorted({1, 2 if d.dim >= 2 else 1, d.dim})
-    requested = args.block_rank
-    if requested is not None and requested not in block_ranks:
-        block_ranks.append(int(requested))
+    if args.block_rank is not None and args.block_rank not in block_ranks:
+        block_ranks.append(args.block_rank)
     pairs = [
         (
             random_projection(d.dim, int(rng.integers(1, d.dim + 1)), rng),
@@ -345,24 +336,19 @@ def _cmd_tracial(scenario: Scenario, args) -> ResultRecord:
         "x_family_size": top.family_sizes[0],
         "y_family_size": top.family_sizes[1],
         "tolerance": tol,
-        "samples": samples,
+        "samples": args.samples,
     }
     ok = pairing <= tol and double_res <= 1e-10
     return _result("tracial", scenario, seed, [rec], "pass" if ok else "violation")
 
 
-def _cmd_sweep(scenario: Scenario, args) -> ResultRecord:
-    seed = _seed(scenario, args)
-    try:
-        dims = [int(x) for x in (args.dims or "3,4,5,6").split(",") if x.strip()]
-    except ValueError:
-        raise ScenarioError("--dims: expected a comma list of integers") from None
-    if dims and dims[0] < scenario.dimension:
+def _cmd_sweep(scenario: Scenario, args, seed: int) -> ResultRecord:
+    if args.dims and args.dims[0] < scenario.dimension:
         raise ScenarioError(
             f"--dims: sweep dimensions must be >= the scenario dimension {scenario.dimension}"
         )
     report = tensor_bound_probe(
-        scenario.functional_at, dims, samples=_samples(args, "sweep"), seed=seed
+        scenario.functional_at, args.dims, samples=args.samples, seed=seed
     )
     result = _result("sweep", scenario, seed, report.records(), report.verdict)
     result.extras["growth_slope"] = report.growth_slope
@@ -370,18 +356,17 @@ def _cmd_sweep(scenario: Scenario, args) -> ResultRecord:
     return result
 
 
-def _cmd_demo_pure_state(scenario: Scenario, args) -> ResultRecord:
+def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
     if scenario.kind != "pure_state":
         raise ScenarioError("demo-pure-state requires a pure_state scenario")
     d = scenario.build()
-    seed = _seed(scenario, args)
     psi = scenario.payload["amplitudes"]
     m = pure_state_m(psi, verify=False)
     dim = scenario.dimension
     # (PU)(PU)^dag must reproduce P.
     adjoint_residual = float(np.linalg.norm(m @ m.conj().T - pure_state_projector(psi)))
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 31]))
-    a, b, starts = _random_tensor_sums(dim, _samples(args, "demo-pure-state"), rng)
+    a, b, starts = _random_tensor_sums(dim, args.samples, rng)
     beta_res = _max_sum_residual(kron_trace_batch(a, b, m), d.pair_values(a, b), starts)
     tol_beta = args.tolerance if args.tolerance is not None else 1e-9
     wm = swap_left(m, dim)  # W P U = I (x) |psi><psi|, PSD of rank dim; W is unitary
@@ -401,12 +386,11 @@ def _cmd_demo_pure_state(scenario: Scenario, args) -> ResultRecord:
     return _result("demo-pure-state", scenario, seed, [rec], "pass" if ok else "violation")
 
 
-def _cmd_consistency(scenario: Scenario, args) -> ResultRecord:
+def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    seed = _seed(scenario, args)
     dim = scenario.dimension
     if scenario.kind == "class_operator":
-        family = [Projection.from_matrix(p) for p in scenario.payload["schedules"][0]]
+        family = list(d.model.schedules[0])
     else:
         family = [
             Projection(np.diag((np.arange(dim) == i).astype(complex)), 1)
@@ -427,9 +411,8 @@ def _cmd_consistency(scenario: Scenario, args) -> ResultRecord:
     )
 
 
-def _cmd_reconstruct(scenario: Scenario, args) -> ResultRecord:
+def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    seed = _seed(scenario, args)
     top = build_tracial_operator(d, d.dim)
     recon = reconstruct_from_product_diagonal(product_diagonal_of(top.m_op), d.dim)
     resid = float(
@@ -455,24 +438,8 @@ _HANDLERS = {
 }
 
 
-def _seed(scenario: Scenario, args) -> int:
-    return int(args.seed) if args.seed is not None else scenario.seed
-
-
-def _samples(args, command: str) -> int:
-    """The sample count of a sampling command: ``--samples`` if given (at
-    least 1), else the command's default."""
-    if args.samples is None:
-        return _DEFAULT_SAMPLES[command]
-    if args.samples < 1:
-        raise ScenarioError(f"--samples: must be >= 1, got {args.samples}")
-    return int(args.samples)
-
-
 def _tol(args, scenario: Scenario, key: str) -> float:
-    if args.tolerance is not None:
-        return float(args.tolerance)
-    return scenario.tolerance(key)
+    return args.tolerance if args.tolerance is not None else scenario.tolerance(key)
 
 
 def _result(command, scenario, seed, records, verdict) -> ResultRecord:
@@ -490,7 +457,8 @@ def run_command(command: str, scenario: Scenario, args) -> ResultRecord:
     if command not in _HANDLERS:
         raise ScenarioError(f"unknown command {command!r}")
     t0 = time.perf_counter()
-    record = _HANDLERS[command](scenario, args)
+    seed = args.seed if args.seed is not None else scenario.seed
+    record = _HANDLERS[command](scenario, args, seed)
     record.timings_ms["total"] = (time.perf_counter() - t0) * 1e3
     return record
 
@@ -499,7 +467,29 @@ def run_command(command: str, scenario: Scenario, args) -> ResultRecord:
 # Argument parsing and entry point.
 
 
+def _flag_type(convert, expected: str, accept=lambda value: True):
+    """An argparse ``type=``: a value that ``convert`` or ``accept`` refuses exits 2."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_SEED = _flag_type(int, "an integer >= 0", lambda v: v >= 0)
+_POSITIVE = _flag_type(int, "an integer >= 1", lambda v: v >= 1)
+_TOLERANCE = _flag_type(float, "a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+_DIMS = _flag_type(lambda t: [int(x) for x in t.split(",") if x.strip()], "a comma list of integers")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command, with only the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="dfrep",
         description="Finite-truncation analyses of decoherence functionals.",
@@ -509,15 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="write results to this path")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--samples", type=int, default=None, help="sample count override")
-        p.add_argument("--tolerance", type=float, default=None, help="pass threshold override")
-        p.add_argument("--block-rank", dest="block_rank", type=int, default=None)
+        p.add_argument("--seed", type=_SEED, default=None, help="override the scenario seed")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+        if name in _DEFAULT_SAMPLES:
+            p.add_argument("--samples", type=_POSITIVE, default=_DEFAULT_SAMPLES[name])
         if name == "sweep":
-            p.add_argument("--dims", default=None, help="comma list of sweep dimensions")
+            p.add_argument("--dims", type=_DIMS, default="3,4,5,6", help="sweep dimensions")
         else:
-            p.set_defaults(dims=None)
+            p.add_argument("--tolerance", type=_TOLERANCE, default=None, help="pass threshold override")
+        if name == "tracial":
+            p.add_argument("--block-rank", dest="block_rank", type=_POSITIVE, default=None)
     return parser
 
 
@@ -551,8 +542,8 @@ def main(argv=None) -> int:
         scenario = parse_scenario(text)
         record = run_command(args.command, scenario, args)
     except ValueError as exc:
-        # ScenarioError, DimensionExclusionError, DimensionLimitError, and
-        # flag validation (bad --dims/--samples) are all input errors.
+        # ScenarioError, DimensionExclusionError and DimensionLimitError
+        # are all input errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -36,6 +36,7 @@ from .linalg import (
     ginibre,
     haar_from_ginibre,
     haar_unitary,
+    hermiticity_residual,
     kron_trace,
     kron_trace_batch,
     kron_trace_rank_one,
@@ -47,9 +48,10 @@ from .linalg import (
     rank_one_vectors,
     sample_projections,
     spectral_projections,
+    unit_vector,
 )
 
-# A Gram matrix is rejected when ||G - G^dag||_F > this * max(1, ||G||_F).
+# A Gram matrix is rejected when its hermiticity_residual exceeds this.
 GRAM_HERMITICITY_REL = 1e-8
 
 
@@ -211,13 +213,9 @@ class PureStateFunctional(DecoherenceFunctional):
     sweep.
     """
 
-    def __init__(self, psi, tol: float = 1e-8):
-        v = np.asarray(psi, dtype=complex).reshape(-1)
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > tol:
-            raise ValueError(f"psi must be a unit vector, got norm {nrm:.6g}")
-        self.psi = v
-        self.dim = v.size
+    def __init__(self, psi):
+        self.psi = unit_vector(psi, "psi")
+        self.dim = self.psi.size
 
     def bilinear(self, x, y) -> complex:
         xv = mat(x) @ self.psi
@@ -267,8 +265,7 @@ class FormBackedFunctional(DecoherenceFunctional):
         dim = int(round(np.sqrt(g.shape[0])))
         if dim * dim != g.shape[0]:
             raise ValueError(f"gram side {g.shape[0]} is not a perfect square")
-        scale = max(1.0, float(np.linalg.norm(g)))
-        if np.linalg.norm(g - g.conj().T) > GRAM_HERMITICITY_REL * scale:
+        if hermiticity_residual(g) > GRAM_HERMITICITY_REL:
             raise ValueError("gram matrix must be Hermitian")
         self.gram = g
         self.dim = dim

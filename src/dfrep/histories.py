@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import DecoherenceFunctional, _overlap_table, _rows, _transposed_rows
-from .linalg import Projection, as_matrix, mat, rank_one_rows, rank_one_vectors, trace_pair
+from .linalg import Projection, as_matrix, hermiticity_residual, mat, rank_one_rows, rank_one_vectors
 
+# Model invariants hold to this tolerance: relative for the Hermiticity of rho
+# and H; absolute for min eig rho, tr rho and ||p_i p_j||_F; x dim for ||sum p - 1||_F.
 _MODEL_TOL = 1e-9
 
 
@@ -49,9 +51,11 @@ class ClassOperatorModel:
     histories.
 
     Invariants: rho is positive semidefinite with unit trace; the
-    Hamiltonian is Hermitian; times are ascending with one schedule each;
-    every schedule is a family of pairwise orthogonal projections summing
-    to the identity.
+    Hamiltonian is Hermitian; times are non-negative (rho is prepared at
+    t = 0) and strictly ascending, with one schedule each; every schedule
+    is a family of pairwise orthogonal projections summing to the identity.
+    A rejection message starts with the argument it rejects (``rho:``,
+    ``times[k]:``, ``schedules[k][j]:`` ...), for callers to prefix a path.
 
     Construction also diagonalises the Hermitian part of the Hamiltonian
     once, ``(H + H^dag)/2 = V diag(energies) V^dag``.  ``energies`` and
@@ -68,45 +72,45 @@ class ClassOperatorModel:
     def __post_init__(self):
         rho = as_matrix(self.rho, "rho")
         ham = as_matrix(self.hamiltonian, "hamiltonian")
-        if rho.shape[0] != self.dim or ham.shape[0] != self.dim:
-            raise ValueError("rho/hamiltonian dimension mismatch with model dim")
-        if np.linalg.norm(rho - rho.conj().T) > _MODEL_TOL * max(
-            1.0, float(np.linalg.norm(rho))
-        ):
-            raise ValueError("rho must be Hermitian")
+        for name, m in (("rho", rho), ("hamiltonian", ham)):
+            if m.shape[0] != self.dim:
+                raise ValueError(f"{name}: dimension {m.shape[0]} does not match model dim {self.dim}")
+            if hermiticity_residual(m) > _MODEL_TOL:
+                raise ValueError(f"{name}: must be Hermitian")
         evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
         if evals.min() < -_MODEL_TOL:
-            raise ValueError(f"rho must be positive semidefinite (min eig {evals.min():.3g})")
+            raise ValueError(f"rho: must be positive semidefinite (min eig {evals.min():.3g})")
         if abs(np.trace(rho) - 1.0) > _MODEL_TOL:
-            raise ValueError(f"rho must have unit trace (got {np.trace(rho).real:.6g})")
-        if np.linalg.norm(ham - ham.conj().T) > _MODEL_TOL * max(
-            1.0, float(np.linalg.norm(ham))
-        ):
-            raise ValueError("hamiltonian must be Hermitian")
+            raise ValueError(f"rho: must have unit trace (got {np.trace(rho).real:.6g})")
         energies, eigenbasis = np.linalg.eigh((ham + ham.conj().T) / 2)
         energies.flags.writeable = False
         eigenbasis.flags.writeable = False
         times = tuple(float(t) for t in self.times)
+        for k, t in enumerate(times):
+            if not t >= 0.0:
+                raise ValueError(f"times[{k}]: must be non-negative (got {t:g})")
         if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("times must be strictly ascending")
+            raise ValueError("times: must be strictly ascending")
         if len(times) != len(self.schedules):
-            raise ValueError("need exactly one schedule per time")
+            raise ValueError(f"schedules: need one per time, got {len(self.schedules)}")
         schedules = []
         for k, sched in enumerate(self.schedules):
-            projs = tuple(
-                p if isinstance(p, Projection) else Projection.from_matrix(p)
-                for p in sched
-            )
+            projs = []
+            for j, p in enumerate(sched):
+                try:
+                    projs.append(p if isinstance(p, Projection) else Projection.from_matrix(p))
+                except ValueError as exc:
+                    raise ValueError(f"schedules[{k}][{j}]: {exc}") from None
             if not projs:
-                raise ValueError(f"schedule {k} is empty")
+                raise ValueError(f"schedules[{k}]: is empty")
             total = sum(p.matrix for p in projs)
             if np.linalg.norm(total - np.eye(self.dim)) > _MODEL_TOL * self.dim:
-                raise ValueError(f"schedule {k} does not sum to the identity")
+                raise ValueError(f"schedules[{k}]: projections do not sum to the identity")
             for i in range(len(projs)):
                 for j in range(i + 1, len(projs)):
                     if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > _MODEL_TOL:
-                        raise ValueError(f"schedule {k} is not pairwise orthogonal")
-            schedules.append(projs)
+                        raise ValueError(f"schedules[{k}]: projections {i} and {j} are not orthogonal")
+            schedules.append(tuple(projs))
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "hamiltonian", ham)
         object.__setattr__(self, "times", times)

@@ -24,6 +24,9 @@ MAX_DIM_PAIR = 4096
 # are merged into a single spectral projection.
 EIG_MERGE_REL = 1e-8
 
+# A unit vector may miss norm 1 by at most this much (absolute).
+UNIT_NORM_TOL = 1e-8
+
 
 class DimensionLimitError(ValueError):
     """Requested operator exceeds the dense desk-scale dimension limits."""
@@ -48,6 +51,22 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
     return m
+
+
+def unit_vector(v, name: str = "vector") -> np.ndarray:
+    """:func:`as_vector` for a vector whose norm is 1 within
+    :data:`UNIT_NORM_TOL`."""
+    m = as_vector(v, name)
+    nrm = float(np.linalg.norm(m))
+    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"{name} must be a unit vector, got norm {nrm:.6g}")
+    return m
+
+
+def hermiticity_residual(a: np.ndarray) -> float:
+    """``||a - a^dag||_F / max(1, ||a||_F)``: the relative residual that
+    every Hermiticity check compares with its tolerance."""
+    return float(np.linalg.norm(a - a.conj().T)) / max(1.0, float(np.linalg.norm(a)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,17 +361,16 @@ def kron_trace_rank_one(left, right, x4) -> np.ndarray:
     return table
 
 
-def spectral_projections(h, tol: float = TOL_PROJ):
-    """Spectral decomposition of a Hermitian matrix into (eigenvalue,
-    Projection) pairs with ascending eigenvalues.
+def spectral_projections(h):
+    """Spectral decomposition of a Hermitian matrix (within ``TOL_PROJ``,
+    relative) into (eigenvalue, Projection) pairs with ascending eigenvalues.
 
     Eigenvalues with gaps below ``EIG_MERGE_REL * ||h||`` are merged into a
     single projection, so degenerate eigenspaces come out as one block and
     the output is stable under unitary noise in the eigenvector basis.
     """
     hm = as_matrix(h, "hermitian matrix")
-    scale = max(1.0, float(np.linalg.norm(hm)))
-    if np.linalg.norm(hm - hm.conj().T) > tol * scale:
+    if hermiticity_residual(hm) > TOL_PROJ:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(hm)
     spectral_scale = max(float(np.max(np.abs(w))), 1e-300)
@@ -538,12 +556,9 @@ def swap_left(a, dim: int) -> np.ndarray:
     return am.reshape(dim, dim, -1).transpose(1, 0, 2).reshape(am.shape)
 
 
-def rank_one_proj(xi, tol: float = TOL_PROJ) -> Projection:
+def rank_one_proj(xi) -> Projection:
     """Projection onto the span of a unit vector."""
-    v = as_vector(xi, "xi")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"xi must be a unit vector, got norm {nrm:.6g}")
+    v = unit_vector(xi, "xi")
     return Projection(np.outer(v, v.conj()), 1)
 
 

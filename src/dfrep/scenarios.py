@@ -1,5 +1,4 @@
-"""Scenario files: parsing, validation, serialization, and functional
-construction.
+"""Scenario files: parsing, serialization, and functional construction.
 
 Scenarios are JSON objects with explicit real/imaginary arrays (no complex
 literal syntax), so they stay portable:
@@ -24,15 +23,21 @@ Functional types and their payloads:
                         ``schedules`` (per time, a list of projection
                         matrices resolving the identity).
 
-Validation failures name the offending field by path.  Scenarios embed into
-larger dimensions (zero-padding; a class-operator schedule absorbs the
-complement into its last projection) so one file can drive a sweep.
+The parser checks structure, types, shapes, finiteness and the dimension
+bounds; every semantic invariant (unit norm, Hermiticity, positivity, unit
+trace, ascending times, schedules resolving the identity) is checked once,
+by the constructor that owns it, and the parser prefixes its message with
+the field path.  Scenarios embed into larger dimensions (zero-padding; a
+class-operator schedule absorbs the complement into its last projection)
+so one file can drive a sweep.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,14 +49,22 @@ from .functionals import (
     PureStateFunctional,
 )
 from .histories import ClassOperatorModel, standard_df
-from .linalg import MAX_DIM, Projection
+from .linalg import MAX_DIM
 
 
 class ScenarioError(ValueError):
     """Invalid scenario text; the message names the offending field."""
 
 
-KINDS = ("operator", "pure_state", "form", "class_operator")
+# The payload fields of each functional type, besides ``type``.
+_FIELDS = {
+    "operator": ("matrix",),
+    "pure_state": ("amplitudes",),
+    "form": ("gram",),
+    "class_operator": ("rho", "hamiltonian", "times", "schedules"),
+}
+
+KINDS = tuple(_FIELDS)
 
 DEFAULT_TOLERANCES = {
     "axioms": 1e-8,
@@ -67,28 +80,50 @@ def _is_number(v, types=(int, float)) -> bool:
     return isinstance(v, types) and not isinstance(v, bool)
 
 
+def _finite(v, path: str) -> float:
+    """A JSON number as a finite float."""
+    try:
+        if _is_number(v) and math.isfinite(v):
+            return float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        pass
+    raise ScenarioError(f"{path}: expected a finite number")
+
+
+def _list(node, path: str, what: str) -> list:
+    if not isinstance(node, list):
+        raise ScenarioError(f"{path}: expected a list of {what}")
+    return node
+
+
+def _reject_unknown(node: dict, known, path: str) -> None:
+    unknown = sorted(set(node) - set(known))
+    if unknown:
+        raise ScenarioError(f"{path}{unknown[0]}: unknown field (expected one of {', '.join(known)})")
+
+
+def _real_array(node, path: str, shape) -> np.ndarray:
+    try:
+        arr = np.asarray(node, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{path}: not a numeric array") from None
+    if arr.shape != shape:
+        raise ScenarioError(f"{path}: expected shape {shape}, got {arr.shape}")
+    # np.asarray also reads true and "1" as 1.0; only JSON numbers count.
+    entries = node if arr.ndim == 1 else itertools.chain.from_iterable(node)
+    if not set(map(type, entries)) <= {int, float}:
+        raise ScenarioError(f"{path}: expected numbers only")
+    if not np.isfinite(arr).all():
+        raise ScenarioError(f"{path}: non-finite entries")
+    return arr
+
+
 def _complex_array(node, path: str, shape) -> np.ndarray:
     if not isinstance(node, dict) or "re" not in node:
         raise ScenarioError(f"{path}: expected an object with 're' (and optional 'im') arrays")
-    try:
-        re = np.asarray(node["re"], dtype=float)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{path}.re: not a numeric array") from None
-    if "im" in node:
-        try:
-            im = np.asarray(node["im"], dtype=float)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"{path}.im: not a numeric array") from None
-        if im.shape != re.shape:
-            raise ScenarioError(f"{path}: re/im shapes differ ({re.shape} vs {im.shape})")
-    else:
-        im = np.zeros_like(re)
-    arr = re + 1j * im
-    if arr.shape != tuple(shape):
-        raise ScenarioError(f"{path}: expected shape {tuple(shape)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ScenarioError(f"{path}: non-finite entries")
-    return arr
+    _reject_unknown(node, ("re", "im"), path + ".")
+    re = _real_array(node["re"], path + ".re", shape)
+    return re + 1j * (_real_array(node["im"], path + ".im", shape) if "im" in node else 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,41 +155,32 @@ class Scenario:
         if dim > MAX_DIM:
             raise ScenarioError(f"dimension {dim} exceeds the dense limit {MAX_DIM}")
         if self.kind == "pure_state":
-            psi = np.zeros(dim, dtype=complex)
-            psi[:d0] = self.payload["amplitudes"]
-            return PureStateFunctional(psi)
+            return PureStateFunctional(_pad(self.payload["amplitudes"], dim))
         if self.kind == "operator":
-            x = _embed_pair_operator(self.payload["matrix"], d0, dim)
-            return OperatorBackedFunctional(x)
+            return OperatorBackedFunctional(_embed_pair_operator(self.payload["matrix"], d0, dim))
         if self.kind == "form":
-            g = _embed_pair_operator(self.payload["gram"], d0, dim)
-            return FormBackedFunctional(g)
+            return FormBackedFunctional(_embed_pair_operator(self.payload["gram"], d0, dim))
         if self.kind == "class_operator":
-            rho = np.zeros((dim, dim), dtype=complex)
-            rho[:d0, :d0] = self.payload["rho"]
-            ham = np.zeros((dim, dim), dtype=complex)
-            ham[:d0, :d0] = self.payload["hamiltonian"]
-            comp = np.zeros((dim, dim), dtype=complex)
-            comp[d0:, d0:] = np.eye(dim - d0)
-            schedules = []
-            for sched in self.payload["schedules"]:
-                embedded = []
-                for p in sched:
-                    pm = np.zeros((dim, dim), dtype=complex)
-                    pm[:d0, :d0] = p
-                    embedded.append(pm)
-                # keep the schedule a resolution of the identity
-                embedded[-1] = embedded[-1] + comp
-                schedules.append([Projection.from_matrix(pm) for pm in embedded])
+            schedules = [[_pad(p, dim) for p in sched] for sched in self.payload["schedules"]]
+            for sched in schedules:
+                if sched:  # keep the schedule a resolution of the identity
+                    sched[-1][d0:, d0:] = np.eye(dim - d0)
             model = ClassOperatorModel(
                 dim=dim,
-                rho=rho,
-                hamiltonian=ham,
+                rho=_pad(self.payload["rho"], dim),
+                hamiltonian=_pad(self.payload["hamiltonian"], dim),
                 times=self.payload["times"],
-                schedules=tuple(tuple(s) for s in schedules),
+                schedules=schedules,
             )
             return standard_df(model)
         raise ScenarioError(f"functional.type: unknown kind {self.kind!r}")
+
+
+def _pad(a: np.ndarray, dim: int) -> np.ndarray:
+    """Zero-pad a vector or square matrix to side ``dim``."""
+    out = np.zeros((dim,) * a.ndim, dtype=complex)
+    out[(slice(0, len(a)),) * a.ndim] = a
+    return out
 
 
 def _embed_pair_operator(x0: np.ndarray, d0: int, dim: int) -> np.ndarray:
@@ -167,19 +193,42 @@ def _embed_pair_operator(x0: np.ndarray, d0: int, dim: int) -> np.ndarray:
     return x4.reshape(dim * dim, dim * dim)
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text.
+def _payload(kind: str, fn: dict, dim: int) -> dict:
+    shapes = {"amplitudes": (dim,), "matrix": (dim * dim,) * 2, "gram": (dim * dim,) * 2}
+    shapes.update(rho=(dim, dim), hamiltonian=(dim, dim))
+    payload = {
+        name: _complex_array(fn.get(name), f"functional.{name}", shapes[name])
+        for name in _FIELDS[kind]
+        if name in shapes
+    }
+    if kind == "class_operator":
+        times = _list(fn.get("times"), "functional.times", "numbers")
+        payload["times"] = [_finite(t, f"functional.times[{k}]") for k, t in enumerate(times)]
+        payload["schedules"] = [
+            [
+                _complex_array(p, f"functional.schedules[{k}][{j}]", (dim, dim))
+                for j, p in enumerate(_list(sched, f"functional.schedules[{k}]", "projections"))
+            ]
+            for k, sched in enumerate(_list(fn.get("schedules"), "functional.schedules", "schedules"))
+        ]
+    return payload
 
-    Raises :class:`ScenarioError` with a field path for malformed syntax,
-    dimension inconsistencies, non-Hermitian or non-normalized states, and
-    non-unit pure-state vectors.
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse scenario text and build its functional once.
+
+    Raises :class:`ScenarioError` whose message starts with the field path.
+    A class-operator model's messages start with the argument it rejects
+    and get the prefix ``functional.``; the other constructors take a
+    single payload array, whose path is prefixed whole.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ScenarioError(f"syntax: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioError("document: expected a JSON object")
+    _reject_unknown(doc, ("dimension", "seed", "tolerances", "functional"), "")
 
     dim = doc.get("dimension")
     if not _is_number(dim, int) or dim < 1:
@@ -192,9 +241,10 @@ def parse_scenario(text: str) -> Scenario:
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ScenarioError("tolerances: expected an object of numbers")
+    _reject_unknown(tol, DEFAULT_TOLERANCES, "tolerances.")
     for key, v in tol.items():
-        if not _is_number(v):
-            raise ScenarioError(f"tolerances.{key}: expected a number")
+        if _finite(v, f"tolerances.{key}") < 0:
+            raise ScenarioError(f"tolerances.{key}: must be non-negative")
 
     fn = doc.get("functional")
     if not isinstance(fn, dict):
@@ -204,97 +254,21 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"functional.type: expected one of {', '.join(KINDS)}, got {kind!r}"
         )
-
-    payload: dict = {}
-    if kind == "pure_state":
-        amp = _complex_array(fn.get("amplitudes"), "functional.amplitudes", (dim,))
-        nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > 1e-8:
-            raise ScenarioError(
-                f"functional.amplitudes: norm must be 1 (got {nrm:.6g})"
-            )
-        payload["amplitudes"] = amp
-    elif kind == "operator":
-        payload["matrix"] = _complex_array(
-            fn.get("matrix"), "functional.matrix", (dim * dim, dim * dim)
-        )
-    elif kind == "form":
-        g = _complex_array(fn.get("gram"), "functional.gram", (dim * dim, dim * dim))
-        if np.linalg.norm(g - g.conj().T) > 1e-8 * max(1.0, float(np.linalg.norm(g))):
-            raise ScenarioError("functional.gram: hermiticity violated")
-        payload["gram"] = g
-    else:
-        rho = _complex_array(fn.get("rho"), "functional.rho", (dim, dim))
-        if np.linalg.norm(rho - rho.conj().T) > 1e-8 * max(
-            1.0, float(np.linalg.norm(rho))
-        ):
-            raise ScenarioError("functional.rho: hermiticity violated")
-        if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-9:
-            raise ScenarioError("functional.rho: not positive semidefinite")
-        if abs(np.trace(rho) - 1.0) > 1e-9:
-            raise ScenarioError(
-                f"functional.rho: trace must be 1 (got {np.trace(rho).real:.6g})"
-            )
-        ham = _complex_array(fn.get("hamiltonian"), "functional.hamiltonian", (dim, dim))
-        if np.linalg.norm(ham - ham.conj().T) > 1e-8 * max(
-            1.0, float(np.linalg.norm(ham))
-        ):
-            raise ScenarioError("functional.hamiltonian: hermiticity violated")
-        times = fn.get("times")
-        if not isinstance(times, list):
-            raise ScenarioError("functional.times: expected a list of numbers")
-        for k, t in enumerate(times):
-            if not _is_number(t):
-                raise ScenarioError(f"functional.times[{k}]: expected a number")
-        schedules_node = fn.get("schedules")
-        if not isinstance(schedules_node, list) or len(schedules_node) != len(times):
-            raise ScenarioError(
-                "functional.schedules: expected one schedule per time"
-            )
-        schedules = []
-        for k, sched in enumerate(schedules_node):
-            if not isinstance(sched, list) or not sched:
-                raise ScenarioError(
-                    f"functional.schedules[{k}]: expected a non-empty list"
-                )
-            mats = []
-            for j, node in enumerate(sched):
-                pm = _complex_array(
-                    node, f"functional.schedules[{k}][{j}]", (dim, dim)
-                )
-                try:
-                    Projection.from_matrix(pm)
-                except ValueError as exc:
-                    raise ScenarioError(
-                        f"functional.schedules[{k}][{j}]: {exc}"
-                    ) from None
-                mats.append(pm)
-            total = sum(mats)
-            if np.linalg.norm(total - np.eye(dim)) > 1e-9 * dim:
-                raise ScenarioError(
-                    f"functional.schedules[{k}]: projections do not sum to the identity"
-                )
-            schedules.append(mats)
-        payload.update(
-            rho=rho, hamiltonian=ham, times=[float(t) for t in times], schedules=schedules
-        )
+    _reject_unknown(fn, ("type", *_FIELDS[kind]), "functional.")
 
     scenario = Scenario(
         dimension=dim,
         seed=seed,
         kind=kind,
-        payload=payload,
+        payload=_payload(kind, fn, dim),
         tolerances=dict(tol),
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
-    # Construction re-runs the structural checks (schedule orthogonality,
-    # unit norms) through the library validators.
     try:
         scenario.build()
-    except ScenarioError:
-        raise
     except ValueError as exc:
-        raise ScenarioError(f"functional: {exc}") from None
+        where = "functional." if kind == "class_operator" else f"functional.{_FIELDS[kind][0]}: "
+        raise ScenarioError(where + str(exc)) from None
     return scenario
 
 
@@ -306,19 +280,13 @@ def serialize_scenario(s: Scenario) -> str:
     """Canonical JSON text; ``parse_scenario`` of the output reproduces the
     scenario's fields."""
     fn: dict = {"type": s.kind}
-    if s.kind == "pure_state":
-        fn["amplitudes"] = _array_node(s.payload["amplitudes"])
-    elif s.kind == "operator":
-        fn["matrix"] = _array_node(s.payload["matrix"])
-    elif s.kind == "form":
-        fn["gram"] = _array_node(s.payload["gram"])
-    else:
-        fn["rho"] = _array_node(s.payload["rho"])
-        fn["hamiltonian"] = _array_node(s.payload["hamiltonian"])
-        fn["times"] = list(s.payload["times"])
-        fn["schedules"] = [
-            [_array_node(np.asarray(p)) for p in sched] for sched in s.payload["schedules"]
-        ]
+    for name, value in s.payload.items():
+        if name == "times":
+            fn[name] = list(value)
+        elif name == "schedules":
+            fn[name] = [[_array_node(p) for p in sched] for sched in value]
+        else:
+            fn[name] = _array_node(value)
     doc = {
         "dimension": s.dimension,
         "seed": s.seed,

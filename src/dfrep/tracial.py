@@ -48,13 +48,14 @@ from .ils import bilinear_unit_table
 from .linalg import (
     ElementaryTensorSum,
     Projection,
-    as_vector,
+    hermiticity_residual,
     kron,
     mat,
     operator_norm,
     pairing_realignment,
     swap_left,
     trace_pair,
+    unit_vector,
 )
 
 
@@ -93,7 +94,7 @@ def gram_matrix(d: DecoherenceFunctional, dim: int) -> np.ndarray:
     units = bilinear_unit_table(d, dim)
     # Q(E_ij, E_kl) = D(E_ij, (E_kl)^dag) = D(E_ij, E_lk)
     g = np.transpose(units, (0, 1, 3, 2)).reshape(dim * dim, dim * dim)
-    if np.linalg.norm(g - g.conj().T) > GRAM_HERMITICITY_REL * max(1.0, float(np.linalg.norm(g))):
+    if hermiticity_residual(g) > GRAM_HERMITICITY_REL:
         raise GramHermiticityError("Gram matrix is not Hermitian; the functional violates Hermiticity")
     return (g + g.conj().T) / 2
 
@@ -242,18 +243,10 @@ def build_tracial_operator(
     return TracialOperator(m_op=m, operator_norm=norm, gram=g, dim=dim)
 
 
-def _unit_psi(psi) -> np.ndarray:
-    v = as_vector(psi, "psi")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"psi must be a unit vector, got norm {nrm:.6g}")
-    return v
-
-
 def householder_basis(psi) -> np.ndarray:
     """Orthonormal basis (as columns) whose first column is psi, obtained
     from a single complex Householder reflection; deterministic in psi."""
-    v = _unit_psi(psi)
+    v = unit_vector(psi, "psi")
     dim = v.size
     e1 = np.zeros(dim, dtype=complex)
     e1[0] = 1.0
@@ -270,7 +263,7 @@ def pure_state_projector(psi) -> np.ndarray:
     """``P = sum_i |psi (x) psi_i><psi (x) psi_i| = |psi><psi| (x) I`` for
     any orthonormal basis {psi_i}, such as :func:`householder_basis`
     extending psi."""
-    v = _unit_psi(psi)
+    v = unit_vector(psi, "psi")
     return np.kron(np.outer(v, v.conj()), np.eye(v.size))
 
 
@@ -283,7 +276,7 @@ def pure_state_m(psi, verify: bool = True, seed: int = 0) -> np.ndarray:
     identities: ``(PU)(PU)^dag = P`` and ``beta_psi(S) = tr(S P U)`` on
     seeded elementary tensor sums.
     """
-    v = as_vector(psi, "psi")
+    v = unit_vector(psi, "psi")
     dim = v.size
     n = dim * dim
     p = pure_state_projector(v)

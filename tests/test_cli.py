@@ -194,6 +194,23 @@ class TestBasicRuns:
                 )
                 assert (code, out) == (2, ""), (command, samples)
                 assert "--samples" in err, (command, samples)
+        # out-of-range values, and flags the command does not read
+        for command, key, flag, value in (
+            ("tracial", "op3", "--tolerance", "nan"),
+            ("tracial", "op3", "--tolerance", "inf"),
+            ("extract-ils", "op3", "--tolerance", "-1e-9"),
+            ("consistency", "co3", "--tolerance", "1e400"),
+            ("tracial", "op3", "--seed", "-1"),
+            ("check-axioms", "ps3", "--seed", "1.5"),
+            ("tracial", "op3", "--block-rank", "0"),
+            ("check-axioms", "ps3", "--block-rank", "5"),
+            ("consistency", "co3", "--samples", "5"),
+            ("reconstruct", "op3", "--samples", "5"),
+            ("sweep", "ps3", "--tolerance", "1e-3"),
+        ):
+            code, out, err = run_cli(capsys, command, "--scenario", paths[key], flag, value)
+            assert (code, out) == (2, ""), (command, flag, value)
+            assert flag in err, (command, flag, value)
 
     def test_boolean_scenario_field_exit_two(self, capsys, tmp_path):
         doc = json.loads(pure_state_scenario_text(dim=3))

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dfrep import (
     DimensionExclusionError,
@@ -276,8 +274,7 @@ class TestFormBacked:
             FormBackedFunctional(g)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10**6))
+@pytest.mark.parametrize("seed", range(20))
 def test_hermiticity_property_operator_backend(seed):
     rng = np.random.default_rng(seed)
     from conftest import random_valid_pairing_operator

@@ -62,8 +62,9 @@ class TestParse:
         assert "rho" in msg and "trace" in msg
 
     def test_malformed_syntax(self):
-        with pytest.raises(ScenarioError, match="syntax"):
-            parse_scenario("{not json")
+        for text in ("{not json", "[" * 10**5 + "]" * 10**5):
+            with pytest.raises(ScenarioError, match="syntax"):
+                parse_scenario(text)
 
     def test_dimension_inconsistency(self):
         doc = json.loads(pure_state_scenario_text(dim=3))
@@ -121,6 +122,91 @@ class TestParse:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(json.dumps(doc))
         assert str(err.value).startswith(field + ":")
+
+
+def _set(*keys, value):
+    """A mutation setting ``doc[k0][k1]...`` to ``value``."""
+
+    def mutate(doc):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+
+    return mutate
+
+
+_W = 2e-9  # overlap of two schedule projections: inside the identity
+# tolerance (1e-9 * dim) but outside the orthogonality tolerance (1e-9)
+_TILTED = np.zeros((3, 3))
+_TILTED[:2, :2] = np.outer([_W, np.sqrt(1 - _W**2)], [_W, np.sqrt(1 - _W**2)])
+
+_BASES = {
+    "pure": lambda: pure_state_scenario_text(dim=3),
+    "operator": lambda: operator_scenario_text(product_state_operator(rho_half_half(3))),
+    "form": lambda: form_scenario_text(gram_matrix(backend_fixtures(3)["operator"], 3)),
+    "classop": lambda: class_operator_scenario_text(dim=3, times=(0.5, 1.0)),
+}
+
+# (base, mutation, field path the message must start with, newly named):
+# rows marked newly named were accepted, or rejected without their field
+# path, while the parser kept its own copies of the library checks.
+REJECTED = [
+    # structure, types and values only the parser can see
+    ("pure", _set("extra", value=1), "extra", True),
+    ("pure", _set("functional", "matrix", value={"re": [[1.0]]}), "functional.matrix", True),
+    ("pure", _set("tolerances", value={"axiom": 1e-8}), "tolerances.axiom", True),
+    ("pure", _set("tolerances", value={"axioms": float("nan")}), "tolerances.axioms", True),
+    ("pure", _set("tolerances", value={"axioms": float("inf")}), "tolerances.axioms", True),
+    ("pure", _set("tolerances", value={"axioms": -1e-8}), "tolerances.axioms", True),
+    ("pure", _set("functional", "amplitudes", "re", value=[True, False, False]),
+     "functional.amplitudes.re", True),
+    ("pure", _set("functional", "amplitudes", "re", value=["1", "0", "0"]),
+     "functional.amplitudes.re", True),
+    ("pure", _set("functional", "amplitudes", "imag", value=[0, 0, 0]),
+     "functional.amplitudes.imag", True),
+    ("operator", _set("functional", "matrix", "re", value=np.eye(8).tolist()),
+     "functional.matrix.re", True),
+    ("classop", _set("functional", "times", value=[float("nan"), 1.0]), "functional.times[0]", True),
+    ("classop", _set("functional", "times", value=[0.5, 10**400]), "functional.times[1]", True),
+    ("classop", _set("functional", "times", value=0.5), "functional.times", False),
+    ("classop", _set("functional", "schedules", 0, value={}), "functional.schedules[0]", False),
+    # semantic invariants, each checked by the constructor that owns it
+    ("pure", _set("functional", "amplitudes", "re", value=[1.5, 0, 0]), "functional.amplitudes", False),
+    ("form", _set("functional", "gram", "im", value=(1e-3 * np.eye(9)).tolist()), "functional.gram", False),
+    ("classop", _set("functional", "rho", "im", value=[[0, 1e-3, 0], [0, 0, 0], [0, 0, 0]]),
+     "functional.rho", False),
+    ("classop", _set("functional", "rho", "re", value=np.diag([1.5, -0.5, 0.0]).tolist()),
+     "functional.rho", False),
+    ("classop", _set("functional", "rho", "re", value=np.diag([0.5, 0.3, 0.1]).tolist()),
+     "functional.rho", False),
+    ("classop", _set("functional", "hamiltonian", "re", value=[[1, 1.3e-8, 0], [0, 2, 0], [0, 0, 3]]),
+     "functional.hamiltonian", True),  # relative residual 4.9e-9
+    ("classop", _set("functional", "times", value=[-0.5, 1.0]), "functional.times[0]", True),
+    ("classop", _set("functional", "times", value=[1.0, 0.5]), "functional.times", True),
+    ("classop", _set("functional", "times", value=[0.5]), "functional.schedules", False),
+    ("classop", _set("functional", "schedules", 0, value=[]), "functional.schedules[0]", False),
+    ("classop", lambda doc: doc["functional"]["schedules"][0].pop(), "functional.schedules[0]", False),
+    ("classop", _set("functional", "schedules", 0, 1, value={"re": _TILTED.tolist()}),
+     "functional.schedules[0]", True),
+    ("classop", _set("functional", "schedules", 0, 0, value={"re": (2 * np.eye(3)).tolist()}),
+     "functional.schedules[0][0]", False),
+]
+
+
+@pytest.mark.parametrize(
+    "base, mutate, path, newly_named",
+    REJECTED,
+    ids=[f"{row[2]}-{i}" for i, row in enumerate(REJECTED)],
+)
+def test_rejection_starts_with_field_path(base, mutate, path, newly_named):
+    text = _BASES[base]()
+    parse_scenario(text)  # the mutation alone is at fault
+    doc = json.loads(text)
+    mutate(doc)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert str(err.value).startswith(path + ":"), str(err.value)
 
 
 class TestRoundTrip:
