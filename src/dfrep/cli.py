@@ -41,16 +41,23 @@ from .ils import (
 )
 from .linalg import (
     Projection,
-    kron_trace,
+    block_choices,
     kron_trace_batch,
     operator_norm,
-    random_projection,
+    sample_blocks,
     sample_projections,
     swap_left,
     trace_norm,
 )
-from .probes import tensor_bound_probe
-from .scenarios import Scenario, ScenarioError, parse_scenario
+from .probes import sweep_dims, tensor_bound_probe
+from .scenarios import (
+    BETA_SERIES_TOL,
+    IDENTITY_TOL,
+    RECONSTRUCTION_TOL,
+    Scenario,
+    ScenarioError,
+    parse_scenario,
+)
 from .tracial import (
     GramHermiticityError,
     build_tracial_operator,
@@ -202,17 +209,18 @@ def _random_tensor_sums(dim: int, count: int, rng):
     complex Gaussian terms, as term stacks ``a``, ``b`` and the index of
     each sum's first term.
 
-    Each sum draws its term count, then one fused ``standard_normal`` for
-    the real and imaginary parts of a and then of b, term by term: the
-    stream of drawing every part as its own ``(dim, dim)`` array.
+    Each block of ``SAMPLE_BLOCK`` sums draws the term counts of all its
+    slots in one call, then one ``standard_normal`` array with the real and
+    imaginary parts of a and then of b, term by term, for the kept sums.
+    So the first n sums do not depend on ``count``.
     """
     counts = []
     z = []
-    for _ in range(count):
-        counts.append(int(rng.integers(1, 5)))
-        z.append(rng.standard_normal((counts[-1], 4, dim, dim)))
+    for n in sample_blocks(count):
+        counts.append(block_choices(rng, 1, 5, n))
+        z.append(rng.standard_normal((int(counts[-1].sum()), 4, dim, dim)))
     z = np.concatenate(z) if z else np.empty((0, 4, dim, dim))
-    starts = np.cumsum([0] + counts)[:-1]
+    starts = np.cumsum(np.concatenate([[0], *counts]))[:-1]
     return z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3], starts
 
 
@@ -315,18 +323,10 @@ def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
     block_ranks = sorted({1, 2 if d.dim >= 2 else 1, d.dim})
     if args.block_rank is not None and args.block_rank not in block_ranks:
         block_ranks.append(args.block_rank)
-    pairs = [
-        (
-            random_projection(d.dim, int(rng.integers(1, d.dim + 1)), rng),
-            random_projection(d.dim, int(rng.integers(1, d.dim + 1)), rng),
-        )
-        for _ in range(20)
-    ]
-    sums = double_sum_table(top, *zip(*pairs), block_ranks)
-    double_res = 0.0
-    for (p, q), row in zip(pairs, sums):
-        direct = kron_trace(p, q, top.m_op)
-        double_res = max(double_res, *(abs(v - direct) for v in row))
+    pq = sample_projections(d.dim, 40, rng, min_rank=1)  # 20 pairs, p and q alternating
+    p, q = pq[0::2], pq[1::2]
+    sums = np.asarray(double_sum_table(top, p, q, block_ranks))
+    double_res = float(np.max(np.abs(sums - kron_trace_batch(p, q, top.m_op)[:, None])))
     tol = _tol(args, scenario, "pairing")
     rec = {
         "operator_norm": top.operator_norm,
@@ -338,18 +338,16 @@ def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
         "tolerance": tol,
         "samples": args.samples,
     }
-    ok = pairing <= tol and double_res <= 1e-10
+    ok = pairing <= tol and double_res <= IDENTITY_TOL
     return _result("tracial", scenario, seed, [rec], "pass" if ok else "violation")
 
 
 def _cmd_sweep(scenario: Scenario, args, seed: int) -> ResultRecord:
-    if args.dims and args.dims[0] < scenario.dimension:
-        raise ScenarioError(
-            f"--dims: sweep dimensions must be >= the scenario dimension {scenario.dimension}"
-        )
-    report = tensor_bound_probe(
-        scenario.functional_at, args.dims, samples=args.samples, seed=seed
-    )
+    try:  # every dimension, before any is extracted
+        dims = sweep_dims(args.dims, max(2, scenario.dimension))
+    except ValueError as exc:
+        raise ScenarioError(f"--dims: {exc}") from None
+    report = tensor_bound_probe(scenario.functional_at, dims, samples=args.samples, seed=seed)
     result = _result("sweep", scenario, seed, report.records(), report.verdict)
     result.extras["growth_slope"] = report.growth_slope
     result.extras["samples"] = report.samples
@@ -368,7 +366,7 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 31]))
     a, b, starts = _random_tensor_sums(dim, args.samples, rng)
     beta_res = _max_sum_residual(kron_trace_batch(a, b, m), d.pair_values(a, b), starts)
-    tol_beta = args.tolerance if args.tolerance is not None else 1e-9
+    tol_beta = args.tolerance if args.tolerance is not None else BETA_SERIES_TOL
     wm = swap_left(m, dim)  # W P U = I (x) |psi><psi|, PSD of rank dim; W is unitary
     rec = {
         "trace": complex(np.trace(m)),
@@ -379,8 +377,8 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
         "beta_tolerance": tol_beta,
     }
     ok = (
-        abs(np.trace(m) - 1.0) <= 1e-10
-        and adjoint_residual <= 1e-10
+        abs(np.trace(m) - 1.0) <= IDENTITY_TOL
+        and adjoint_residual <= IDENTITY_TOL
         and beta_res <= tol_beta
     )
     return _result("demo-pure-state", scenario, seed, [rec], "pass" if ok else "violation")
@@ -418,7 +416,7 @@ def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
     resid = float(
         np.linalg.norm(recon - top.m_op) / max(1.0, np.linalg.norm(top.m_op))
     )
-    tol = args.tolerance if args.tolerance is not None else 1e-8
+    tol = args.tolerance if args.tolerance is not None else RECONSTRUCTION_TOL
     rec = {"reconstruction_residual": resid, "tolerance": tol}
     return _result(
         "reconstruct", scenario, seed, [rec], "pass" if resid <= tol else "violation"

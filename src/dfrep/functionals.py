@@ -46,6 +46,7 @@ from .linalg import (
     rank_one_matrices,
     rank_one_rows,
     rank_one_vectors,
+    sample_blocks,
     sample_projections,
     spectral_projections,
     unit_vector,
@@ -338,35 +339,21 @@ class AxiomReport:
         }
 
 
-# Sampled pairs per batched evaluation in :func:`check_axioms`, which keeps
-# its temporaries to a few stacks of this many matrices.
-SAMPLE_BLOCK = 256
-
-
-def _blocks(samples: int):
-    """Sizes of the consecutive sample blocks covering ``samples``."""
-    return [min(SAMPLE_BLOCK, samples - start) for start in range(0, samples, SAMPLE_BLOCK)]
-
-
 def _hermiticity_residual(d, pool, samples: int, rng) -> float:
     """``max |d(p, q) - conj d(q, p)|`` over ``samples`` pool pairs."""
-    pick = np.array([[rng.integers(len(pool)), rng.integers(len(pool))] for _ in range(samples)])
+    pick = rng.integers(len(pool), size=(samples, 2))
     p, q = pool[pick[:, 0]], pool[pick[:, 1]]
     return float(np.max(np.abs(d.pair_values(p, q) - np.conj(d.pair_values(q, p)))))
 
 
 def _orthogonal_splits(dim: int, samples: int, pool_size: int, rng):
     """Orthogonal pairs ``p1 _|_ p2`` spanned by the first ``r1`` and the
-    next ``r2`` columns of Haar unitaries, with a pool index per pair;
-    drawn in the order of a per-sample loop, then built as stacks."""
-    g = np.empty((samples, dim, dim), dtype=complex)
-    cuts = np.empty((samples, 3), dtype=int)
-    for s in range(samples):
-        g[s] = ginibre(dim, dim, rng)
-        r1 = int(rng.integers(1, dim))
-        cuts[s] = r1, rng.integers(1, dim - r1 + 1), rng.integers(pool_size)
-    u = haar_from_ginibre(g)
-    r1, r2, qi = cuts.T
+    next ``r2`` columns of Haar unitaries, with a pool index per pair: one
+    Ginibre stack, then r1, r2 and the pool indices as arrays."""
+    u = haar_from_ginibre(ginibre(dim, dim, rng, samples))
+    r1 = rng.integers(1, dim, size=samples)
+    r2 = rng.integers(1, dim - r1 + 1)
+    qi = rng.integers(pool_size, size=samples)
     cols = np.arange(dim)
     u_dag = u.conj().transpose(0, 2, 1)
     p1 = (u * (cols < r1[:, None])[:, None, :]) @ u_dag
@@ -399,21 +386,21 @@ def check_axioms(
         raise ValueError("samples must be >= 1")
     dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    # The generator is consumed sample by sample in the order of the scalar
-    # loops this replaces, so a seed still names the same projections; the
-    # QRs, validations and evaluations run on whole stacks.
+    # Each family (pool projections, Hermiticity pairs, orthogonal splits)
+    # is drawn and evaluated per block of SAMPLE_BLOCK samples, with a few
+    # vectorised generator calls per block; see sample_projections.
     eye = np.eye(dim, dtype=complex)
     pool = np.concatenate(
         [eye[None], eye[:, :, None] * eye[:, None, :], sample_projections(dim, samples, rng)]
     )
-    herm = max(_hermiticity_residual(d, pool, n, rng) for n in _blocks(samples))
+    herm = max(_hermiticity_residual(d, pool, n, rng) for n in sample_blocks(samples))
     v = d.pair_values(pool, pool)
     pos_min = np.min(v.real)
     pos_imag = np.max(np.abs(v.imag))
     norm_res = abs(d.evaluate(eye, eye) - 1.0)
     ortho = 0.0
     if dim >= 2:
-        ortho = max(_orthoadditivity_residual(d, pool, n, rng) for n in _blocks(samples))
+        ortho = max(_orthoadditivity_residual(d, pool, n, rng) for n in sample_blocks(samples))
 
     return AxiomReport(
         hermiticity_residual=float(herm),

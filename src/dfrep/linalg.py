@@ -581,10 +581,13 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def ginibre(rows: int, cols: int, rng) -> np.ndarray:
-    """Complex Ginibre matrix: the draw behind :func:`haar_unitary` and
-    :func:`random_projection` (real parts first, then imaginary parts)."""
-    z = rng.standard_normal((2, rows, cols))  # the same stream as two draws
+def ginibre(rows: int, cols: int, rng, count: int | None = None) -> np.ndarray:
+    """Complex Ginibre matrix, or a ``(count, rows, cols)`` stack of them
+    from one call: the draw behind :func:`haar_unitary` (real parts first,
+    then imaginary parts), and the layout of each random projection's
+    factor."""
+    lead = () if count is None else (count,)
+    z = rng.standard_normal((2,) + lead + (rows, cols))  # the same stream as two draws
     return z[0] + 1j * z[1]
 
 
@@ -602,44 +605,64 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     return haar_from_ginibre(ginibre(dim, dim, _as_rng(seed)))
 
 
-def _draw_projection_factor(dim: int, rank: int, rng):
-    """The Gaussian draw behind :func:`random_projection`: a ``(dim, rank)``
-    complex Ginibre factor, or ``None`` for rank 0 or ``dim``, which draw
-    nothing.  Pass the factors to :func:`_projection_matrices`."""
-    if not (0 <= rank <= dim):
-        raise ValueError(f"rank {rank} out of range for dim {dim}")
-    if rank == 0 or rank == dim:
-        return None
-    return ginibre(dim, rank, rng)
+# Samples per block of every sampled check.  A block draws the discrete
+# choices (ranks, term counts) of all its slots in one generator call and
+# the Gaussians of the samples it keeps in one more, then is evaluated as
+# one stack; temporaries stay at a few stacks of this many matrices.
+SAMPLE_BLOCK = 256
 
 
-def _projection_matrices(dim: int, ranks, factors) -> np.ndarray:
+def sample_blocks(count: int) -> list:
+    """Sizes of the consecutive sample blocks covering ``count`` samples."""
+    return [min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)]
+
+
+def block_choices(rng, low: int, high: int, kept: int) -> np.ndarray:
+    """The integer choices in ``[low, high)`` of one sample block, of which
+    the first ``kept`` are used.  All ``SAMPLE_BLOCK`` slots are drawn, so
+    the choices of the kept samples do not depend on how many are kept."""
+    return rng.integers(low, high, size=SAMPLE_BLOCK)[:kept]
+
+
+def _random_projections(dim: int, ranks, rng) -> np.ndarray:
     """``(n, dim, dim)`` stack of the projections onto the column spans of
-    ``factors`` (from :func:`_draw_projection_factor`), orthonormalised by
-    one batched QR per rank.  The matrices are not validated; see
-    :func:`check_projection_stack`."""
+    complex Ginibre factors of shape ``(dim, ranks[s])``, drawn by one
+    ``standard_normal`` call that holds the factors sample after sample,
+    each laid out as :func:`ginibre` draws it (rank 0 and ``dim`` draw
+    none).  One batched QR per rank orthonormalises them; the matrices are
+    not validated (see :func:`check_projection_stack`)."""
     ranks = np.asarray(ranks, dtype=int).reshape(-1)
+    sizes = np.where((ranks > 0) & (ranks < dim), 2 * dim * ranks, 0)
+    normals = rng.standard_normal(int(sizes.sum()))
+    offsets = np.cumsum(sizes) - sizes
     out = np.zeros((len(ranks), dim, dim), dtype=complex)
     out[ranks == dim] = np.eye(dim)
     # sorted(set(...)), not np.unique, which imports numpy.ma on first use.
-    for rank in sorted(set(ranks[(ranks > 0) & (ranks < dim)].tolist())):
+    for rank in sorted(set(ranks[sizes > 0].tolist())):
         idx = np.flatnonzero(ranks == rank)
-        q, _ = np.linalg.qr(np.stack([factors[i] for i in idx]))
+        z = normals[offsets[idx, None] + np.arange(2 * dim * rank)].reshape(len(idx), 2, dim, rank)
+        q, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
         out[idx] = q @ q.conj().transpose(0, 2, 1)
     return out
 
 
 def sample_projections(dim: int, count: int, rng, min_rank: int = 0) -> np.ndarray:
-    """``(count, dim, dim)`` stack of validated random projections, drawing
-    from ``rng`` exactly as ``count`` successive calls
-    ``random_projection(dim, int(rng.integers(min_rank, dim + 1)), rng)``
-    would; the QRs and the validation then run batched."""
-    ranks = []
-    factors = []
-    for _ in range(count):
-        ranks.append(int(rng.integers(min_rank, dim + 1)))
-        factors.append(_draw_projection_factor(dim, ranks[-1], rng))
-    return check_projection_stack(_projection_matrices(dim, ranks, factors), ranks)
+    """``(count, dim, dim)`` stack of validated random projections: the
+    rank is uniform on ``[min_rank, dim]`` and the range is the span of
+    ``rank`` complex Gaussian columns (Haar-distributed given the rank).
+
+    Each block of :data:`SAMPLE_BLOCK` projections draws the ranks of all
+    its slots in one call, then one Gaussian array with the factors of the
+    kept projections, projection by projection.  So the first n projections
+    do not depend on ``count``.  The QRs run batched per rank and every
+    block is validated with :func:`check_projection_stack`."""
+    out = np.empty((count, dim, dim), dtype=complex)
+    start = 0
+    for n in sample_blocks(count):
+        ranks = block_choices(rng, min_rank, dim + 1, n)
+        out[start : start + n] = check_projection_stack(_random_projections(dim, ranks, rng), ranks)
+        start += n
+    return out
 
 
 def random_projection(dim: int, rank: int, seed) -> Projection:
@@ -647,5 +670,6 @@ def random_projection(dim: int, rank: int, seed) -> Projection:
 
     Built by orthonormalizing Gaussian columns; deterministic per seed.
     """
-    factor = _draw_projection_factor(dim, rank, _as_rng(seed))
-    return Projection(_projection_matrices(dim, [rank], [factor])[0], rank)
+    if not (0 <= rank <= dim):
+        raise ValueError(f"rank {rank} out of range for dim {dim}")
+    return Projection(_random_projections(dim, [rank], _as_rng(seed))[0], rank)

@@ -24,9 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import SAMPLE_BLOCK, DecoherenceFunctional
+from .functionals import DecoherenceFunctional
 from .ils import extract_ils
-from .linalg import sample_projections, stack_norms
+from .linalg import (
+    MAX_DIM,
+    DimensionLimitError,
+    block_choices,
+    sample_blocks,
+    sample_projections,
+    stack_norms,
+)
 
 VERDICT_TENSOR_BOUNDED = "tensor_bounded_evidence"
 VERDICT_DIVERGENCE = "divergence_evidence"
@@ -50,70 +57,60 @@ def boundedness_probe(
     if dim is None:
         dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-    # p and q alternate in the stream, as in a per-pair loop.
+    # p and q alternate in the stack, so the first n pairs do not depend on samples.
     pq = sample_projections(dim, 2 * samples, rng)
     return float(np.max(np.abs(d.pair_values(pq[0::2], pq[1::2]))))
 
 
 def _sample_tensor_vectors(dim: int, samples: int, rng, max_terms: int = 4):
-    """Seeded unit vectors in the algebraic tensor subspace.
+    """Seeded unit vectors in the algebraic tensor subspace, yielded per
+    block of ``SAMPLE_BLOCK`` samples as ``(rows, terms)``: the ``(n,
+    dim*dim)`` unit vectors and the number of terms of each.
 
     Each sample is a normalized sum of one to ``max_terms`` elementary
-    tensors ``a (x) g`` of complex Gaussian factors.  Draws happen strictly
-    per sample (the term count, then one fused ``standard_normal`` for the
-    real and imaginary parts of every ``a`` and ``g``, which is the same
-    stream as drawing them one by one), so for a fixed generator state the
-    first n samples do not depend on the total count (running suprema are
-    exactly monotone in ``samples``).  The tensors are then assembled in one
-    batch per term count within each block of ``SAMPLE_BLOCK`` samples, so
-    the draw buffer stays at one block.  Returns the ``(samples, dim*dim)``
-    rows and the number of samples per term count.
+    tensors ``a (x) g`` of complex Gaussian factors.  A block draws the term
+    counts of all its slots in one call, then one ``standard_normal`` array
+    with the real and imaginary parts of every ``a`` and ``g`` of the kept
+    samples, sample by sample.  So the first n samples do not depend on the
+    total count, and running suprema are exactly monotone in ``samples``.
+    The sums are one batched matmul over zero-padded term stacks.
     """
-    terms = np.empty(samples, dtype=int)
-    rows = np.empty((samples, dim * dim), dtype=complex)
-    z = np.empty((min(samples, SAMPLE_BLOCK), max_terms, 4, dim))
-    for start in range(0, samples, SAMPLE_BLOCK):
-        block = terms[start : start + SAMPLE_BLOCK]
-        for n in range(len(block)):
-            block[n] = rng.integers(1, max_terms + 1)
-            rng.standard_normal(out=z[n, : block[n]].reshape(-1))  # a contiguous view
-        for t in sorted(set(block.tolist())):  # np.unique would import numpy.ma
-            idx = np.flatnonzero(block == t)
-            a = z[idx, :t, 0] + 1j * z[idx, :t, 1]
-            g = z[idx, :t, 2] + 1j * z[idx, :t, 3]
-            # Summed term by term, in the order the vectors were drawn.
-            xi = a[:, 0, :, None] * g[:, 0, None, :]
-            for k in range(1, t):
-                xi += a[:, k, :, None] * g[:, k, None, :]
-            rows[start + idx] = xi.reshape(len(idx), dim * dim)
-    counts = {t: int(c) for t, c in enumerate(np.bincount(terms)) if c}
-    nrm = stack_norms(rows)
-    # Measure-zero cancellation: fall back to e1 (x) e1.
-    small = nrm < 1e-12
-    rows[small] = 0.0
-    rows[small, 0] = 1.0
-    nrm[small] = 1.0
-    rows /= nrm[:, None]
-    return rows, counts
+    for n in sample_blocks(samples):
+        terms = block_choices(rng, 1, max_terms + 1, n)
+        # Term k of sample s is z[s, k], and zero for k >= terms[s].
+        z = np.zeros((n, max_terms, 4, dim))
+        z[np.arange(max_terms) < terms[:, None]] = rng.standard_normal((int(terms.sum()), 4, dim))
+        a = z[:, :, 0] + 1j * z[:, :, 1]
+        g = z[:, :, 2] + 1j * z[:, :, 3]
+        rows = (a.transpose(0, 2, 1) @ g).reshape(n, dim * dim)
+        nrm = stack_norms(rows)
+        # Measure-zero cancellation: fall back to e1 (x) e1.
+        small = nrm < 1e-12
+        rows[small] = 0.0
+        rows[small, 0] = 1.0
+        nrm[small] = 1.0
+        rows /= nrm[:, None]
+        yield rows, terms
 
 
 def _sup_beta_rank_one(x_op: np.ndarray, dim: int, samples: int, seed: int, max_terms: int):
-    """sup |beta(p_xi)| via the pairing identity ``beta(p_xi) = <X xi, xi>``.
+    """sup |beta(p_xi)| via the pairing identity ``beta(p_xi) = <X xi, xi>``,
+    with the number of samples per term count.
 
     The identity holds exactly for the extracted trace-pairing operator
     (both sides are the same linear functional on the algebraic tensor
     product); the definitional term-pair route is kept as a test oracle in
-    :func:`dfrep.functionals.beta_of_product_projection`.
+    :func:`dfrep.functionals.beta_of_product_projection`.  Each block of
+    samples is evaluated and dropped before the next is drawn.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-    xis, counts = _sample_tensor_vectors(dim, samples, rng, max_terms)
-    # Row blocks keep the complex temporaries at SAMPLE_BLOCK rows.
     sup = 0.0
-    for start in range(0, samples, SAMPLE_BLOCK):
-        blk = xis[start : start + SAMPLE_BLOCK]
-        vals = np.abs(np.einsum("nd,nd->n", blk.conj(), blk @ x_op.T))
+    counts = np.zeros(max_terms + 1, dtype=int)
+    for rows, terms in _sample_tensor_vectors(dim, samples, rng, max_terms):
+        vals = np.abs(np.einsum("nd,nd->n", rows.conj(), rows @ x_op.T))
         sup = max(sup, float(np.max(vals)))
-    return sup, counts
+        counts += np.bincount(terms, minlength=max_terms + 1)
+    return sup, {t: int(c) for t, c in enumerate(counts) if c}
 
 
 def tracial_bound_probe(
@@ -184,6 +181,20 @@ def _extract_member(d_family, dim: int):
     return extract_ils(d, dim, allow_dim_two=True)
 
 
+def sweep_dims(dims, min_dim: int = 2) -> list:
+    """``dims`` as a list of ints, once they are checked: non-empty,
+    strictly ascending, at least ``min_dim`` and at most ``MAX_DIM``;
+    ``ValueError`` otherwise."""
+    dims = [int(x) for x in dims]
+    if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
+        raise ValueError("sweep dimensions must be non-empty and strictly ascending")
+    if dims[0] < min_dim:
+        raise ValueError(f"sweep dimensions must be >= {min_dim}")
+    if dims[-1] > MAX_DIM:
+        raise DimensionLimitError(f"dimension {dims[-1]} exceeds the dense limit {MAX_DIM}")
+    return dims
+
+
 def tensor_bound_probe(
     d_family, dims, samples: int = 1000, seed: int = 0, max_terms: int = 4
 ) -> SweepReport:
@@ -200,11 +211,7 @@ def tensor_bound_probe(
     operators are well defined for the intrinsic backends even where the
     representation theorems do not apply.
     """
-    dims = [int(x) for x in dims]
-    if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dims must be non-empty and strictly ascending")
-    if dims[0] < 2:
-        raise ValueError("sweep dimensions must be >= 2")
+    dims = sweep_dims(dims)
     trace_norms = []
     sups = []
     elapsed = []

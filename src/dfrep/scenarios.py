@@ -73,6 +73,15 @@ DEFAULT_TOLERANCES = {
     "consistency": 1e-9,
 }
 
+# Command thresholds that are not scenario keys.  An identity that holds
+# exactly in exact arithmetic (the tracial double sum; tr M = 1 and
+# (PU)(PU)^dag = P in demo-pure-state) is checked to IDENTITY_TOL; the
+# demo-pure-state beta residual and the reconstruct residual default to
+# the other two, which --tolerance overrides.
+IDENTITY_TOL = 1e-10
+BETA_SERIES_TOL = 1e-9
+RECONSTRUCTION_TOL = 1e-8
+
 
 def _is_number(v, types=(int, float)) -> bool:
     """A JSON number of the given Python types; never a ``bool``, which

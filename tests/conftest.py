@@ -12,7 +12,7 @@ from dfrep import (
     gram_matrix,
     standard_df,
 )
-from dfrep.linalg import haar_unitary
+from dfrep.linalg import SAMPLE_BLOCK, haar_unitary
 
 
 def rho_half_half(dim: int) -> np.ndarray:
@@ -178,6 +178,54 @@ def skew_corrupted_operator(dim: int = 3, scale: float = 0.05) -> np.ndarray:
     v = np.zeros(n)
     u[1], v[2] = 1.0, 1.0
     return x0 + scale * (np.outer(u, v) - np.outer(v, u))
+
+
+# ---------------------------------------------------------------------------
+# Reference draws in the block layout of the sampled checks, sliced one
+# sample at a time, for the per-sample references the batched kernels are
+# checked against.
+
+
+def block_layout_draws(rng, count, low, high, unit, units=lambda k: k):
+    """Yield ``(k, normals)`` per sample: each block of ``SAMPLE_BLOCK``
+    samples draws the integer choices ``k`` in ``[low, high)`` of all its
+    slots in one call, then one ``standard_normal`` array that holds
+    ``units(k)`` arrays of shape ``unit`` per kept sample, in sample order."""
+    for start in range(0, count, SAMPLE_BLOCK):
+        kept = min(SAMPLE_BLOCK, count - start)
+        ks = [int(k) for k in rng.integers(low, high, size=SAMPLE_BLOCK)[:kept]]
+        z = rng.standard_normal((sum(units(k) for k in ks),) + tuple(unit))
+        offset = 0
+        for k in ks:
+            yield k, z[offset : offset + units(k)]
+            offset += units(k)
+
+
+def block_projections(dim, count, rng, min_rank=0) -> list:
+    """``count`` projections drawn as ``sample_projections`` draws them,
+    each built on its own from the QR of its Gaussian columns."""
+    out = []
+    draws = block_layout_draws(
+        rng, count, min_rank, dim + 1, (), lambda r: 2 * dim * r if r < dim else 0
+    )
+    for rank, z in draws:
+        if rank == 0:
+            out.append(Projection(np.zeros((dim, dim), dtype=complex), 0))
+        elif rank == dim:
+            out.append(Projection(np.eye(dim, dtype=complex), dim))
+        else:
+            g = z.reshape(2, dim, rank)  # real parts, then imaginary parts
+            q, _ = np.linalg.qr(g[0] + 1j * g[1])
+            out.append(Projection(q @ q.conj().T, rank))
+    return out
+
+
+def block_tensor_terms(shape, count, rng, max_terms=4) -> list:
+    """``count`` tensor sums of one to ``max_terms`` terms drawn in the
+    block layout, as lists of ``(a, g)`` factor pairs of the given shape
+    (real and imaginary parts of a, then of g, term by term)."""
+    draws = block_layout_draws(rng, count, 1, max_terms + 1, (4,) + tuple(shape))
+    return [[(t[0] + 1j * t[1], t[2] + 1j * t[3]) for t in z] for _, z in draws]
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from dfrep import (
     OperatorBackedFunctional,
     Projection,
     PureStateFunctional,
-    random_projection,
     standard_df,
     swap_operator,
     verify_ils_conditions,
@@ -39,7 +38,7 @@ from dfrep.linalg import (
     rank_one_matrices,
 )
 from dfrep.tracial import Decomposition
-from conftest import random_density, random_valid_pairing_operator
+from conftest import block_projections, random_density, random_valid_pairing_operator
 
 
 def _cmats(rng, n, dim):
@@ -259,8 +258,8 @@ class TestSwapResidual:
 
 
 class TestSampledDiagnosticsKeepDraws:
-    """The batched diagnostics consume the generator exactly as the scalar
-    loops they replace, so a seed still names the same samples."""
+    """The batched diagnostics draw in the block layout of the shared
+    reference, so a seed names the same samples as a per-sample loop."""
 
     def test_positivity_min_matches_scalar_loop(self, rng):
         dim, samples, seed = 4, 40, 3
@@ -268,8 +267,7 @@ class TestSampledDiagnosticsKeepDraws:
         gen = np.random.default_rng(np.random.SeedSequence([seed, dim]))
         pool = [Projection(np.diag((np.arange(dim) == i).astype(complex)), 1) for i in range(dim)]
         pool.append(Projection(np.eye(dim, dtype=complex), dim))
-        for _ in range(samples):
-            pool.append(random_projection(dim, int(gen.integers(1, dim + 1)), gen))
+        pool += block_projections(dim, samples, gen, 1)
         ref = min(kron_trace(p, p, x).real for p in pool)
         assert _sample_positivity_min(x, dim, samples, seed) == pytest.approx(ref, abs=1e-14)
 
@@ -278,11 +276,8 @@ class TestSampledDiagnosticsKeepDraws:
         d = OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
         x = d.x_op + 1e-3 * rng.standard_normal(d.x_op.shape)
         gen = np.random.default_rng(np.random.SeedSequence([seed, dim, 17]))
-        ref = 0.0
-        for _ in range(samples):
-            p = random_projection(dim, int(gen.integers(0, dim + 1)), gen)
-            q = random_projection(dim, int(gen.integers(0, dim + 1)), gen)
-            ref = max(ref, abs(d.evaluate(p, q) - kron_trace(p, q, x)))
+        pq = block_projections(dim, 2 * samples, gen)  # p and q alternate
+        ref = max(abs(d.evaluate(p, q) - kron_trace(p, q, x)) for p, q in zip(pq[0::2], pq[1::2]))
         assert ref > 1e-6
         assert _pairing_residual(d, x, samples, seed) == pytest.approx(ref, rel=1e-10)
 

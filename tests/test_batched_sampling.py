@@ -1,16 +1,17 @@
-"""Batched sampling kernels against frozen copies of the scalar loops they
-replace.
+"""Batched sampling kernels against per-sample references.
 
-The sampled checks (axiom residuals, boundedness, tensor-subspace vectors),
-the double-polarization reconstructor and the block double sum now draw
-from the generator sample by sample as before, then evaluate whole stacks
-at once.  The ``_scalar_*`` functions below are the per-sample loops as
-they stood before the batching, kept verbatim apart from inlining the
-random-projection and Haar draws; each batched kernel is checked against
-them, draw for draw.
+The sampled checks (axiom residuals, boundedness, tensor-subspace vectors)
+draw per block of ``SAMPLE_BLOCK`` samples with a few vectorised generator
+calls, and the double-polarization reconstructor and the block double sum
+evaluate whole stacks at once.  The ``_scalar_*`` functions below evaluate
+one sample at a time; the sampled ones take their draws from the shared
+block-layout helpers in ``conftest``, so each batched kernel is checked
+against them draw for draw.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from dfrep import (
     reconstruct_from_product_diagonal,
     standard_df,
 )
+from dfrep.cli import _pairing_residual, _random_tensor_sums, main
 from dfrep.functionals import bilinear_refined
 from dfrep.linalg import (
+    SAMPLE_BLOCK,
     check_projection_stack,
     ginibre,
     haar_from_ginibre,
@@ -44,10 +47,15 @@ from dfrep.linalg import (
     sample_projections,
     spectral_projections,
 )
-from dfrep.probes import _sample_tensor_vectors
+from dfrep.probes import _sample_tensor_vectors, tracial_bound_probe
 from dfrep import tracial
 from dfrep.tracial import product_diagonal_of
-from conftest import random_density, random_valid_pairing_operator
+from conftest import (
+    block_projections,
+    block_tensor_terms,
+    random_density,
+    random_valid_pairing_operator,
+)
 from test_batched_pairing import _cmats, _random_backends
 
 KINDS = ["operator", "pure_state", "form", "class_operator"]
@@ -73,7 +81,12 @@ def _scalar_random_projection(dim, rank, rng) -> Projection:
 
 
 def _scalar_haar_unitary(dim, rng) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _scalar_haar_from_ginibre(
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    )
+
+
+def _scalar_haar_from_ginibre(g) -> np.ndarray:
     q, r = np.linalg.qr(g)
     ph = np.diagonal(r).copy()
     ph = ph / np.abs(ph)
@@ -82,7 +95,7 @@ def _scalar_haar_unitary(dim, rng) -> np.ndarray:
 
 def _scalar_check_axioms(d, samples, seed):
     """(hermiticity, positivity_min, positivity_imag_max, normalization,
-    orthoadditivity) by the per-sample loop."""
+    orthoadditivity) by the per-sample loop, drawing in the block layout."""
     dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     eye = Projection(np.eye(dim, dtype=complex), dim)
@@ -90,14 +103,13 @@ def _scalar_check_axioms(d, samples, seed):
         Projection(np.diag((np.arange(dim) == i).astype(complex)), 1)
         for i in range(dim)
     ]
-    for _ in range(samples):
-        rank = int(rng.integers(0, dim + 1))
-        pool.append(_scalar_random_projection(dim, rank, rng))
+    pool += block_projections(dim, samples, rng)
+    blocks = [min(SAMPLE_BLOCK, samples - s) for s in range(0, samples, SAMPLE_BLOCK)]
     herm = 0.0
-    for _ in range(samples):
-        p = pool[int(rng.integers(len(pool)))]
-        q = pool[int(rng.integers(len(pool)))]
-        herm = max(herm, abs(d.evaluate(p, q) - np.conj(d.evaluate(q, p))))
+    for n in blocks:
+        for i, j in rng.integers(len(pool), size=(n, 2)):
+            p, q = pool[i], pool[j]
+            herm = max(herm, abs(d.evaluate(p, q) - np.conj(d.evaluate(q, p))))
     pos_min = np.inf
     pos_imag = 0.0
     for p in pool:
@@ -106,29 +118,30 @@ def _scalar_check_axioms(d, samples, seed):
         pos_imag = max(pos_imag, abs(v.imag))
     norm_res = abs(d.evaluate(eye, eye) - 1.0)
     ortho = 0.0
-    for _ in range(samples if dim >= 2 else 0):
-        u = _scalar_haar_unitary(dim, rng)
-        r1 = int(rng.integers(1, dim))
-        r2 = int(rng.integers(1, dim - r1 + 1))
-        b1 = u[:, :r1]
-        b2 = u[:, r1 : r1 + r2]
-        p1 = Projection(b1 @ b1.conj().T, r1)
-        p2 = Projection(b2 @ b2.conj().T, r2)
-        p12 = Projection(p1.matrix + p2.matrix, r1 + r2)
-        q = pool[int(rng.integers(len(pool)))]
-        ortho = max(ortho, abs(d.evaluate(p12, q) - d.evaluate(p1, q) - d.evaluate(p2, q)))
+    for n in blocks if dim >= 2 else ():
+        z = rng.standard_normal((2, n, dim, dim))
+        r1s = rng.integers(1, dim, size=n)
+        r2s = rng.integers(1, dim - r1s + 1)
+        qis = rng.integers(len(pool), size=n)
+        for s in range(n):
+            u = _scalar_haar_from_ginibre(z[0, s] + 1j * z[1, s])
+            r1, r2 = int(r1s[s]), int(r2s[s])
+            b1 = u[:, :r1]
+            b2 = u[:, r1 : r1 + r2]
+            p1 = Projection(b1 @ b1.conj().T, r1)
+            p2 = Projection(b2 @ b2.conj().T, r2)
+            p12 = Projection(p1.matrix + p2.matrix, r1 + r2)
+            q = pool[qis[s]]
+            ortho = max(ortho, abs(d.evaluate(p12, q) - d.evaluate(p1, q) - d.evaluate(p2, q)))
     return herm, pos_min, pos_imag, norm_res, ortho
 
 
 def _scalar_tensor_vectors(dim, samples, rng, max_terms=4):
     rows = np.empty((samples, dim * dim), dtype=complex)
     counts = {}
-    for n in range(samples):
-        terms = int(rng.integers(1, max_terms + 1))
+    for n, terms in enumerate(block_tensor_terms((dim,), samples, rng, max_terms)):
         xi = np.zeros(dim * dim, dtype=complex)
-        for _ in range(terms):
-            a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for a, g in terms:
             xi += np.kron(a, g)
         nrm = np.linalg.norm(xi)
         if nrm < 1e-12:
@@ -136,7 +149,7 @@ def _scalar_tensor_vectors(dim, samples, rng, max_terms=4):
             xi[0] = 1.0
             nrm = 1.0
         rows[n] = xi / nrm
-        counts[terms] = counts.get(terms, 0) + 1
+        counts[len(terms)] = counts.get(len(terms), 0) + 1
     return rows, counts
 
 
@@ -242,14 +255,15 @@ class TestDraws:
         assert a.standard_normal() == b.standard_normal()
 
     @pytest.mark.parametrize("min_rank", [0, 1])
-    def test_sample_projections_match_successive_calls(self, min_rank):
-        dim, count = 5, 60
+    @pytest.mark.parametrize("count", [60, 300])
+    def test_sample_projections_match_block_reference(self, min_rank, count):
+        dim = 5
         a = np.random.default_rng(np.random.SeedSequence([9, dim]))
         b = np.random.default_rng(np.random.SeedSequence([9, dim]))
         stack = sample_projections(dim, count, a, min_rank)
+        ref = block_projections(dim, count, b, min_rank)
         for s in range(count):
-            ref = _scalar_random_projection(dim, int(b.integers(min_rank, dim + 1)), b)
-            assert np.abs(stack[s] - ref.matrix).max() <= 1e-15
+            assert np.abs(stack[s] - ref[s].matrix).max() <= 1e-15
         assert a.integers(1 << 30) == b.integers(1 << 30)
 
     def test_haar_unitary_unchanged_and_stackable(self):
@@ -346,7 +360,7 @@ class TestPairValues:
 
 class TestCheckAxiomsBatched:
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim,samples", [(3, 150), (8, 60)])
+    @pytest.mark.parametrize("dim,samples", [(3, 150), (3, 300), (8, 60)])
     def test_matches_scalar_loop(self, kind, dim, samples, rng):
         d = _valid_backends(dim, rng)[kind]
         report = check_axioms(d, samples=samples, seed=13)
@@ -410,11 +424,8 @@ class TestCheckAxiomsBatched:
     def test_boundedness_probe_matches_scalar_loop(self, rng):
         d = _random_backends(4, rng)["form"]
         gen = np.random.default_rng(np.random.SeedSequence([6, 4]))
-        ref = 0.0
-        for _ in range(70):
-            p = _scalar_random_projection(4, int(gen.integers(0, 5)), gen)
-            q = _scalar_random_projection(4, int(gen.integers(0, 5)), gen)
-            ref = max(ref, abs(d.evaluate(p, q)))
+        pq = block_projections(4, 140, gen)  # p and q alternate
+        ref = max(abs(d.evaluate(p, q)) for p, q in zip(pq[0::2], pq[1::2]))
         assert boundedness_probe(d, samples=70, seed=6) == pytest.approx(ref, rel=1e-12)
 
 
@@ -423,12 +434,113 @@ class TestTensorVectors:
     def test_matches_scalar_loop(self, dim):
         a = np.random.default_rng(np.random.SeedSequence([17, dim]))
         b = np.random.default_rng(np.random.SeedSequence([17, dim]))
-        rows, counts = _sample_tensor_vectors(dim, 400, a)
+        blocks = list(_sample_tensor_vectors(dim, 400, a))
+        rows = np.concatenate([r for r, _ in blocks])
+        terms = np.concatenate([t for _, t in blocks])
         ref_rows, ref_counts = _scalar_tensor_vectors(dim, 400, b)
-        assert counts == ref_counts
+        assert {int(t): int(np.sum(terms == t)) for t in set(terms.tolist())} == ref_counts
         assert np.abs(rows - ref_rows).max() <= 1e-15
         # Same generator state afterwards: nothing extra was drawn.
         assert a.standard_normal() == b.standard_normal()
+
+
+class CountingGenerator:
+    """A ``Generator`` proxy that counts the calls made through it."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def _blocks(n):
+    return -(-n // SAMPLE_BLOCK)
+
+
+class TestGeneratorCalls:
+    """Each sampled check calls the generator a few times per block of
+    ``SAMPLE_BLOCK`` samples, never once per sample."""
+
+    # Most calls any site makes per block (check_axioms: ranks and columns
+    # of the pool, Hermiticity pairs, and the Ginibre stack, r1, r2 and
+    # pool indices of the orthogonal splits).
+    PER_BLOCK = 7
+
+    SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "operator_product_state_dim3.json"
+
+    def _sites(self, dim):
+        d = _valid_backends(dim, np.random.default_rng(5))["operator"]
+        scenario = str(self.SCENARIO)
+        # site -> (call with n samples, blocks of samples it draws)
+        return {
+            "sample_projections": (
+                lambda n: sample_projections(dim, n, np.random.default_rng(0)),
+                _blocks,
+            ),
+            "tensor_vectors": (
+                lambda n: list(_sample_tensor_vectors(dim, n, np.random.default_rng(0))),
+                _blocks,
+            ),
+            "tensor_sums": (
+                lambda n: _random_tensor_sums(dim, n, np.random.default_rng(0)),
+                _blocks,
+            ),
+            "check_axioms": (lambda n: check_axioms(d, samples=n), _blocks),
+            "boundedness_probe": (
+                lambda n: boundedness_probe(d, samples=n),
+                lambda n: _blocks(2 * n),
+            ),
+            "tracial_bound_probe": (  # plus the extraction's positivity sample
+                lambda n: tracial_bound_probe(d, samples=n),
+                lambda n: _blocks(n) + 1,
+            ),
+            "pairing_residual": (
+                lambda n: _pairing_residual(d, d.x_op, n, 0),
+                lambda n: _blocks(2 * n),
+            ),
+            "tracial_command": (  # pairing residual plus the 20 double-sum pairs
+                lambda n: main(["tracial", "--scenario", scenario, "--samples", str(n)]),
+                lambda n: _blocks(2 * n) + 1,
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "site",
+        [
+            "sample_projections",
+            "tensor_vectors",
+            "tensor_sums",
+            "check_axioms",
+            "boundedness_probe",
+            "tracial_bound_probe",
+            "pairing_residual",
+            "tracial_command",
+        ],
+    )
+    def test_calls_per_block(self, site, monkeypatch, capsys):
+        run, blocks = self._sites(4)[site]
+        made = []
+        real = np.random.default_rng
+
+        def counting_rng(*args, **kwargs):
+            made.append(CountingGenerator(real(*args, **kwargs)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        for n in (50, 300, 700):
+            made.clear()
+            run(n)
+            calls = sum(g.calls for g in made)
+            assert 0 < calls <= self.PER_BLOCK * blocks(n), (site, n, calls)
+        capsys.readouterr()
 
 
 class TestRefinedBilinear:

@@ -187,6 +187,11 @@ class TestBasicRuns:
             capsys, "sweep", "--scenario", paths["ps3"], "--dims", "4,nope"
         )
         assert code == 2 and "--dims" in err
+        # every dimension is checked before any is extracted, naming the flag
+        for dims in ("3,65", "5,4", "3,3", "", ",", "2,3"):
+            code, out, err = run_cli(capsys, "sweep", "--scenario", paths["ps3"], "--dims", dims)
+            assert (code, out) == (2, ""), dims
+            assert err.startswith("error: --dims: "), (dims, err)
         for command, key in SAMPLING_COMMANDS.items():
             for samples in ("0", "-3"):
                 code, out, err = run_cli(

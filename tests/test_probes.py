@@ -16,6 +16,7 @@ from dfrep import (
     trace_norm,
     tracial_bound_probe,
 )
+from dfrep.linalg import sample_projections
 from dfrep.probes import (
     VERDICT_DIVERGENCE,
     VERDICT_INCONCLUSIVE,
@@ -127,21 +128,69 @@ class TestTracialBoundProbe:
         assert tracial_bound_probe(_pure_family(2), samples=200, seed=4) <= 1 + 1e-9
 
 
+def _tensor_rows(dim, samples, rng, max_terms=4):
+    """All blocks of ``_sample_tensor_vectors`` as one row array, with the
+    number of samples per term count."""
+    blocks = list(_sample_tensor_vectors(dim, samples, rng, max_terms))
+    assert [len(r) for r, _ in blocks] == [len(t) for _, t in blocks]
+    terms = np.concatenate([t for _, t in blocks])
+    counts = {int(t): int(c) for t, c in enumerate(np.bincount(terms)) if c}
+    return np.concatenate([r for r, _ in blocks]), counts
+
+
+# 200 samples fill part of one block, 300 spill into a second and 700 fill
+# two blocks and part of a third.
+BLOCK_SPANS = (200, 300, 700)
+
+
+def _seeded(seed, dim):
+    return np.random.default_rng(np.random.SeedSequence([seed, dim]))
+
+
 class TestSampling:
     def test_unit_norm_and_length_mix(self):
         rng = np.random.default_rng(0)
-        rows, counts = _sample_tensor_vectors(3, 500, rng, max_terms=4)
+        rows, counts = _tensor_rows(3, 500, rng, max_terms=4)
         assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
         assert set(counts) <= {1, 2, 3, 4}
         assert sum(counts.values()) == 500
         assert len(counts) == 4  # all lengths appear at this sample size
 
     def test_prefix_stability(self):
-        r1 = np.random.default_rng(np.random.SeedSequence([5, 3]))
-        r2 = np.random.default_rng(np.random.SeedSequence([5, 3]))
-        a, _ = _sample_tensor_vectors(3, 50, r1)
-        b, _ = _sample_tensor_vectors(3, 200, r2)
-        assert np.array_equal(a, b[:50])
+        rows = {n: _tensor_rows(3, n, _seeded(5, 3))[0] for n in (50,) + BLOCK_SPANS}
+        for n in (50,) + BLOCK_SPANS[:-1]:
+            assert np.array_equal(rows[n], rows[700][:n])
+
+    @pytest.mark.parametrize("min_rank", [0, 1])
+    def test_projection_prefix_stability(self, min_rank):
+        stacks = {n: sample_projections(4, n, _seeded(5, 4), min_rank) for n in BLOCK_SPANS}
+        for n in BLOCK_SPANS[:-1]:
+            assert np.array_equal(stacks[n], stacks[700][:n])
+
+
+class TestMonotoneSuprema:
+    """Running suprema across block boundaries: exactly non-decreasing in
+    ``samples`` and equal to the running max of the per-sample values."""
+
+    def test_boundedness_probe(self):
+        d = OperatorBackedFunctional(extract_ils(_pure_family(4), 4).x_op)
+        sups = [boundedness_probe(d, samples=n, seed=2) for n in BLOCK_SPANS]
+        assert sups == sorted(sups)
+        pq = sample_projections(4, 2 * 700, _seeded(2, 4))
+        vals = np.abs(d.pair_values(pq[0::2], pq[1::2]))
+        for n, sup in zip(BLOCK_SPANS, sups):
+            assert sup == pytest.approx(float(np.max(vals[:n])), rel=1e-14)
+
+    def test_tracial_bound_probe(self):
+        dim, seed = 4, 2
+        d = _pure_family(dim)
+        x_op = extract_ils(d, dim).x_op
+        sups = [tracial_bound_probe(d, samples=n, seed=seed) for n in BLOCK_SPANS]
+        assert sups == sorted(sups)
+        rows, _ = _tensor_rows(dim, 700, _seeded(seed, dim))
+        vals = np.abs(np.einsum("nd,nd->n", rows.conj(), rows @ x_op.T))
+        for n, sup in zip(BLOCK_SPANS, sups):
+            assert sup == pytest.approx(float(np.max(vals[:n])), rel=1e-14)
 
 
 class TestSupBetaBlocks:
@@ -152,8 +201,7 @@ class TestSupBetaBlocks:
         x_op = extract_ils(PureStateFunctional(_e(dim, 1)), dim).x_op
         x_op = x_op + 0.1 * np.random.default_rng(0).standard_normal(x_op.shape)
         sup, counts = _sup_beta_rank_one(x_op, dim, samples, seed, 4)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-        xis, ref_counts = _sample_tensor_vectors(dim, samples, rng, 4)
+        xis, ref_counts = _tensor_rows(dim, samples, _seeded(seed, dim), 4)
         ref = float(np.max(np.abs(np.einsum("nd,nd->n", xis.conj(), xis @ x_op.T))))
         assert counts == ref_counts
         assert sup == pytest.approx(ref, rel=1e-12, abs=0.0)

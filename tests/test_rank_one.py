@@ -32,7 +32,12 @@ from dfrep.linalg import (
     swap_left,
     trace_norm,
 )
-from conftest import product_state_operator, random_density, random_valid_pairing_operator
+from conftest import (
+    block_tensor_terms,
+    product_state_operator,
+    random_density,
+    random_valid_pairing_operator,
+)
 from test_batched_pairing import _random_backends
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -321,16 +326,15 @@ class TestTracialWithoutEigenvectors:
 
 
 class TestBatchedBetaChecks:
-    def test_tensor_sums_keep_the_draw_stream(self):
-        dim, count = 3, 6
+    @pytest.mark.parametrize("count", [6, 300])
+    def test_tensor_sums_keep_the_draw_stream(self, count):
+        dim = 3
         a, b, starts = _random_tensor_sums(dim, count, np.random.default_rng(11))
-        rng = np.random.default_rng(11)
         ref_a, ref_b, ref_starts = [], [], []
-        for _ in range(count):
+        for terms in block_tensor_terms((dim, dim), count, np.random.default_rng(11)):
             ref_starts.append(len(ref_a))
-            for _ in range(int(rng.integers(1, 5))):
-                ref_a.append(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-                ref_b.append(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            ref_a += [t[0] for t in terms]
+            ref_b += [t[1] for t in terms]
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
         assert list(starts) == ref_starts
         empty = _random_tensor_sums(dim, 0, np.random.default_rng(11))
