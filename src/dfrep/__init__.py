@@ -62,7 +62,6 @@ from .probes import (
 from .tracial import (
     Decomposition,
     GramHermiticityError,
-    NotTraciallyBoundedError,
     TracialOperator,
     build_tracial_operator,
     evaluate_double_sum,

@@ -249,17 +249,17 @@ def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    x = extract_ils(d, samples=args.samples, seed=seed)
+    x = extract_ils(d)
     tol = _tol(args, scenario, "conditions")
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
     pairing = _pairing_residual(d, x.x_op, args.samples, seed)
     tol_pair = _tol(args, scenario, "pairing")
     ok = conds.passed and pairing <= tol_pair
     rec = {
-        "trace": x.trace,
+        "trace": complex(np.trace(x.x_op)),
         "trace_norm": x.trace_norm,
-        "swap_adjoint_residual": x.swap_adjoint_residual,
-        "positivity_min_sampled": x.positivity_min_sampled,
+        "swap_adjoint_residual": conds.swap_adjoint_residual,
+        "positivity_min_sampled": conds.positivity_min,
         "pairing_residual": pairing,
         "pairing_tolerance": tol_pair,
         "samples": args.samples,
@@ -270,9 +270,9 @@ def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
     if scenario.kind == "operator":
-        x = ils_operator_from_matrix(scenario.payload["matrix"], samples=args.samples, seed=seed)
+        x = ils_operator_from_matrix(scenario.payload["matrix"])
     else:
-        x = extract_ils(scenario.build(), samples=args.samples, seed=seed)
+        x = extract_ils(scenario.build())
     tol = _tol(args, scenario, "conditions")
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
     rec = {
@@ -290,10 +290,7 @@ def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    try:
-        dec = hermitian_form_decomposition(d, d.dim)
-    except GramHermiticityError as exc:
-        return _result("decompose", scenario, seed, [{"error": str(exc)}], "violation")
+    dec = hermitian_form_decomposition(d, d.dim)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 23]))
     a, b, starts = _random_tensor_sums(d.dim, args.samples, rng)
     worst = _max_sum_residual(dec.term_values(a, b), d.pair_values(a, b), starts)
@@ -314,10 +311,7 @@ def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    try:
-        top = build_tracial_operator(d, d.dim)
-    except GramHermiticityError as exc:
-        return _result("tracial", scenario, seed, [{"error": str(exc)}], "violation")
+    top = build_tracial_operator(d, d.dim)
     pairing = _pairing_residual(d, top.m_op, args.samples, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 29]))
     block_ranks = sorted({1, 2 if d.dim >= 2 else 1, d.dim})
@@ -359,7 +353,7 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
         raise ScenarioError("demo-pure-state requires a pure_state scenario")
     d = scenario.build()
     psi = scenario.payload["amplitudes"]
-    m = pure_state_m(psi, verify=False)
+    m = pure_state_m(psi)
     dim = scenario.dimension
     # (PU)(PU)^dag must reproduce P.
     adjoint_residual = float(np.linalg.norm(m @ m.conj().T - pure_state_projector(psi)))
@@ -451,12 +445,16 @@ def _result(command, scenario, seed, records, verdict) -> ResultRecord:
 
 
 def run_command(command: str, scenario: Scenario, args) -> ResultRecord:
-    """Dispatch one command; returns the result record with timings."""
+    """Dispatch one command; returns the result record with timings.  A
+    non-Hermitian Gram matrix is a ``violation``, not an input error."""
     if command not in _HANDLERS:
         raise ScenarioError(f"unknown command {command!r}")
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else scenario.seed
-    record = _HANDLERS[command](scenario, args, seed)
+    try:
+        record = _HANDLERS[command](scenario, args, seed)
+    except GramHermiticityError as exc:
+        record = _result(command, scenario, seed, [{"error": str(exc)}], "violation")
     record.timings_ms["total"] = (time.perf_counter() - t0) * 1e3
     return record
 

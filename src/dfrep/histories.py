@@ -228,13 +228,13 @@ def orthogonal_decompose(p: Projection, max_rank: int):
         return []
     return [
         Projection(block @ block.conj().T, block.shape[1])
-        for block in _column_blocks(_range_columns(p), max_rank)
+        for block in _column_blocks(_range_columns(p.matrix), max_rank)
     ]
 
 
-def _range_columns(p: Projection) -> np.ndarray:
-    """Orthonormal eigenvectors spanning the range of p, as columns."""
-    vals, vecs = np.linalg.eigh(p.matrix)
+def _range_columns(p: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors spanning the range of the matrix p, as columns."""
+    vals, vecs = np.linalg.eigh(p)
     return vecs[:, vals > 0.5]
 
 

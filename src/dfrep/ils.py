@@ -170,22 +170,15 @@ def bilinear_unit_table(d: DecoherenceFunctional, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ILSOperator:
-    """Candidate trace-pairing representative X with eager diagnostics.
+    """Candidate trace-pairing representative X on H (x) H.
 
-    ``swap_adjoint_residual`` is ``||X - W X^dag W||_F``, the operator form
-    of the Hermiticity axiom; ``positivity_min_sampled`` is the smallest
-    sampled diagonal value ``Re tr((p (x) p) X)`` (sample count and seed
-    recorded); the trace norm, which feeds the tensor-boundedness sweeps,
-    is computed on first read.
+    A plain holder: the three operator conditions are reported by
+    :func:`verify_ils_conditions`, and the trace norm, which feeds the
+    tensor-boundedness sweeps, is computed on first read.
     """
 
     x_op: np.ndarray
-    trace: complex
-    swap_adjoint_residual: float
-    positivity_min_sampled: float
     dim: int
-    samples: int
-    seed: int
 
     @cached_property
     def trace_norm(self) -> float:
@@ -266,31 +259,17 @@ def _swap_adjoint_residual(x: np.ndarray, dim: int) -> float:
     return float(np.sqrt(sum(np.linalg.norm(x4[i] - mirror[i].conj()) ** 2 for i in range(dim))))
 
 
-def ils_operator_from_matrix(
-    x_op, samples: int = 100, seed: int = 0
-) -> ILSOperator:
-    """Wrap a dense operator on H (x) H with its eager diagnostics."""
+def ils_operator_from_matrix(x_op) -> ILSOperator:
+    """Wrap a dense operator on H (x) H."""
     x = as_matrix(x_op, "x_op")
     dim = int(round(np.sqrt(x.shape[0])))
     if dim * dim != x.shape[0]:
         raise ValueError(f"operator side {x.shape[0]} is not a perfect square")
-    return ILSOperator(
-        x_op=x,
-        trace=complex(np.trace(x)),
-        swap_adjoint_residual=_swap_adjoint_residual(x, dim),
-        positivity_min_sampled=_sample_positivity_min(x, dim, samples, seed),
-        dim=dim,
-        samples=samples,
-        seed=seed,
-    )
+    return ILSOperator(x_op=x, dim=dim)
 
 
 def extract_ils(
-    d: DecoherenceFunctional,
-    dim: int | None = None,
-    samples: int = 100,
-    seed: int = 0,
-    allow_dim_two: bool = False,
+    d: DecoherenceFunctional, dim: int | None = None, allow_dim_two: bool = False
 ) -> ILSOperator:
     """Recover the trace-pairing operator X of a functional at its
     truncation dimension.
@@ -305,10 +284,9 @@ def extract_ils(
     if dim != d.dim:
         raise ValueError(f"dimension mismatch: functional has dim {d.dim}, got {dim}")
     _check_dim(dim, "trace-pairing extraction", allow_dim_two=allow_dim_two)
-    # X[(b,e),(a,c)] = D(E_ab, E_ce); the unit table is dropped before the
-    # diagnostics run.
+    # X[(b,e),(a,c)] = D(E_ab, E_ce)
     x = np.transpose(bilinear_unit_table(d, dim), (1, 3, 0, 2)).reshape(dim * dim, dim * dim)
-    return ils_operator_from_matrix(x, samples=samples, seed=seed)
+    return ils_operator_from_matrix(x)
 
 
 def evaluate_ils(x: ILSOperator, p, q) -> complex:
@@ -319,21 +297,13 @@ def evaluate_ils(x: ILSOperator, p, q) -> complex:
 def verify_ils_conditions(
     x: ILSOperator, samples: int = 200, seed: int = 0, tol: float = 1e-8
 ) -> ConditionsReport:
-    """Report the residuals of the three operator conditions on X.
-
-    When ``samples`` and ``seed`` match the holder's, its eager swap
-    residual and sampled positivity minimum are the same numbers and are
-    reused; otherwise both are computed afresh.
-    """
+    """Report the residuals of the three operator conditions on X: the
+    swap residual, the positivity minimum over ``samples`` seeded
+    projections (see :func:`_sample_positivity_min`) and ``|tr X - 1|``."""
     m = x.x_op
-    if (samples, seed) == (x.samples, x.seed):
-        swap, positivity = x.swap_adjoint_residual, x.positivity_min_sampled
-    else:
-        swap = _swap_adjoint_residual(m, x.dim)
-        positivity = _sample_positivity_min(m, x.dim, samples, seed)
     return ConditionsReport(
-        swap_adjoint_residual=swap,
-        positivity_min=positivity,
+        swap_adjoint_residual=_swap_adjoint_residual(m, x.dim),
+        positivity_min=_sample_positivity_min(m, x.dim, samples, seed),
         normalization_residual=float(abs(np.trace(m) - 1.0)),
         samples=samples,
         seed=seed,
@@ -349,7 +319,7 @@ def df_from_operator(
 
     Raises :class:`ConditionViolationError` naming the failed conditions.
     """
-    holder = ils_operator_from_matrix(x_op, samples=samples, seed=seed)
+    holder = ils_operator_from_matrix(x_op)
     report = verify_ils_conditions(holder, samples=samples, seed=seed, tol=tol)
     if not report.passed:
         raise ConditionViolationError(report)

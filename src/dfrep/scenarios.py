@@ -39,6 +39,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -148,6 +149,12 @@ class Scenario:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
     def build(self) -> DecoherenceFunctional:
+        """The functional at the scenario's dimension, built once (by
+        :func:`parse_scenario`, to validate it)."""
+        return self._functional
+
+    @cached_property
+    def _functional(self) -> DecoherenceFunctional:
         return self.functional_at(self.dimension)
 
     def functional_at(self, dim: int) -> DecoherenceFunctional:

@@ -54,7 +54,6 @@ from .linalg import (
     operator_norm,
     pairing_realignment,
     swap_left,
-    trace_pair,
     unit_vector,
 )
 
@@ -62,21 +61,6 @@ from .linalg import (
 class GramHermiticityError(ValueError):
     """The assembled Gram matrix is not Hermitian: the source functional
     violates the Hermiticity axiom upstream."""
-
-
-class NotTraciallyBoundedError(RuntimeError):
-    """The tracial-boundedness probe exceeded the requested bound."""
-
-    def __init__(self, sup_estimate: float, bound: float, dim: int, samples: int, seed: int):
-        self.sup_estimate = sup_estimate
-        self.bound = bound
-        self.dim = dim
-        self.samples = samples
-        self.seed = seed
-        super().__init__(
-            f"sup |beta(p_xi)| estimate {sup_estimate:.6g} exceeds bound "
-            f"{bound:.6g} at dim {dim} ({samples} samples, seed {seed})"
-        )
 
 
 # Gram eigenvalues below this fraction of the spectral scale are dropped;
@@ -192,13 +176,18 @@ def hermitian_form_decomposition(d: DecoherenceFunctional, dim: int | None = Non
 @dataclass(frozen=True, eq=False)
 class TracialOperator:
     """Bounded representative M with ``d(p, q) = tr(M (p (x) q))`` on
-    finite-rank projections: M = realign(G) = the swap-symmetrised X, and
-    the signed families (:attr:`source`) are computed from G on first read."""
+    finite-rank projections: M = realign(G) = the swap-symmetrised X.  A
+    plain holder: the operator norm and the signed families
+    (:attr:`source`) are computed from M and G on first read."""
 
     m_op: np.ndarray
-    operator_norm: float
     gram: np.ndarray
     dim: int
+
+    @cached_property
+    def operator_norm(self) -> float:
+        """``||M|| = ||W M||``; W M is exactly Hermitian because G is."""
+        return operator_norm(swap_left(self.m_op, self.dim), overwrite_a=True)
 
     @cached_property
     def source(self) -> Decomposition:
@@ -214,33 +203,18 @@ class TracialOperator:
         return int(np.count_nonzero(w > 0)), int(np.count_nonzero(w <= 0))
 
 
-def build_tracial_operator(
-    d: DecoherenceFunctional,
-    dim: int | None = None,
-    bound: float | None = None,
-    probe_samples: int = 2000,
-    seed: int = 0,
-) -> TracialOperator:
+def build_tracial_operator(d: DecoherenceFunctional, dim: int | None = None) -> TracialOperator:
     """Assemble the bounded operator M by realigning the Gram matrix.
 
-    At a fixed truncation every functional yields a finite M, so the
-    tracial-boundedness precondition only bites when a ``bound`` is given:
-    the probe then estimates ``sup |beta(p_xi)|`` and a violation raises
-    :class:`NotTraciallyBoundedError` carrying the evidence.
+    At a fixed truncation every functional yields a finite M; the
+    tracial-boundedness evidence across dimensions is the separate
+    estimate of :func:`dfrep.probes.tracial_bound_probe`.
     """
     if dim is None:
         dim = d.dim
-    if bound is not None:
-        from .probes import tracial_bound_probe
-
-        sup = tracial_bound_probe(d, dim, samples=probe_samples, seed=seed)
-        if sup > bound:
-            raise NotTraciallyBoundedError(sup, bound, dim, probe_samples, seed)
     g = gram_matrix(d, dim)
     m = g.reshape(dim, dim, dim, dim).transpose(1, 2, 0, 3).reshape(dim * dim, dim * dim)
-    # ||M|| = ||W M||, and W M is exactly Hermitian because G is.
-    norm = operator_norm(swap_left(m, dim), overwrite_a=True)
-    return TracialOperator(m_op=m, operator_norm=norm, gram=g, dim=dim)
+    return TracialOperator(m_op=m, gram=g, dim=dim)
 
 
 def householder_basis(psi) -> np.ndarray:
@@ -267,40 +241,20 @@ def pure_state_projector(psi) -> np.ndarray:
     return np.kron(np.outer(v, v.conj()), np.eye(v.size))
 
 
-def pure_state_m(psi, verify: bool = True, seed: int = 0) -> np.ndarray:
+def pure_state_m(psi) -> np.ndarray:
     """The bounded representative of the pure-state functional, built as
     P U: U swaps the tensor factors and P projects onto
     span{psi (x) psi_i} for an orthonormal basis {psi_i} extending psi.
 
-    With ``verify`` set, the construction self-checks the defining
-    identities: ``(PU)(PU)^dag = P`` and ``beta_psi(S) = tr(S P U)`` on
-    seeded elementary tensor sums.
+    ``demo-pure-state`` reports its identities ``(PU)(PU)^dag = P`` and
+    ``beta_psi(S) = tr(S P U)`` as residuals.
     """
     v = unit_vector(psi, "psi")
     dim = v.size
     n = dim * dim
     p = pure_state_projector(v)
     # P U: right multiplication by the swap permutes columns (k,l) -> (l,k).
-    m = p.reshape(n, dim, dim).transpose(0, 2, 1).reshape(n, n)
-    if verify:
-        resid = float(np.linalg.norm(m @ m.conj().T - p))
-        if resid > 1e-10:
-            raise RuntimeError(f"(PU)(PU)^dag deviates from P by {resid:.3g}")
-        rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-        for _ in range(10):
-            terms = []
-            for _ in range(int(rng.integers(1, 4))):
-                a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                terms.append((a, b))
-            s = ElementaryTensorSum(tuple(terms))
-            direct = sum(
-                complex(np.vdot(bm.conj().T @ v, am @ v)) for am, bm in s.terms
-            )
-            paired = trace_pair(s.materialize(), m)
-            if abs(direct - paired) > 1e-9 * max(1.0, abs(direct)):
-                raise RuntimeError("beta_psi(S) != tr(S P U) on a sampled tensor sum")
-    return m
+    return p.reshape(n, dim, dim).transpose(0, 2, 1).reshape(n, n)
 
 
 def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
@@ -393,25 +347,26 @@ def evaluate_double_sum(m, p: Projection, q: Projection, block_rank: int) -> com
 def double_sum_table(m, ps, qs, block_ranks) -> list:
     """``out[s][k] = evaluate_double_sum(m, ps[s], qs[s], block_ranks[k])``
     as nested lists, with M realigned once and every projection
-    eigendecomposed once for all block ranks."""
+    eigendecomposed once for all block ranks.
+
+    ``ps`` and ``qs`` hold validated projections, as Projection objects or
+    as matrices (such as a ``sample_projections`` stack); each range, and
+    so each rank, is read off the ``eigh`` that splits it into blocks.
+    """
     mm = m.m_op if isinstance(m, TracialOperator) else np.asarray(m, dtype=complex)
     if any(br < 1 for br in block_ranks):
         raise ValueError("max_rank must be >= 1")
     realigned = {}
     out = []
     for p, q in zip(ps, qs):
-        if not isinstance(p, Projection):
-            p = Projection.from_matrix(mat(p))
-        if not isinstance(q, Projection):
-            q = Projection.from_matrix(mat(q))
-        if p.rank == 0 or q.rank == 0:
+        p_cols, q_cols = _range_columns(mat(p)), _range_columns(mat(q))
+        if p_cols.shape[1] == 0 or q_cols.shape[1] == 0:
             out.append([0j] * len(block_ranks))
             continue
-        dims = (p.dim, q.dim)
+        dims = (len(p_cols), len(q_cols))
         if dims not in realigned:
             realigned[dims] = pairing_realignment(mm, *dims)
         xr = realigned[dims]
-        p_cols, q_cols = _range_columns(p), _range_columns(q)
         row = []
         for br in block_ranks:
             pm = np.stack([b @ b.conj().T for b in _column_blocks(p_cols, br)])

@@ -139,7 +139,7 @@ def test_criterion_04_pu_identities():
             if psi is None:
                 psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                 psi = psi / np.linalg.norm(psi)
-            m = pure_state_m(psi, verify=False)
+            m = pure_state_m(psi)
             basis = householder_basis(psi)
             proj = np.zeros((dim * dim, dim * dim), dtype=complex)
             for i in range(dim):

@@ -246,9 +246,7 @@ class TestSwapResidual:
         ref = float(np.linalg.norm(x - w @ x.conj().T @ w))
         assert ref > 1.0
         assert _swap_adjoint_residual(x, dim) == pytest.approx(ref, rel=1e-12)
-        holder = ils_operator_from_matrix(x, samples=5)
-        assert holder.swap_adjoint_residual == pytest.approx(ref, rel=1e-12)
-        report = verify_ils_conditions(holder, samples=5)
+        report = verify_ils_conditions(ils_operator_from_matrix(x), samples=5)
         assert report.swap_adjoint_residual == pytest.approx(ref, rel=1e-12)
         assert not report.hermiticity_ok
 

@@ -16,7 +16,7 @@ from conftest import (
     rho_half_half,
     skew_corrupted_operator,
 )
-from dfrep import gram_matrix
+from dfrep import ClassOperatorModel, gram_matrix
 
 MALFORMED = "{this is not json"
 
@@ -102,6 +102,22 @@ class TestBasicRuns:
             capsys, "check-axioms", "--scenario", paths["ps3"], "--seed", "99"
         )
         assert json.loads(out)["seed"] == 99
+
+    @pytest.mark.parametrize("command", ["check-axioms", "consistency"])
+    def test_class_operator_model_built_once(self, command, capsys, paths, monkeypatch):
+        """parse_scenario builds the functional to validate it, and the
+        command runs on that same build."""
+        built = []
+        post_init = ClassOperatorModel.__post_init__
+
+        def counting(model):
+            built.append(model)
+            post_init(model)
+
+        monkeypatch.setattr(ClassOperatorModel, "__post_init__", counting)
+        code, _, _ = run_cli(capsys, command, "--scenario", paths["co3"])
+        assert code == 0
+        assert len(built) == 1
 
     def test_extract_ils_dim_two_exit_code(self, capsys, paths):
         code, out, err = run_cli(capsys, "extract-ils", "--scenario", paths["ps2"])
@@ -302,7 +318,7 @@ EXIT_MATRIX = {
     "sweep": [("ps3", 0), ("op3", 0), ("bad", 2)],
     "demo-pure-state": [("ps3", 0), ("op3", 2), ("bad", 2)],
     "consistency": [("co3", 0), ("op3", 1), ("bad", 2)],
-    "reconstruct": [("op3", 0), ("ps2", 2), ("bad", 2)],
+    "reconstruct": [("op3", 0), ("op3_skew", 1), ("ps2", 2), ("bad", 2)],
 }
 
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,8 +21,6 @@ from dfrep import (
     zero_projection,
 )
 from dfrep.ils import (
-    _sample_positivity_min,
-    _swap_adjoint_residual,
     bilinear_unit_table,
     ils_operator_from_matrix,
 )
@@ -103,9 +99,10 @@ class TestExtract:
     def test_diagnostics_fields(self):
         rho = rho_half_half(3)
         x = extract_ils(OperatorBackedFunctional(np.kron(rho, rho)), 3)
-        assert x.trace == pytest.approx(1.0, abs=1e-10)
-        assert x.swap_adjoint_residual <= 1e-10
-        assert x.positivity_min_sampled >= -1e-10
+        conds = verify_ils_conditions(x, samples=100)
+        assert np.trace(x.x_op) == pytest.approx(1.0, abs=1e-10)
+        assert conds.swap_adjoint_residual <= 1e-10
+        assert conds.positivity_min >= -1e-10
         assert x.trace_norm == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_two_excluded_by_default(self):
@@ -126,7 +123,7 @@ class TestEvaluateIls:
         d = backend_fixtures(3)["operator"]
         x = extract_ils(d, 3)
         one = identity_projection(3)
-        assert evaluate_ils(x, one, one) == pytest.approx(x.trace, abs=1e-12)
+        assert evaluate_ils(x, one, one) == pytest.approx(np.trace(x.x_op), abs=1e-12)
         assert evaluate_ils(x, one, one) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_projection(self):
@@ -202,32 +199,11 @@ class TestConditions:
         dim = 3
         for kind, d in backend_fixtures(dim).items():
             x = extract_ils(d, dim)
-            assert x.swap_adjoint_residual <= 1e-8, kind
+            assert verify_ils_conditions(x).swap_adjoint_residual <= 1e-8, kind
         bad = ils_operator_from_matrix(
             np.kron(rho_half_half(dim), rho_half_half(dim)) + _skew_corruption(dim)
         )
-        assert bad.swap_adjoint_residual > 1e-3
-
-    def test_reuses_holder_diagnostics_bit_for_bit(self, rng):
-        dim, samples, seed = 4, 150, 9
-        x0 = random_valid_pairing_operator(dim, rng)
-        x0 = x0 + 1e-3 * _skew_corruption(dim)  # a nonzero swap residual
-        holder = ils_operator_from_matrix(x0, samples=samples, seed=seed)
-        report = verify_ils_conditions(holder, samples=samples, seed=seed)
-        assert report.swap_adjoint_residual == _swap_adjoint_residual(holder.x_op, dim)
-        assert report.positivity_min == _sample_positivity_min(holder.x_op, dim, samples, seed)
-
-    def test_recomputes_unless_samples_and_seed_match(self, rng):
-        dim, samples, seed = 3, 80, 5
-        holder = ils_operator_from_matrix(random_valid_pairing_operator(dim, rng), samples=samples, seed=seed)
-        # A holder whose stored diagnostics are marked shows which were read.
-        marked = dataclasses.replace(holder, swap_adjoint_residual=-1.0, positivity_min_sampled=-2.0)
-        same = verify_ils_conditions(marked, samples=samples, seed=seed)
-        assert (same.swap_adjoint_residual, same.positivity_min) == (-1.0, -2.0)
-        for s, sd in ((samples, seed + 1), (samples + 1, seed)):
-            fresh = verify_ils_conditions(marked, samples=s, seed=sd)
-            assert fresh.swap_adjoint_residual == _swap_adjoint_residual(holder.x_op, dim)
-            assert fresh.positivity_min == _sample_positivity_min(holder.x_op, dim, s, sd)
+        assert verify_ils_conditions(bad).swap_adjoint_residual > 1e-3
 
 
 class TestDfFromOperator:

@@ -19,8 +19,9 @@ from dfrep import (
     hermitian_form_decomposition,
     swap_operator,
     tracial_bound_probe,
+    verify_ils_conditions,
 )
-from dfrep import functionals, linalg, tracial
+from dfrep import functionals, ils, linalg, tracial
 from dfrep.cli import _random_tensor_sums, main
 from dfrep.ils import extract_ils, ils_operator_from_matrix, polarization_atoms
 from dfrep.linalg import (
@@ -154,13 +155,13 @@ class TestHermitianNormRoute:
         _forbid(monkeypatch, "svd")
         assert trace_norm(wx) == pytest.approx(s.sum(), rel=1e-13)
         assert operator_norm(wx) == pytest.approx(s.max(), rel=1e-13)
-        assert ils_operator_from_matrix(x, samples=5).trace_norm == pytest.approx(s.sum(), rel=1e-13)
+        assert ils_operator_from_matrix(x).trace_norm == pytest.approx(s.sum(), rel=1e-13)
 
     def test_planted_swap_violation_falls_back_to_svd(self, rng, monkeypatch):
         dim = 4
         x = random_valid_pairing_operator(dim, rng) + 1e-6 * _cmat(rng, dim * dim)
-        holder = ils_operator_from_matrix(x, samples=5)
-        assert holder.swap_adjoint_residual > 1e-7
+        holder = ils_operator_from_matrix(x)
+        assert verify_ils_conditions(holder).swap_adjoint_residual > 1e-7
         _forbid(monkeypatch, "eigvalsh")
         assert holder.trace_norm == pytest.approx(_svd(x).sum(), rel=1e-14)
 
@@ -272,7 +273,7 @@ class TestCertifiedTraceNorm:
         d = _random_backends(dim, rng)[kind]
         if kind == "operator":  # the random X of _random_backends is not swap-Hermitian
             d = OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
-        holder = extract_ils(d, dim, samples=5)
+        holder = extract_ils(d, dim)
         ref = _svd(holder.x_op).sum()
         wx = swap_left(holder.x_op, dim)
         indefinite = np.linalg.eigvalsh((wx + wx.conj().T) / 2).min() < -1e-9 * ref
@@ -294,16 +295,42 @@ class TestLazyTraceNorm:
         assert '"verdict":"pass"' in capsys.readouterr().out
         d = df_from_operator(x)
         assert tracial_bound_probe(d, samples=20) > 0
-        holder = ils_operator_from_matrix(x, samples=5)
+        holder = ils_operator_from_matrix(x)
         assert "trace_norm" not in vars(holder)
         with pytest.raises(AssertionError):
             holder.trace_norm
 
+    def test_sweep_and_probe_skip_the_condition_checks(self, rng, monkeypatch, capsys):
+        """Only verify_ils_conditions computes the swap residual and the
+        sampled positivity; the extraction inside a sweep or a probe
+        computes neither."""
+
+        def raiser(*args, **kwargs):
+            raise AssertionError("condition check outside verify_ils_conditions")
+
+        for name in ("_sample_positivity_min", "_swap_adjoint_residual"):
+            monkeypatch.setattr(ils, name, raiser)
+        d = OperatorBackedFunctional(random_valid_pairing_operator(4, rng))
+        assert tracial_bound_probe(d, samples=20) > 0
+        scenario = ROOT / "scenarios" / "pure_state_dim3.json"
+        assert main(["sweep", "--scenario", str(scenario), "--dims", "3,4", "--samples", "20"]) == 0
+        assert '"command":"sweep"' in capsys.readouterr().out
+
     def test_computed_once(self, rng, monkeypatch):
-        holder = ils_operator_from_matrix(random_valid_pairing_operator(3, rng), samples=5)
+        holder = ils_operator_from_matrix(random_valid_pairing_operator(3, rng))
         first = holder.trace_norm
+        with monkeypatch.context() as m:
+            _forbid(m, *NORM_KERNELS)
+            assert holder.trace_norm == first
+        form = _random_backends(3, rng)["form"]
+        with monkeypatch.context() as m:  # no eigvalsh of W M before the first read
+            _forbid(m, "eigvalsh")
+            top = build_tracial_operator(form, 3)
+            assert "operator_norm" not in vars(top)
+        norm = top.operator_norm
+        assert norm == pytest.approx(_svd(top.m_op).max(), rel=1e-13)
         _forbid(monkeypatch, *NORM_KERNELS)
-        assert holder.trace_norm == first
+        assert top.operator_norm == norm
 
 
 class TestTracialWithoutEigenvectors:

@@ -9,7 +9,6 @@ from dfrep import (
     ElementaryTensorSum,
     FormBackedFunctional,
     GramHermiticityError,
-    NotTraciallyBoundedError,
     OperatorBackedFunctional,
     PureStateFunctional,
     build_tracial_operator,
@@ -29,7 +28,7 @@ from dfrep import (
     trace_pair,
     zero_projection,
 )
-from dfrep.linalg import kron_trace_table
+from dfrep.linalg import Projection, kron_trace_batch, kron_trace_table, sample_projections
 from dfrep.tracial import (
     double_sum_table,
     householder_basis,
@@ -159,21 +158,6 @@ class TestTracialOperator:
         xi = (np.kron(_e(dim, 0), _e(dim, 1)) + np.kron(_e(dim, 1), _e(dim, 0))) / np.sqrt(2)
         assert np.vdot(xi, top.m_op @ xi) == pytest.approx(0.5, abs=1e-12)
 
-    def test_bound_violation_raises_with_evidence(self):
-        dim = 3
-        d = backend_fixtures(dim)["operator"]
-        with pytest.raises(NotTraciallyBoundedError) as err:
-            build_tracial_operator(d, dim, bound=1e-6, probe_samples=200, seed=5)
-        assert err.value.sup_estimate > 1e-6
-        assert err.value.samples == 200
-        assert err.value.dim == dim
-
-    def test_bound_satisfied_builds(self):
-        dim = 3
-        d = backend_fixtures(dim)["pure_state"]
-        top = build_tracial_operator(d, dim, bound=2.0, probe_samples=200, seed=5)
-        assert top.operator_norm <= 1 + 1e-9
-
 
 def _random_form(dim, rng):
     """Form backend on a random Hermitian, almost surely full-rank Gram."""
@@ -226,7 +210,7 @@ class TestRealignedRepresentative:
     @pytest.mark.parametrize("kind", KINDS)
     def test_equals_swap_symmetrised_trace_pairing_operator(self, kind, dim, rng):
         d = _fixture(kind, dim, rng)
-        x = extract_ils(d, dim, samples=10).x_op
+        x = extract_ils(d, dim).x_op
         m = build_tracial_operator(d, dim).m_op
         assert _rel(m, (x + _swap_adjoint(x, dim)) / 2) <= 1e-12
 
@@ -442,6 +426,22 @@ class TestDoubleSum:
                     )))
                 assert table[s][k] == ref
                 assert evaluate_double_sum(top, p, q, br) == ref
+
+    def test_sampled_stack_builds_no_projection(self, rng, monkeypatch):
+        """The stack of sample_projections is validated once, when drawn;
+        the table reads each rank off its own eigh and constructs no
+        Projection."""
+        dim = 4
+        top = build_tracial_operator(backend_fixtures(dim)["operator"], dim)
+        pq = sample_projections(dim, 8, rng, min_rank=1)
+        p, q = pq[0::2], pq[1::2]
+
+        def refuse(self):
+            raise AssertionError("Projection constructed")
+
+        monkeypatch.setattr(Projection, "__post_init__", refuse)
+        table = np.asarray(double_sum_table(top, p, q, [1, 2, dim]))
+        assert np.abs(table - kron_trace_batch(p, q, top.m_op)[:, None]).max() <= 1e-10
 
     def test_rejects_block_rank_below_one(self, rng):
         top = build_tracial_operator(backend_fixtures(3)["operator"], 3)
