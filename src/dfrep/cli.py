@@ -40,24 +40,18 @@ from .ils import (
     verify_ils_conditions,
 )
 from .linalg import (
+    MAX_TERMS,
     Projection,
-    block_choices,
+    block_draws,
     kron_trace_batch,
     operator_norm,
-    sample_blocks,
     sample_projections,
     swap_left,
     trace_norm,
 )
 from .probes import sweep_dims, tensor_bound_probe
-from .scenarios import (
-    BETA_SERIES_TOL,
-    IDENTITY_TOL,
-    RECONSTRUCTION_TOL,
-    Scenario,
-    ScenarioError,
-    parse_scenario,
-)
+from .scenarios import Scenario, ScenarioError, parse_scenario
+from .tolerances import BETA_SERIES_TOL, IDENTITY_TOL, RECONSTRUCTION_TOL
 from .tracial import (
     GramHermiticityError,
     build_tracial_operator,
@@ -205,20 +199,16 @@ def _pairing_residual(d, x_op, samples: int, seed: int) -> float:
 
 
 def _random_tensor_sums(dim: int, count: int, rng):
-    """``count`` random tensor sums ``sum_m a_m (x) b_m`` of one to four
-    complex Gaussian terms, as term stacks ``a``, ``b`` and the index of
-    each sum's first term.
+    """``count`` random tensor sums ``sum_m a_m (x) b_m`` of one to
+    ``MAX_TERMS`` complex Gaussian terms, as term stacks ``a``, ``b`` and
+    the index of each sum's first term.
 
-    Each block of ``SAMPLE_BLOCK`` sums draws the term counts of all its
-    slots in one call, then one ``standard_normal`` array with the real and
-    imaginary parts of a and then of b, term by term, for the kept sums.
-    So the first n sums do not depend on ``count``.
+    The term counts, and the real and imaginary parts of a and then of b,
+    term by term, are drawn by :func:`dfrep.linalg.block_draws`.  So the
+    first n sums do not depend on ``count``.
     """
-    counts = []
-    z = []
-    for n in sample_blocks(count):
-        counts.append(block_choices(rng, 1, 5, n))
-        z.append(rng.standard_normal((int(counts[-1].sum()), 4, dim, dim)))
+    # The term counts and the normals of every block; each block is freed once concatenated.
+    counts, z = tuple(zip(*block_draws(rng, count, 1, MAX_TERMS + 1, (4, dim, dim)))) or ((), ())
     z = np.concatenate(z) if z else np.empty((0, 4, dim, dim))
     starts = np.cumsum(np.concatenate([[0], *counts]))[:-1]
     return z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3], starts
@@ -232,7 +222,7 @@ def _max_sum_residual(values, ref, starts) -> float:
 
 def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    tol = _tol(args, scenario, "axioms")
+    tol = _tol(args, scenario.tolerance("axioms"))
     report = check_axioms(d, samples=args.samples, seed=seed, tol=tol)
     rec = {
         "hermiticity_residual": report.hermiticity_residual,
@@ -250,10 +240,10 @@ def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> ResultRecord:
 def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
     x = extract_ils(d)
-    tol = _tol(args, scenario, "conditions")
+    tol = _tol(args, scenario.tolerance("conditions"))
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
     pairing = _pairing_residual(d, x.x_op, args.samples, seed)
-    tol_pair = _tol(args, scenario, "pairing")
+    tol_pair = _tol(args, scenario.tolerance("pairing"))
     ok = conds.passed and pairing <= tol_pair
     rec = {
         "trace": complex(np.trace(x.x_op)),
@@ -273,7 +263,7 @@ def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
         x = ils_operator_from_matrix(scenario.payload["matrix"])
     else:
         x = extract_ils(scenario.build())
-    tol = _tol(args, scenario, "conditions")
+    tol = _tol(args, scenario.tolerance("conditions"))
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
     rec = {
         "swap_adjoint_residual": conds.swap_adjoint_residual,
@@ -294,7 +284,7 @@ def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 23]))
     a, b, starts = _random_tensor_sums(d.dim, args.samples, rng)
     worst = _max_sum_residual(dec.term_values(a, b), d.pair_values(a, b), starts)
-    tol = _tol(args, scenario, "pairing")
+    tol = _tol(args, scenario.tolerance("pairing"))
     rec = {
         "x_family_size": len(dec.x_family),
         "y_family_size": len(dec.y_family),
@@ -321,7 +311,7 @@ def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
     p, q = pq[0::2], pq[1::2]
     sums = np.asarray(double_sum_table(top, p, q, block_ranks))
     double_res = float(np.max(np.abs(sums - kron_trace_batch(p, q, top.m_op)[:, None])))
-    tol = _tol(args, scenario, "pairing")
+    tol = _tol(args, scenario.tolerance("pairing"))
     rec = {
         "operator_norm": top.operator_norm,
         "pairing_residual": pairing,
@@ -360,7 +350,7 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 31]))
     a, b, starts = _random_tensor_sums(dim, args.samples, rng)
     beta_res = _max_sum_residual(kron_trace_batch(a, b, m), d.pair_values(a, b), starts)
-    tol_beta = args.tolerance if args.tolerance is not None else BETA_SERIES_TOL
+    tol_beta = _tol(args, BETA_SERIES_TOL)
     wm = swap_left(m, dim)  # W P U = I (x) |psi><psi|, PSD of rank dim; W is unitary
     rec = {
         "trace": complex(np.trace(m)),
@@ -388,7 +378,7 @@ def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
             Projection(np.diag((np.arange(dim) == i).astype(complex)), 1)
             for i in range(dim)
         ]
-    tol = _tol(args, scenario, "consistency")
+    tol = _tol(args, scenario.tolerance("consistency"))
     report = consistency_report(d, family, tolerance=tol)
     rec = {
         "off_diagonal_max": report.off_diagonal_max,
@@ -410,7 +400,7 @@ def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
     resid = float(
         np.linalg.norm(recon - top.m_op) / max(1.0, np.linalg.norm(top.m_op))
     )
-    tol = args.tolerance if args.tolerance is not None else RECONSTRUCTION_TOL
+    tol = _tol(args, RECONSTRUCTION_TOL)
     rec = {"reconstruction_residual": resid, "tolerance": tol}
     return _result(
         "reconstruct", scenario, seed, [rec], "pass" if resid <= tol else "violation"
@@ -430,8 +420,9 @@ _HANDLERS = {
 }
 
 
-def _tol(args, scenario: Scenario, key: str) -> float:
-    return args.tolerance if args.tolerance is not None else scenario.tolerance(key)
+def _tol(args, default: float) -> float:
+    """The pass threshold of one run: ``--tolerance`` if given, else ``default``."""
+    return args.tolerance if args.tolerance is not None else default
 
 
 def _result(command, scenario, seed, records, verdict) -> ResultRecord:

@@ -51,9 +51,7 @@ from .linalg import (
     spectral_projections,
     unit_vector,
 )
-
-# A Gram matrix is rejected when its hermiticity_residual exceeds this.
-GRAM_HERMITICITY_REL = 1e-8
+from .tolerances import DEFAULT_TOLERANCES, GRAM_HERMITICITY_REL
 
 
 class DimensionExclusionError(ValueError):
@@ -373,7 +371,10 @@ def _orthoadditivity_residual(d, pool, samples: int, rng) -> float:
 
 
 def check_axioms(
-    d: DecoherenceFunctional, samples: int = 200, seed: int = 0, tol: float = 1e-8
+    d: DecoherenceFunctional,
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = DEFAULT_TOLERANCES["axioms"],
 ) -> AxiomReport:
     """Sampled verification of the four axioms.
 

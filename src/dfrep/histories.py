@@ -23,10 +23,7 @@ import numpy as np
 
 from .functionals import DecoherenceFunctional, _overlap_table, _rows, _transposed_rows
 from .linalg import Projection, as_matrix, hermiticity_residual, mat, rank_one_rows, rank_one_vectors
-
-# Model invariants hold to this tolerance: relative for the Hermiticity of rho
-# and H; absolute for min eig rho, tr rho and ||p_i p_j||_F; x dim for ||sum p - 1||_F.
-_MODEL_TOL = 1e-9
+from .tolerances import DEFAULT_TOLERANCES, MODEL_TOL, ORTHOGONALITY_TOL
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,12 @@ class ClassOperatorModel:
         for name, m in (("rho", rho), ("hamiltonian", ham)):
             if m.shape[0] != self.dim:
                 raise ValueError(f"{name}: dimension {m.shape[0]} does not match model dim {self.dim}")
-            if hermiticity_residual(m) > _MODEL_TOL:
+            if hermiticity_residual(m) > MODEL_TOL:
                 raise ValueError(f"{name}: must be Hermitian")
         evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if evals.min() < -_MODEL_TOL:
+        if evals.min() < -MODEL_TOL:
             raise ValueError(f"rho: must be positive semidefinite (min eig {evals.min():.3g})")
-        if abs(np.trace(rho) - 1.0) > _MODEL_TOL:
+        if abs(np.trace(rho) - 1.0) > MODEL_TOL:
             raise ValueError(f"rho: must have unit trace (got {np.trace(rho).real:.6g})")
         energies, eigenbasis = np.linalg.eigh((ham + ham.conj().T) / 2)
         energies.flags.writeable = False
@@ -104,11 +101,11 @@ class ClassOperatorModel:
             if not projs:
                 raise ValueError(f"schedules[{k}]: is empty")
             total = sum(p.matrix for p in projs)
-            if np.linalg.norm(total - np.eye(self.dim)) > _MODEL_TOL * self.dim:
+            if np.linalg.norm(total - np.eye(self.dim)) > MODEL_TOL * self.dim:
                 raise ValueError(f"schedules[{k}]: projections do not sum to the identity")
             for i in range(len(projs)):
                 for j in range(i + 1, len(projs)):
-                    if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > _MODEL_TOL:
+                    if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > MODEL_TOL:
                         raise ValueError(f"schedules[{k}]: projections {i} and {j} are not orthogonal")
             schedules.append(tuple(projs))
         object.__setattr__(self, "rho", rho)
@@ -258,7 +255,7 @@ class ConsistencyReport:
 def consistency_report(
     d: DecoherenceFunctional,
     projections,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCES["consistency"],
     mode: str = "weak",
 ) -> ConsistencyReport:
     """Check a family of pairwise orthogonal projections for consistency.
@@ -283,7 +280,7 @@ def consistency_report(
                 f"projection {i} has dim {projs[i].dim}"
             )
         for j in range(i + 1, len(projs)):
-            if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > 1e-8:
+            if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > ORTHOGONALITY_TOL:
                 raise ValueError(f"projections {i} and {j} are not orthogonal")
     stack = np.stack([p.matrix for p in projs])
     table = d.pair_table(stack, stack)

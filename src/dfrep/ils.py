@@ -75,6 +75,7 @@ from .linalg import (
     swap_left,
     trace_norm,
 )
+from .tolerances import DEFAULT_TOLERANCES
 
 _SQ2 = np.sqrt(2.0)
 
@@ -295,7 +296,10 @@ def evaluate_ils(x: ILSOperator, p, q) -> complex:
 
 
 def verify_ils_conditions(
-    x: ILSOperator, samples: int = 200, seed: int = 0, tol: float = 1e-8
+    x: ILSOperator,
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = DEFAULT_TOLERANCES["conditions"],
 ) -> ConditionsReport:
     """Report the residuals of the three operator conditions on X: the
     swap residual, the positivity minimum over ``samples`` seeded
@@ -312,7 +316,7 @@ def verify_ils_conditions(
 
 
 def df_from_operator(
-    x_op, tol: float = 1e-8, samples: int = 200, seed: int = 0
+    x_op, tol: float = DEFAULT_TOLERANCES["conditions"], samples: int = 200, seed: int = 0
 ) -> OperatorBackedFunctional:
     """Validated inverse of the extraction: wrap an operator on H (x) H as
     a decoherence functional after checking the three conditions.

@@ -12,20 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Projection invariants are checked to this tolerance, relative to the
-# Frobenius scale of the matrix (eigendecomposition noise at double precision).
-TOL_PROJ = 1e-8
+from .tolerances import (
+    EIG_MERGE_REL,
+    HERMITIAN_ROUTE_REL,
+    SCALE_FLOOR,
+    TENSOR_NORM2_FLOOR,
+    TOL_PROJ,
+    UNIT_NORM_TOL,
+)
 
 # Desk-scale dense limits: dim(H) and dim(H (x) H).
 MAX_DIM = 64
 MAX_DIM_PAIR = 4096
-
-# Degenerate eigenvalues closer than this (relative to the spectral scale)
-# are merged into a single spectral projection.
-EIG_MERGE_REL = 1e-8
-
-# A unit vector may miss norm 1 by at most this much (absolute).
-UNIT_NORM_TOL = 1e-8
 
 
 class DimensionLimitError(ValueError):
@@ -216,7 +214,7 @@ def projector_tensor_sum(vector_terms, normalize: bool = True) -> ElementaryTens
             for a2, g2 in pairs:
                 nrm2 += np.vdot(a2, a1) * np.vdot(g2, g1)
         nrm2 = float(nrm2.real)
-        if nrm2 <= 1e-24:
+        if nrm2 <= TENSOR_NORM2_FLOOR:
             raise ValueError("tensor vector has (numerically) zero norm")
     else:
         nrm2 = 1.0
@@ -373,7 +371,7 @@ def spectral_projections(h):
     if hermiticity_residual(hm) > TOL_PROJ:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(hm)
-    spectral_scale = max(float(np.max(np.abs(w))), 1e-300)
+    spectral_scale = max(float(np.max(np.abs(w))), SCALE_FLOOR)
     gap = EIG_MERGE_REL * spectral_scale
     out = []
     start = 0
@@ -385,14 +383,6 @@ def spectral_projections(h):
             start = i
     return out
 
-
-# The trace and operator norms are read off the eigenvalues of the Hermitian
-# part H = (a + a^dag)/2 when the skew part provably moves them by at most
-# this much relative to the result; otherwise they come from an SVD.  The
-# trace norm first tries to certify H >= 0, where ||H||_1 = tr H: a blocked
-# Cholesky for full rank, a pivoted partial Cholesky for low rank (the same
-# relative bound), and only then falls through to eigvalsh on an unchanged H.
-HERMITIAN_ROUTE_REL = 1e-13
 
 # Side of the square blocks in which the Hermitian part is split off and
 # factored.
@@ -611,29 +601,43 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
 # one stack; temporaries stay at a few stacks of this many matrices.
 SAMPLE_BLOCK = 256
 
+# Sampled tensor sums have one to this many elementary terms.
+MAX_TERMS = 4
+
 
 def sample_blocks(count: int) -> list:
     """Sizes of the consecutive sample blocks covering ``count`` samples."""
     return [min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)]
 
 
-def block_choices(rng, low: int, high: int, kept: int) -> np.ndarray:
-    """The integer choices in ``[low, high)`` of one sample block, of which
-    the first ``kept`` are used.  All ``SAMPLE_BLOCK`` slots are drawn, so
-    the choices of the kept samples do not depend on how many are kept."""
-    return rng.integers(low, high, size=SAMPLE_BLOCK)[:kept]
+def block_draws(rng, count: int, low: int, high: int, unit=(), units=lambda k: k):
+    """Yield ``(choices, normals)`` per block of :data:`SAMPLE_BLOCK` of
+    ``count`` samples, the draw layout of every sampled check.
+
+    A block draws the integer choices in ``[low, high)`` of all its slots
+    in one call and keeps those of its samples, then one ``standard_normal``
+    array that holds ``units(choices)[s]`` arrays of shape ``unit`` for
+    each kept sample s, in sample order.  So the first n samples do not
+    depend on ``count``.
+    """
+    for n in sample_blocks(count):
+        choices = rng.integers(low, high, size=SAMPLE_BLOCK)[:n]
+        yield choices, rng.standard_normal((int(np.sum(units(choices))),) + tuple(unit))
 
 
-def _random_projections(dim: int, ranks, rng) -> np.ndarray:
+def _factor_sizes(dim: int, ranks) -> np.ndarray:
+    """Gaussians in the Ginibre factor of a random projection of each rank
+    (none for rank 0 and ``dim``)."""
+    return np.where((ranks > 0) & (ranks < dim), 2 * dim * ranks, 0)
+
+
+def _projections(dim: int, ranks, normals) -> np.ndarray:
     """``(n, dim, dim)`` stack of the projections onto the column spans of
-    complex Ginibre factors of shape ``(dim, ranks[s])``, drawn by one
-    ``standard_normal`` call that holds the factors sample after sample,
-    each laid out as :func:`ginibre` draws it (rank 0 and ``dim`` draw
-    none).  One batched QR per rank orthonormalises them; the matrices are
-    not validated (see :func:`check_projection_stack`)."""
-    ranks = np.asarray(ranks, dtype=int).reshape(-1)
-    sizes = np.where((ranks > 0) & (ranks < dim), 2 * dim * ranks, 0)
-    normals = rng.standard_normal(int(sizes.sum()))
+    complex Ginibre factors of shape ``(dim, ranks[s])``, which ``normals``
+    holds sample after sample, each laid out as :func:`ginibre` draws it.
+    One batched QR per rank orthonormalises them; the matrices are not
+    validated (see :func:`check_projection_stack`)."""
+    sizes = _factor_sizes(dim, ranks)
     offsets = np.cumsum(sizes) - sizes
     out = np.zeros((len(ranks), dim, dim), dtype=complex)
     out[ranks == dim] = np.eye(dim)
@@ -651,17 +655,17 @@ def sample_projections(dim: int, count: int, rng, min_rank: int = 0) -> np.ndarr
     rank is uniform on ``[min_rank, dim]`` and the range is the span of
     ``rank`` complex Gaussian columns (Haar-distributed given the rank).
 
-    Each block of :data:`SAMPLE_BLOCK` projections draws the ranks of all
-    its slots in one call, then one Gaussian array with the factors of the
-    kept projections, projection by projection.  So the first n projections
-    do not depend on ``count``.  The QRs run batched per rank and every
-    block is validated with :func:`check_projection_stack`."""
+    The ranks and factors are drawn by :func:`block_draws`, so the first n
+    projections do not depend on ``count``.  The QRs run batched per rank
+    and every block is validated with :func:`check_projection_stack`."""
     out = np.empty((count, dim, dim), dtype=complex)
     start = 0
-    for n in sample_blocks(count):
-        ranks = block_choices(rng, min_rank, dim + 1, n)
-        out[start : start + n] = check_projection_stack(_random_projections(dim, ranks, rng), ranks)
-        start += n
+    draws = block_draws(rng, count, min_rank, dim + 1, units=lambda r: _factor_sizes(dim, r))
+    for ranks, normals in draws:
+        stack = _projections(dim, ranks, normals)
+        del normals  # freed before the validation temporaries are allocated
+        out[start : start + len(ranks)] = check_projection_stack(stack, ranks)
+        start += len(ranks)
     return out
 
 
@@ -672,4 +676,6 @@ def random_projection(dim: int, rank: int, seed) -> Projection:
     """
     if not (0 <= rank <= dim):
         raise ValueError(f"rank {rank} out of range for dim {dim}")
-    return Projection(_random_projections(dim, [rank], _as_rng(seed))[0], rank)
+    ranks = np.array([rank], dtype=int)
+    normals = _as_rng(seed).standard_normal(int(_factor_sizes(dim, ranks).sum()))
+    return Projection(_projections(dim, ranks, normals)[0], rank)

@@ -13,8 +13,9 @@ Three probes, all seeded and deterministic:
   trace-class dichotomy.
 
 Verdicts are labelled *evidence*, never proofs: a certified decision is not
-possible from finitely many truncations, so the thresholds below are
-declared cutoffs and every report embeds its seeds and sample counts.
+possible from finitely many truncations, so the sweep thresholds in
+:mod:`dfrep.tolerances` are declared cutoffs and every report embeds its
+seeds and sample counts.
 """
 
 from __future__ import annotations
@@ -28,23 +29,17 @@ from .functionals import DecoherenceFunctional
 from .ils import extract_ils
 from .linalg import (
     MAX_DIM,
+    MAX_TERMS,
     DimensionLimitError,
-    block_choices,
-    sample_blocks,
+    block_draws,
     sample_projections,
     stack_norms,
 )
+from .tolerances import MIN_DIMS_FOR_SLOPE, SLOPE_THRESHOLD, SPREAD_THRESHOLD, TENSOR_VECTOR_FLOOR
 
 VERDICT_TENSOR_BOUNDED = "tensor_bounded_evidence"
 VERDICT_DIVERGENCE = "divergence_evidence"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-# Declared cutoffs for the sweep verdict: trace norms fitted with slope at
-# least 1/2 over at least four dimensions count as divergence; a relative
-# spread below 1% across the top three dimensions counts as stabilization.
-SLOPE_THRESHOLD = 0.5
-MIN_DIMS_FOR_SLOPE = 4
-SPREAD_THRESHOLD = 0.01
 
 
 def boundedness_probe(
@@ -62,30 +57,31 @@ def boundedness_probe(
     return float(np.max(np.abs(d.pair_values(pq[0::2], pq[1::2]))))
 
 
-def _sample_tensor_vectors(dim: int, samples: int, rng, max_terms: int = 4):
+def _sample_tensor_vectors(dim: int, samples: int, rng):
     """Seeded unit vectors in the algebraic tensor subspace, yielded per
     block of ``SAMPLE_BLOCK`` samples as ``(rows, terms)``: the ``(n,
     dim*dim)`` unit vectors and the number of terms of each.
 
-    Each sample is a normalized sum of one to ``max_terms`` elementary
-    tensors ``a (x) g`` of complex Gaussian factors.  A block draws the term
-    counts of all its slots in one call, then one ``standard_normal`` array
-    with the real and imaginary parts of every ``a`` and ``g`` of the kept
-    samples, sample by sample.  So the first n samples do not depend on the
-    total count, and running suprema are exactly monotone in ``samples``.
-    The sums are one batched matmul over zero-padded term stacks.
+    Each sample is a normalized sum of one to ``MAX_TERMS`` elementary
+    tensors ``a (x) g`` of complex Gaussian factors, whose term counts and
+    the real and imaginary parts of every ``a`` and ``g`` are drawn by
+    :func:`dfrep.linalg.block_draws`.  So the first n samples do not depend
+    on the total count, and running suprema are exactly monotone in
+    ``samples``.  The sums are one batched matmul over zero-padded term
+    stacks.
     """
-    for n in sample_blocks(samples):
-        terms = block_choices(rng, 1, max_terms + 1, n)
+    for terms, normals in block_draws(rng, samples, 1, MAX_TERMS + 1, (4, dim)):
+        n = len(terms)
         # Term k of sample s is z[s, k], and zero for k >= terms[s].
-        z = np.zeros((n, max_terms, 4, dim))
-        z[np.arange(max_terms) < terms[:, None]] = rng.standard_normal((int(terms.sum()), 4, dim))
+        z = np.zeros((n, MAX_TERMS, 4, dim))
+        z[np.arange(MAX_TERMS) < terms[:, None]] = normals
+        del normals  # not held while the block is consumed
         a = z[:, :, 0] + 1j * z[:, :, 1]
         g = z[:, :, 2] + 1j * z[:, :, 3]
         rows = (a.transpose(0, 2, 1) @ g).reshape(n, dim * dim)
         nrm = stack_norms(rows)
         # Measure-zero cancellation: fall back to e1 (x) e1.
-        small = nrm < 1e-12
+        small = nrm < TENSOR_VECTOR_FLOOR
         rows[small] = 0.0
         rows[small, 0] = 1.0
         nrm[small] = 1.0
@@ -93,7 +89,7 @@ def _sample_tensor_vectors(dim: int, samples: int, rng, max_terms: int = 4):
         yield rows, terms
 
 
-def _sup_beta_rank_one(x_op: np.ndarray, dim: int, samples: int, seed: int, max_terms: int):
+def _sup_beta_rank_one(x_op: np.ndarray, dim: int, samples: int, seed: int):
     """sup |beta(p_xi)| via the pairing identity ``beta(p_xi) = <X xi, xi>``,
     with the number of samples per term count.
 
@@ -105,20 +101,16 @@ def _sup_beta_rank_one(x_op: np.ndarray, dim: int, samples: int, seed: int, max_
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
     sup = 0.0
-    counts = np.zeros(max_terms + 1, dtype=int)
-    for rows, terms in _sample_tensor_vectors(dim, samples, rng, max_terms):
+    counts = np.zeros(MAX_TERMS + 1, dtype=int)
+    for rows, terms in _sample_tensor_vectors(dim, samples, rng):
         vals = np.abs(np.einsum("nd,nd->n", rows.conj(), rows @ x_op.T))
         sup = max(sup, float(np.max(vals)))
-        counts += np.bincount(terms, minlength=max_terms + 1)
+        counts += np.bincount(terms, minlength=MAX_TERMS + 1)
     return sup, {t: int(c) for t, c in enumerate(counts) if c}
 
 
 def tracial_bound_probe(
-    d: DecoherenceFunctional,
-    dim: int | None = None,
-    samples: int = 1000,
-    seed: int = 0,
-    max_terms: int = 4,
+    d: DecoherenceFunctional, dim: int | None = None, samples: int = 1000, seed: int = 0
 ) -> float:
     """Estimate ``sup |beta(p_xi)|`` over the algebraic tensor subspace.
 
@@ -131,7 +123,7 @@ def tracial_bound_probe(
     if dim is None:
         dim = d.dim
     x = extract_ils(d, dim, allow_dim_two=True)
-    sup, _ = _sup_beta_rank_one(x.x_op, dim, samples, seed, max_terms)
+    sup, _ = _sup_beta_rank_one(x.x_op, dim, samples, seed)
     return sup
 
 
@@ -195,9 +187,7 @@ def sweep_dims(dims, min_dim: int = 2) -> list:
     return dims
 
 
-def tensor_bound_probe(
-    d_family, dims, samples: int = 1000, seed: int = 0, max_terms: int = 4
-) -> SweepReport:
+def tensor_bound_probe(d_family, dims, samples: int = 1000, seed: int = 0) -> SweepReport:
     """Sweep a dimension-indexed family of functionals.
 
     ``d_family(dim)`` must return the truncation of the functional at that
@@ -219,7 +209,7 @@ def tensor_bound_probe(
     for dim in dims:
         t0 = time.perf_counter()
         x = _extract_member(d_family, dim)
-        sup, counts = _sup_beta_rank_one(x.x_op, dim, samples, seed, max_terms)
+        sup, counts = _sup_beta_rank_one(x.x_op, dim, samples, seed)
         trace_norms.append(x.trace_norm)
         sups.append(sup)
         lengths.append(tuple(sorted(counts.items())))

@@ -51,6 +51,7 @@ from .functionals import (
 )
 from .histories import ClassOperatorModel, standard_df
 from .linalg import MAX_DIM
+from .tolerances import DEFAULT_TOLERANCES
 
 
 class ScenarioError(ValueError):
@@ -66,22 +67,6 @@ _FIELDS = {
 }
 
 KINDS = tuple(_FIELDS)
-
-DEFAULT_TOLERANCES = {
-    "axioms": 1e-8,
-    "conditions": 1e-8,
-    "pairing": 1e-9,
-    "consistency": 1e-9,
-}
-
-# Command thresholds that are not scenario keys.  An identity that holds
-# exactly in exact arithmetic (the tracial double sum; tr M = 1 and
-# (PU)(PU)^dag = P in demo-pure-state) is checked to IDENTITY_TOL; the
-# demo-pure-state beta residual and the reconstruct residual default to
-# the other two, which --tolerance overrides.
-IDENTITY_TOL = 1e-10
-BETA_SERIES_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-8
 
 
 def _is_number(v, types=(int, float)) -> bool:
@@ -155,14 +140,17 @@ class Scenario:
 
     @cached_property
     def _functional(self) -> DecoherenceFunctional:
-        return self.functional_at(self.dimension)
+        return self._embedded(self.dimension)
 
     def functional_at(self, dim: int) -> DecoherenceFunctional:
         """The scenario's functional embedded at truncation ``dim``.
 
-        ``dim == dimension`` reproduces the scenario exactly; larger
-        dimensions zero-pad the defining data.
+        ``dim == dimension`` returns the functional of :meth:`build`;
+        larger dimensions zero-pad the defining data.
         """
+        return self._functional if dim == self.dimension else self._embedded(dim)
+
+    def _embedded(self, dim: int) -> DecoherenceFunctional:
         d0 = self.dimension
         if dim < d0:
             raise ScenarioError(

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .functionals import GRAM_HERMITICITY_REL, DecoherenceFunctional, _check_dim
+from .functionals import DecoherenceFunctional, _check_dim
 from .histories import _column_blocks, _range_columns
 from .ils import bilinear_unit_table
 from .linalg import (
@@ -56,16 +56,12 @@ from .linalg import (
     swap_left,
     unit_vector,
 )
+from .tolerances import EIG_DROP_REL, GRAM_HERMITICITY_REL, SCALE_FLOOR
 
 
 class GramHermiticityError(ValueError):
     """The assembled Gram matrix is not Hermitian: the source functional
     violates the Hermiticity axiom upstream."""
-
-
-# Gram eigenvalues below this fraction of the spectral scale are dropped;
-# keeps the families minimal and free of noise operators.
-EIG_DROP_REL = 1e-12
 
 
 def gram_matrix(d: DecoherenceFunctional, dim: int) -> np.ndarray:
@@ -142,7 +138,7 @@ class Decomposition:
 def _kept(w: np.ndarray) -> np.ndarray:
     """Mask of the Gram eigenvalues kept under ``EIG_DROP_REL``."""
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    return np.abs(w) >= EIG_DROP_REL * max(scale, 1e-300)
+    return np.abs(w) >= EIG_DROP_REL * max(scale, SCALE_FLOOR)
 
 
 def _decompose_gram(g: np.ndarray, dim: int) -> Decomposition:
@@ -356,17 +352,14 @@ def double_sum_table(m, ps, qs, block_ranks) -> list:
     mm = m.m_op if isinstance(m, TracialOperator) else np.asarray(m, dtype=complex)
     if any(br < 1 for br in block_ranks):
         raise ValueError("max_rank must be >= 1")
-    realigned = {}
+    dim = math.isqrt(len(mm))
+    xr = pairing_realignment(mm, dim, dim)
     out = []
     for p, q in zip(ps, qs):
         p_cols, q_cols = _range_columns(mat(p)), _range_columns(mat(q))
         if p_cols.shape[1] == 0 or q_cols.shape[1] == 0:
             out.append([0j] * len(block_ranks))
             continue
-        dims = (len(p_cols), len(q_cols))
-        if dims not in realigned:
-            realigned[dims] = pairing_realignment(mm, *dims)
-        xr = realigned[dims]
         row = []
         for br in block_ranks:
             pm = np.stack([b @ b.conj().T for b in _column_blocks(p_cols, br)])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
 from dfrep import ClassOperatorModel, gram_matrix
 
 MALFORMED = "{this is not json"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _write(tmp_path, name, text):
@@ -118,6 +120,22 @@ class TestBasicRuns:
         code, _, _ = run_cli(capsys, command, "--scenario", paths["co3"])
         assert code == 0
         assert len(built) == 1
+
+    def test_sweep_reuses_the_scenario_dimension_build(self, capsys, monkeypatch):
+        """A sweep over dims 3 and 4 of a dimension-3 scenario builds one
+        model per dimension: at dimension 3 it runs on the parsed build."""
+        built = []
+        post_init = ClassOperatorModel.__post_init__
+
+        def counting(model):
+            built.append(model.dim)
+            post_init(model)
+
+        monkeypatch.setattr(ClassOperatorModel, "__post_init__", counting)
+        scenario = str(SCENARIOS / "class_operator_trivial_dim3.json")
+        code, _, _ = run_cli(capsys, "sweep", "--scenario", scenario, "--dims", "3,4", "--samples", "20")
+        assert code == 0
+        assert built == [3, 4]
 
     def test_extract_ils_dim_two_exit_code(self, capsys, paths):
         code, out, err = run_cli(capsys, "extract-ils", "--scenario", paths["ps2"])

@@ -18,7 +18,7 @@ from dfrep import (
     standard_df,
     zero_projection,
 )
-from dfrep.histories import _MODEL_TOL
+from dfrep.tolerances import MODEL_TOL as _MODEL_TOL
 from conftest import basis_proj, rho_half_half, trivial_model
 
 

@@ -128,10 +128,10 @@ class TestTracialBoundProbe:
         assert tracial_bound_probe(_pure_family(2), samples=200, seed=4) <= 1 + 1e-9
 
 
-def _tensor_rows(dim, samples, rng, max_terms=4):
+def _tensor_rows(dim, samples, rng):
     """All blocks of ``_sample_tensor_vectors`` as one row array, with the
     number of samples per term count."""
-    blocks = list(_sample_tensor_vectors(dim, samples, rng, max_terms))
+    blocks = list(_sample_tensor_vectors(dim, samples, rng))
     assert [len(r) for r, _ in blocks] == [len(t) for _, t in blocks]
     terms = np.concatenate([t for _, t in blocks])
     counts = {int(t): int(c) for t, c in enumerate(np.bincount(terms)) if c}
@@ -150,7 +150,7 @@ def _seeded(seed, dim):
 class TestSampling:
     def test_unit_norm_and_length_mix(self):
         rng = np.random.default_rng(0)
-        rows, counts = _tensor_rows(3, 500, rng, max_terms=4)
+        rows, counts = _tensor_rows(3, 500, rng)
         assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
         assert set(counts) <= {1, 2, 3, 4}
         assert sum(counts.values()) == 500
@@ -200,8 +200,8 @@ class TestSupBetaBlocks:
         dim, seed = 4, 3
         x_op = extract_ils(PureStateFunctional(_e(dim, 1)), dim).x_op
         x_op = x_op + 0.1 * np.random.default_rng(0).standard_normal(x_op.shape)
-        sup, counts = _sup_beta_rank_one(x_op, dim, samples, seed, 4)
-        xis, ref_counts = _tensor_rows(dim, samples, _seeded(seed, dim), 4)
+        sup, counts = _sup_beta_rank_one(x_op, dim, samples, seed)
+        xis, ref_counts = _tensor_rows(dim, samples, _seeded(seed, dim))
         ref = float(np.max(np.abs(np.einsum("nd,nd->n", xis.conj(), xis @ x_op.T))))
         assert counts == ref_counts
         assert sup == pytest.approx(ref, rel=1e-12, abs=0.0)

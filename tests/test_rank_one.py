@@ -25,7 +25,6 @@ from dfrep import functionals, ils, linalg, tracial
 from dfrep.cli import _random_tensor_sums, main
 from dfrep.ils import extract_ils, ils_operator_from_matrix, polarization_atoms
 from dfrep.linalg import (
-    HERMITIAN_ROUTE_REL,
     haar_unitary,
     operator_norm,
     rank_one_matrices,
@@ -33,6 +32,7 @@ from dfrep.linalg import (
     swap_left,
     trace_norm,
 )
+from dfrep.tolerances import HERMITIAN_ROUTE_REL
 from conftest import (
     block_tensor_terms,
     product_state_operator,
