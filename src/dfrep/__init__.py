@@ -9,21 +9,13 @@ from .functionals import (
     FormBackedFunctional,
     OperatorBackedFunctional,
     PureStateFunctional,
-    beta,
-    beta_of_product_projection,
     check_axioms,
     extend_to_bilinear,
-    sesquilinear_q,
 )
 from .histories import (
     ClassOperatorModel,
     ConsistencyReport,
-    HomogeneousHistory,
-    class_operator,
     consistency_report,
-    history_pair_value,
-    iter_homogeneous_histories,
-    orthogonal_decompose,
     standard_df,
 )
 from .ils import (
@@ -31,26 +23,20 @@ from .ils import (
     ConditionsReport,
     ILSOperator,
     df_from_operator,
-    evaluate_ils,
     extract_ils,
-    functional_to_operator,
     verify_ils_conditions,
 )
 from .linalg import (
     DimensionLimitError,
-    ElementaryTensorSum,
     Projection,
     identity_projection,
-    kron,
     kron_trace,
     operator_norm,
-    projector_tensor_sum,
     random_projection,
     rank_one_proj,
     spectral_projections,
     swap_operator,
     trace_norm,
-    trace_pair,
     zero_projection,
 )
 from .probes import (

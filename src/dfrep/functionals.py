@@ -30,19 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    ElementaryTensorSum,
     as_matrix,
     check_projection_stack,
     ginibre,
     haar_from_ginibre,
-    haar_unitary,
     hermiticity_residual,
     kron_trace,
     kron_trace_batch,
     kron_trace_rank_one,
     kron_trace_table,
     mat,
-    projector_tensor_sum,
     rank_one_matrices,
     rank_one_rows,
     rank_one_vectors,
@@ -435,8 +432,8 @@ class BilinearForm:
         ``D(x, y) = sum_{j,k} lambda_j mu_k d(p_j, q_k)``
 
     combined bilinearly over the four Hermitian-part pairs.  By
-    orthoadditivity this is independent of the decomposition chosen (see
-    :func:`bilinear_refined` for the randomized re-decomposition check).
+    orthoadditivity this is independent of the decomposition chosen (the
+    randomized re-decomposition check is in ``tests/reference.py``).
     """
 
     source: DecoherenceFunctional
@@ -463,67 +460,3 @@ def extend_to_bilinear(d: DecoherenceFunctional) -> BilinearForm:
     """Extend d to the bounded bilinear form D (dimension >= 3 only)."""
     _check_dim(d.dim, "bilinear extension")
     return BilinearForm(d)
-
-
-def bilinear_refined(d: DecoherenceFunctional, x, y, rng) -> complex:
-    """D(x, y) through randomly refined spectral decompositions.
-
-    Every spectral projection (including degenerate blocks) is split into a
-    random orthonormal family of rank-one projections before the bilinear
-    expansion.  Used to verify that the extension does not depend on the
-    decomposition of its arguments.
-    """
-    xm = as_matrix(mat(x), "x")
-    ym = as_matrix(mat(y), "y")
-
-    def refine(h):
-        """Weights and a validated stack of the rank-one pieces."""
-        weights, frames = [], []
-        for w, proj in spectral_projections(h):
-            vals, vecs = np.linalg.eigh(proj.matrix)
-            cols = vecs[:, vals > 0.5]
-            frames.append(cols @ haar_unitary(cols.shape[1], rng))
-            weights += [w] * cols.shape[1]
-        cols = np.concatenate(frames, axis=1).T
-        pieces = cols[:, :, None] * cols[:, None, :].conj()
-        return np.array(weights), check_projection_stack(pieces, np.ones(len(cols)))
-
-    def pair(a, b) -> complex:
-        wa, pa = refine(a)
-        out = 0.0 + 0.0j
-        for s in range(len(wa)):
-            wb, pb = refine(b)  # b is refined afresh for every piece of a
-            out += wa[s] * (d.pair_table(pa[s : s + 1], pb)[0] @ wb)
-        return out
-
-    return _combine_hermitian_parts(xm, ym, pair)
-
-
-def sesquilinear_q(bform, x, y) -> complex:
-    """Q(x, y) = D(x, y^dag): the Hermitian form associated with D."""
-    return bform(x, mat(y).conj().T)
-
-
-def beta(d: DecoherenceFunctional, s: ElementaryTensorSum) -> complex:
-    """The linear functional on the algebraic tensor product:
-    ``beta(sum_m a_m (x) b_m) = sum_m D(a_m, b_m)``.
-
-    Well defined because D is bilinear: re-expressing the same tensor sum
-    in different terms leaves the value unchanged.
-    """
-    _check_dim(d.dim, "beta")
-    if s.dim != d.dim:
-        raise ValueError(f"dimension mismatch: {s.dim} vs {d.dim}")
-    return complex(sum(d.bilinear(a, b) for a, b in s.terms))
-
-
-def beta_of_product_projection(d: DecoherenceFunctional, vector_terms) -> complex:
-    """``beta(p_xi)`` for ``xi = sum_m alpha_m (x) gamma_m`` (normalized).
-
-    Expands the rank-one projection into elementary tensors and applies the
-    canonical bilinear extension term by term.
-    """
-    s = projector_tensor_sum(vector_terms, normalize=True)
-    if s.dim != d.dim:
-        raise ValueError(f"dimension mismatch: {s.dim} vs {d.dim}")
-    return complex(sum(d.bilinear(a, b) for a, b in s.terms))

@@ -16,7 +16,6 @@ The induced decoherence functional on history pairs is
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,22 +23,6 @@ import numpy as np
 from .functionals import DecoherenceFunctional, _overlap_table, _rows, _transposed_rows
 from .linalg import Projection, as_matrix, hermiticity_residual, mat, rank_one_rows, rank_one_vectors
 from .tolerances import DEFAULT_TOLERANCES, MODEL_TOL, ORTHOGONALITY_TOL
-
-
-@dataclass(frozen=True)
-class HomogeneousHistory:
-    """One projection choice per scheduled time; ``None`` selects the
-    identity (no event) at that time, so the all-``None`` history is the
-    unit history."""
-
-    choices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "choices",
-            tuple(None if c is None else int(c) for c in self.choices),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,49 +108,6 @@ class ClassOperatorModel:
         v = self.eigenbasis
         return (v * np.exp(-1j * t * self.energies)) @ v.conj().T
 
-    def heisenberg(self, p, t: float) -> np.ndarray:
-        """Heisenberg-picture operator U(t)^dag p U(t)."""
-        u = self.propagator(t)
-        return u.conj().T @ mat(p) @ u
-
-
-def class_operator(model: ClassOperatorModel, h: HomogeneousHistory) -> np.ndarray:
-    """Time-ordered product of Heisenberg projectors for the history.
-
-    The all-identity history gives the identity matrix exactly (no factors
-    are multiplied).
-    """
-    if len(h.choices) != len(model.times):
-        raise ValueError(
-            f"history has {len(h.choices)} choices for {len(model.times)} times"
-        )
-    c = np.eye(model.dim, dtype=complex)
-    for k, choice in enumerate(h.choices):
-        if choice is None:
-            continue
-        sched = model.schedules[k]
-        if not (0 <= choice < len(sched)):
-            raise IndexError(f"choice {choice} out of range at time index {k}")
-        c = model.heisenberg(sched[choice], model.times[k]) @ c
-    return c
-
-
-def history_pair_value(
-    model: ClassOperatorModel, h: HomogeneousHistory, k: HomogeneousHistory
-) -> complex:
-    """d(h, k) = tr(C_h rho C_k^dag)."""
-    ch = class_operator(model, h)
-    ck = class_operator(model, k)
-    return complex(np.trace(ch @ model.rho @ ck.conj().T))
-
-
-def iter_homogeneous_histories(model: ClassOperatorModel):
-    """All histories choosing one scheduled projection per time."""
-    ranges = [range(len(s)) for s in model.schedules]
-    for combo in itertools.product(*ranges):
-        yield HomogeneousHistory(tuple(combo))
-
-
 class ClassOperatorFunctional(DecoherenceFunctional):
     """Projection-level functional of a class-operator model.
 
@@ -175,8 +115,8 @@ class ClassOperatorFunctional(DecoherenceFunctional):
     scheduled time, which makes the functional linear in both slots:
     ``d(p, q) = tr(p~ rho q~)`` with ``p~ = U(t_1)^dag p U(t_1)``.  On the
     scheduled projections of a single-time model this coincides with the
-    history-pair values; use :func:`history_pair_value` for multi-time
-    histories.
+    history-pair values; the multi-time values ``tr(C_h rho C_k^dag)`` are
+    computed term by term in ``tests/reference.py``.
     """
 
     def __init__(self, model: ClassOperatorModel):
@@ -213,31 +153,6 @@ class ClassOperatorFunctional(DecoherenceFunctional):
 def standard_df(model: ClassOperatorModel) -> ClassOperatorFunctional:
     """Decoherence functional generated by a class-operator model."""
     return ClassOperatorFunctional(model)
-
-
-def orthogonal_decompose(p: Projection, max_rank: int):
-    """Split a projection into pairwise orthogonal sub-projections of rank
-    at most ``max_rank`` that sum to it.  The zero projection gives an
-    empty list."""
-    if max_rank < 1:
-        raise ValueError("max_rank must be >= 1")
-    if p.rank == 0:
-        return []
-    return [
-        Projection(block @ block.conj().T, block.shape[1])
-        for block in _column_blocks(_range_columns(p.matrix), max_rank)
-    ]
-
-
-def _range_columns(p: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors spanning the range of the matrix p, as columns."""
-    vals, vecs = np.linalg.eigh(p)
-    return vecs[:, vals > 0.5]
-
-
-def _column_blocks(cols: np.ndarray, max_rank: int) -> list:
-    """Consecutive groups of at most ``max_rank`` columns."""
-    return [cols[:, start : start + max_rank] for start in range(0, cols.shape[1], max_rank)]
 
 
 @dataclass(frozen=True)

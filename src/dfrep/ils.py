@@ -69,7 +69,6 @@ from .functionals import (
 )
 from .linalg import (
     as_matrix,
-    kron_trace,
     kron_trace_batch,
     sample_projections,
     swap_left,
@@ -290,11 +289,6 @@ def extract_ils(
     return ils_operator_from_matrix(x)
 
 
-def evaluate_ils(x: ILSOperator, p, q) -> complex:
-    """tr((p (x) q) X) for projections of the truncation dimension."""
-    return kron_trace(p, q, x.x_op)
-
-
 def verify_ils_conditions(
     x: ILSOperator,
     samples: int = 200,
@@ -328,14 +322,3 @@ def df_from_operator(
     if not report.passed:
         raise ConditionViolationError(report)
     return OperatorBackedFunctional(holder.x_op)
-
-
-def functional_to_operator(coeffs) -> np.ndarray:
-    """Trace-pairing representative of a linear functional on matrices.
-
-    ``coeffs[a, b]`` is the functional's value on the matrix unit
-    ``E_ab``; the unique T with ``phi(z) = tr(z T)`` for all z is the
-    transpose of that coefficient array, since ``tr(E_ab T) = T[b, a]``.
-    """
-    c = as_matrix(coeffs, "coeffs")
-    return c.T.copy()

@@ -16,7 +16,6 @@ from .tolerances import (
     EIG_MERGE_REL,
     HERMITIAN_ROUTE_REL,
     SCALE_FLOOR,
-    TENSOR_NORM2_FLOOR,
     TOL_PROJ,
     UNIT_NORM_TOL,
 )
@@ -157,92 +156,6 @@ def mat(x) -> np.ndarray:
     if isinstance(x, Projection):
         return x.matrix
     return np.asarray(x, dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
-class ElementaryTensorSum:
-    """A finite sum of elementary tensors ``sum_m a_m (x) b_m``.
-
-    All factors must share one dimension; the list must be non-empty.
-    This is the dense stand-in for elements of the algebraic tensor
-    product of the operator algebra with itself.
-    """
-
-    terms: tuple
-
-    def __post_init__(self):
-        if len(self.terms) == 0:
-            raise ValueError("elementary tensor sum must have at least one term")
-        norm_terms = []
-        dim = None
-        for k, (a, b) in enumerate(self.terms):
-            am = as_matrix(a, f"terms[{k}].left")
-            bm = as_matrix(b, f"terms[{k}].right")
-            if dim is None:
-                dim = am.shape[0]
-            if am.shape[0] != dim or bm.shape[0] != dim:
-                raise ValueError("all tensor-sum factors must share one dimension")
-            norm_terms.append((am, bm))
-        object.__setattr__(self, "terms", tuple(norm_terms))
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0][0].shape[0]
-
-    def materialize(self) -> np.ndarray:
-        """Dense matrix on H (x) H equal to the sum of Kronecker products."""
-        out = kron(*self.terms[0])
-        for a, b in self.terms[1:]:
-            out = out + kron(a, b)
-        return out
-
-
-def projector_tensor_sum(vector_terms, normalize: bool = True) -> ElementaryTensorSum:
-    """Rank-one projection onto ``xi = sum_m alpha_m (x) gamma_m``, expanded
-    as an elementary tensor sum.
-
-    ``p_xi = sum_{m,m'} |alpha_m><alpha_m'| (x) |gamma_m><gamma_m'|`` (divided
-    by ``||xi||^2`` when ``normalize`` is set), which lies in the algebraic
-    tensor product whenever xi does.
-    """
-    pairs = [(as_vector(a, "alpha"), as_vector(g, "gamma")) for a, g in vector_terms]
-    if not pairs:
-        raise ValueError("need at least one elementary tensor term")
-    if normalize:
-        nrm2 = 0.0 + 0.0j
-        for a1, g1 in pairs:
-            for a2, g2 in pairs:
-                nrm2 += np.vdot(a2, a1) * np.vdot(g2, g1)
-        nrm2 = float(nrm2.real)
-        if nrm2 <= TENSOR_NORM2_FLOOR:
-            raise ValueError("tensor vector has (numerically) zero norm")
-    else:
-        nrm2 = 1.0
-    terms = []
-    for a1, g1 in pairs:
-        for a2, g2 in pairs:
-            terms.append((np.outer(a1, a2.conj()) / nrm2, np.outer(g1, g2.conj())))
-    return ElementaryTensorSum(tuple(terms))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, guarded by the dense dimension limit."""
-    am = mat(a)
-    bm = mat(b)
-    if am.shape[0] * bm.shape[0] > MAX_DIM_PAIR:
-        raise DimensionLimitError(
-            f"kron dimension {am.shape[0] * bm.shape[0]} exceeds limit {MAX_DIM_PAIR}"
-        )
-    return np.kron(am, bm)
-
-
-def trace_pair(a, x) -> complex:
-    """tr(a x), contracted directly without forming the product matrix."""
-    am = mat(a)
-    xm = mat(x)
-    if am.shape != xm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {xm.shape}")
-    return complex(np.einsum("ij,ji->", am, xm))
 
 
 def kron_trace(p, q, x) -> complex:

@@ -96,8 +96,8 @@ def _sup_beta_rank_one(x_op: np.ndarray, dim: int, samples: int, seed: int):
     The identity holds exactly for the extracted trace-pairing operator
     (both sides are the same linear functional on the algebraic tensor
     product); the definitional term-pair route is kept as a test oracle in
-    :func:`dfrep.functionals.beta_of_product_projection`.  Each block of
-    samples is evaluated and dropped before the next is drawn.
+    ``tests/reference.py``.  Each block of samples is evaluated and dropped
+    before the next is drawn.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
     sup = 0.0

@@ -43,13 +43,10 @@ from functools import cached_property
 import numpy as np
 
 from .functionals import DecoherenceFunctional, _check_dim
-from .histories import _column_blocks, _range_columns
 from .ils import bilinear_unit_table
 from .linalg import (
-    ElementaryTensorSum,
     Projection,
     hermiticity_residual,
-    kron,
     mat,
     operator_norm,
     pairing_realignment,
@@ -108,7 +105,7 @@ class Decomposition:
         right = fam.reshape(len(fam), dim * dim).conj()
         return signs, left, right
 
-    def beta(self, s: ElementaryTensorSum) -> complex:
+    def beta(self, s) -> complex:
         """beta(S) evaluated through the decomposition families:
         ``sum_m sum_i sign_i tr(a_m F_i) tr(b_m F_i^dag)``."""
         if s.dim != self.dim:
@@ -129,9 +126,9 @@ class Decomposition:
         n = self.dim * self.dim
         m = np.zeros((n, n), dtype=complex)
         for x in self.x_family:
-            m += kron(x, x.conj().T)
+            m += np.kron(x, x.conj().T)
         for y in self.y_family:
-            m -= kron(y, y.conj().T)
+            m -= np.kron(y, y.conj().T)
         return m
 
 
@@ -213,26 +210,10 @@ def build_tracial_operator(d: DecoherenceFunctional, dim: int | None = None) -> 
     return TracialOperator(m_op=m, gram=g, dim=dim)
 
 
-def householder_basis(psi) -> np.ndarray:
-    """Orthonormal basis (as columns) whose first column is psi, obtained
-    from a single complex Householder reflection; deterministic in psi."""
-    v = unit_vector(psi, "psi")
-    dim = v.size
-    e1 = np.zeros(dim, dtype=complex)
-    e1[0] = 1.0
-    alpha = v[0]
-    phase = alpha / abs(alpha) if abs(alpha) > 0 else 1.0 + 0.0j
-    # ||u||^2 = 2 + 2|v_0| >= 2, so the reflector is always well defined.
-    u = v + phase * e1
-    u = u / np.linalg.norm(u)
-    reflector = np.eye(dim, dtype=complex) - 2.0 * np.outer(u, u.conj())
-    return -phase * reflector
-
-
 def pure_state_projector(psi) -> np.ndarray:
     """``P = sum_i |psi (x) psi_i><psi (x) psi_i| = |psi><psi| (x) I`` for
-    any orthonormal basis {psi_i}, such as :func:`householder_basis`
-    extending psi."""
+    any orthonormal basis {psi_i} extending psi, such as the Householder
+    basis of ``tests/reference.py``."""
     v = unit_vector(psi, "psi")
     return np.kron(np.outer(v, v.conj()), np.eye(v.size))
 
@@ -326,10 +307,22 @@ def _vec_projectors(v) -> np.ndarray:
     return (v[..., :, None] * v[..., None, :].conj()).reshape(v.shape[:-1] + (-1,))
 
 
+def _range_columns(p: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors spanning the range of the matrix p, as columns."""
+    vals, vecs = np.linalg.eigh(p)
+    return vecs[:, vals > 0.5]
+
+
+def _column_blocks(cols: np.ndarray, max_rank: int) -> list:
+    """Consecutive groups of at most ``max_rank`` columns."""
+    return [cols[:, start : start + max_rank] for start in range(0, cols.shape[1], max_rank)]
+
+
 def evaluate_double_sum(m, p: Projection, q: Projection, block_rank: int) -> complex:
     """``sum_i sum_j tr((p_i (x) q_j) M)`` over orthogonal block
     decompositions of p and q with blocks of rank at most ``block_rank``
-    (those of :func:`dfrep.histories.orthogonal_decompose`).
+    (consecutive eigenvectors of each range, as the orthogonal
+    decomposition of ``tests/reference.py`` splits them).
 
     Every term is one entry of a single block pair table (the product of
     the block stacks with the realignment of M, as in

@@ -30,15 +30,13 @@ from dfrep import (
     reconstruct_from_product_diagonal,
     standard_df,
     trace_norm,
-    trace_pair,
     tracial_bound_probe,
     verify_ils_conditions,
 )
 from dfrep.cli import json_text, main
-from dfrep.functionals import bilinear_refined
 from dfrep.ils import ils_operator_from_matrix
-from dfrep.linalg import ElementaryTensorSum
-from dfrep.tracial import householder_basis, product_diagonal_of
+from dfrep.tracial import product_diagonal_of
+from reference import ElementaryTensorSum, bilinear_refined, householder_basis, trace_pair
 from conftest import (
     backend_fixtures,
     basis_proj,

@@ -31,13 +31,13 @@ from dfrep.ils import (
     polarization_atoms,
 )
 from dfrep.linalg import (
-    ElementaryTensorSum,
     haar_unitary,
     kron_trace,
     kron_trace_batch,
     rank_one_matrices,
 )
 from dfrep.tracial import Decomposition
+from reference import ElementaryTensorSum
 from conftest import block_projections, random_density, random_valid_pairing_operator
 
 

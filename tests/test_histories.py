@@ -6,19 +6,21 @@ from numpy.testing import assert_allclose
 
 from dfrep import (
     ClassOperatorModel,
-    HomogeneousHistory,
     check_axioms,
-    class_operator,
     consistency_report,
-    history_pair_value,
     identity_projection,
-    iter_homogeneous_histories,
-    orthogonal_decompose,
     random_projection,
     standard_df,
     zero_projection,
 )
 from dfrep.tolerances import MODEL_TOL as _MODEL_TOL
+from reference import (
+    HomogeneousHistory,
+    class_operator,
+    history_pair_value,
+    iter_homogeneous_histories,
+    orthogonal_decompose,
+)
 from conftest import basis_proj, rho_half_half, trivial_model
 
 

@@ -11,9 +11,7 @@ from dfrep import (
     Projection,
     PureStateFunctional,
     df_from_operator,
-    evaluate_ils,
     extract_ils,
-    functional_to_operator,
     identity_projection,
     random_projection,
     swap_operator,
@@ -24,6 +22,7 @@ from dfrep.ils import (
     bilinear_unit_table,
     ils_operator_from_matrix,
 )
+from reference import evaluate_ils, functional_to_operator
 from conftest import (
     backend_fixtures,
     basis_proj,

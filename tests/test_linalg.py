@@ -6,21 +6,18 @@ from numpy.testing import assert_allclose
 
 from dfrep.linalg import (
     DimensionLimitError,
-    ElementaryTensorSum,
     Projection,
     haar_unitary,
     identity_projection,
-    kron,
     kron_trace,
-    projector_tensor_sum,
     random_projection,
     rank_one_proj,
     spectral_projections,
     swap_operator,
     trace_norm,
-    trace_pair,
     zero_projection,
 )
+from reference import ElementaryTensorSum, kron, projector_tensor_sum, trace_pair
 
 
 def _cmat(rng, dim):

@@ -7,7 +7,6 @@ from dfrep import (
     FormBackedFunctional,
     OperatorBackedFunctional,
     PureStateFunctional,
-    beta_of_product_projection,
     boundedness_probe,
     extract_ils,
     operator_norm,
@@ -25,6 +24,7 @@ from dfrep.probes import (
     _sup_beta_rank_one,
     _sweep_verdict,
 )
+from reference import beta_of_product_projection
 from conftest import rho_half_half
 
 

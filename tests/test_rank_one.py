@@ -11,7 +11,6 @@ import pytest
 
 from dfrep import (
     DecoherenceFunctional,
-    ElementaryTensorSum,
     FormBackedFunctional,
     OperatorBackedFunctional,
     build_tracial_operator,
@@ -33,6 +32,7 @@ from dfrep.linalg import (
     trace_norm,
 )
 from dfrep.tolerances import HERMITIAN_ROUTE_REL
+from reference import ElementaryTensorSum
 from conftest import (
     block_tensor_terms,
     product_state_operator,

@@ -1,8 +1,9 @@
 """Every threshold lives in ``dfrep.tolerances``.
 
-A small float literal elsewhere in the package is a threshold written out
-in place, and a library default that restates a ``DEFAULT_TOLERANCES``
-value can drift from it; both are checked here.
+A small float literal elsewhere in the package, or in the test reference
+code of ``tests/reference.py``, is a threshold written out in place, and a
+library default that restates a ``DEFAULT_TOLERANCES`` value can drift
+from it; both are checked here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dfrep import check_axioms, consistency_report, df_from_operator, verify_ils
 from dfrep.tolerances import DEFAULT_TOLERANCES
 
 PACKAGE = Path(dfrep.__file__).resolve().parent
+# The test reference code reads the library's thresholds too.
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 # Below this magnitude a float literal can only be a threshold.
 SMALL = 1e-6
@@ -37,7 +40,7 @@ def _small_literals(path: Path) -> list:
 def test_no_small_float_literal_outside_tolerances():
     found = [
         hit
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in [*sorted(PACKAGE.glob("*.py")), REFERENCE]
         if path.name != "tolerances.py"
         for hit in _small_literals(path)
     ]

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from dfrep import (
     DimensionExclusionError,
-    ElementaryTensorSum,
     FormBackedFunctional,
     GramHermiticityError,
     OperatorBackedFunctional,
@@ -19,22 +18,20 @@ from dfrep import (
     identity_projection,
     kron_trace,
     operator_norm,
-    orthogonal_decompose,
     pure_state_m,
     random_projection,
     reconstruct_from_product_diagonal,
     swap_operator,
     trace_norm,
-    trace_pair,
     zero_projection,
 )
 from dfrep.linalg import Projection, kron_trace_batch, kron_trace_table, sample_projections
 from dfrep.tracial import (
     double_sum_table,
-    householder_basis,
     product_diagonal_of,
     pure_state_projector,
 )
+from reference import ElementaryTensorSum, householder_basis, orthogonal_decompose, trace_pair
 from conftest import backend_fixtures, basis_proj, random_valid_pairing_operator, rho_half_half
 
 
