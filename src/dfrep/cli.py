@@ -43,10 +43,12 @@ from .linalg import (
     MAX_TERMS,
     Projection,
     block_draws,
-    kron_trace_batch,
+    operator_from_pairing,
     operator_norm,
+    pairing_realignment,
+    pairing_trace,
+    pairing_values,
     sample_projections,
-    swap_left,
     trace_norm,
 )
 from .probes import sweep_dims, tensor_bound_probe
@@ -188,14 +190,14 @@ class ResultRecord:
 # Command implementations.
 
 
-def _pairing_residual(d, x_op, samples: int, seed: int) -> float:
+def _pairing_residual(d, pairing, samples: int, seed: int) -> float:
     """Max |d(p, q) - tr((p (x) q) X)| over seeded random projection pairs,
-    drawn p, q alternately; each side is one batched evaluation."""
+    drawn p, q alternately; each side is one batched evaluation with P."""
     dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 17]))
     pq = sample_projections(dim, 2 * samples, rng)
     p, q = pq[0::2], pq[1::2]
-    return float(np.max(np.abs(d.pair_values(p, q) - kron_trace_batch(p, q, x_op))))
+    return float(np.max(np.abs(d.pair_values(p, q) - pairing_values(p, q, pairing))))
 
 
 def _random_tensor_sums(dim: int, count: int, rng):
@@ -242,11 +244,11 @@ def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
     x = extract_ils(d)
     tol = _tol(args, scenario.tolerance("conditions"))
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
-    pairing = _pairing_residual(d, x.x_op, args.samples, seed)
+    pairing = _pairing_residual(d, x.pairing, args.samples, seed)
     tol_pair = _tol(args, scenario.tolerance("pairing"))
     ok = conds.passed and pairing <= tol_pair
     rec = {
-        "trace": complex(np.trace(x.x_op)),
+        "trace": pairing_trace(x.pairing),
         "trace_norm": x.trace_norm,
         "swap_adjoint_residual": conds.swap_adjoint_residual,
         "positivity_min_sampled": conds.positivity_min,
@@ -280,7 +282,7 @@ def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    dec = hermitian_form_decomposition(d, d.dim)
+    dec = hermitian_form_decomposition(d)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 23]))
     a, b, starts = _random_tensor_sums(d.dim, args.samples, rng)
     worst = _max_sum_residual(dec.term_values(a, b), d.pair_values(a, b), starts)
@@ -301,8 +303,8 @@ def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    top = build_tracial_operator(d, d.dim)
-    pairing = _pairing_residual(d, top.m_op, args.samples, seed)
+    top = build_tracial_operator(d)
+    pairing = _pairing_residual(d, top.pairing, args.samples, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 29]))
     block_ranks = sorted({1, 2 if d.dim >= 2 else 1, d.dim})
     if args.block_rank is not None and args.block_rank not in block_ranks:
@@ -310,7 +312,7 @@ def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
     pq = sample_projections(d.dim, 40, rng, min_rank=1)  # 20 pairs, p and q alternating
     p, q = pq[0::2], pq[1::2]
     sums = np.asarray(double_sum_table(top, p, q, block_ranks))
-    double_res = float(np.max(np.abs(sums - kron_trace_batch(p, q, top.m_op)[:, None])))
+    double_res = float(np.max(np.abs(sums - pairing_values(p, q, top.pairing)[:, None])))
     tol = _tol(args, scenario.tolerance("pairing"))
     rec = {
         "operator_norm": top.operator_norm,
@@ -349,9 +351,11 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
     adjoint_residual = float(np.linalg.norm(m @ m.conj().T - pure_state_projector(psi)))
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 31]))
     a, b, starts = _random_tensor_sums(dim, args.samples, rng)
-    beta_res = _max_sum_residual(kron_trace_batch(a, b, m), d.pair_values(a, b), starts)
+    pairing = pairing_realignment(m)
+    beta_res = _max_sum_residual(pairing_values(a, b, pairing), d.pair_values(a, b), starts)
     tol_beta = _tol(args, BETA_SERIES_TOL)
-    wm = swap_left(m, dim)  # W P U = I (x) |psi><psi|, PSD of rank dim; W is unitary
+    # W P U = I (x) |psi><psi|, PSD of rank dim; W is unitary
+    wm = operator_from_pairing(pairing, swapped=True)
     rec = {
         "trace": complex(np.trace(m)),
         "trace_norm": trace_norm(wm),
@@ -395,11 +399,9 @@ def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    top = build_tracial_operator(d, d.dim)
-    recon = reconstruct_from_product_diagonal(product_diagonal_of(top.m_op), d.dim)
-    resid = float(
-        np.linalg.norm(recon - top.m_op) / max(1.0, np.linalg.norm(top.m_op))
-    )
+    m = build_tracial_operator(d).m_op
+    recon = reconstruct_from_product_diagonal(product_diagonal_of(m), d.dim)
+    resid = float(np.linalg.norm(recon - m) / max(1.0, np.linalg.norm(m)))
     tol = _tol(args, RECONSTRUCTION_TOL)
     rec = {"reconstruction_residual": resid, "tolerance": tol}
     return _result(

@@ -25,6 +25,7 @@ The associated objects used by the representation modules:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +36,17 @@ from .linalg import (
     ginibre,
     haar_from_ginibre,
     hermiticity_residual,
-    kron_trace,
-    kron_trace_batch,
     kron_trace_rank_one,
-    kron_trace_table,
     mat,
+    pairing_realignment,
+    pairing_values,
     rank_one_matrices,
     rank_one_rows,
     rank_one_vectors,
     sample_blocks,
     sample_projections,
     spectral_projections,
+    swap_right,
     unit_vector,
 )
 from .tolerances import DEFAULT_TOLERANCES, GRAM_HERMITICITY_REL
@@ -172,31 +173,30 @@ class DecoherenceFunctional:
 class OperatorBackedFunctional(DecoherenceFunctional):
     """d(p, q) = tr((p (x) q) X) for a fixed operator X on H (x) H.
 
-    The constructor does not check the representation conditions on X; use
+    X is realigned once, here, into its pairing matrix
+    ``P[(a,b), (c,e)] = D(E_ab, E_ce)`` (see
+    :func:`dfrep.linalg.pairing_realignment`), and every evaluation is a
+    product with P: ``D(x, y) = vec(x) P vec(y)^T``.  The constructor does
+    not check the representation conditions on X; use
     :func:`dfrep.ils.df_from_operator` for the validated route.
     """
 
     def __init__(self, x_op):
-        x = as_matrix(x_op, "x_op")
-        dim = int(round(np.sqrt(x.shape[0])))
-        if dim * dim != x.shape[0]:
-            raise ValueError(f"operator side {x.shape[0]} is not a perfect square")
-        self.x_op = x
-        self.dim = dim
+        self.pairing = pairing_realignment(as_matrix(x_op, "x_op"))
+        self.dim = math.isqrt(len(self.pairing))
 
     def bilinear(self, x, y) -> complex:
-        return kron_trace(x, y, self.x_op)
+        return complex(pairing_values(mat(x)[None], mat(y)[None], self.pairing)[0])
 
     def pair_table(self, left, right) -> np.ndarray:
-        return kron_trace_table(left, right, self.x_op)
+        return (_rows(left) @ self.pairing) @ _rows(right).T
 
     def rank_one_pair_table(self, left, right) -> np.ndarray:
-        d = self.dim
-        return kron_trace_rank_one(left, right, self.x_op.reshape(d, d, d, d))
+        return kron_trace_rank_one(left, right, self.pairing)
 
     def pair_values(self, left, right) -> np.ndarray:
         left, right = self._value_stacks(left, right)
-        return kron_trace_batch(left, right, self.x_op)
+        return pairing_values(left, right, self.pairing)
 
 
 class PureStateFunctional(DecoherenceFunctional):
@@ -243,7 +243,7 @@ class PureStateFunctional(DecoherenceFunctional):
         return np.sum(l * r_conj, axis=-1)
 
 
-class FormBackedFunctional(DecoherenceFunctional):
+class FormBackedFunctional(OperatorBackedFunctional):
     """Functional given by the Gram matrix of its Hermitian form Q.
 
     The Gram matrix is taken over the matrix-unit basis ``E_ij``
@@ -252,37 +252,21 @@ class FormBackedFunctional(DecoherenceFunctional):
 
         ``Q(x, y) = vec(x)^T G conj(vec(y))``,   ``vec(x)[i*d+j] = x_ij``.
 
-    Evaluation uses ``d(p, q) = Q(p, q)`` (projections are self-adjoint);
-    the bilinear extension is ``D(x, y) = Q(x, y^dag)``.
+    The bilinear extension is ``D(x, y) = Q(x, y^dag)``, so the pairing
+    matrix is G with its column pair transposed,
+    ``P[(i,j), (k,l)] = G[(i,j), (l,k)]`` (:func:`dfrep.linalg.swap_right`),
+    and every evaluation is inherited from the operator backend.
     """
 
     def __init__(self, gram):
         g = as_matrix(gram, "gram")
-        dim = int(round(np.sqrt(g.shape[0])))
-        if dim * dim != g.shape[0]:
-            raise ValueError(f"gram side {g.shape[0]} is not a perfect square")
+        self.pairing = swap_right(g)  # ValueError unless G is (d^2, d^2)
         if hermiticity_residual(g) > GRAM_HERMITICITY_REL:
             raise ValueError("gram matrix must be Hermitian")
-        self.gram = g
-        self.dim = dim
+        self.dim = math.isqrt(len(g))
 
-    def bilinear(self, x, y) -> complex:
-        xf = mat(x).reshape(-1)
-        yf = mat(y).T.reshape(-1)  # conj(vec(y^dag)) = vec(y^T)
-        return complex(xf @ self.gram @ yf)
-
-    def pair_table(self, left, right) -> np.ndarray:
-        return _rows(left) @ self.gram @ _transposed_rows(right).T
-
-    def rank_one_pair_table(self, left, right) -> np.ndarray:
-        # D is the pairing with the realignment M[(p,r),(q,s)] = G[(q,p),(r,s)].
-        d = self.dim
-        m4 = self.gram.reshape(d, d, d, d).transpose(1, 2, 0, 3)
-        return kron_trace_rank_one(left, right, m4)
-
-    def pair_values(self, left, right) -> np.ndarray:
-        left, right = self._value_stacks(left, right)
-        return np.sum((_rows(left) @ self.gram) * _transposed_rows(right), axis=-1)
+    # Its own entry in the class dictionary, where per-backend wrappers find it.
+    pair_table = OperatorBackedFunctional.pair_table
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ operator X on H (x) H through
 
     ``d(p, q) = tr((p (x) q) X)``.
 
-The matrix elements of X are values of D on matrix units:
+X is held as its pairing matrix, the values of D on matrix units,
 
-    ``X[(b,d), (a,c)] = D(E_ab, E_cd)``,
+    ``P[(a,b), (c,e)] = D(E_ab, E_ce) = X[(b,e), (a,c)]``,
 
-and every matrix unit is a fixed complex combination of rank-one
+so ``d(p, q) = vec(p) P vec(q)^T`` (see :mod:`dfrep.linalg`, which alone
+knows the index layout); every matrix unit is a fixed complex combination of rank-one
 projections onto the six polarization vectors
 
     ``e_a,  e_b,  (e_a +/- e_b)/sqrt(2),  (e_a +/- i e_b)/sqrt(2)``,
@@ -29,14 +30,15 @@ atoms are passed in the sparse form ``(support, coeff)`` of
 :func:`polarization_atoms` and no ``(N, dim, dim)`` stack is built.  Each
 backend evaluates d on such pairs in closed form
 (:meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_pair_table`):
-``<v (x) w|X|v (x) w>`` from 16 entries of X (or of the realigned Gram
-matrix), ``(psi^dag w)(w^dag v)(v^dag psi)`` for a pure state and
+``<v (x) w|X|v (x) w>`` from 16 entries of P for the operator and form
+backends, ``(psi^dag w)(w^dag v)(v^dag psi)`` for a pure state and
 ``(v^dag rho' w)(w^dag v)`` for a class operator.  The base-class default
 materialises the projections, so X still comes from d on projections
 alone.  The pair groups of four atoms fold into ``(E_ab, E_ba)`` through
 one fixed 2x4 coefficient block.
 
-The axioms of d translate into three operator conditions on X:
+The axioms of d translate into three operator conditions on X, all read
+off P (for (i), ``P[a,b,c,e] = conj P[e,c,b,a]``):
 
     (i)   ``X = W X^dag W``  with W the swap unitary   (Hermiticity),
     (ii)  ``tr((p (x) p) X) >= 0`` for all projections (positivity),
@@ -46,17 +48,18 @@ Positivity quantifies over a continuum and is reported as a sampled
 minimum with its sample count and seed; no global claim is made.  By (i),
 ``W X`` is Hermitian, so the trace norm ``||X||_1 = ||W X||_1`` is taken
 from its Hermitian part H whenever the swap residual provably cannot move
-it by more than 1e-13 relative (:func:`dfrep.linalg.trace_norm` falls back
-to the SVD otherwise).  For the valid functionals W X is usually positive
-semidefinite (``I (x) |psi><psi|`` for a pure state, ``I (x) rho'`` for a
-single-time class operator), and then ``||X||_1 = tr H``, certified by a
-blocked Cholesky (full rank) or a pivoted partial Cholesky (low rank);
-only an indefinite H pays for ``eigvalsh``.  It is computed on first read
-only.
+it by more than ``HERMITIAN_ROUTE_REL`` relative (else from the SVD; see
+:func:`dfrep.linalg.trace_norm`).  For the valid functionals W X is
+usually positive semidefinite (``I (x) |psi><psi|`` for a pure state,
+``I (x) rho'`` for a single-time class operator), and then
+``||X||_1 = tr H``, certified by a blocked Cholesky (full rank) or a
+pivoted partial Cholesky (low rank); only an indefinite H pays for
+``eigvalsh``.  It is computed on first read only, from a fresh W X.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,9 +72,12 @@ from .functionals import (
 )
 from .linalg import (
     as_matrix,
-    kron_trace_batch,
+    operator_from_pairing,
+    pairing_realignment,
+    pairing_trace,
+    pairing_values,
     sample_projections,
-    swap_left,
+    swap_adjoint_residual,
     trace_norm,
 )
 from .tolerances import DEFAULT_TOLERANCES
@@ -136,11 +142,12 @@ def _fold_columns(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([t[:, :dim], pairs.reshape(len(t), -1)], axis=1)
 
 
-def bilinear_unit_table(d: DecoherenceFunctional, dim: int) -> np.ndarray:
+def bilinear_unit_table(d: DecoherenceFunctional) -> np.ndarray:
     """Values of the bilinear extension on all matrix-unit pairs.
 
-    Returns a ``(dim, dim, dim, dim)`` array ``U[a, b, c, e] = D(E_ab, E_ce)``
-    obtained purely from d on the polarization projections.
+    Returns the ``(dim^2, dim^2)`` pairing matrix
+    ``P[(a,b), (c,e)] = D(E_ab, E_ce)``, ``dim = d.dim``, obtained purely
+    from d on the polarization projections.
 
     The atom table ``D(atom_s, atom_t)`` comes from the backend's
     :meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_pair_table`
@@ -152,6 +159,7 @@ def bilinear_unit_table(d: DecoherenceFunctional, dim: int) -> np.ndarray:
     O(ATOM_BLOCK N + dim^4); no ``(N, dim, dim)`` atom stack and no N x N
     table is built.
     """
+    dim = d.dim
     support, coeff = polarization_atoms(dim)
     n_atoms = len(support)
     order = _unit_order(dim)
@@ -165,20 +173,26 @@ def bilinear_unit_table(d: DecoherenceFunctional, dim: int) -> np.ndarray:
         rows = _fold_columns(_fold_rows(table, dim if start == 0 else 0), dim)[:, cols]
         units[order[unit : unit + len(rows)]] = rows
         unit += len(rows)
-    return units.reshape(dim, dim, dim, dim)
+    return units
 
 
 @dataclass(frozen=True, eq=False)
 class ILSOperator:
-    """Candidate trace-pairing representative X on H (x) H.
+    """Candidate trace-pairing representative X on H (x) H, held as its
+    pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)``.
 
     A plain holder: the three operator conditions are reported by
     :func:`verify_ils_conditions`, and the trace norm, which feeds the
     tensor-boundedness sweeps, is computed on first read.
     """
 
-    x_op: np.ndarray
+    pairing: np.ndarray
     dim: int
+
+    @property
+    def x_op(self) -> np.ndarray:
+        """X itself, rebuilt from P on each read."""
+        return operator_from_pairing(self.pairing)
 
     @cached_property
     def trace_norm(self) -> float:
@@ -186,8 +200,8 @@ class ILSOperator:
         when the swap residual vanishes, so its guarded Hermitian route
         replaces the SVD of X whenever the residual is at round-off; when
         W X is also positive semidefinite, a Cholesky certificate gives
-        ``tr(W X)`` without eigvalsh."""
-        return trace_norm(swap_left(self.x_op, self.dim), overwrite_a=True)
+        ``tr(W X)`` without eigvalsh.  W X is a fresh array, never P."""
+        return trace_norm(operator_from_pairing(self.pairing, swapped=True), overwrite_a=True)
 
 
 @dataclass(frozen=True)
@@ -239,54 +253,34 @@ class ConditionViolationError(ValueError):
         )
 
 
-def _sample_positivity_min(x_op: np.ndarray, dim: int, samples: int, seed: int) -> float:
+def _sample_positivity_min(pairing: np.ndarray, dim: int, samples: int, seed: int) -> float:
     """Min of Re tr((p (x) p) X) over basis rank-one plus seeded random
-    projections across all ranks, evaluated in one batched pairing."""
+    projections across all ranks, evaluated in one batched pairing with P."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
     eye = np.eye(dim, dtype=complex)
     p = np.concatenate(
         [eye[:, :, None] * eye[:, None, :], eye[None], sample_projections(dim, samples, rng, 1)]
     )
-    return float(np.min(kron_trace_batch(p, p, x_op).real))
-
-
-def _swap_adjoint_residual(x: np.ndarray, dim: int) -> float:
-    """``||X - W X^dag W||_F`` with W the swap unitary, by index transpose:
-    ``(W X^dag W)[(i,j), (k,l)] = conj(X[(l,k), (j,i)])``, one leading
-    index i at a time so the temporaries stay at ``dim^3`` entries."""
-    x4 = x.reshape(dim, dim, dim, dim)
-    mirror = x4.transpose(3, 2, 1, 0)
-    return float(np.sqrt(sum(np.linalg.norm(x4[i] - mirror[i].conj()) ** 2 for i in range(dim))))
+    return float(np.min(pairing_values(p, p, pairing).real))
 
 
 def ils_operator_from_matrix(x_op) -> ILSOperator:
-    """Wrap a dense operator on H (x) H."""
-    x = as_matrix(x_op, "x_op")
-    dim = int(round(np.sqrt(x.shape[0])))
-    if dim * dim != x.shape[0]:
-        raise ValueError(f"operator side {x.shape[0]} is not a perfect square")
-    return ILSOperator(x_op=x, dim=dim)
+    """Wrap a dense operator on H (x) H, realigned once into P."""
+    pairing = pairing_realignment(as_matrix(x_op, "x_op"))
+    return ILSOperator(pairing=pairing, dim=math.isqrt(len(pairing)))
 
 
-def extract_ils(
-    d: DecoherenceFunctional, dim: int | None = None, allow_dim_two: bool = False
-) -> ILSOperator:
+def extract_ils(d: DecoherenceFunctional, *, allow_dim_two: bool = False) -> ILSOperator:
     """Recover the trace-pairing operator X of a functional at its
-    truncation dimension.
+    truncation dimension ``d.dim``, as its pairing matrix.
 
     ``allow_dim_two`` bypasses the dimension-three exclusion for sweep
     diagnostics over backends that carry an intrinsic bilinear extension
     (all backends in this package do); the strict default reflects the
     hypotheses of the representation theorems.
     """
-    if dim is None:
-        dim = d.dim
-    if dim != d.dim:
-        raise ValueError(f"dimension mismatch: functional has dim {d.dim}, got {dim}")
-    _check_dim(dim, "trace-pairing extraction", allow_dim_two=allow_dim_two)
-    # X[(b,e),(a,c)] = D(E_ab, E_ce)
-    x = np.transpose(bilinear_unit_table(d, dim), (1, 3, 0, 2)).reshape(dim * dim, dim * dim)
-    return ils_operator_from_matrix(x)
+    _check_dim(d.dim, "trace-pairing extraction", allow_dim_two=allow_dim_two)
+    return ILSOperator(pairing=bilinear_unit_table(d), dim=d.dim)
 
 
 def verify_ils_conditions(
@@ -295,14 +289,14 @@ def verify_ils_conditions(
     seed: int = 0,
     tol: float = DEFAULT_TOLERANCES["conditions"],
 ) -> ConditionsReport:
-    """Report the residuals of the three operator conditions on X: the
-    swap residual, the positivity minimum over ``samples`` seeded
+    """Report the residuals of the three operator conditions, read off P:
+    the swap residual, the positivity minimum over ``samples`` seeded
     projections (see :func:`_sample_positivity_min`) and ``|tr X - 1|``."""
-    m = x.x_op
+    p = x.pairing
     return ConditionsReport(
-        swap_adjoint_residual=_swap_adjoint_residual(m, x.dim),
-        positivity_min=_sample_positivity_min(m, x.dim, samples, seed),
-        normalization_residual=float(abs(np.trace(m) - 1.0)),
+        swap_adjoint_residual=swap_adjoint_residual(p),
+        positivity_min=_sample_positivity_min(p, x.dim, samples, seed),
+        normalization_residual=float(abs(pairing_trace(p) - 1.0)),
         samples=samples,
         seed=seed,
         tol=tol,
@@ -317,8 +311,9 @@ def df_from_operator(
 
     Raises :class:`ConditionViolationError` naming the failed conditions.
     """
-    holder = ils_operator_from_matrix(x_op)
+    d = OperatorBackedFunctional(x_op)
+    holder = ILSOperator(d.pairing, d.dim)
     report = verify_ils_conditions(holder, samples=samples, seed=seed, tol=tol)
     if not report.passed:
         raise ConditionViolationError(report)
-    return OperatorBackedFunctional(holder.x_op)
+    return d

@@ -8,6 +8,7 @@ through explicit seeds or generators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,47 +176,81 @@ def kron_trace(p, q, x) -> complex:
     return complex(np.sum(pm.T * t.reshape(dp, dp)))
 
 
-def pairing_realignment(x, dp: int, dq: int) -> np.ndarray:
-    """Realignment ``Xr[(i,k), (j,l)] = X[(k,l), (i,j)]`` of an operator on
-    ``C^dp (x) C^dq``, so that ``tr((p (x) q) X) = vec(p) Xr vec(q)^T`` with
-    row-major ``vec``.  Pair tables and batched pairings then become plain
-    matrix products against ``Xr``."""
+def _pair_side(m: np.ndarray, name: str) -> int:
+    """``d`` for a ``(d^2, d^2)`` operator on H (x) H, else ``ValueError``."""
+    dim = math.isqrt(m.shape[0]) if m.ndim == 2 else 0
+    if dim < 1 or m.shape != (dim * dim, dim * dim):
+        raise ValueError(f"dimension mismatch: {name} must have shape (d^2, d^2), got {m.shape}")
+    return dim
+
+
+def pairing_realignment(x) -> np.ndarray:
+    """The pairing matrix ``P[(i,k), (j,l)] = X[(k,l), (i,j)]`` of an
+    operator X on H (x) H, so that ``tr((p (x) q) X) = vec(p) P vec(q)^T``
+    with row-major ``vec``; for a functional with bilinear extension D it is
+    ``P[(a,b), (c,e)] = D(E_ab, E_ce)``.  Pair tables and batched pairings
+    are then plain matrix products against P."""
     xm = mat(x)
-    if xm.shape != (dp * dq, dp * dq):
-        raise ValueError(
-            f"dimension mismatch: x is {xm.shape[0]}, factors give {dp * dq}"
-        )
-    x4 = xm.reshape(dp, dq, dp, dq)
-    return np.ascontiguousarray(x4.transpose(2, 0, 3, 1)).reshape(dp * dp, dq * dq)
+    dim = _pair_side(xm, "x")
+    x4 = xm.reshape(dim, dim, dim, dim)
+    return np.ascontiguousarray(x4.transpose(2, 0, 3, 1)).reshape(xm.shape)
 
 
-def kron_trace_table(p, q, x) -> np.ndarray:
-    """Table ``tr((p_s (x) q_t) x)`` for stacks ``p`` (m, dp, dp) and ``q``
-    (n, dq, dq): two matmuls against the realignment of ``x``.  Entry
-    (s, t) equals ``kron_trace(p[s], q[t], x)`` up to summation order."""
-    pm = np.asarray(p, dtype=complex)
-    qm = np.asarray(q, dtype=complex)
-    if pm.ndim != 3 or qm.ndim != 3:
-        raise ValueError(f"need two matrix stacks, got {pm.shape} and {qm.shape}")
-    xr = pairing_realignment(x, pm.shape[1], qm.shape[1])
-    return (pm.reshape(len(pm), -1) @ xr) @ qm.reshape(len(qm), -1).T
+def operator_from_pairing(p, swapped: bool = False) -> np.ndarray:
+    """The operator ``X[(b,e), (a,c)] = P[(a,b), (c,e)]`` with pairing
+    matrix p (the inverse of :func:`pairing_realignment`), or with
+    ``swapped`` its product ``(W X)[(e,b), (a,c)]`` with the swap W, in a
+    fresh array that may be overwritten without touching p."""
+    pm = mat(p)
+    dim = _pair_side(pm, "pairing")
+    p4 = pm.reshape(dim, dim, dim, dim)
+    return p4.transpose((3, 1, 0, 2) if swapped else (1, 3, 0, 2)).copy().reshape(pm.shape)
 
 
-def kron_trace_batch(p, q, x) -> np.ndarray:
-    """``tr((p_s (x) q_s) x)`` for stacks ``p`` (n, dp, dp) and ``q``
-    (n, dq, dq): one matmul against the realignment of ``x``, never
-    materializing a Kronecker product.  Row s equals ``kron_trace(p[s],
-    q[s], x)`` up to summation order."""
+def swap_right(a) -> np.ndarray:
+    """``a W`` for the swap unitary W on H (x) H, as the index transpose
+    ``(a W)[:, (k,l)] = a[:, (l,k)]``, in a fresh array.  It maps a pairing
+    matrix P to the Gram matrix ``G[(a,b), (c,e)] = P[(a,b), (e,c)]`` of the
+    Hermitian form and back."""
+    am = mat(a)
+    dim = _pair_side(am, "a")
+    return am.reshape(-1, dim, dim).transpose(0, 2, 1).copy().reshape(am.shape)
+
+
+def pairing_values(p, q, pairing) -> np.ndarray:
+    """``tr((p_s (x) q_s) X) = vec(p_s) P vec(q_s)^T`` for stacks ``p``
+    (n, dp, dp) and ``q`` (n, dq, dq) and the ``(dp^2, dq^2)`` pairing
+    matrix P of X: one matmul, never a Kronecker product.  Row s equals
+    ``kron_trace(p[s], q[s], x)`` up to summation order."""
     pm = np.asarray(p, dtype=complex)
     qm = np.asarray(q, dtype=complex)
     if pm.ndim != 3 or qm.ndim != 3 or len(pm) != len(qm):
         raise ValueError(
             f"need two equal-length matrix stacks, got {pm.shape} and {qm.shape}"
         )
-    dp, dq = pm.shape[1], qm.shape[1]
-    xr = pairing_realignment(x, dp, dq)
-    n = len(pm)
-    return np.einsum("sk,sk->s", pm.reshape(n, -1) @ xr, qm.reshape(n, -1))
+    left, right, pr = pm.reshape(len(pm), -1), qm.reshape(len(qm), -1), mat(pairing)
+    if pr.shape != (left.shape[1], right.shape[1]):
+        raise ValueError(f"dimension mismatch: pairing {pr.shape}, stacks {pm.shape}, {qm.shape}")
+    return np.einsum("sk,sk->s", left @ pr, right)
+
+
+def pairing_trace(p) -> complex:
+    """``tr X = sum_{a,c} P[(a,a), (c,c)] = D(1, 1)`` of the operator X
+    whose pairing matrix is p, summed in the order of ``np.trace(X)``."""
+    pm = mat(p)
+    dim = _pair_side(pm, "pairing")
+    return complex(pm[:: dim + 1, :: dim + 1].ravel().sum())
+
+
+def swap_adjoint_residual(p) -> float:
+    """``||X - W X^dag W||_F`` (W the swap) of the operator with pairing
+    matrix p: the residual of ``P[a,b,c,e] = conj P[e,c,b,a]``, by index
+    transpose one leading index at a time (temporaries of d^3 entries)."""
+    pm = mat(p)
+    dim = _pair_side(pm, "pairing")
+    p4 = pm.reshape(dim, dim, dim, dim)
+    mirror = p4.transpose(3, 2, 1, 0)
+    return float(np.sqrt(sum(np.linalg.norm(p4[i] - mirror[i].conj()) ** 2 for i in range(dim))))
 
 
 def rank_one_vectors(support, coeff, dim: int) -> np.ndarray:
@@ -247,28 +282,30 @@ def rank_one_rows(support, coeff, m) -> np.ndarray:
     return out
 
 
-def kron_trace_rank_one(left, right, x4) -> np.ndarray:
+def kron_trace_rank_one(left, right, pairing) -> np.ndarray:
     """Table ``<v_s (x) w_t| X |v_s (x) w_t> = tr((|v_s><v_s| (x) |w_t><w_t|) X)``
     for sparse rank-one operands ``left = (support, coeff)`` and ``right``,
-    with X given as a ``(d, d, d, d)`` array (or view) ``X[i, j, k, l] =
-    X[(i,j), (k,l)]``.
+    with X given by its pairing matrix P (see :func:`pairing_realignment`).
 
-    Each left operand gathers ``Y_s[j, l] = sum_{i,k} conj(v_i) v_k X[i, j, k, l]``
-    from the entries on its support, and each right operand then reads the
-    entries of ``Y_s`` on its own support: 16 entries of X per pair, for
-    two-point supports.
+    Each left operand gathers ``Y_s[l, j] = sum_{i,k} conj(v_i) v_k
+    X[(i,j), (k,l)] = sum_{i,k} conj(v_i) v_k P[(k,i), (l,j)]`` as whole
+    contiguous rows of P on its support, and each right operand then reads
+    the entries of ``Y_s`` on its own support: 16 entries of P per pair,
+    for two-point supports.
     """
     (sv, cv), (sw, cw) = left, right
-    dim = x4.shape[0]
+    pm = mat(pairing)
+    dim = _pair_side(pm, "pairing")
+    p4 = pm.reshape(dim, dim, dim, dim)
     y = np.zeros((len(sv), dim, dim), dtype=complex)
     for a in range(sv.shape[1]):
         for b in range(sv.shape[1]):
-            y += (cv[:, a].conj() * cv[:, b])[:, None, None] * x4[sv[:, a], :, sv[:, b], :]
+            y += (cv[:, a].conj() * cv[:, b])[:, None, None] * p4[sv[:, b], sv[:, a]]
     y = y.reshape(len(sv), dim * dim)
     table = np.zeros((len(sv), len(sw)), dtype=complex)
     for a in range(sw.shape[1]):
         for b in range(sw.shape[1]):
-            table += (cw[:, a].conj() * cw[:, b]) * y[:, sw[:, a] * dim + sw[:, b]]
+            table += (cw[:, a].conj() * cw[:, b]) * y[:, sw[:, b] * dim + sw[:, a]]
     return table
 
 
@@ -448,15 +485,6 @@ def operator_norm(a, overwrite_a: bool = False) -> float:
     if h is None:
         return float(np.linalg.norm(am, 2))
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-
-
-def swap_left(a, dim: int) -> np.ndarray:
-    """``W a`` for the swap unitary W on ``C^dim (x) C^dim``, as the index
-    transpose ``(W a)[(i,j), :] = a[(j,i), :]``."""
-    am = mat(a)
-    if am.shape[0] != dim * dim:
-        raise ValueError(f"dimension mismatch: a has {am.shape[0]} rows, need {dim * dim}")
-    return am.reshape(dim, dim, -1).transpose(1, 0, 2).reshape(am.shape)
 
 
 def rank_one_proj(xi) -> Projection:

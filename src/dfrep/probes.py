@@ -109,9 +109,7 @@ def _sup_beta_rank_one(x_op: np.ndarray, dim: int, samples: int, seed: int):
     return sup, {t: int(c) for t, c in enumerate(counts) if c}
 
 
-def tracial_bound_probe(
-    d: DecoherenceFunctional, dim: int | None = None, samples: int = 1000, seed: int = 0
-) -> float:
+def tracial_bound_probe(d: DecoherenceFunctional, samples: int = 1000, seed: int = 0) -> float:
     """Estimate ``sup |beta(p_xi)|`` over the algebraic tensor subspace.
 
     A uniformly bounded sup across dimensions is the signature of tracial
@@ -120,10 +118,8 @@ def tracial_bound_probe(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if dim is None:
-        dim = d.dim
-    x = extract_ils(d, dim, allow_dim_two=True)
-    sup, _ = _sup_beta_rank_one(x.x_op, dim, samples, seed)
+    x = extract_ils(d, allow_dim_two=True)
+    sup, _ = _sup_beta_rank_one(x.x_op, x.dim, samples, seed)
     return sup
 
 
@@ -170,7 +166,7 @@ def _extract_member(d_family, dim: int):
     d = d_family(dim)
     if d.dim != dim:
         raise ValueError(f"family returned dim {d.dim} for requested {dim}")
-    return extract_ils(d, dim, allow_dim_two=True)
+    return extract_ils(d, allow_dim_two=True)
 
 
 def sweep_dims(dims, min_dim: int = 2) -> list:

@@ -23,10 +23,12 @@ among bounded operators with that property (see
 operator from its diagonal on product vectors and in particular shows that
 a vanishing product diagonal forces the zero operator).
 
-The family sum is the realignment ``M[(p,r),(q,s)] = G[(q,p),(r,s)]`` of
-G itself, and equals the swap-symmetrised trace-pairing operator
-``(X + W X^dag W)/2`` of :func:`dfrep.ils.extract_ils`, so M is read off G
-by one transpose and the families are computed only on demand.
+M, G and the trace-pairing operator X of :func:`dfrep.ils.extract_ils` are
+index transposes of one pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)``:
+G is P with its column pair transposed, ``G = P W``, and the family sum M
+is the operator whose pairing matrix is ``G W`` for G made Hermitian, that
+is ``M = (X + W X^dag W)/2``.  :class:`TracialOperator` holds that P and
+G; M is rebuilt from P only when read, and the families only on demand.
 
 At a fixed finite truncation every functional is tracially bounded, so the
 interesting content is the sweep behaviour: for the pure-state functional
@@ -36,7 +38,6 @@ trace-pairing representative grows linearly with the dimension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,9 +49,10 @@ from .linalg import (
     Projection,
     hermiticity_residual,
     mat,
+    operator_from_pairing,
     operator_norm,
     pairing_realignment,
-    swap_left,
+    swap_right,
     unit_vector,
 )
 from .tolerances import EIG_DROP_REL, GRAM_HERMITICITY_REL, SCALE_FLOOR
@@ -61,16 +63,15 @@ class GramHermiticityError(ValueError):
     violates the Hermiticity axiom upstream."""
 
 
-def gram_matrix(d: DecoherenceFunctional, dim: int) -> np.ndarray:
+def gram_matrix(d: DecoherenceFunctional, dim: int | None = None) -> np.ndarray:
     """Gram matrix ``G[(i,j), (k,l)] = Q(E_ij, E_kl)`` of the Hermitian
     form over the matrix-unit basis, assembled from d on the polarization
-    projections."""
-    _check_dim(dim, "Gram assembly")
-    if dim != d.dim:
+    projections at ``d.dim`` (``dim``, if given, must equal it)."""
+    if dim is not None and dim != d.dim:
         raise ValueError(f"dimension mismatch: functional has dim {d.dim}, got {dim}")
-    units = bilinear_unit_table(d, dim)
+    _check_dim(d.dim, "Gram assembly")
     # Q(E_ij, E_kl) = D(E_ij, (E_kl)^dag) = D(E_ij, E_lk)
-    g = np.transpose(units, (0, 1, 3, 2)).reshape(dim * dim, dim * dim)
+    g = swap_right(bilinear_unit_table(d))
     if hermiticity_residual(g) > GRAM_HERMITICITY_REL:
         raise GramHermiticityError("Gram matrix is not Hermitian; the functional violates Hermiticity")
     return (g + g.conj().T) / 2
@@ -151,7 +152,7 @@ def _decompose_gram(g: np.ndarray, dim: int) -> Decomposition:
     )
 
 
-def hermitian_form_decomposition(d: DecoherenceFunctional, dim: int | None = None) -> Decomposition:
+def hermitian_form_decomposition(d: DecoherenceFunctional) -> Decomposition:
     """Constructive decomposition of the Hermitian form into signed
     rank-one families.
 
@@ -161,26 +162,31 @@ def hermitian_form_decomposition(d: DecoherenceFunctional, dim: int | None = Non
     ``{X_i}`` / ``{Y_i}`` families.  An all-zero Gram matrix produces empty
     families.
     """
-    if dim is None:
-        dim = d.dim
-    return _decompose_gram(gram_matrix(d, dim), dim)
+    return _decompose_gram(gram_matrix(d), d.dim)
 
 
 @dataclass(frozen=True, eq=False)
 class TracialOperator:
     """Bounded representative M with ``d(p, q) = tr(M (p (x) q))`` on
-    finite-rank projections: M = realign(G) = the swap-symmetrised X.  A
-    plain holder: the operator norm and the signed families
-    (:attr:`source`) are computed from M and G on first read."""
+    finite-rank projections, held as its pairing matrix: the Gram matrix
+    with its column pair transposed, ``pairing = G W``, which is the
+    trace-pairing matrix of :func:`dfrep.ils.extract_ils` made Hermitian.
+    A plain holder: M, its operator norm and the signed families
+    (:attr:`source`) are computed from P and G when read."""
 
-    m_op: np.ndarray
+    pairing: np.ndarray
     gram: np.ndarray
     dim: int
+
+    @property
+    def m_op(self) -> np.ndarray:
+        """M itself, rebuilt from P on each read."""
+        return operator_from_pairing(self.pairing)
 
     @cached_property
     def operator_norm(self) -> float:
         """``||M|| = ||W M||``; W M is exactly Hermitian because G is."""
-        return operator_norm(swap_left(self.m_op, self.dim), overwrite_a=True)
+        return operator_norm(operator_from_pairing(self.pairing, swapped=True), overwrite_a=True)
 
     @cached_property
     def source(self) -> Decomposition:
@@ -196,18 +202,16 @@ class TracialOperator:
         return int(np.count_nonzero(w > 0)), int(np.count_nonzero(w <= 0))
 
 
-def build_tracial_operator(d: DecoherenceFunctional, dim: int | None = None) -> TracialOperator:
-    """Assemble the bounded operator M by realigning the Gram matrix.
+def build_tracial_operator(d: DecoherenceFunctional) -> TracialOperator:
+    """Assemble the bounded operator M of d at ``d.dim`` from its Hermitian
+    Gram matrix, held as the pairing matrix ``G W``.
 
     At a fixed truncation every functional yields a finite M; the
     tracial-boundedness evidence across dimensions is the separate
     estimate of :func:`dfrep.probes.tracial_bound_probe`.
     """
-    if dim is None:
-        dim = d.dim
-    g = gram_matrix(d, dim)
-    m = g.reshape(dim, dim, dim, dim).transpose(1, 2, 0, 3).reshape(dim * dim, dim * dim)
-    return TracialOperator(m_op=m, gram=g, dim=dim)
+    g = gram_matrix(d)
+    return TracialOperator(pairing=swap_right(g), gram=g, dim=d.dim)
 
 
 def pure_state_projector(psi) -> np.ndarray:
@@ -226,12 +230,7 @@ def pure_state_m(psi) -> np.ndarray:
     ``demo-pure-state`` reports its identities ``(PU)(PU)^dag = P`` and
     ``beta_psi(S) = tr(S P U)`` as residuals.
     """
-    v = unit_vector(psi, "psi")
-    dim = v.size
-    n = dim * dim
-    p = pure_state_projector(v)
-    # P U: right multiplication by the swap permutes columns (k,l) -> (l,k).
-    return p.reshape(n, dim, dim).transpose(0, 2, 1).reshape(n, n)
+    return swap_right(pure_state_projector(psi))
 
 
 def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
@@ -287,11 +286,7 @@ def product_diagonal_of(m) -> "callable":
     contraction per value, never a Kronecker vector.  The d^2 calls of
     :func:`reconstruct_from_product_diagonal` then cost O(d^6) in all.
     """
-    mm = np.asarray(m, dtype=complex)
-    dim = math.isqrt(mm.shape[0]) if mm.ndim else 0
-    if dim < 1 or mm.shape != (dim * dim, dim * dim):
-        raise ValueError(f"m must have shape (d^2, d^2) for an integer d, got {mm.shape}")
-    mr = pairing_realignment(mm, dim, dim)
+    mr = pairing_realignment(m)  # ValueError unless m is (d^2, d^2)
 
     def f(alpha, beta):
         vals = np.einsum("...r,...r->...", _vec_projectors(alpha) @ mr, _vec_projectors(beta))
@@ -325,8 +320,8 @@ def evaluate_double_sum(m, p: Projection, q: Projection, block_rank: int) -> com
     decomposition of ``tests/reference.py`` splits them).
 
     Every term is one entry of a single block pair table (the product of
-    the block stacks with the realignment of M, as in
-    :func:`dfrep.linalg.kron_trace_table`), which is summed.  By trace
+    the block stacks with the pairing matrix of M, see
+    :func:`dfrep.linalg.pairing_realignment`), which is summed.  By trace
     linearity the value equals ``tr(M (p (x) q))`` for every admissible
     block decomposition.
     """
@@ -335,18 +330,17 @@ def evaluate_double_sum(m, p: Projection, q: Projection, block_rank: int) -> com
 
 def double_sum_table(m, ps, qs, block_ranks) -> list:
     """``out[s][k] = evaluate_double_sum(m, ps[s], qs[s], block_ranks[k])``
-    as nested lists, with M realigned once and every projection
-    eigendecomposed once for all block ranks.
+    as nested lists, with M realigned once (a TracialOperator's pairing
+    matrix is read as it is) and every projection eigendecomposed once for
+    all block ranks.
 
     ``ps`` and ``qs`` hold validated projections, as Projection objects or
     as matrices (such as a ``sample_projections`` stack); each range, and
     so each rank, is read off the ``eigh`` that splits it into blocks.
     """
-    mm = m.m_op if isinstance(m, TracialOperator) else np.asarray(m, dtype=complex)
     if any(br < 1 for br in block_ranks):
         raise ValueError("max_rank must be >= 1")
-    dim = math.isqrt(len(mm))
-    xr = pairing_realignment(mm, dim, dim)
+    xr = m.pairing if isinstance(m, TracialOperator) else pairing_realignment(m)
     out = []
     for p, q in zip(ps, qs):
         p_cols, q_cols = _range_columns(mat(p)), _range_columns(mat(q))

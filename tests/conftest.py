@@ -80,7 +80,7 @@ def backend_fixtures(dim: int):
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
     pure = PureStateFunctional(psi)
-    form = FormBackedFunctional(gram_matrix(operator, dim))
+    form = FormBackedFunctional(gram_matrix(operator))
     class_op = standard_df(trivial_model(dim, rho=np.diag([0.5, 0.3] + [0.2 / (dim - 2)] * (dim - 2)).astype(complex)))
     return {
         "operator": operator,

@@ -81,7 +81,7 @@ def test_criterion_01_ils_round_trip():
                 rng = np.random.default_rng(1000 + 7 * k + dim)
                 x0 = random_valid_pairing_operator(dim, rng)
                 d = df_from_operator(x0, samples=50, seed=k)
-                x = extract_ils(d, dim)
+                x = extract_ils(d)
                 assert np.abs(x.x_op - x0).max() <= 1e-9, (dim, k)
 
 
@@ -97,7 +97,7 @@ def test_criterion_02_axioms_iff_conditions():
         ]
         for d in fixtures:
             assert check_axioms(d, samples=100, seed=3).passed
-            x = extract_ils(d, d.dim)
+            x = extract_ils(d)
             rep = verify_ils_conditions(x, samples=100, seed=3, tol=1e-8)
             assert rep.swap_adjoint_residual <= 1e-8
             assert rep.normalization_residual <= 1e-8
@@ -124,9 +124,9 @@ def test_criterion_03_pure_state_dichotomy():
     with criterion(3, "pure-state trace-norm growth vs bounded sup", 30.0):
         for dim in range(2, 9):
             d = PureStateFunctional(_e(dim, 0))
-            x = extract_ils(d, dim, allow_dim_two=True)
+            x = extract_ils(d, allow_dim_two=True)
             assert abs(x.trace_norm - dim) <= 1e-8, dim
-            sup = tracial_bound_probe(d, dim, samples=10**4, seed=dim)
+            sup = tracial_bound_probe(d, samples=10**4, seed=dim)
             assert sup <= 1 + 1e-9, (dim, sup)
 
 
@@ -166,7 +166,7 @@ def test_criterion_05_decomposition_fidelity():
         rng = np.random.default_rng(5)
         for dim in (3, 4, 5):
             for kind, d in backend_fixtures(dim).items():
-                dec = hermitian_form_decomposition(d, dim)
+                dec = hermitian_form_decomposition(d)
                 assert len(dec.x_family) + len(dec.y_family) <= dim * dim, kind
                 for _ in range(100):
                     terms = tuple(
@@ -188,7 +188,7 @@ def test_criterion_06_tracial_pairing_and_double_sum():
         rng = np.random.default_rng(6)
         for dim, kind in ((3, "operator"), (5, "pure_state")):
             d = backend_fixtures(dim)[kind]
-            top = build_tracial_operator(d, dim)
+            top = build_tracial_operator(d)
             for _ in range(200):
                 p = random_projection(dim, int(rng.integers(1, dim + 1)), rng)
                 q = random_projection(dim, int(rng.integers(1, dim + 1)), rng)

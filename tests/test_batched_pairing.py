@@ -1,8 +1,9 @@
 """Batched pairing kernels against their scalar references.
 
-The pair tables, the blocked unit-table combine, the batched kron trace and
-the index-transpose swap residual are all reorganisations of the same sums;
-each is checked here against the straightforward formula it replaces.
+The pair tables, the blocked unit-table combine, the batched pairing with
+the pairing matrix and the index-transpose swap residual are all
+reorganisations of the same sums; each is checked here against the
+straightforward formula it replaces.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dfrep.cli import _pairing_residual
 from dfrep.ils import (
     ATOM_BLOCK,
     _sample_positivity_min,
-    _swap_adjoint_residual,
     bilinear_unit_table,
     ils_operator_from_matrix,
     polarization_atoms,
@@ -33,11 +33,13 @@ from dfrep.ils import (
 from dfrep.linalg import (
     haar_unitary,
     kron_trace,
-    kron_trace_batch,
+    pairing_realignment,
+    pairing_values,
     rank_one_matrices,
+    swap_adjoint_residual,
 )
 from dfrep.tracial import Decomposition
-from reference import ElementaryTensorSum
+from reference import ElementaryTensorSum, kron, trace_pair
 from conftest import block_projections, random_density, random_valid_pairing_operator
 
 
@@ -125,7 +127,7 @@ def frozen_unit_table(d, dim: int) -> np.ndarray:
         for k in range(4):
             hit = (index[:, k] >= start) & (index[:, k] < stop)
             units[hit] += coeffs[hit, k, None] * right[index[hit, k] - start]
-    return units.reshape(dim, dim, dim, dim)
+    return units
 
 
 def _dense_coeffs(index, coeffs, n_atoms) -> np.ndarray:
@@ -177,7 +179,7 @@ class TestBlockedUnitTable:
         d = _random_backends(dim, rng)[kind]
         atoms, index, coeffs = frozen_polarization_atoms(dim)
         dense = _dense_coeffs(index, coeffs, n_atoms)
-        ref = (dense @ d.pair_table(atoms, atoms) @ dense.T).reshape(dim, dim, dim, dim)
+        ref = dense @ d.pair_table(atoms, atoms) @ dense.T
         blocks = []
         original = d.rank_one_pair_table
 
@@ -186,7 +188,7 @@ class TestBlockedUnitTable:
             return original(left, right)
 
         d.rank_one_pair_table = recording
-        units = bilinear_unit_table(d, dim)
+        units = bilinear_unit_table(d)
         assert np.abs(units - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
         # The whole N x N atom table is never requested at once.
         assert len(blocks) == n_blocks
@@ -200,7 +202,7 @@ class TestBlockedUnitTable:
     def test_matches_frozen_combine(self, kind, dim, rng):
         d = _random_backends(dim, rng)[kind]
         ref = frozen_unit_table(d, dim)
-        units = bilinear_unit_table(d, dim)
+        units = bilinear_unit_table(d)
         assert np.abs(units - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_extraction_builds_no_atom_stack(self, rng, monkeypatch):
@@ -215,26 +217,39 @@ class TestBlockedUnitTable:
             monkeypatch.setattr(cls, "pair_table", forbidden)
         monkeypatch.setattr("dfrep.functionals.rank_one_matrices", forbidden)
         for d in backends.values():
-            assert bilinear_unit_table(d, 5).shape == (5, 5, 5, 5)
+            assert bilinear_unit_table(d).shape == (25, 25)
 
 
-class TestKronTraceBatch:
-    @pytest.mark.parametrize("dp,dq", [(3, 3), (2, 4), (5, 3)])
-    def test_rows_match_scalar(self, dp, dq, rng):
+def rectangular_pairing(x, dp: int, dq: int) -> np.ndarray:
+    """``P[(i,k), (j,l)] = X[(k,l), (i,j)]`` for X on ``C^dp (x) C^dq``: the
+    pairing matrix of a two-factor operator, which the library builds only
+    in the square case."""
+    return x.reshape(dp, dq, dp, dq).transpose(2, 0, 3, 1).reshape(dp * dp, dq * dq)
+
+
+class TestPairingValues:
+    @pytest.mark.parametrize("dp,dq", [(1, 1), (2, 2), (3, 3), (5, 5), (2, 4), (5, 3)])
+    def test_rows_match_reference(self, dp, dq, rng):
         p = _cmats(rng, 9, dp)
         q = _cmats(rng, 9, dq)
         x = rng.standard_normal((dp * dq, dp * dq)) + 1j * rng.standard_normal((dp * dq, dp * dq))
-        vals = kron_trace_batch(p, q, x)
+        pairing = rectangular_pairing(x, dp, dq)
+        if dp == dq:
+            assert np.array_equal(pairing_realignment(x), pairing)
+        vals = pairing_values(p, q, pairing)
         assert vals.shape == (9,)
         for s in range(9):
-            ref = kron_trace(p[s], q[s], x)
+            ref = trace_pair(kron(p[s], q[s]), x)
             assert abs(vals[s] - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(kron_trace(p[s], q[s], x) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_rejects_mismatched_stacks(self, rng):
         with pytest.raises(ValueError):
-            kron_trace_batch(_cmats(rng, 3, 2), _cmats(rng, 4, 2), np.eye(4))
+            pairing_values(_cmats(rng, 3, 2), _cmats(rng, 4, 2), np.eye(4))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kron_trace_batch(_cmats(rng, 3, 2), _cmats(rng, 3, 2), np.eye(5))
+            pairing_values(_cmats(rng, 3, 2), _cmats(rng, 3, 2), np.eye(5))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pairing_realignment(np.eye(5))
 
 
 class TestSwapResidual:
@@ -245,14 +260,14 @@ class TestSwapResidual:
         w = swap_operator(dim)
         ref = float(np.linalg.norm(x - w @ x.conj().T @ w))
         assert ref > 1.0
-        assert _swap_adjoint_residual(x, dim) == pytest.approx(ref, rel=1e-12)
+        assert swap_adjoint_residual(pairing_realignment(x)) == pytest.approx(ref, rel=1e-12)
         report = verify_ils_conditions(ils_operator_from_matrix(x), samples=5)
         assert report.swap_adjoint_residual == pytest.approx(ref, rel=1e-12)
         assert not report.hermiticity_ok
 
     def test_zero_on_valid_operator(self, rng):
         x = random_valid_pairing_operator(4, rng)
-        assert _swap_adjoint_residual(x, 4) <= 1e-14
+        assert swap_adjoint_residual(pairing_realignment(x)) <= 1e-14
 
 
 class TestSampledDiagnosticsKeepDraws:
@@ -267,17 +282,21 @@ class TestSampledDiagnosticsKeepDraws:
         pool.append(Projection(np.eye(dim, dtype=complex), dim))
         pool += block_projections(dim, samples, gen, 1)
         ref = min(kron_trace(p, p, x).real for p in pool)
-        assert _sample_positivity_min(x, dim, samples, seed) == pytest.approx(ref, abs=1e-14)
+        pairing = pairing_realignment(x)
+        assert _sample_positivity_min(pairing, dim, samples, seed) == pytest.approx(ref, abs=1e-14)
 
     def test_pairing_residual_matches_scalar_loop(self, rng):
         dim, samples, seed = 4, 30, 5
-        d = OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
-        x = d.x_op + 1e-3 * rng.standard_normal(d.x_op.shape)
+        x0 = random_valid_pairing_operator(dim, rng)
+        d = OperatorBackedFunctional(x0)
+        x = x0 + 1e-3 * rng.standard_normal(x0.shape)
         gen = np.random.default_rng(np.random.SeedSequence([seed, dim, 17]))
         pq = block_projections(dim, 2 * samples, gen)  # p and q alternate
         ref = max(abs(d.evaluate(p, q) - kron_trace(p, q, x)) for p, q in zip(pq[0::2], pq[1::2]))
         assert ref > 1e-6
-        assert _pairing_residual(d, x, samples, seed) == pytest.approx(ref, rel=1e-10)
+        assert _pairing_residual(d, pairing_realignment(x), samples, seed) == pytest.approx(
+            ref, rel=1e-10
+        )
 
 
 class TestStackedBeta:

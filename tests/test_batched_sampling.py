@@ -40,22 +40,22 @@ from dfrep.linalg import (
     haar_from_ginibre,
     haar_unitary,
     kron_trace,
-    kron_trace_table,
     pairing_realignment,
+    pairing_values,
     sample_projections,
     spectral_projections,
 )
 from dfrep.probes import _sample_tensor_vectors, tracial_bound_probe
 from dfrep import tracial
 from dfrep.tracial import product_diagonal_of
-from reference import bilinear_refined, orthogonal_decompose
+from reference import bilinear_refined, kron, orthogonal_decompose, trace_pair
 from conftest import (
     block_projections,
     block_tensor_terms,
     random_density,
     random_valid_pairing_operator,
 )
-from test_batched_pairing import _cmats, _random_backends
+from test_batched_pairing import _cmats, _random_backends, rectangular_pairing
 
 KINDS = ["operator", "pure_state", "form", "class_operator"]
 
@@ -231,7 +231,7 @@ def _valid_backends(dim, rng) -> dict:
     return {
         "operator": operator,
         "pure_state": PureStateFunctional(psi / np.linalg.norm(psi)),
-        "form": FormBackedFunctional(gram_matrix(operator, dim)),
+        "form": FormBackedFunctional(gram_matrix(operator)),
         "class_operator": standard_df(model),
     }
 
@@ -502,7 +502,7 @@ class TestGeneratorCalls:
                 lambda n: _blocks(n) + 1,
             ),
             "pairing_residual": (
-                lambda n: _pairing_residual(d, d.x_op, n, 0),
+                lambda n: _pairing_residual(d, d.pairing, n, 0),
                 lambda n: _blocks(2 * n),
             ),
             "tracial_command": (  # pairing residual plus the 20 double-sum pairs
@@ -566,15 +566,15 @@ class TestReconstructor:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         realigned = []
 
-        def spy(*args):
-            realigned.append(args[1:])
-            return pairing_realignment(*args)
+        def spy(x):
+            realigned.append(x.shape)
+            return pairing_realignment(x)
 
         monkeypatch.setattr(tracial, "pairing_realignment", spy)
         f = product_diagonal_of(m)
-        assert realigned == [(dim, dim)]
+        assert realigned == [(n, n)]
         out = reconstruct_from_product_diagonal(f, dim)
-        assert realigned == [(dim, dim)]  # none inside the d^2 oracle calls
+        assert realigned == [(n, n)]  # none inside the d^2 oracle calls
         ref = _scalar_reconstruct(_scalar_product_diagonal_of(m), dim)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(out - m).max() <= 1e-12 * np.abs(m).max()
@@ -624,14 +624,20 @@ class TestDoubleSum:
         zero = Projection(np.zeros((3, 3), dtype=complex), 0)
         assert evaluate_double_sum(m, zero, random_projection(3, 2, rng), 1) == 0
 
-    def test_table_entries_are_kron_traces(self, rng):
-        p, q = _cmats(rng, 3, 2), _cmats(rng, 4, 3)
-        x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        table = kron_trace_table(p, q, x)
-        assert table.shape == (3, 4)
+    @pytest.mark.parametrize("dp,dq", [(1, 1), (2, 2), (3, 3), (5, 5), (2, 3)])
+    def test_table_entries_are_kron_traces(self, dp, dq, rng):
+        p, q = _cmats(rng, 3, dp), _cmats(rng, 4, dq)
+        x = rng.standard_normal((dp * dq, dp * dq)) + 1j * rng.standard_normal((dp * dq, dp * dq))
+        pairs = np.repeat(p, 4, axis=0), np.tile(q, (3, 1, 1))
+        table = pairing_values(*pairs, rectangular_pairing(x, dp, dq)).reshape(3, 4)
+        if dp == dq:  # the operator backend's table is the same product with P
+            backend = OperatorBackedFunctional(x).pair_table(p, q)
+            assert np.abs(backend - table).max() <= 1e-12 * max(1.0, np.abs(table).max())
         for s in range(3):
             for t in range(4):
-                assert _close(table[s, t], _scalar_kron_trace(p[s], q[t], x), 1e-12)
+                ref = trace_pair(kron(p[s], q[t]), x)
+                assert _close(table[s, t], ref, 1e-12)
+                assert _close(ref, _scalar_kron_trace(p[s], q[t], x), 1e-12)
 
 
 class TestKronTrace:

@@ -76,7 +76,7 @@ def paths(tmp_path):
         "form3": _write(
             tmp_path,
             "form3.json",
-            form_scenario_text(gram_matrix(backend_fixtures(3)["operator"], 3)),
+            form_scenario_text(gram_matrix(backend_fixtures(3)["operator"])),
         ),
         "co3": _write(tmp_path, "co3.json", class_operator_scenario_text(dim=3)),
         "bad": _write(tmp_path, "bad.json", MALFORMED),

@@ -264,7 +264,7 @@ class TestFormBacked:
     def test_gram_round_trip_evaluation(self, rng):
         dim = 4
         base = backend_fixtures(dim)["operator"]
-        form_backed = FormBackedFunctional(gram_matrix(base, dim))
+        form_backed = FormBackedFunctional(gram_matrix(base))
         for _ in range(30):
             p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
             q = random_projection(dim, int(rng.integers(0, dim + 1)), rng)

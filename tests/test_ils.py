@@ -60,33 +60,33 @@ class TestUnitTable:
     def test_matches_backend_bilinear(self, rng):
         dim = 3
         d = backend_fixtures(dim)["operator"]
-        units = bilinear_unit_table(d, dim)
+        units = bilinear_unit_table(d)
         for a in range(dim):
             for b in range(dim):
                 for c in range(dim):
                     for e in range(dim):
                         eab = np.outer(_e(dim, a), _e(dim, b).conj())
                         ece = np.outer(_e(dim, c), _e(dim, e).conj())
-                        assert abs(units[a, b, c, e] - d.bilinear(eab, ece)) <= 1e-10
+                        assert abs(units[a * dim + b, c * dim + e] - d.bilinear(eab, ece)) <= 1e-10
 
 
 class TestExtract:
     def test_round_trip_product_state(self):
         rho = rho_half_half(3)
         x0 = np.kron(rho, rho)
-        x = extract_ils(OperatorBackedFunctional(x0), 3)
+        x = extract_ils(OperatorBackedFunctional(x0))
         assert np.abs(x.x_op - x0).max() <= 1e-9
 
     def test_round_trip_random_valid(self, rng):
         for dim in (3, 4):
             x0 = random_valid_pairing_operator(dim, rng)
-            x = extract_ils(OperatorBackedFunctional(x0), dim)
+            x = extract_ils(OperatorBackedFunctional(x0))
             assert np.abs(x.x_op - x0).max() <= 1e-9
 
     def test_pure_state_explicit_operator(self):
         # hand-solved matrix elements: X = sum_i |e1 (x) e_i><e_i (x) e1|
         for dim in (3, 5):
-            x = extract_ils(PureStateFunctional(_e(dim, 0)), dim)
+            x = extract_ils(PureStateFunctional(_e(dim, 0)))
             expect = np.zeros((dim * dim, dim * dim), dtype=complex)
             for i in range(dim):
                 u = np.kron(_e(dim, 0), _e(dim, i))
@@ -97,7 +97,7 @@ class TestExtract:
 
     def test_diagnostics_fields(self):
         rho = rho_half_half(3)
-        x = extract_ils(OperatorBackedFunctional(np.kron(rho, rho)), 3)
+        x = extract_ils(OperatorBackedFunctional(np.kron(rho, rho)))
         conds = verify_ils_conditions(x, samples=100)
         assert np.trace(x.x_op) == pytest.approx(1.0, abs=1e-10)
         assert conds.swap_adjoint_residual <= 1e-10
@@ -107,33 +107,35 @@ class TestExtract:
     def test_dimension_two_excluded_by_default(self):
         d = PureStateFunctional(_e(2, 0))
         with pytest.raises(DimensionExclusionError):
-            extract_ils(d, 2)
-        x = extract_ils(d, 2, allow_dim_two=True)
+            extract_ils(d)
+        x = extract_ils(d, allow_dim_two=True)
         assert x.trace_norm == pytest.approx(2.0, abs=1e-10)
 
-    def test_dim_argument_must_match(self):
+    def test_dimension_comes_from_the_functional(self):
         d = PureStateFunctional(_e(3, 0))
-        with pytest.raises(ValueError):
-            extract_ils(d, 4)
+        x = extract_ils(d)
+        assert x.dim == 3 and x.pairing.shape == (9, 9)
+        with pytest.raises(TypeError):
+            extract_ils(d, 4)  # no dimension argument, and allow_dim_two is keyword-only
 
 
 class TestEvaluateIls:
     def test_identity_pair_gives_trace(self):
         d = backend_fixtures(3)["operator"]
-        x = extract_ils(d, 3)
+        x = extract_ils(d)
         one = identity_projection(3)
         assert evaluate_ils(x, one, one) == pytest.approx(np.trace(x.x_op), abs=1e-12)
         assert evaluate_ils(x, one, one) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_projection(self):
         d = backend_fixtures(3)["operator"]
-        x = extract_ils(d, 3)
+        x = extract_ils(d)
         assert evaluate_ils(x, zero_projection(3), identity_projection(3)) == 0.0
 
     @pytest.mark.parametrize("kind", ["operator", "pure_state", "form", "class_operator"])
     def test_matches_backend_on_sampled_pairs(self, kind, rng):
         d = backend_fixtures(4)[kind]
-        x = extract_ils(d, 4)
+        x = extract_ils(d)
         for _ in range(100):
             p = random_projection(4, int(rng.integers(0, 5)), rng)
             q = random_projection(4, int(rng.integers(0, 5)), rng)
@@ -141,7 +143,7 @@ class TestEvaluateIls:
 
     def test_orthoadditivity_exact(self, rng):
         d = backend_fixtures(4)["operator"]
-        x = extract_ils(d, 4)
+        x = extract_ils(d)
         p1 = basis_proj(4, 0)
         p2 = basis_proj(4, 2)
         p12 = Projection(p1.matrix + p2.matrix, 2)
@@ -197,7 +199,7 @@ class TestConditions:
         # clean fixtures sit below 1e-8; the corrupted one jumps above 1e-3
         dim = 3
         for kind, d in backend_fixtures(dim).items():
-            x = extract_ils(d, dim)
+            x = extract_ils(d)
             assert verify_ils_conditions(x).swap_adjoint_residual <= 1e-8, kind
         bad = ils_operator_from_matrix(
             np.kron(rho_half_half(dim), rho_half_half(dim)) + _skew_corruption(dim)
@@ -209,7 +211,7 @@ class TestDfFromOperator:
     def test_valid_round_trip(self, rng):
         x0 = random_valid_pairing_operator(4, rng)
         d = df_from_operator(x0)
-        x = extract_ils(d, 4)
+        x = extract_ils(d)
         assert np.abs(x.x_op - x0).max() <= 1e-9
 
     def test_axioms_pass_for_valid_operator(self, rng):

@@ -109,7 +109,7 @@ class TestTracialBoundProbe:
 
         dim = 4
         for kind, d in backend_fixtures(dim).items():
-            x = extract_ils(d, dim)
+            x = extract_ils(d)
             for _ in range(10):
                 terms = [
                     (
@@ -173,7 +173,7 @@ class TestMonotoneSuprema:
     ``samples`` and equal to the running max of the per-sample values."""
 
     def test_boundedness_probe(self):
-        d = OperatorBackedFunctional(extract_ils(_pure_family(4), 4).x_op)
+        d = OperatorBackedFunctional(extract_ils(_pure_family(4)).x_op)
         sups = [boundedness_probe(d, samples=n, seed=2) for n in BLOCK_SPANS]
         assert sups == sorted(sups)
         pq = sample_projections(4, 2 * 700, _seeded(2, 4))
@@ -184,7 +184,7 @@ class TestMonotoneSuprema:
     def test_tracial_bound_probe(self):
         dim, seed = 4, 2
         d = _pure_family(dim)
-        x_op = extract_ils(d, dim).x_op
+        x_op = extract_ils(d).x_op
         sups = [tracial_bound_probe(d, samples=n, seed=seed) for n in BLOCK_SPANS]
         assert sups == sorted(sups)
         rows, _ = _tensor_rows(dim, 700, _seeded(seed, dim))
@@ -198,7 +198,7 @@ class TestSupBetaBlocks:
     def test_blocked_sup_matches_whole_stack(self, samples):
         # 700 rows: two full blocks of SAMPLE_BLOCK and a partial one.
         dim, seed = 4, 3
-        x_op = extract_ils(PureStateFunctional(_e(dim, 1)), dim).x_op
+        x_op = extract_ils(PureStateFunctional(_e(dim, 1))).x_op
         x_op = x_op + 0.1 * np.random.default_rng(0).standard_normal(x_op.shape)
         sup, counts = _sup_beta_rank_one(x_op, dim, samples, seed)
         xis, ref_counts = _tensor_rows(dim, samples, _seeded(seed, dim))
@@ -234,7 +234,7 @@ class TestTensorBoundProbe:
         report = tensor_bound_probe(_pure_family, [3, 4, 5], samples=samples, seed=seed)
         for dim, sup in zip(report.dims, report.sup_beta_rank_one):
             assert sup == tracial_bound_probe(
-                _pure_family(dim), dim, samples=samples, seed=seed
+                _pure_family(dim), samples=samples, seed=seed
             )
 
     def test_records_shape(self):

@@ -27,8 +27,9 @@ from dfrep.linalg import (
     haar_unitary,
     operator_norm,
     rank_one_matrices,
+    operator_from_pairing,
+    pairing_realignment,
     rank_one_vectors,
-    swap_left,
     trace_norm,
 )
 from dfrep.tolerances import HERMITIAN_ROUTE_REL
@@ -40,6 +41,11 @@ from conftest import (
     random_valid_pairing_operator,
 )
 from test_batched_pairing import _random_backends
+
+
+def _swapped(x) -> np.ndarray:
+    """W X for an operator X on H (x) H, through its pairing matrix."""
+    return operator_from_pairing(pairing_realignment(x), swapped=True)
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ["operator", "pure_state", "form", "class_operator"]
@@ -149,7 +155,7 @@ class TestHermitianNormRoute:
     @pytest.mark.parametrize("dim", [3, 5])
     def test_swapped_pairing_operator_takes_hermitian_route(self, dim, rng, monkeypatch):
         x = random_valid_pairing_operator(dim, rng)
-        wx = swap_left(x, dim)
+        wx = _swapped(x)
         assert np.array_equal(wx, swap_operator(dim) @ x)
         s = _svd(x)
         _forbid(monkeypatch, "svd")
@@ -188,13 +194,29 @@ class TestHermitianNormRoute:
 
     def test_overwrite_only_when_asked(self, rng):
         x = random_valid_pairing_operator(4, rng)
-        wx = swap_left(x, 4)
+        wx = _swapped(x)
         kept = wx.copy()
         ref = trace_norm(wx)
         assert np.array_equal(wx, kept)
         assert trace_norm(wx, overwrite_a=True) == pytest.approx(ref, rel=1e-15)
         h = (kept + kept.conj().T) / 2
         assert np.abs(wx - h).max() <= 1e-15 * np.abs(h).max()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_holder_norms_leave_the_pairing_intact(self, dim, rng):
+        """The norms overwrite a fresh W X or W M, never the held P: at
+        d = 1 the index transpose of P is P itself."""
+        x = random_valid_pairing_operator(dim, rng) if dim > 1 else np.array([[1 + 1e-15j]])
+        holder = ils_operator_from_matrix(x)
+        kept = holder.pairing.copy()
+        assert holder.trace_norm == pytest.approx(_svd(x).sum(), rel=1e-13)
+        assert np.array_equal(holder.pairing, kept)
+        assert np.array_equal(holder.x_op, x)
+        if dim > 1:
+            top = build_tracial_operator(OperatorBackedFunctional(x))
+            kept = top.pairing.copy()
+            assert top.operator_norm == pytest.approx(_svd(top.m_op).max(), rel=1e-13)
+            assert np.array_equal(top.pairing, kept)
 
 
 class TestCertifiedTraceNorm:
@@ -246,7 +268,7 @@ class TestCertifiedTraceNorm:
 
     def test_indefinite_swapped_product_state_falls_back(self, rng, monkeypatch):
         dim = 5
-        wx = swap_left(product_state_operator(random_density(dim, rng)), dim)
+        wx = _swapped(product_state_operator(random_density(dim, rng)))
         h = (wx + wx.conj().T) / 2  # exactly Hermitian, so trace_norm keeps it
         assert np.linalg.eigvalsh(h).min() < -1e-3
         self._assert_falls_through(h, monkeypatch)
@@ -273,9 +295,9 @@ class TestCertifiedTraceNorm:
         d = _random_backends(dim, rng)[kind]
         if kind == "operator":  # the random X of _random_backends is not swap-Hermitian
             d = OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
-        holder = extract_ils(d, dim)
+        holder = extract_ils(d)
         ref = _svd(holder.x_op).sum()
-        wx = swap_left(holder.x_op, dim)
+        wx = operator_from_pairing(holder.pairing, swapped=True)
         indefinite = np.linalg.eigvalsh((wx + wx.conj().T) / 2).min() < -1e-9 * ref
         blocked = _spy(monkeypatch, "_cholesky_certifies")
         pivoted = _spy(monkeypatch, "_pivoted_trace")
@@ -308,7 +330,7 @@ class TestLazyTraceNorm:
         def raiser(*args, **kwargs):
             raise AssertionError("condition check outside verify_ils_conditions")
 
-        for name in ("_sample_positivity_min", "_swap_adjoint_residual"):
+        for name in ("_sample_positivity_min", "swap_adjoint_residual"):
             monkeypatch.setattr(ils, name, raiser)
         d = OperatorBackedFunctional(random_valid_pairing_operator(4, rng))
         assert tracial_bound_probe(d, samples=20) > 0
@@ -325,7 +347,7 @@ class TestLazyTraceNorm:
         form = _random_backends(3, rng)["form"]
         with monkeypatch.context() as m:  # no eigvalsh of W M before the first read
             _forbid(m, "eigvalsh")
-            top = build_tracial_operator(form, 3)
+            top = build_tracial_operator(form)
             assert "operator_norm" not in vars(top)
         norm = top.operator_norm
         assert norm == pytest.approx(_svd(top.m_op).max(), rel=1e-13)
@@ -339,7 +361,7 @@ class TestTracialWithoutEigenvectors:
         d = _random_backends(4, rng)[kind]
         if kind == "operator":  # the random X of _random_backends is not swap-Hermitian
             d = OperatorBackedFunctional(random_valid_pairing_operator(4, rng))
-        top = build_tracial_operator(d, 4)
+        top = build_tracial_operator(d)
         assert top.operator_norm == pytest.approx(_svd(top.m_op).max(), rel=1e-13)
         with monkeypatch.context() as m:
             _forbid(m, "eigh")
@@ -347,8 +369,8 @@ class TestTracialWithoutEigenvectors:
         assert sizes == (len(top.source.x_family), len(top.source.y_family))
 
     def test_swapped_representative_is_exactly_hermitian(self, rng):
-        top = build_tracial_operator(_random_backends(4, rng)["form"], 4)
-        wm = swap_left(top.m_op, 4)
+        top = build_tracial_operator(_random_backends(4, rng)["form"])
+        wm = operator_from_pairing(top.pairing, swapped=True)
         assert np.array_equal(wm, wm.conj().T)
 
 

@@ -44,7 +44,7 @@ class TestParse:
 
     def test_form_scenario(self):
         base = backend_fixtures(3)["operator"]
-        s = parse_scenario(form_scenario_text(gram_matrix(base, 3)))
+        s = parse_scenario(form_scenario_text(gram_matrix(base)))
         assert isinstance(s.build(), FormBackedFunctional)
 
     def test_class_operator_scenario(self):
@@ -144,7 +144,7 @@ _TILTED[:2, :2] = np.outer([_W, np.sqrt(1 - _W**2)], [_W, np.sqrt(1 - _W**2)])
 _BASES = {
     "pure": lambda: pure_state_scenario_text(dim=3),
     "operator": lambda: operator_scenario_text(product_state_operator(rho_half_half(3))),
-    "form": lambda: form_scenario_text(gram_matrix(backend_fixtures(3)["operator"], 3)),
+    "form": lambda: form_scenario_text(gram_matrix(backend_fixtures(3)["operator"])),
     "classop": lambda: class_operator_scenario_text(dim=3, times=(0.5, 1.0)),
 }
 
@@ -215,7 +215,7 @@ class TestRoundTrip:
         [
             lambda: pure_state_scenario_text(dim=4),
             lambda: operator_scenario_text(product_state_operator(rho_half_half(3))),
-            lambda: form_scenario_text(gram_matrix(backend_fixtures(3)["operator"], 3)),
+            lambda: form_scenario_text(gram_matrix(backend_fixtures(3)["operator"])),
             lambda: class_operator_scenario_text(dim=3),
         ],
     )
@@ -277,8 +277,9 @@ class TestFamilyEmbedding:
         x = product_state_operator(rho_half_half(3))
         s = parse_scenario(operator_scenario_text(x))
         from dfrep import trace_norm
+        from dfrep.linalg import operator_from_pairing
 
-        assert trace_norm(s.functional_at(6).x_op) == pytest.approx(
+        assert trace_norm(operator_from_pairing(s.functional_at(6).pairing)) == pytest.approx(
             trace_norm(x), abs=1e-10
         )
 

@@ -25,14 +25,15 @@ from dfrep import (
     trace_norm,
     zero_projection,
 )
-from dfrep.linalg import Projection, kron_trace_batch, kron_trace_table, sample_projections
+from dfrep.linalg import Projection, haar_unitary, pairing_realignment, sample_projections, swap_right
 from dfrep.tracial import (
     double_sum_table,
     product_diagonal_of,
     pure_state_projector,
 )
-from reference import ElementaryTensorSum, householder_basis, orthogonal_decompose, trace_pair
+from reference import ElementaryTensorSum, householder_basis, kron, orthogonal_decompose, trace_pair
 from conftest import backend_fixtures, basis_proj, random_valid_pairing_operator, rho_half_half
+from test_batched_pairing import _random_backends
 
 
 def _e(dim, i):
@@ -57,13 +58,13 @@ class TestGram:
     def test_round_trip_through_form_backend(self, rng):
         dim = 3
         base = backend_fixtures(dim)["operator"]
-        g = gram_matrix(base, dim)
-        again = gram_matrix(FormBackedFunctional(g), dim)
+        g = gram_matrix(base)
+        again = gram_matrix(FormBackedFunctional(g))
         assert np.linalg.norm(again - g) <= 1e-10
 
     def test_pure_state_gram_is_psd(self):
         dim = 4
-        g = gram_matrix(PureStateFunctional(_e(dim, 0)), dim)
+        g = gram_matrix(PureStateFunctional(_e(dim, 0)))
         evs = np.linalg.eigvalsh(g)
         assert evs.min() >= -1e-10
 
@@ -75,7 +76,7 @@ class TestGram:
         u[1], v[2] = 1.0, 1.0
         x0 = x0 + 0.05 * (np.outer(u, v) - np.outer(v, u))  # skew corruption
         with pytest.raises(GramHermiticityError):
-            gram_matrix(OperatorBackedFunctional(x0), dim)
+            gram_matrix(OperatorBackedFunctional(x0))
 
 
 class TestDecomposition:
@@ -83,7 +84,7 @@ class TestDecomposition:
     def test_beta_fidelity(self, kind, rng):
         dim = 4
         d = backend_fixtures(dim)[kind]
-        dec = hermitian_form_decomposition(d, dim)
+        dec = hermitian_form_decomposition(d)
         assert len(dec.x_family) + len(dec.y_family) <= dim * dim
         for s in _random_sums(rng, dim, 100):
             direct = sum(d.bilinear(a, b) for a, b in s.terms)
@@ -92,7 +93,7 @@ class TestDecomposition:
     def test_zero_functional_empty_families(self):
         dim = 3
         d = FormBackedFunctional(np.zeros((dim * dim, dim * dim), dtype=complex))
-        dec = hermitian_form_decomposition(d, dim)
+        dec = hermitian_form_decomposition(d)
         assert dec.x_family == ()
         assert dec.y_family == ()
         assert dec.signature == ()
@@ -100,7 +101,7 @@ class TestDecomposition:
     def test_pure_state_reproduces_projection_pairs(self, rng):
         dim = 4
         d = PureStateFunctional(_e(dim, 0))
-        dec = hermitian_form_decomposition(d, dim)
+        dec = hermitian_form_decomposition(d)
         for _ in range(30):
             p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
             q = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
@@ -112,7 +113,7 @@ class TestDecomposition:
     def test_signature_ordering_and_split(self, rng):
         dim = 3
         d = backend_fixtures(dim)["class_operator"]
-        dec = hermitian_form_decomposition(d, dim)
+        dec = hermitian_form_decomposition(d)
         assert list(dec.signature) == sorted(dec.signature, reverse=True)
         positives = [s for s in dec.signature if s > 0]
         negatives = [s for s in dec.signature if s < 0]
@@ -121,7 +122,7 @@ class TestDecomposition:
 
     def test_dimension_two_excluded(self):
         with pytest.raises(DimensionExclusionError):
-            hermitian_form_decomposition(PureStateFunctional(_e(2, 0)), 2)
+            hermitian_form_decomposition(PureStateFunctional(_e(2, 0)))
 
 
 class TestTracialOperator:
@@ -129,7 +130,7 @@ class TestTracialOperator:
     def test_pairing_identity_on_sampled_pairs(self, kind, rng):
         dim = 4
         d = backend_fixtures(dim)[kind]
-        top = build_tracial_operator(d, dim)
+        top = build_tracial_operator(d)
         for _ in range(50):
             p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
             q = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
@@ -138,20 +139,20 @@ class TestTracialOperator:
     def test_matches_source_operator(self, rng):
         dim = 3
         x0 = np.kron(rho_half_half(dim), rho_half_half(dim))
-        top = build_tracial_operator(OperatorBackedFunctional(x0), dim)
+        top = build_tracial_operator(OperatorBackedFunctional(x0))
         # the pairing determines the operator uniquely at fixed truncation
         assert np.linalg.norm(top.m_op - x0) <= 1e-9
 
     def test_pure_state_unit_diagonal(self):
         dim = 4
-        top = build_tracial_operator(PureStateFunctional(_e(dim, 0)), dim)
+        top = build_tracial_operator(PureStateFunctional(_e(dim, 0)))
         p = basis_proj(dim, 0)
         assert kron_trace(p, p, top.m_op) == pytest.approx(1.0, abs=1e-10)
 
     def test_entangled_vector_expectation(self):
         # <M xi, xi> = 1/2 for xi = (e1 (x) e2 + e2 (x) e1)/sqrt(2)
         dim = 4
-        top = build_tracial_operator(PureStateFunctional(_e(dim, 0)), dim)
+        top = build_tracial_operator(PureStateFunctional(_e(dim, 0)))
         xi = (np.kron(_e(dim, 0), _e(dim, 1)) + np.kron(_e(dim, 1), _e(dim, 0))) / np.sqrt(2)
         assert np.vdot(xi, top.m_op @ xi) == pytest.approx(0.5, abs=1e-12)
 
@@ -191,7 +192,7 @@ class TestRealignedRepresentative:
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_family_sum(self, kind, dim, rng):
-        top = build_tracial_operator(_fixture(kind, dim, rng), dim)
+        top = build_tracial_operator(_fixture(kind, dim, rng))
         if kind == "random_form":
             assert len(top.source.signature) == dim * dim  # full rank
         assert _rel(top.m_op, top.source.pairing_operator()) <= 1e-12
@@ -199,7 +200,7 @@ class TestRealignedRepresentative:
     @pytest.mark.parametrize("dim", [3, 5])
     def test_matches_family_sum_with_dropped_eigenvalues(self, dim, rng):
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        top = build_tracial_operator(PureStateFunctional(psi / np.linalg.norm(psi)), dim)
+        top = build_tracial_operator(PureStateFunctional(psi / np.linalg.norm(psi)))
         assert len(top.source.signature) < dim * dim
         assert _rel(top.m_op, top.source.pairing_operator()) <= 1e-12
 
@@ -207,8 +208,8 @@ class TestRealignedRepresentative:
     @pytest.mark.parametrize("kind", KINDS)
     def test_equals_swap_symmetrised_trace_pairing_operator(self, kind, dim, rng):
         d = _fixture(kind, dim, rng)
-        x = extract_ils(d, dim).x_op
-        m = build_tracial_operator(d, dim).m_op
+        x = extract_ils(d).x_op
+        m = build_tracial_operator(d).m_op
         assert _rel(m, (x + _swap_adjoint(x, dim)) / 2) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1.0, 40.0])
@@ -229,9 +230,9 @@ class TestRealignedRepresentative:
         d = OperatorBackedFunctional(x)
         if residual > bound:
             with pytest.raises(GramHermiticityError):
-                build_tracial_operator(d, dim)
+                build_tracial_operator(d)
         else:
-            top = build_tracial_operator(d, dim)
+            top = build_tracial_operator(d)
             assert _rel(top.m_op, (x + _swap_adjoint(x, dim)) / 2) <= 1e-12
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -244,10 +245,10 @@ class TestRealignedRepresentative:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", refuse)
-            top = build_tracial_operator(d, dim)
+            top = build_tracial_operator(d)
             assert top.m_op.shape == (dim * dim, dim * dim)
             assert np.isfinite(top.operator_norm)
-        ref = hermitian_form_decomposition(d, dim)
+        ref = hermitian_form_decomposition(d)
         dec = top.source
         assert dec.signature == ref.signature
         assert dec.dim == ref.dim == top.dim
@@ -255,6 +256,75 @@ class TestRealignedRepresentative:
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert top.source is dec  # computed once
+
+
+def _rotated_backends(dim, rng):
+    """One valid functional per backend, none aligned with the standard
+    basis: a Haar-rotated valid X, a random pure state, a random Hermitian
+    Gram matrix and a class operator with a Haar-rotated schedule."""
+    backends = _random_backends(dim, rng)
+    uu = np.kron(*[haar_unitary(dim, rng)] * 2)
+    backends["operator"] = OperatorBackedFunctional(uu @ random_valid_pairing_operator(dim, rng) @ uu.conj().T)
+    return backends
+
+
+def _definitional_pairing(d, dim):
+    """``P[(a,b), (c,e)] = D(E_ab, E_ce)`` with every matrix unit expanded
+    over rank-one polarization projections and D read off ``d.evaluate``:
+    ``E_aa = p(e_a)`` and, for a != b,
+    ``E_ab = (p(u+) - p(u-))/2 + i (p(v+) - p(v-))/2`` with
+    ``u+- = (e_a +- e_b)/sqrt(2)`` and ``v+- = (e_a +- i e_b)/sqrt(2)``."""
+    eye = np.eye(dim, dtype=complex)
+    projections, index = [], {}
+
+    def proj(v):
+        m = np.outer(v, v.conj())
+        key = (m.round(12) + 0.0).tobytes()  # v and its phase multiples share one projection
+        if key not in index:
+            index[key] = len(projections)
+            projections.append(Projection(m, 1))
+        return index[key]
+
+    coeffs = np.zeros((dim * dim, 2 * dim * dim), dtype=complex)
+    for a in range(dim):
+        for b in range(dim):
+            if a == b:
+                terms = [(1.0, eye[a])]
+            else:
+                terms = [
+                    (sign * w, (eye[a] + sign * phase * eye[b]) / np.sqrt(2))
+                    for w, phase in ((0.5, 1.0), (0.5j, 1.0j))
+                    for sign in (1.0, -1.0)
+                ]
+            for w, v in terms:
+                coeffs[a * dim + b, proj(v)] += w
+    coeffs = coeffs[:, : len(projections)]
+    table = np.array([[d.evaluate(p, q) for q in projections] for p in projections])
+    return coeffs @ table @ coeffs.T
+
+
+class TestOnePairingMatrix:
+    """Every representation holds the same pairing matrix P, and X, M and G
+    are its index transposes."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["operator", "pure_state", "form", "class_operator"])
+    def test_representations_share_the_definitional_pairing(self, kind, dim, rng):
+        d = _rotated_backends(dim, rng)[kind]
+        ref = _definitional_pairing(d, dim)
+        scale = max(1.0, np.abs(ref).max())
+        x = extract_ils(d)
+        assert np.abs(x.pairing - ref).max() <= 1e-12 * scale
+        top = build_tracial_operator(d)
+        assert np.abs(top.pairing - x.pairing).max() <= 1e-12 * scale
+        # X[(b,e), (a,c)] = M[(b,e), (a,c)] = P[(a,b), (c,e)] and G[(a,b), (c,e)] = P[(a,b), (e,c)]
+        for holder, op in ((x, x.x_op), (top, top.m_op)):
+            p4 = holder.pairing.reshape(dim, dim, dim, dim)
+            assert np.array_equal(op, np.einsum("abce->beac", p4).reshape(dim * dim, dim * dim))
+            assert np.array_equal(pairing_realignment(op), holder.pairing)
+        p4 = top.pairing.reshape(dim, dim, dim, dim)
+        assert np.array_equal(top.gram, np.einsum("abce->abec", p4).reshape(dim * dim, dim * dim))
+        assert np.array_equal(swap_right(top.gram), top.pairing)
 
 
 class TestPureStateM:
@@ -294,7 +364,7 @@ class TestPureStateM:
         dim = 5
         psi = _e(dim, 0)
         m = pure_state_m(psi)
-        x = extract_ils(PureStateFunctional(psi), dim)
+        x = extract_ils(PureStateFunctional(psi))
         assert np.linalg.norm(m - x.x_op) <= 1e-9
 
     def test_construction_from_swap(self):
@@ -366,8 +436,8 @@ class TestReconstructor:
         # reconstruct the difference from its product diagonal
         dim = 3
         d = backend_fixtures(dim)["pure_state"]
-        m1 = build_tracial_operator(d, dim).m_op
-        m2 = extract_ils(d, dim).x_op
+        m1 = build_tracial_operator(d).m_op
+        m2 = extract_ils(d).x_op
         diff = m1 - m2
         recon = reconstruct_from_product_diagonal(product_diagonal_of(diff), dim)
         assert np.linalg.norm(recon) <= 1e-8
@@ -378,14 +448,14 @@ class TestDoubleSum:
     def test_identity_pair_rank_one_blocks(self):
         dim = 3
         d = backend_fixtures(dim)["operator"]
-        top = build_tracial_operator(d, dim)
+        top = build_tracial_operator(d)
         one = identity_projection(dim)
         assert evaluate_double_sum(top, one, one, 1) == pytest.approx(1.0, abs=1e-10)
 
     def test_single_block_equals_direct(self, rng):
         dim = 4
         d = backend_fixtures(dim)["pure_state"]
-        top = build_tracial_operator(d, dim)
+        top = build_tracial_operator(d)
         p = random_projection(dim, 3, rng)
         q = random_projection(dim, 2, rng)
         direct = kron_trace(p, q, top.m_op)
@@ -394,7 +464,7 @@ class TestDoubleSum:
     def test_block_rank_invariance(self, rng):
         dim = 5
         d = backend_fixtures(dim)["operator"]
-        top = build_tracial_operator(d, dim)
+        top = build_tracial_operator(d)
         p = random_projection(dim, 3, rng)
         q = random_projection(dim, 2, rng)
         v1 = evaluate_double_sum(top, p, q, 1)
@@ -404,9 +474,9 @@ class TestDoubleSum:
 
     def test_table_matches_per_block_route_exactly(self, rng):
         # Reference: each (pair, block rank) decomposed and paired on its own,
-        # as orthogonal_decompose and kron_trace_table do.
+        # as orthogonal_decompose does, in a block pair table with P.
         dim = 6
-        top = build_tracial_operator(backend_fixtures(dim)["operator"], dim)
+        top = build_tracial_operator(backend_fixtures(dim)["operator"])
         ps = [random_projection(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(4)]
         qs = [random_projection(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(4)]
         ps[1] = zero_projection(dim)
@@ -418,9 +488,11 @@ class TestDoubleSum:
                 qb = orthogonal_decompose(q, br)
                 ref = 0j
                 if pb and qb:
-                    ref = complex(np.sum(kron_trace_table(
-                        np.stack([b.matrix for b in pb]), np.stack([b.matrix for b in qb]), top.m_op
-                    )))
+                    rows_p = np.stack([b.matrix.reshape(-1) for b in pb])
+                    rows_q = np.stack([b.matrix.reshape(-1) for b in qb])
+                    ref = complex(np.sum((rows_p @ top.pairing) @ rows_q.T))
+                    oracle = sum(trace_pair(kron(a.matrix, b.matrix), top.m_op) for a in pb for b in qb)
+                    assert abs(ref - oracle) <= 1e-12 * max(1.0, abs(oracle))
                 assert table[s][k] == ref
                 assert evaluate_double_sum(top, p, q, br) == ref
 
@@ -429,7 +501,7 @@ class TestDoubleSum:
         the table reads each rank off its own eigh and constructs no
         Projection."""
         dim = 4
-        top = build_tracial_operator(backend_fixtures(dim)["operator"], dim)
+        top = build_tracial_operator(backend_fixtures(dim)["operator"])
         pq = sample_projections(dim, 8, rng, min_rank=1)
         p, q = pq[0::2], pq[1::2]
 
@@ -438,10 +510,11 @@ class TestDoubleSum:
 
         monkeypatch.setattr(Projection, "__post_init__", refuse)
         table = np.asarray(double_sum_table(top, p, q, [1, 2, dim]))
-        assert np.abs(table - kron_trace_batch(p, q, top.m_op)[:, None]).max() <= 1e-10
+        ref = np.array([trace_pair(kron(a, b), top.m_op) for a, b in zip(p, q)])
+        assert np.abs(table - ref[:, None]).max() <= 1e-10
 
     def test_rejects_block_rank_below_one(self, rng):
-        top = build_tracial_operator(backend_fixtures(3)["operator"], 3)
+        top = build_tracial_operator(backend_fixtures(3)["operator"])
         p = random_projection(3, 2, rng)
         with pytest.raises(ValueError, match=">= 1"):
             double_sum_table(top, [p], [p], [1, 0])
@@ -452,7 +525,7 @@ class TestPureStateDichotomySignature:
         # the desk-scale signature: tracially bounded but not tensor bounded
         for dim in range(2, 9):
             d = PureStateFunctional(_e(dim, 0))
-            x = extract_ils(d, dim, allow_dim_two=True)
+            x = extract_ils(d, allow_dim_two=True)
             assert x.trace_norm == pytest.approx(dim, abs=1e-8)
             assert operator_norm(pure_state_m(_e(dim, 0))) <= 1 + 1e-9
 
