@@ -23,6 +23,7 @@ Exit status: 0 pass-verdicts, 1 violation-verdicts, 2 input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,17 +42,23 @@ from .ils import (
 )
 from .linalg import (
     MAX_TERMS,
-    Projection,
     block_draws,
     operator_from_pairing,
     operator_norm,
     pairing_realignment,
     pairing_trace,
     pairing_values,
+    rank_one_proj,
     sample_projections,
     trace_norm,
 )
-from .probes import sweep_dims, tensor_bound_probe
+from .probes import (
+    VERDICT_DIVERGENCE,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_TENSOR_BOUNDED,
+    sweep_dims,
+    tensor_bound_probe,
+)
 from .scenarios import Scenario, ScenarioError, parse_scenario
 from .tolerances import BETA_SERIES_TOL, IDENTITY_TOL, RECONSTRUCTION_TOL
 from .tracial import (
@@ -63,18 +70,6 @@ from .tracial import (
     pure_state_m,
     pure_state_projector,
     reconstruct_from_product_diagonal,
-)
-
-COMMANDS = (
-    "check-axioms",
-    "extract-ils",
-    "verify-conditions",
-    "decompose",
-    "tracial",
-    "sweep",
-    "demo-pure-state",
-    "consistency",
-    "reconstruct",
 )
 
 # The commands that take --samples, with their defaults.
@@ -90,12 +85,7 @@ _DEFAULT_SAMPLES = {
 
 SWEEP_CSV_HEADER = "dim,trace_norm,sup_beta_rank_one,elapsed_ms"
 
-_PASS_VERDICTS = {
-    "pass",
-    "tensor_bounded_evidence",
-    "divergence_evidence",
-    "inconclusive",
-}
+_PASS_VERDICTS = {"pass", VERDICT_TENSOR_BOUNDED, VERDICT_DIVERGENCE, VERDICT_INCONCLUSIVE}
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +132,7 @@ def _csv_cell(v) -> str:
 
 
 def records_csv(records, header_keys=None) -> str:
-    if header_keys is None:
-        keys: list = []
-        for rec in records:
-            for k in rec:
-                if k not in keys:
-                    keys.append(k)
-        keys = sorted(keys)
-    else:
-        keys = list(header_keys)
+    keys = sorted({k for rec in records for k in rec}) if header_keys is None else list(header_keys)
     lines = [",".join(keys)]
     for rec in records:
         lines.append(",".join(_csv_cell(rec.get(k, "")) for k in keys))
@@ -374,14 +356,10 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    dim = scenario.dimension
     if scenario.kind == "class_operator":
         family = list(d.model.schedules[0])
     else:
-        family = [
-            Projection(np.diag((np.arange(dim) == i).astype(complex)), 1)
-            for i in range(dim)
-        ]
+        family = [rank_one_proj(e) for e in np.eye(d.dim)]
     tol = _tol(args, scenario.tolerance("consistency"))
     report = consistency_report(d, family, tolerance=tol)
     rec = {
@@ -399,9 +377,11 @@ def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    m = build_tracial_operator(d).m_op
-    recon = reconstruct_from_product_diagonal(product_diagonal_of(m), d.dim)
-    resid = float(np.linalg.norm(recon - m) / max(1.0, np.linalg.norm(m)))
+    top = build_tracial_operator(d)
+    recon = reconstruct_from_product_diagonal(product_diagonal_of(top), d.dim)
+    m = top.m_op
+    recon -= m  # in place: each d^4 complex array is 268 MB at d = 64
+    resid = float(np.linalg.norm(recon) / max(1.0, np.linalg.norm(m)))
     tol = _tol(args, RECONSTRUCTION_TOL)
     rec = {"reconstruction_residual": resid, "tolerance": tol}
     return _result(
@@ -420,6 +400,8 @@ _HANDLERS = {
     "consistency": _cmd_consistency,
     "reconstruct": _cmd_reconstruct,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def _tol(args, default: float) -> float:
@@ -501,23 +483,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of :func:`main`, built on its first call and reused by later ones.
+_main_parser = functools.cache(build_parser)
+
+
 def _emit(record: ResultRecord, args) -> None:
     text = json_text(record.payload()) + "\n"
     sys.stdout.write(text)
     if args.out:
         fmt = args.fmt or ("csv" if record.command == "sweep" else "json")
-        if fmt == "json":
-            Path(args.out).write_text(text)
-        else:
-            if record.command == "sweep":
-                header = SWEEP_CSV_HEADER.split(",")
-            else:
-                header = None
-            Path(args.out).write_text(records_csv(record.records, header))
+        header = SWEEP_CSV_HEADER.split(",") if record.command == "sweep" else None
+        Path(args.out).write_text(text if fmt == "json" else records_csv(record.records, header))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

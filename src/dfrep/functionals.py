@@ -302,12 +302,7 @@ class AxiomReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.hermiticity_ok
-            and self.positivity_ok
-            and self.normalization_ok
-            and self.orthoadditivity_ok
-        )
+        return all(self.verdicts().values())
 
     def verdicts(self) -> dict:
         return {

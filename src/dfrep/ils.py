@@ -35,7 +35,8 @@ backends, ``(psi^dag w)(w^dag v)(v^dag psi)`` for a pure state and
 ``(v^dag rho' w)(w^dag v)`` for a class operator.  The base-class default
 materialises the projections, so X still comes from d on projections
 alone.  The pair groups of four atoms fold into ``(E_ab, E_ba)`` through
-one fixed 2x4 coefficient block.
+one fixed 2x4 coefficient block (:func:`polarization_unit_table`, which
+also serves the product-diagonal reconstructor of :mod:`dfrep.tracial`).
 
 The axioms of d translate into three operator conditions on X, all read
 off P (for (i), ``P[a,b,c,e] = conj P[e,c,b,a]``):
@@ -143,23 +144,28 @@ def _fold_columns(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 def bilinear_unit_table(d: DecoherenceFunctional) -> np.ndarray:
-    """Values of the bilinear extension on all matrix-unit pairs.
-
-    Returns the ``(dim^2, dim^2)`` pairing matrix
-    ``P[(a,b), (c,e)] = D(E_ab, E_ce)``, ``dim = d.dim``, obtained purely
-    from d on the polarization projections.
-
-    The atom table ``D(atom_s, atom_t)`` comes from the backend's
+    """The pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)`` of d at
+    ``d.dim``, from the backend's closed-form
     :meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_pair_table`
-    in blocks of at most ``ATOM_BLOCK`` left atoms (the basis atoms and
-    then whole pair groups) against all N atoms.  Each block is folded
-    into matrix units on both sides (:func:`_fold_rows`,
-    :func:`_fold_columns`), and its rows and columns are put in row-major
-    unit order by one fixed permutation.  Peak memory is
-    O(ATOM_BLOCK N + dim^4); no ``(N, dim, dim)`` atom stack and no N x N
-    table is built.
+    on the polarization atoms (see :func:`polarization_unit_table`)."""
+    return polarization_unit_table(d.dim, d.rank_one_pair_table)
+
+
+def polarization_unit_table(dim: int, atom_table) -> np.ndarray:
+    """The pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)`` of a bilinear
+    D on ``dim x dim`` matrices, from its values on the polarization atoms.
+
+    ``atom_table(left, right)`` returns ``D(|v_s><v_s|, |w_t><w_t|)`` for
+    two sparse atom sets ``(support, coeff)`` of :func:`polarization_atoms`
+    as a ``(len(left), len(right))`` array.  It is called once per block of
+    at most ``ATOM_BLOCK`` left atoms (the basis atoms and then whole pair
+    groups) against all N atoms.  Each block is folded into matrix units on
+    both sides (:func:`_fold_rows`, :func:`_fold_columns`), and its rows
+    and columns are put in row-major unit order by one fixed permutation.
+    The atoms span all matrices, so any bilinear D is recovered.  Peak
+    memory is O(ATOM_BLOCK N + dim^4); no ``(N, dim, dim)`` atom stack and
+    no N x N table is built.
     """
-    dim = d.dim
     support, coeff = polarization_atoms(dim)
     n_atoms = len(support)
     order = _unit_order(dim)
@@ -169,7 +175,7 @@ def bilinear_unit_table(d: DecoherenceFunctional) -> np.ndarray:
     bounds = [0, *range(first, n_atoms, ATOM_BLOCK), n_atoms]
     unit = 0  # atom-order index of the block's first matrix unit
     for start, stop in zip(bounds, bounds[1:]):
-        table = d.rank_one_pair_table((support[start:stop], coeff[start:stop]), (support, coeff))
+        table = atom_table((support[start:stop], coeff[start:stop]), (support, coeff))
         rows = _fold_columns(_fold_rows(table, dim if start == 0 else 0), dim)[:, cols]
         units[order[unit : unit + len(rows)]] = rows
         unit += len(rows)

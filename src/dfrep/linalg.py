@@ -282,26 +282,32 @@ def rank_one_rows(support, coeff, m) -> np.ndarray:
     return out
 
 
+def rank_one_pairing_rows(support, coeff, p4) -> np.ndarray:
+    """The ``(n, d^2)`` stack ``Y_s[l, j] = sum_{i,k} conj(v_i) v_k
+    P[(k,i), (l,j)]`` for sparse vectors ``v_s`` and a pairing matrix P
+    held as ``(d, d, d, d)``: whole contiguous rows of P on each support."""
+    dim = p4.shape[0]
+    y = np.zeros((len(support), dim, dim), dtype=complex)
+    for a in range(support.shape[1]):
+        for b in range(support.shape[1]):
+            y += (coeff[:, a].conj() * coeff[:, b])[:, None, None] * p4[support[:, b], support[:, a]]
+    return y.reshape(len(support), dim * dim)
+
+
 def kron_trace_rank_one(left, right, pairing) -> np.ndarray:
     """Table ``<v_s (x) w_t| X |v_s (x) w_t> = tr((|v_s><v_s| (x) |w_t><w_t|) X)``
     for sparse rank-one operands ``left = (support, coeff)`` and ``right``,
     with X given by its pairing matrix P (see :func:`pairing_realignment`).
 
-    Each left operand gathers ``Y_s[l, j] = sum_{i,k} conj(v_i) v_k
-    X[(i,j), (k,l)] = sum_{i,k} conj(v_i) v_k P[(k,i), (l,j)]`` as whole
-    contiguous rows of P on its support, and each right operand then reads
-    the entries of ``Y_s`` on its own support: 16 entries of P per pair,
-    for two-point supports.
+    Each left operand gathers its rows ``Y_s`` of P
+    (:func:`rank_one_pairing_rows`), and each right operand then reads the
+    entries of ``Y_s`` on its own support: 16 entries of P per pair, for
+    two-point supports.
     """
     (sv, cv), (sw, cw) = left, right
     pm = mat(pairing)
     dim = _pair_side(pm, "pairing")
-    p4 = pm.reshape(dim, dim, dim, dim)
-    y = np.zeros((len(sv), dim, dim), dtype=complex)
-    for a in range(sv.shape[1]):
-        for b in range(sv.shape[1]):
-            y += (cv[:, a].conj() * cv[:, b])[:, None, None] * p4[sv[:, b], sv[:, a]]
-    y = y.reshape(len(sv), dim * dim)
+    y = rank_one_pairing_rows(sv, cv, pm.reshape(dim, dim, dim, dim))
     table = np.zeros((len(sv), len(sw)), dtype=complex)
     for a in range(sw.shape[1]):
         for b in range(sw.shape[1]):

@@ -21,7 +21,8 @@ with ``d(p, q) = tr(M (p (x) q))`` on finite-rank projections; M is unique
 among bounded operators with that property (see
 :func:`reconstruct_from_product_diagonal`, which recovers any bounded
 operator from its diagonal on product vectors and in particular shows that
-a vanishing product diagonal forces the zero operator).
+a vanishing product diagonal forces the zero operator; it reads that
+diagonal on the polarization atoms and folds it as the extraction folds d).
 
 M, G and the trace-pairing operator X of :func:`dfrep.ils.extract_ils` are
 index transposes of one pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)``:
@@ -44,14 +45,17 @@ from functools import cached_property
 import numpy as np
 
 from .functionals import DecoherenceFunctional, _check_dim
-from .ils import bilinear_unit_table
+from .ils import bilinear_unit_table, polarization_unit_table
 from .linalg import (
     Projection,
+    _pair_side,
     hermiticity_residual,
     mat,
     operator_from_pairing,
     operator_norm,
     pairing_realignment,
+    rank_one_pairing_rows,
+    rank_one_vectors,
     swap_right,
     unit_vector,
 )
@@ -237,69 +241,77 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
     """Recover an operator on H (x) H from its diagonal on product vectors.
 
     ``f(alpha, beta)`` must return ``<L(alpha (x) beta), alpha (x) beta>``
-    for some operator L; every matrix element is then the 16-term double
-    polarization
-
-        ``<L(a (x) b), a' (x) b'> =
-          (1/16) sum_{k,l=0..3} i^{k+l} f(a + i^k a', b + i^l b')``,
-
-    iterated over basis vectors.  The oracle is called once per basis pair
-    ``(a, a')`` on broadcastable ``(..., dim)`` stacks: ``alpha`` has shape
-    ``(4, 1, 1, 1, dim)`` (the four ``a + i^k a'``) and ``beta`` has shape
-    ``(1, dim, dim, 4, dim)`` (every ``b + i^l b'``), and it must return
-    values that broadcast to ``(4, dim, dim, 4)``; a scalar return, as from
-    ``lambda a, b: 0.0``, broadcasts.  That is d^2 oracle calls of 16 d^2
-    values each; with :func:`product_diagonal_of`, which realigns M once,
-    the whole reconstruction costs O(d^6).  The zero oracle reconstructs
-    the zero operator; for inputs that are not genuine product diagonals
-    the output is unspecified (garbage in, garbage out).
+    for some operator L.  On polarization atoms v, w that is
+    ``D(|v><v|, |w><w|)`` for the bilinear D with the pairing matrix of L;
+    the atoms span all matrices, so the extraction's fold
+    (:func:`dfrep.ils.polarization_unit_table`) recovers that pairing
+    matrix, and with it L.  The oracle is called once per atom block:
+    ``alpha`` has shape ``(B, 1, dim)`` for at most ``ATOM_BLOCK`` left
+    atoms and ``beta`` has shape ``(1, N, dim)`` for all
+    ``N = 2 dim^2 - dim`` atoms, and the values must broadcast to
+    ``(B, N)`` (a scalar, as from ``lambda a, b: 0.0``, does).  The zero
+    oracle reconstructs the zero operator; for inputs that are not genuine
+    product diagonals the output is unspecified.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    phases = np.array([1.0, 1.0j, -1.0, -1.0j])
-    eye = np.eye(dim, dtype=complex)
-    # rights[b, b', l] = e_b + i^l e_b'
-    rights = eye[:, None, None, :] + phases[:, None] * eye[None, :, None, :]
-    # weights[k, l] = i^(k+l) / 16
-    weights = phases[np.add.outer(np.arange(4), np.arange(4)) % 4] / 16.0
-    out = np.zeros((dim, dim, dim, dim), dtype=complex)  # [a', b', a, b]
-    for a in range(dim):
-        for a2 in range(dim):
-            lefts = eye[a] + phases[:, None] * eye[a2]
-            vals = np.broadcast_to(
-                np.asarray(f(lefts[:, None, None, None, :], rights[None]), dtype=complex),
-                (4, dim, dim, 4),
-            )
-            out[a2, :, a, :] = np.einsum("kl,kbcl->cb", weights, vals)
-    return out.reshape(dim * dim, dim * dim)
+
+    def atom_table(left, right):
+        vals = f(rank_one_vectors(*left, dim)[:, None], rank_one_vectors(*right, dim)[None])
+        return np.broadcast_to(np.asarray(vals, dtype=complex), (len(left[0]), len(right[0])))
+
+    return operator_from_pairing(polarization_unit_table(dim, atom_table))
+
+
+def _pairing_of(m) -> np.ndarray:
+    """The pairing matrix of M: a TracialOperator's own, else M realigned."""
+    return m.pairing if isinstance(m, TracialOperator) else pairing_realignment(m)
+
+
+def _supports(v: np.ndarray):
+    """``(support, coeff)`` of each vector of a ``(..., d)`` stack: the
+    indices of its nonzero entries and their values, padded with zero
+    coefficients to the largest support in the stack."""
+    nonzero = v != 0
+    k = max(1, int(nonzero.sum(axis=-1).max(initial=0)))
+    support = np.argsort(~nonzero, axis=-1, kind="stable")[..., :k]
+    return support, np.take_along_axis(v, support, axis=-1)
 
 
 def product_diagonal_of(m) -> "callable":
     """Diagonal oracle ``f(alpha, beta) = <M(alpha (x) beta), alpha (x) beta>``
-    of a dense ``(d^2, d^2)`` operator, for feeding the reconstructor.
+    of a dense ``(d^2, d^2)`` operator or a :class:`TracialOperator`, for
+    feeding the reconstructor.
 
     ``alpha`` and ``beta`` are broadcastable ``(..., d)`` stacks of vectors;
     the result has their broadcast batch shape, and is a complex scalar for
-    two single vectors.  M is realigned once, here, so that
-    ``f = vec(|alpha><alpha|) Mr vec(|beta><beta|)^T``: one
-    ``(..., d^2) x (d^2, d^2)`` product per left stack and one length-d^2
-    contraction per value, never a Kronecker vector.  The d^2 calls of
-    :func:`reconstruct_from_product_diagonal` then cost O(d^6) in all.
+    two single vectors.  M is realigned once, here (a TracialOperator's
+    pairing matrix P is read as it is).  Each vector of ``alpha`` gathers
+    the rows of P on its support (:func:`dfrep.linalg.rank_one_pairing_rows`)
+    and each vector of ``beta`` reads their entries on its own support, so
+    a pair of two-point vectors costs 16 entries of P and two elementwise
+    ``(n, d)`` stacks cost n values, never an n x n table.
     """
-    mr = pairing_realignment(m)  # ValueError unless m is (d^2, d^2)
+    pairing = _pairing_of(m)  # ValueError unless m is (d^2, d^2)
+    dim = _pair_side(pairing, "m")
+    p4 = pairing.reshape(dim, dim, dim, dim)
 
     def f(alpha, beta):
-        vals = np.einsum("...r,...r->...", _vec_projectors(alpha) @ mr, _vec_projectors(beta))
+        a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+        if a.shape[-1] != dim or b.shape[-1] != dim:
+            raise ValueError(f"dimension mismatch: need (..., {dim}) vectors, got {a.shape} and {b.shape}")
+        rows = rank_one_pairing_rows(*_supports(a.reshape(-1, dim)), p4)
+        rows = rows.reshape((1,) * (b.ndim - a.ndim) + a.shape[:-1] + (-1,))
+        support, coeff = _supports(b.reshape((1,) * (a.ndim - b.ndim) + b.shape))
+        vals = sum(
+            coeff[..., i].conj() * coeff[..., j]
+            * np.take_along_axis(rows, (support[..., j] * dim + support[..., i])[..., None], -1)[..., 0]
+            for i in range(support.shape[-1])
+            for j in range(support.shape[-1])
+        )
         return complex(vals) if vals.ndim == 0 else vals
 
     return f
-
-
-def _vec_projectors(v) -> np.ndarray:
-    """Row-major ``vec(|v><v|)`` of each vector of a ``(..., d)`` stack,
-    as a ``(..., d^2)`` stack."""
-    v = np.asarray(v, dtype=complex)
-    return (v[..., :, None] * v[..., None, :].conj()).reshape(v.shape[:-1] + (-1,))
 
 
 def _range_columns(p: np.ndarray) -> np.ndarray:
@@ -340,7 +352,7 @@ def double_sum_table(m, ps, qs, block_ranks) -> list:
     """
     if any(br < 1 for br in block_ranks):
         raise ValueError("max_rank must be >= 1")
-    xr = m.pairing if isinstance(m, TracialOperator) else pairing_realignment(m)
+    xr = _pairing_of(m)
     out = []
     for p, q in zip(ps, qs):
         p_cols, q_cols = _range_columns(mat(p)), _range_columns(mat(q))

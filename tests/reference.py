@@ -3,8 +3,9 @@
 Each definition here is the scalar, term-by-term form of an object that
 ``dfrep`` computes by a batched route: the linear functional beta on the
 algebraic tensor product, the history class operators ``C_h`` and the
-history-pair values ``d(h, k)``, the refined bilinear extension, and the
-matrix helpers they are written in.  No CLI command reaches this module and
+history-pair values ``d(h, k)``, the refined bilinear extension, the
+16-term double-polarization reconstructor, and the matrix helpers they are
+written in.  No CLI command reaches this module and
 ``dfrep`` does not import it; the tests import it as ``reference``.
 """
 
@@ -207,6 +208,42 @@ def functional_to_operator(coeffs) -> np.ndarray:
     """
     c = as_matrix(coeffs, "coeffs")
     return c.T.copy()
+
+
+# --- Product-diagonal reconstruction ----------------------------------------
+
+
+def _scalar_reconstruct(f, dim):
+    """The operator with product diagonal f, element by element through the
+    16-term double polarization
+    ``<L(a (x) b), a' (x) b'> = (1/16) sum_{k,l} i^{k+l} f(a + i^k a', b + i^l b')``
+    over basis vectors, one scalar oracle call per term."""
+    phases = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]
+    eye = np.eye(dim, dtype=complex)
+    n = dim * dim
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(dim):
+        for a2 in range(dim):
+            lefts = [eye[a] + phases[k] * eye[a2] for k in range(4)]
+            for b in range(dim):
+                for b2 in range(dim):
+                    rights = [eye[b] + phases[l] * eye[b2] for l in range(4)]
+                    acc = 0.0 + 0.0j
+                    for k in range(4):
+                        for l in range(4):
+                            acc += phases[(k + l) % 4] * f(lefts[k], rights[l])
+                    out[a2 * dim + b2, a * dim + b] = acc / 16.0
+    return out
+
+
+def _scalar_product_diagonal_of(m):
+    """``f(alpha, beta) = <M(alpha (x) beta), alpha (x) beta>`` for single
+    vectors, through the Kronecker vector."""
+    def f(alpha, beta):
+        vec = np.kron(alpha, beta)
+        return complex(np.vdot(vec, m @ vec))
+
+    return f
 
 
 # --- Homogeneous histories ---------------------------------------------------

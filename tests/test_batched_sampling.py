@@ -11,6 +11,8 @@ against them draw for draw.
 
 from __future__ import annotations
 
+import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from dfrep import (
     standard_df,
 )
 from dfrep.cli import _pairing_residual, _random_tensor_sums, main
+from dfrep.ils import ATOM_BLOCK
 from dfrep.linalg import (
     SAMPLE_BLOCK,
     check_projection_stack,
@@ -44,11 +47,19 @@ from dfrep.linalg import (
     pairing_values,
     sample_projections,
     spectral_projections,
+    swap_operator,
 )
 from dfrep.probes import _sample_tensor_vectors, tracial_bound_probe
 from dfrep import tracial
 from dfrep.tracial import product_diagonal_of
-from reference import bilinear_refined, kron, orthogonal_decompose, trace_pair
+from reference import (
+    _scalar_product_diagonal_of,
+    _scalar_reconstruct,
+    bilinear_refined,
+    kron,
+    orthogonal_decompose,
+    trace_pair,
+)
 from conftest import (
     block_projections,
     block_tensor_terms,
@@ -150,33 +161,6 @@ def _scalar_tensor_vectors(dim, samples, rng, max_terms=4):
         rows[n] = xi / nrm
         counts[len(terms)] = counts.get(len(terms), 0) + 1
     return rows, counts
-
-
-def _scalar_reconstruct(f, dim):
-    phases = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]
-    eye = np.eye(dim, dtype=complex)
-    n = dim * dim
-    out = np.zeros((n, n), dtype=complex)
-    for a in range(dim):
-        for a2 in range(dim):
-            lefts = [eye[a] + phases[k] * eye[a2] for k in range(4)]
-            for b in range(dim):
-                for b2 in range(dim):
-                    rights = [eye[b] + phases[l] * eye[b2] for l in range(4)]
-                    acc = 0.0 + 0.0j
-                    for k in range(4):
-                        for l in range(4):
-                            acc += phases[(k + l) % 4] * f(lefts[k], rights[l])
-                    out[a2 * dim + b2, a * dim + b] = acc / 16.0
-    return out
-
-
-def _scalar_product_diagonal_of(m):
-    def f(alpha, beta):
-        vec = np.kron(alpha, beta)
-        return complex(np.vdot(vec, m @ vec))
-
-    return f
 
 
 def _scalar_double_sum(m, p, q, block_rank):
@@ -605,6 +589,97 @@ class TestReconstructor:
         single = f(alphas[0, 0], betas[0, 0])
         assert isinstance(single, complex)
         assert _close(single, ref(alphas[0, 0], betas[0, 0]), 1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2, 12, 23])
+    def test_one_oracle_call_per_atom_block(self, dim, rng):
+        n = dim * dim
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        oracle = product_diagonal_of(m)
+        calls = []
+
+        def spy(alpha, beta):
+            calls.append((alpha.shape, beta.shape))
+            return oracle(alpha, beta)
+
+        out = reconstruct_from_product_diagonal(spy, dim)
+        n_atoms = 2 * dim * dim - dim
+        assert len(calls) == -(-n_atoms // ATOM_BLOCK)
+        assert all(a[0] <= ATOM_BLOCK and a[1:] == (1, dim) for a, _ in calls)
+        assert all(b == (1, n_atoms, dim) for _, b in calls)
+        assert sum(a[0] for a, _ in calls) == n_atoms
+        assert np.abs(out - m).max() <= 1e-12 * np.abs(m).max()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_non_hermitian_operators_without_swap_symmetry(self, dim, rng):
+        n = dim * dim
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = swap_operator(dim)
+        assert np.abs(m - m.conj().T).max() > 0.1 and np.abs(w @ m @ w - m).max() > 0.1
+        out = reconstruct_from_product_diagonal(product_diagonal_of(m), dim)
+        ref = _scalar_reconstruct(_scalar_product_diagonal_of(m), dim)
+        assert np.abs(ref - m).max() <= 1e-12 * np.abs(m).max()
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_oracle_on_sparse_dense_elementwise_and_single_vectors(self, dim, rng):
+        n = dim * dim
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        f, ref = product_diagonal_of(m), _scalar_product_diagonal_of(m)
+
+        def dense(*shape):
+            return rng.standard_normal(shape + (dim,)) + 1j * rng.standard_normal(shape + (dim,))
+
+        def two_sparse(count):
+            v = np.zeros((count, dim), dtype=complex)
+            for row in v:
+                support = rng.choice(dim, size=2, replace=False)
+                row[support] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            return v
+
+        for alphas, betas in ((two_sparse(6), two_sparse(7)), (dense(6), dense(7))):
+            vals = f(alphas[:, None], betas[None])
+            assert vals.shape == (6, 7)
+            want = np.array([[ref(a, b) for b in betas] for a in alphas])
+            assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
+        alphas, betas = dense(9), dense(9)
+        vals = f(alphas, betas)
+        assert vals.shape == (9,)
+        want = np.array([ref(a, b) for a, b in zip(alphas, betas)])
+        assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
+        vals = f(alphas[0], betas)  # one vector against a stack
+        assert vals.shape == (9,)
+        assert np.abs(vals - [ref(alphas[0], b) for b in betas]).max() <= 1e-13 * np.abs(want).max()
+        beta = two_sparse(1)[0]
+        single = f(alphas[0], beta)
+        assert isinstance(single, complex)
+        assert _close(single, ref(alphas[0], beta), 1e-13)
+
+    def test_elementwise_stacks_build_no_pair_table(self, rng):
+        n, dim = 4000, 3
+        m = rng.standard_normal((dim * dim, dim * dim)) + 0j
+        f = product_diagonal_of(m)
+        alphas, betas = rng.standard_normal((2, n, dim)) + 0j
+        tracemalloc.start()
+        try:
+            vals = f(alphas, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (n,)
+        assert peak < n * n * 16 / 20  # an n x n complex table is 256 MB here
+
+    def test_cli_reads_the_held_pairing_matrix(self, monkeypatch, capsys):
+        realigned = []
+
+        def spy(x):
+            realigned.append(np.shape(x))
+            return pairing_realignment(x)
+
+        monkeypatch.setattr(tracial, "pairing_realignment", spy)
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "operator_product_state_dim3.json"
+        assert main(["reconstruct", "--scenario", str(scenario)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+        assert realigned == []
 
 
 class TestDoubleSum:
