@@ -80,21 +80,10 @@ def _rows(stack) -> np.ndarray:
     return a.reshape(len(a), -1)
 
 
-def _transposed_rows(stack) -> np.ndarray:
-    """Rows ``vec(b^T)`` of an ``(n, d, d)`` stack, so that
-    ``vec(a) . vec(b^T) = tr(a b)``."""
-    a = np.asarray(stack, dtype=complex)
-    return a.transpose(0, 2, 1).reshape(len(a), -1)
-
-
-def _overlap_table(left, w) -> np.ndarray:
-    """Overlaps ``<w_t|v_s>`` of sparse left vectors ``left = (support,
-    coeff)`` with the dense right vectors ``w`` (rows), shape ``(m, n)``."""
-    return rank_one_rows(*left, np.ascontiguousarray(w.T).conj())
-
-
 class DecoherenceFunctional:
-    """Common interface of the four evaluation backends.
+    """Common interface of the three evaluation backends: operator-backed,
+    form-backed and the factored state (built by the pure-state and
+    class-operator constructors).
 
     Subclasses implement :meth:`bilinear`, the canonical bilinear extension;
     :meth:`evaluate` is its restriction to projection pairs.
@@ -199,8 +188,54 @@ class OperatorBackedFunctional(DecoherenceFunctional):
         return pairing_values(left, right, self.pairing)
 
 
-class PureStateFunctional(DecoherenceFunctional):
-    """d(p, q) = <p psi, q psi> for a unit vector psi.
+class FactoredStateFunctional(DecoherenceFunctional):
+    """d(p, q) = tr(p rho' q) for a positive operator ``rho' = F F^dag``
+    held as its ``(d, r)`` factor F.
+
+    This is the standard functional ``tr(C_h rho C_k^dag)`` of one-event
+    histories.  Every evaluation contracts each operand with F once,
+
+        ``tr(a F F^dag b) = sum_ik (a F)_ik (b^T conj F)_ik``,
+
+    and a rank-one pair costs ``(v^dag F)(F^dag w)(w^dag v)``, so the work
+    scales with the rank r: a pure state is the case r = 1.
+    """
+
+    def __init__(self, factor):
+        self.factor = np.asarray(factor, dtype=complex)
+        self.dim = len(self.factor)
+
+    def _sides(self, left, right):
+        # Rows vec(a F) and vec(b^T conj F), whose dot product is tr(a F F^dag b).
+        l = np.asarray(left, dtype=complex) @ self.factor
+        r = np.asarray(right, dtype=complex).transpose(0, 2, 1) @ self.factor.conj()
+        return l.reshape(len(l), -1), r.reshape(len(r), -1)
+
+    def bilinear(self, x, y) -> complex:
+        l, r = self._sides(mat(x)[None], mat(y)[None])
+        return complex(np.sum(l * r))
+
+    def pair_table(self, left, right) -> np.ndarray:
+        l, r = self._sides(left, right)
+        return l @ r.T
+
+    def rank_one_pair_table(self, left, right) -> np.ndarray:
+        # D(|v><v|, |w><w|) = (v^dag F)(F^dag w)(w^dag v)
+        sv, cv = left
+        w = rank_one_vectors(*right, self.dim)
+        table = rank_one_rows(sv, cv, np.ascontiguousarray(w.T).conj())
+        table *= rank_one_rows(sv, cv.conj(), self.factor) @ (w @ self.factor.conj()).T
+        return table
+
+    def pair_values(self, left, right) -> np.ndarray:
+        left, right = self._value_stacks(left, right)
+        l, r = self._sides(left, right)
+        return np.sum(l * r, axis=-1)
+
+
+class PureStateFunctional(FactoredStateFunctional):
+    """d(p, q) = <p psi, q psi> for a unit vector psi: the factored state
+    with ``F = psi``.
 
     Restriction to projections of the form ``B(x, y) = <x psi, y^dag psi>``,
     which is bounded and countably additive but, in the infinite-dimensional
@@ -211,36 +246,10 @@ class PureStateFunctional(DecoherenceFunctional):
 
     def __init__(self, psi):
         self.psi = unit_vector(psi, "psi")
-        self.dim = self.psi.size
+        super().__init__(self.psi[:, None])
 
-    def bilinear(self, x, y) -> complex:
-        xv = mat(x) @ self.psi
-        yv = mat(y).conj().T @ self.psi
-        return complex(np.vdot(yv, xv))
-
-    def _sides(self, left, right):
-        # D(a, b) = (b^dag psi)^dag (a psi), and conj(b^dag psi) = b^T conj(psi).
-        l = np.asarray(left, dtype=complex) @ self.psi
-        r_conj = np.asarray(right, dtype=complex).transpose(0, 2, 1) @ self.psi.conj()
-        return l, r_conj
-
-    def pair_table(self, left, right) -> np.ndarray:
-        l, r_conj = self._sides(left, right)
-        return l @ r_conj.T
-
-    def rank_one_pair_table(self, left, right) -> np.ndarray:
-        # D(|v><v|, |w><w|) = (psi^dag w)(w^dag v)(v^dag psi)
-        sv, cv = left
-        w = rank_one_vectors(*right, self.dim)
-        table = _overlap_table(left, w)
-        table *= rank_one_rows(sv, cv.conj(), self.psi)[:, None]
-        table *= w @ self.psi.conj()
-        return table
-
-    def pair_values(self, left, right) -> np.ndarray:
-        left, right = self._value_stacks(left, right)
-        l, r_conj = self._sides(left, right)
-        return np.sum(l * r_conj, axis=-1)
+    # Its own entry in the class dictionary, where per-backend wrappers find it.
+    pair_table = FactoredStateFunctional.pair_table
 
 
 class FormBackedFunctional(OperatorBackedFunctional):

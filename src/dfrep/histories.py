@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import DecoherenceFunctional, _overlap_table, _rows, _transposed_rows
-from .linalg import Projection, as_matrix, hermiticity_residual, mat, rank_one_rows, rank_one_vectors
+from .functionals import DecoherenceFunctional, FactoredStateFunctional
+from .linalg import Projection, as_matrix, hermiticity_residual
 from .tolerances import DEFAULT_TOLERANCES, MODEL_TOL, ORTHOGONALITY_TOL
 
 
@@ -108,46 +108,30 @@ class ClassOperatorModel:
         v = self.eigenbasis
         return (v * np.exp(-1j * t * self.energies)) @ v.conj().T
 
-class ClassOperatorFunctional(DecoherenceFunctional):
+
+class ClassOperatorFunctional(FactoredStateFunctional):
     """Projection-level functional of a class-operator model.
 
     A single projection is read as a one-event history at the model's first
     scheduled time, which makes the functional linear in both slots:
-    ``d(p, q) = tr(p~ rho q~)`` with ``p~ = U(t_1)^dag p U(t_1)``.  On the
-    scheduled projections of a single-time model this coincides with the
-    history-pair values; the multi-time values ``tr(C_h rho C_k^dag)`` are
-    computed term by term in ``tests/reference.py``.
+    ``d(p, q) = tr(p~ rho q~) = tr(p rho' q)`` with ``p~ = U^dag p U``,
+    ``U = U(t_1)`` and ``rho' = U rho U^dag``.  The state is held as the
+    factor ``F = U V sqrt(lambda)`` of ``rho' = F F^dag``, from one ``eigh``
+    ``rho = V diag(lambda) V^dag`` keeping the eigenvalues ``lambda > 0``.
+    On the scheduled projections of a single-time model this coincides with
+    the history-pair values; the multi-time values ``tr(C_h rho C_k^dag)``
+    are computed term by term in ``tests/reference.py``.
     """
 
     def __init__(self, model: ClassOperatorModel):
         self.model = model
-        self.dim = model.dim
-        t = model.times[0] if model.times else 0.0
-        u = model.propagator(t)
-        self._u = u
-        self._rho_rot = u @ model.rho @ u.conj().T  # tr(p~ rho q~) = tr(p rho' q)
+        lam, v = np.linalg.eigh((model.rho + model.rho.conj().T) / 2)
+        keep = lam > 0
+        u = model.propagator(model.times[0] if model.times else 0.0)
+        super().__init__(u @ (v[:, keep] * np.sqrt(lam[keep])))
 
-    def bilinear(self, x, y) -> complex:
-        # tr(x~ rho y~) = tr(x (U rho U^dag) y): rotate the state once
-        # instead of both arguments on every call.
-        return complex(np.trace(mat(x) @ self._rho_rot @ mat(y)))
-
-    def pair_table(self, left, right) -> np.ndarray:
-        # tr(a rho' b) = vec(a rho') . vec(b^T)
-        l = np.asarray(left, dtype=complex) @ self._rho_rot
-        return _rows(l) @ _transposed_rows(right).T
-
-    def rank_one_pair_table(self, left, right) -> np.ndarray:
-        # D(|v><v|, |w><w|) = (v^dag rho' w)(w^dag v)
-        sv, cv = left
-        w = rank_one_vectors(*right, self.dim)
-        table = _overlap_table(left, w)
-        table *= rank_one_rows(sv, cv.conj(), self._rho_rot @ w.T)
-        return table
-
-    def pair_values(self, left, right) -> np.ndarray:
-        left, right = self._value_stacks(left, right)
-        return np.sum(_rows(left @ self._rho_rot) * _transposed_rows(right), axis=-1)
+    # Its own entry in the class dictionary, where per-backend wrappers find it.
+    pair_table = FactoredStateFunctional.pair_table
 
 
 def standard_df(model: ClassOperatorModel) -> ClassOperatorFunctional:

@@ -28,8 +28,9 @@ M, G and the trace-pairing operator X of :func:`dfrep.ils.extract_ils` are
 index transposes of one pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)``:
 G is P with its column pair transposed, ``G = P W``, and the family sum M
 is the operator whose pairing matrix is ``G W`` for G made Hermitian, that
-is ``M = (X + W X^dag W)/2``.  :class:`TracialOperator` holds that P and
-G; M is rebuilt from P only when read, and the families only on demand.
+is ``M = (X + W X^dag W)/2``.  :class:`TracialOperator` holds that P
+alone; G and M are rebuilt from P only when read, and the families only on
+demand.
 
 At a fixed finite truncation every functional is tracially bounded, so the
 interesting content is the sweep behaviour: for the pure-state functional
@@ -175,12 +176,16 @@ class TracialOperator:
     finite-rank projections, held as its pairing matrix: the Gram matrix
     with its column pair transposed, ``pairing = G W``, which is the
     trace-pairing matrix of :func:`dfrep.ils.extract_ils` made Hermitian.
-    A plain holder: M, its operator norm and the signed families
-    (:attr:`source`) are computed from P and G when read."""
+    A plain holder of P alone: G, M, its operator norm and the signed
+    families (:attr:`source`) are computed from P when read."""
 
     pairing: np.ndarray
-    gram: np.ndarray
     dim: int
+
+    @property
+    def gram(self) -> np.ndarray:
+        """G, the index transpose ``swap_right(P)``, fresh on each read."""
+        return swap_right(self.pairing)
 
     @property
     def m_op(self) -> np.ndarray:
@@ -214,8 +219,7 @@ def build_tracial_operator(d: DecoherenceFunctional) -> TracialOperator:
     tracial-boundedness evidence across dimensions is the separate
     estimate of :func:`dfrep.probes.tracial_bound_probe`.
     """
-    g = gram_matrix(d)
-    return TracialOperator(pairing=swap_right(g), gram=g, dim=d.dim)
+    return TracialOperator(pairing=swap_right(gram_matrix(d)), dim=d.dim)
 
 
 def pure_state_projector(psi) -> np.ndarray:

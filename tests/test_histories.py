@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from dfrep import (
     ClassOperatorModel,
+    PureStateFunctional,
     check_axioms,
     consistency_report,
     identity_projection,
@@ -13,10 +14,14 @@ from dfrep import (
     standard_df,
     zero_projection,
 )
+from dfrep.histories import ClassOperatorFunctional
+from dfrep.ils import polarization_atoms
+from dfrep.linalg import haar_unitary, rank_one_matrices, sample_projections
 from dfrep.tolerances import MODEL_TOL as _MODEL_TOL
 from reference import (
     HomogeneousHistory,
     class_operator,
+    heisenberg,
     history_pair_value,
     iter_homogeneous_histories,
     orthogonal_decompose,
@@ -138,6 +143,66 @@ class TestStandardDf:
             for h in iter_homogeneous_histories(model)
         )
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _random_supports(rng, dim, n):
+    """``n`` sparse vectors on two distinct basis indices each."""
+    support = np.stack([rng.choice(dim, size=2, replace=False) for _ in range(n)])
+    return support, rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+
+
+class TestOneStandardFunctional:
+    """The pure state is the single-time class operator with rho = |psi><psi|:
+    both evaluate tr(x F F^dag y) through one factored route."""
+
+    def test_one_rank_one_route(self):
+        assert PureStateFunctional.rank_one_pair_table is ClassOperatorFunctional.rank_one_pair_table
+
+    @pytest.mark.parametrize("dim", [3, 5, 8])
+    def test_pure_state_is_the_class_operator(self, dim, rng):
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi /= np.linalg.norm(psi)
+        pure = PureStateFunctional(psi)
+        classop = standard_df(trivial_model(dim, rho=np.outer(psi, psi.conj())))
+        p = sample_projections(dim, 12, rng)
+        q = sample_projections(dim, 12, rng)
+        atoms = polarization_atoms(dim)
+        for method, args in (
+            ("pair_table", (p, q)),
+            ("pair_values", (p, q)),
+            ("rank_one_pair_table", (atoms, _random_supports(rng, dim, 9))),
+        ):
+            assert_allclose(getattr(classop, method)(*args), getattr(pure, method)(*args), rtol=0, atol=1e-12)
+        for a, b in zip(p, q):
+            assert abs(classop.evaluate(a, b) - pure.evaluate(a, b)) <= 1e-12
+
+    def test_rank_deficient_rotated_state_matches_heisenberg(self, rng):
+        dim, t = 6, 0.8
+        u = haar_unitary(dim, rng)
+        rho = u[:, :2] @ np.diag([0.7, 0.3]) @ u[:, :2].conj().T
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        frame = haar_unitary(dim, rng)
+        model = ClassOperatorModel(
+            dim=dim,
+            rho=rho,
+            hamiltonian=(h + h.conj().T) / 2,
+            times=(t,),
+            schedules=(tuple(np.outer(frame[:, i], frame[:, i].conj()) for i in range(dim)),),
+        )
+        d = standard_df(model)
+
+        def ref_table(left, right):
+            return np.array(
+                [[np.trace(heisenberg(model, a, t) @ rho @ heisenberg(model, b, t)) for b in right] for a in left]
+            )
+
+        p = sample_projections(dim, 10, rng)
+        q = sample_projections(dim, 10, rng)
+        assert_allclose(d.pair_table(p, q), ref_table(p, q), rtol=0, atol=1e-12)
+        assert_allclose(d.pair_values(p, q), np.diagonal(ref_table(p, q)), rtol=0, atol=1e-12)
+        left, right = polarization_atoms(dim), _random_supports(rng, dim, 7)
+        ref = ref_table(rank_one_matrices(*left, dim), rank_one_matrices(*right, dim))
+        assert_allclose(d.rank_one_pair_table(left, right), ref, rtol=0, atol=1e-12)
 
 
 def _expm_taylor(a):

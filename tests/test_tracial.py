@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -325,6 +327,20 @@ class TestOnePairingMatrix:
         p4 = top.pairing.reshape(dim, dim, dim, dim)
         assert np.array_equal(top.gram, np.einsum("abce->abec", p4).reshape(dim * dim, dim * dim))
         assert np.array_equal(swap_right(top.gram), top.pairing)
+
+    def test_holds_one_quartic_array(self):
+        """Only P is held after the build; G is read off it, not stored."""
+        dim = 16
+        d = PureStateFunctional(_e(dim, 0))
+        tracemalloc.start()
+        try:
+            top = build_tracial_operator(d)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        quartic = dim**4 * np.dtype(complex).itemsize
+        assert top.pairing.nbytes == quartic
+        assert held < 2 * quartic
 
 
 class TestPureStateM:
