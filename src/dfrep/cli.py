@@ -35,11 +35,7 @@ import numpy as np
 
 from .functionals import check_axioms
 from .histories import consistency_report
-from .ils import (
-    extract_ils,
-    ils_operator_from_matrix,
-    verify_ils_conditions,
-)
+from .ils import ILSOperator, extract_ils, verify_ils_conditions
 from .linalg import (
     MAX_TERMS,
     block_draws,
@@ -243,10 +239,9 @@ def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 
 def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
-    if scenario.kind == "operator":
-        x = ils_operator_from_matrix(scenario.payload["matrix"])
-    else:
-        x = extract_ils(scenario.build())
+    d = scenario.build()
+    # An operator scenario's functional already holds the pairing matrix P.
+    x = ILSOperator(d.pairing, d.dim) if scenario.kind == "operator" else extract_ils(d)
     tol = _tol(args, scenario.tolerance("conditions"))
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
     rec = {

@@ -36,11 +36,11 @@ from .linalg import (
     ginibre,
     haar_from_ginibre,
     hermiticity_residual,
-    kron_trace_rank_one,
     mat,
     pairing_realignment,
     pairing_values,
     rank_one_matrices,
+    rank_one_product_diagonal,
     rank_one_rows,
     rank_one_vectors,
     sample_blocks,
@@ -181,7 +181,8 @@ class OperatorBackedFunctional(DecoherenceFunctional):
         return (_rows(left) @ self.pairing) @ _rows(right).T
 
     def rank_one_pair_table(self, left, right) -> np.ndarray:
-        return kron_trace_rank_one(left, right, self.pairing)
+        (sv, cv), (sw, cw) = left, right
+        return rank_one_product_diagonal((sv[:, None], cv[:, None]), (sw[None], cw[None]), self.pairing)
 
     def pair_values(self, left, right) -> np.ndarray:
         left, right = self._value_stacks(left, right)

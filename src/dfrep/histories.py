@@ -37,10 +37,12 @@ class ClassOperatorModel:
     A rejection message starts with the argument it rejects (``rho:``,
     ``times[k]:``, ``schedules[k][j]:`` ...), for callers to prefix a path.
 
-    Construction also diagonalises the Hermitian part of the Hamiltonian
-    once, ``(H + H^dag)/2 = V diag(energies) V^dag``.  ``energies`` and
-    ``eigenbasis`` are stored read-only, and nothing is cached on the model
-    afterwards, so it can be shared between callers.
+    Construction also diagonalises the Hermitian parts of rho and of the
+    Hamiltonian once each, ``(rho + rho^dag)/2 = S diag(rho_eigenvalues)
+    S^dag`` with ``S = rho_eigenvectors`` and ``(H + H^dag)/2 = V
+    diag(energies) V^dag`` with ``V = eigenbasis``.  All four arrays are
+    stored read-only, and nothing is cached on the model afterwards, so it
+    can be shared between callers.
     """
 
     dim: int
@@ -57,14 +59,14 @@ class ClassOperatorModel:
                 raise ValueError(f"{name}: dimension {m.shape[0]} does not match model dim {self.dim}")
             if hermiticity_residual(m) > MODEL_TOL:
                 raise ValueError(f"{name}: must be Hermitian")
-        evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if evals.min() < -MODEL_TOL:
-            raise ValueError(f"rho: must be positive semidefinite (min eig {evals.min():.3g})")
+        rho_eigenvalues, rho_eigenvectors = np.linalg.eigh((rho + rho.conj().T) / 2)
+        if rho_eigenvalues.min() < -MODEL_TOL:
+            raise ValueError(f"rho: must be positive semidefinite (min eig {rho_eigenvalues.min():.3g})")
         if abs(np.trace(rho) - 1.0) > MODEL_TOL:
             raise ValueError(f"rho: must have unit trace (got {np.trace(rho).real:.6g})")
         energies, eigenbasis = np.linalg.eigh((ham + ham.conj().T) / 2)
-        energies.flags.writeable = False
-        eigenbasis.flags.writeable = False
+        for a in (rho_eigenvalues, rho_eigenvectors, energies, eigenbasis):
+            a.flags.writeable = False
         times = tuple(float(t) for t in self.times)
         for k, t in enumerate(times):
             if not t >= 0.0:
@@ -95,6 +97,8 @@ class ClassOperatorModel:
         object.__setattr__(self, "hamiltonian", ham)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "schedules", tuple(schedules))
+        object.__setattr__(self, "rho_eigenvalues", rho_eigenvalues)
+        object.__setattr__(self, "rho_eigenvectors", rho_eigenvectors)
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "eigenbasis", eigenbasis)
 
@@ -116,8 +120,8 @@ class ClassOperatorFunctional(FactoredStateFunctional):
     scheduled time, which makes the functional linear in both slots:
     ``d(p, q) = tr(p~ rho q~) = tr(p rho' q)`` with ``p~ = U^dag p U``,
     ``U = U(t_1)`` and ``rho' = U rho U^dag``.  The state is held as the
-    factor ``F = U V sqrt(lambda)`` of ``rho' = F F^dag``, from one ``eigh``
-    ``rho = V diag(lambda) V^dag`` keeping the eigenvalues ``lambda > 0``.
+    factor ``F = U S sqrt(lambda)`` of ``rho' = F F^dag``, from the model's
+    ``rho = S diag(lambda) S^dag`` keeping the eigenvalues ``lambda > 0``.
     On the scheduled projections of a single-time model this coincides with
     the history-pair values; the multi-time values ``tr(C_h rho C_k^dag)``
     are computed term by term in ``tests/reference.py``.
@@ -125,7 +129,7 @@ class ClassOperatorFunctional(FactoredStateFunctional):
 
     def __init__(self, model: ClassOperatorModel):
         self.model = model
-        lam, v = np.linalg.eigh((model.rho + model.rho.conj().T) / 2)
+        lam, v = model.rho_eigenvalues, model.rho_eigenvectors
         keep = lam > 0
         u = model.propagator(model.times[0] if model.times else 0.0)
         super().__init__(u @ (v[:, keep] * np.sqrt(lam[keep])))

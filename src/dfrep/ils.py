@@ -31,10 +31,11 @@ atoms are passed in the sparse form ``(support, coeff)`` of
 backend evaluates d on such pairs in closed form
 (:meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_pair_table`):
 ``<v (x) w|X|v (x) w>`` from 16 entries of P for the operator and form
-backends, and ``(v^dag F)(F^dag w)(w^dag v)`` for the factored state
-``rho' = F F^dag`` of a pure state or class operator.  The base-class default
-materialises the projections, so X still comes from d on projections
-alone.  The pair groups of four atoms fold into ``(E_ab, E_ba)`` through
+backends (:func:`dfrep.linalg.rank_one_product_diagonal`, which also reads
+the reconstructor's product diagonal), and ``(v^dag F)(F^dag w)(w^dag v)``
+for the factored state ``rho' = F F^dag`` of a pure state or class
+operator.  The base-class default materialises the projections, so X still
+comes from d on projections alone.  The pair groups of four atoms fold into ``(E_ab, E_ba)`` through
 one fixed 2x4 coefficient block (:func:`polarization_unit_table`, which
 also serves the product-diagonal reconstructor of :mod:`dfrep.tracial`).
 

@@ -282,37 +282,49 @@ def rank_one_rows(support, coeff, m) -> np.ndarray:
     return out
 
 
-def rank_one_pairing_rows(support, coeff, p4) -> np.ndarray:
-    """The ``(n, d^2)`` stack ``Y_s[l, j] = sum_{i,k} conj(v_i) v_k
-    P[(k,i), (l,j)]`` for sparse vectors ``v_s`` and a pairing matrix P
-    held as ``(d, d, d, d)``: whole contiguous rows of P on each support."""
-    dim = p4.shape[0]
-    y = np.zeros((len(support), dim, dim), dtype=complex)
-    for a in range(support.shape[1]):
-        for b in range(support.shape[1]):
-            y += (coeff[:, a].conj() * coeff[:, b])[:, None, None] * p4[support[:, b], support[:, a]]
-    return y.reshape(len(support), dim * dim)
+def vector_supports(v: np.ndarray):
+    """``(support, coeff)`` of each vector of a dense ``(..., d)`` stack:
+    the indices of its nonzero entries and their values, padded with zero
+    coefficients to the largest support in the stack (the inverse of
+    :func:`rank_one_vectors`)."""
+    nonzero = v != 0
+    k = max(1, int(nonzero.sum(axis=-1).max(initial=0)))
+    support = np.argsort(~nonzero, axis=-1, kind="stable")[..., :k]
+    return support, np.take_along_axis(v, support, axis=-1)
 
 
-def kron_trace_rank_one(left, right, pairing) -> np.ndarray:
-    """Table ``<v_s (x) w_t| X |v_s (x) w_t> = tr((|v_s><v_s| (x) |w_t><w_t|) X)``
-    for sparse rank-one operands ``left = (support, coeff)`` and ``right``,
-    with X given by its pairing matrix P (see :func:`pairing_realignment`).
+def rank_one_product_diagonal(left, right, pairing) -> np.ndarray:
+    """``<v (x) w| X |v (x) w> = tr((|v><v| (x) |w><w|) X)`` for sparse
+    vectors ``left = (support, coeff)`` and ``right`` (see
+    :func:`rank_one_vectors`), with X given by its pairing matrix P (see
+    :func:`pairing_realignment`).
 
-    Each left operand gathers its rows ``Y_s`` of P
-    (:func:`rank_one_pairing_rows`), and each right operand then reads the
-    entries of ``Y_s`` on its own support: 16 entries of P per pair, for
-    two-point supports.
+    ``support`` and ``coeff`` have shape ``(..., k)``; the batch shapes of
+    the two sides have one rank and broadcast, and so does the result:
+    ``(n, 1)`` against ``(1, m)`` gives an ``(n, m)`` table, two ``(n,)``
+    sets give n values.  Each left vector gathers its whole contiguous rows
+    ``Y_v[l, j] = sum_{i,k} conj(v_i) v_k P[(k,i), (l,j)]`` of P, and each
+    right vector reads the entries of ``Y_v`` on its own support: 16
+    entries of P per pair of two-point vectors, and never a table when the
+    batch shapes are equal.
     """
     (sv, cv), (sw, cw) = left, right
     pm = mat(pairing)
     dim = _pair_side(pm, "pairing")
-    y = rank_one_pairing_rows(sv, cv, pm.reshape(dim, dim, dim, dim))
-    table = np.zeros((len(sv), len(sw)), dtype=complex)
-    for a in range(sw.shape[1]):
-        for b in range(sw.shape[1]):
-            table += (cw[:, a].conj() * cw[:, b]) * y[:, sw[:, b] * dim + sw[:, a]]
-    return table
+    p4 = pm.reshape(dim, dim, dim, dim)
+    s, c = sv.reshape(-1, sv.shape[-1]), cv.reshape(-1, cv.shape[-1])
+    y = np.zeros((len(s), dim, dim), dtype=complex)
+    for a in range(s.shape[1]):
+        for b in range(s.shape[1]):
+            y += (c[:, a].conj() * c[:, b])[:, None, None] * p4[s[:, b], s[:, a]]
+    y = y.reshape(sv.shape[:-1] + (dim * dim,))
+    # The generator sum beats accumulating into a preallocated table here.
+    return sum(
+        cw[..., a].conj() * cw[..., b]
+        * np.take_along_axis(y, (sw[..., b] * dim + sw[..., a])[..., None], -1)[..., 0]
+        for a in range(sw.shape[-1])
+        for b in range(sw.shape[-1])
+    )
 
 
 def spectral_projections(h):

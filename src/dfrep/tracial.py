@@ -40,6 +40,7 @@ trace-pairing representative grows linearly with the dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,16 +50,16 @@ from .functionals import DecoherenceFunctional, _check_dim
 from .ils import bilinear_unit_table, polarization_unit_table
 from .linalg import (
     Projection,
-    _pair_side,
     hermiticity_residual,
     mat,
     operator_from_pairing,
     operator_norm,
     pairing_realignment,
-    rank_one_pairing_rows,
+    rank_one_product_diagonal,
     rank_one_vectors,
     swap_right,
     unit_vector,
+    vector_supports,
 )
 from .tolerances import EIG_DROP_REL, GRAM_HERMITICITY_REL, SCALE_FLOOR
 
@@ -176,8 +177,8 @@ class TracialOperator:
     finite-rank projections, held as its pairing matrix: the Gram matrix
     with its column pair transposed, ``pairing = G W``, which is the
     trace-pairing matrix of :func:`dfrep.ils.extract_ils` made Hermitian.
-    A plain holder of P alone: G, M, its operator norm and the signed
-    families (:attr:`source`) are computed from P when read."""
+    A plain holder of P alone: G, M, its operator norm and the family
+    sizes are computed from P when read."""
 
     pairing: np.ndarray
     dim: int
@@ -198,13 +199,9 @@ class TracialOperator:
         return operator_norm(operator_from_pairing(self.pairing, swapped=True), overwrite_a=True)
 
     @cached_property
-    def source(self) -> Decomposition:
-        """The signed families whose Kronecker sum is M."""
-        return _decompose_gram(self.gram, self.dim)
-
-    @cached_property
     def family_sizes(self) -> tuple:
-        """``(len(x_family), len(y_family))`` of :attr:`source`, read off
+        """``(len(x_family), len(y_family))`` of the signed families whose
+        Kronecker sum is M (:func:`hermitian_form_decomposition`), read off
         the inertia of the Gram eigenvalues without eigenvectors."""
         w = np.linalg.eigvalsh(self.gram)
         w = w[_kept(w)]
@@ -272,16 +269,6 @@ def _pairing_of(m) -> np.ndarray:
     return m.pairing if isinstance(m, TracialOperator) else pairing_realignment(m)
 
 
-def _supports(v: np.ndarray):
-    """``(support, coeff)`` of each vector of a ``(..., d)`` stack: the
-    indices of its nonzero entries and their values, padded with zero
-    coefficients to the largest support in the stack."""
-    nonzero = v != 0
-    k = max(1, int(nonzero.sum(axis=-1).max(initial=0)))
-    support = np.argsort(~nonzero, axis=-1, kind="stable")[..., :k]
-    return support, np.take_along_axis(v, support, axis=-1)
-
-
 def product_diagonal_of(m) -> "callable":
     """Diagonal oracle ``f(alpha, beta) = <M(alpha (x) beta), alpha (x) beta>``
     of a dense ``(d^2, d^2)`` operator or a :class:`TracialOperator`, for
@@ -290,29 +277,23 @@ def product_diagonal_of(m) -> "callable":
     ``alpha`` and ``beta`` are broadcastable ``(..., d)`` stacks of vectors;
     the result has their broadcast batch shape, and is a complex scalar for
     two single vectors.  M is realigned once, here (a TracialOperator's
-    pairing matrix P is read as it is).  Each vector of ``alpha`` gathers
-    the rows of P on its support (:func:`dfrep.linalg.rank_one_pairing_rows`)
-    and each vector of ``beta`` reads their entries on its own support, so
-    a pair of two-point vectors costs 16 entries of P and two elementwise
-    ``(n, d)`` stacks cost n values, never an n x n table.
+    pairing matrix P is read as it is).  Each call brings the two stacks to
+    one rank and reads the values off P on the vectors' supports with
+    :func:`dfrep.linalg.rank_one_product_diagonal`, the reader of the
+    operator backend's atom table, so a pair of two-point vectors costs 16
+    entries of P and two elementwise ``(n, d)`` stacks cost n values, never
+    an n x n table.
     """
     pairing = _pairing_of(m)  # ValueError unless m is (d^2, d^2)
-    dim = _pair_side(pairing, "m")
-    p4 = pairing.reshape(dim, dim, dim, dim)
+    dim = math.isqrt(len(pairing))
 
     def f(alpha, beta):
         a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
         if a.shape[-1] != dim or b.shape[-1] != dim:
             raise ValueError(f"dimension mismatch: need (..., {dim}) vectors, got {a.shape} and {b.shape}")
-        rows = rank_one_pairing_rows(*_supports(a.reshape(-1, dim)), p4)
-        rows = rows.reshape((1,) * (b.ndim - a.ndim) + a.shape[:-1] + (-1,))
-        support, coeff = _supports(b.reshape((1,) * (a.ndim - b.ndim) + b.shape))
-        vals = sum(
-            coeff[..., i].conj() * coeff[..., j]
-            * np.take_along_axis(rows, (support[..., j] * dim + support[..., i])[..., None], -1)[..., 0]
-            for i in range(support.shape[-1])
-            for j in range(support.shape[-1])
-        )
+        a = a.reshape((1,) * (b.ndim - a.ndim) + a.shape)
+        b = b.reshape((1,) * (a.ndim - b.ndim) + b.shape)
+        vals = rank_one_product_diagonal(vector_supports(a), vector_supports(b), pairing)
         return complex(vals) if vals.ndim == 0 else vals
 
     return f

@@ -33,7 +33,8 @@ from dfrep.linalg import (
     trace_norm,
 )
 from dfrep.tolerances import HERMITIAN_ROUTE_REL
-from reference import ElementaryTensorSum
+from dfrep.tracial import product_diagonal_of
+from reference import ElementaryTensorSum, _scalar_product_diagonal_of
 from conftest import (
     block_tensor_terms,
     product_state_operator,
@@ -124,6 +125,58 @@ class TestRankOnePairTables:
         )
         assert _rel(fast, ref) <= 1e-12
         assert _rel(DecoherenceFunctional.rank_one_pair_table(d, left, right), ref) <= 1e-12
+
+    def test_operator_table_and_oracle_share_one_reader(self, rng, monkeypatch):
+        """The operator backend's atom table and the reconstructor's oracle
+        both read the product diagonal off P through one linalg kernel."""
+        dim = 3
+        x = _cmat(rng, dim * dim)
+        calls = []
+        kernel = linalg.rank_one_product_diagonal
+
+        def spy(left, right, pairing):
+            calls.append((left[0].shape, right[0].shape))
+            return kernel(left, right, pairing)
+
+        for module in (functionals, tracial):
+            monkeypatch.setattr(module, "rank_one_product_diagonal", spy)
+        atoms = polarization_atoms(dim)
+        n = len(atoms[0])
+        OperatorBackedFunctional(x).rank_one_pair_table(atoms, atoms)
+        assert calls == [((n, 1, 2), (1, n, 2))]
+        product_diagonal_of(x)(_cmat(rng, dim)[:, None], _cmat(rng, dim)[None])
+        assert calls[1:] == [((dim, 1, dim), (1, dim, dim))]
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_operator_table_equals_oracle_on_densified_atoms(self, dim, rng):
+        x = _cmat(rng, dim * dim)
+        assert np.abs(x - x.conj().T).max() > 0.1
+        atoms = polarization_atoms(dim)
+        v = rank_one_vectors(*atoms, dim)
+        table = OperatorBackedFunctional(x).rank_one_pair_table(atoms, atoms)
+        assert np.array_equal(table, product_diagonal_of(x)(v[:, None], v[None]))
+
+    def test_reader_on_wide_supports_and_mismatched_batch_ranks(self, rng):
+        """Supports of three and four entries, some repeated, as an
+        ``(n, 1)`` against a ``(1, m)`` batch; then dense vectors with 3 to
+        5 nonzero entries through the oracle at batch ranks 2, 1 and 0."""
+        dim = 5
+        x = _cmat(rng, dim * dim)
+        ref = _scalar_product_diagonal_of(x)
+        (sv, cv), (sw, cw) = ((rng.integers(0, dim, (n, k)), _cmat(rng, n)[:, :k]) for n, k in ((4, 3), (6, 4)))
+        vals = linalg.rank_one_product_diagonal((sv[:, None], cv[:, None]), (sw[None], cw[None]), pairing_realignment(x))
+        alphas, betas = rank_one_vectors(sv, cv, dim), rank_one_vectors(sw, cw, dim)
+        assert vals.shape == (4, 6)
+        assert _rel(vals, [[ref(a, b) for b in betas] for a in alphas]) <= 1e-13
+        alphas = _cmat(rng, dim)[:4] * (rng.random((4, dim)) < 0.6)
+        alphas[:, :3] = _cmat(rng, 4)[:, :3]
+        f = product_diagonal_of(x)
+        vals = f(alphas[:, None], betas)
+        assert vals.shape == (4, 6)
+        assert _rel(vals, [[ref(a, b) for b in betas] for a in alphas]) <= 1e-13
+        vals = f(betas[0], alphas[:, None])
+        assert vals.shape == (4, 1)
+        assert _rel(vals[:, 0], [ref(betas[0], a) for a in alphas]) <= 1e-13
 
     def test_vectors_accumulate_repeated_support(self):
         support = np.array([[0, 2], [1, 1]])
@@ -366,7 +419,8 @@ class TestTracialWithoutEigenvectors:
         with monkeypatch.context() as m:
             _forbid(m, "eigh")
             sizes = top.family_sizes
-        assert sizes == (len(top.source.x_family), len(top.source.y_family))
+        dec = hermitian_form_decomposition(d)
+        assert sizes == (len(dec.x_family), len(dec.y_family))
 
     def test_swapped_representative_is_exactly_hermitian(self, rng):
         top = build_tracial_operator(_random_backends(4, rng)["form"])

@@ -194,17 +194,19 @@ class TestRealignedRepresentative:
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_family_sum(self, kind, dim, rng):
-        top = build_tracial_operator(_fixture(kind, dim, rng))
+        d = _fixture(kind, dim, rng)
+        dec = hermitian_form_decomposition(d)
         if kind == "random_form":
-            assert len(top.source.signature) == dim * dim  # full rank
-        assert _rel(top.m_op, top.source.pairing_operator()) <= 1e-12
+            assert len(dec.signature) == dim * dim  # full rank
+        assert _rel(build_tracial_operator(d).m_op, dec.pairing_operator()) <= 1e-12
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_matches_family_sum_with_dropped_eigenvalues(self, dim, rng):
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        top = build_tracial_operator(PureStateFunctional(psi / np.linalg.norm(psi)))
-        assert len(top.source.signature) < dim * dim
-        assert _rel(top.m_op, top.source.pairing_operator()) <= 1e-12
+        d = PureStateFunctional(psi / np.linalg.norm(psi))
+        dec = hermitian_form_decomposition(d)
+        assert len(dec.signature) < dim * dim
+        assert _rel(build_tracial_operator(d).m_op, dec.pairing_operator()) <= 1e-12
 
     @pytest.mark.parametrize("dim", [4, 5])
     @pytest.mark.parametrize("kind", KINDS)
@@ -250,14 +252,6 @@ class TestRealignedRepresentative:
             top = build_tracial_operator(d)
             assert top.m_op.shape == (dim * dim, dim * dim)
             assert np.isfinite(top.operator_norm)
-        ref = hermitian_form_decomposition(d)
-        dec = top.source
-        assert dec.signature == ref.signature
-        assert dec.dim == ref.dim == top.dim
-        for got, want in ((dec.x_family, ref.x_family), (dec.y_family, ref.y_family)):
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert top.source is dec  # computed once
 
 
 def _rotated_backends(dim, rng):
