@@ -21,7 +21,6 @@ from .histories import (
 from .ils import (
     ConditionViolationError,
     ConditionsReport,
-    ILSOperator,
     df_from_operator,
     extract_ils,
     verify_ils_conditions,
@@ -48,7 +47,6 @@ from .probes import (
 from .tracial import (
     Decomposition,
     GramHermiticityError,
-    TracialOperator,
     build_tracial_operator,
     evaluate_double_sum,
     gram_matrix,

@@ -33,20 +33,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import check_axioms
+from .functionals import OperatorBackedFunctional, check_axioms
 from .histories import consistency_report
-from .ils import ILSOperator, extract_ils, verify_ils_conditions
+from .ils import extract_ils, verify_ils_conditions
 from .linalg import (
     MAX_TERMS,
     block_draws,
-    operator_from_pairing,
-    operator_norm,
-    pairing_realignment,
     pairing_trace,
     pairing_values,
     rank_one_proj,
     sample_projections,
-    trace_norm,
 )
 from .probes import (
     VERDICT_DIVERGENCE,
@@ -61,6 +57,7 @@ from .tracial import (
     GramHermiticityError,
     build_tracial_operator,
     double_sum_table,
+    family_sizes,
     hermitian_form_decomposition,
     product_diagonal_of,
     pure_state_m,
@@ -168,14 +165,15 @@ class ResultRecord:
 # Command implementations.
 
 
-def _pairing_residual(d, pairing, samples: int, seed: int) -> float:
+def _pairing_residual(d, x, samples: int, seed: int) -> float:
     """Max |d(p, q) - tr((p (x) q) X)| over seeded random projection pairs,
-    drawn p, q alternately; each side is one batched evaluation with P."""
+    drawn p, q alternately, for the operator-backed functional x of X; each
+    side is one batched evaluation."""
     dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 17]))
     pq = sample_projections(dim, 2 * samples, rng)
     p, q = pq[0::2], pq[1::2]
-    return float(np.max(np.abs(d.pair_values(p, q) - pairing_values(p, q, pairing))))
+    return float(np.max(np.abs(d.pair_values(p, q) - x.pair_values(p, q))))
 
 
 def _random_tensor_sums(dim: int, count: int, rng):
@@ -222,7 +220,7 @@ def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
     x = extract_ils(d)
     tol = _tol(args, scenario.tolerance("conditions"))
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
-    pairing = _pairing_residual(d, x.pairing, args.samples, seed)
+    pairing = _pairing_residual(d, x, args.samples, seed)
     tol_pair = _tol(args, scenario.tolerance("pairing"))
     ok = conds.passed and pairing <= tol_pair
     rec = {
@@ -241,7 +239,7 @@ def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
 def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
     # An operator scenario's functional already holds the pairing matrix P.
-    x = ILSOperator(d.pairing, d.dim) if scenario.kind == "operator" else extract_ils(d)
+    x = d if scenario.kind == "operator" else extract_ils(d)
     tol = _tol(args, scenario.tolerance("conditions"))
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
     rec = {
@@ -281,7 +279,7 @@ def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
 def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
     top = build_tracial_operator(d)
-    pairing = _pairing_residual(d, top.pairing, args.samples, seed)
+    pairing = _pairing_residual(d, top, args.samples, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 29]))
     block_ranks = sorted({1, 2 if d.dim >= 2 else 1, d.dim})
     if args.block_rank is not None and args.block_rank not in block_ranks:
@@ -291,13 +289,14 @@ def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
     sums = np.asarray(double_sum_table(top, p, q, block_ranks))
     double_res = float(np.max(np.abs(sums - pairing_values(p, q, top.pairing)[:, None])))
     tol = _tol(args, scenario.tolerance("pairing"))
+    x_size, y_size = family_sizes(top)
     rec = {
         "operator_norm": top.operator_norm,
         "pairing_residual": pairing,
         "double_sum_residual": double_res,
         "block_ranks": block_ranks,
-        "x_family_size": top.family_sizes[0],
-        "y_family_size": top.family_sizes[1],
+        "x_family_size": x_size,
+        "y_family_size": y_size,
         "tolerance": tol,
         "samples": args.samples,
     }
@@ -328,15 +327,13 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
     adjoint_residual = float(np.linalg.norm(m @ m.conj().T - pure_state_projector(psi)))
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 31]))
     a, b, starts = _random_tensor_sums(dim, args.samples, rng)
-    pairing = pairing_realignment(m)
-    beta_res = _max_sum_residual(pairing_values(a, b, pairing), d.pair_values(a, b), starts)
+    pu = OperatorBackedFunctional(m)
+    beta_res = _max_sum_residual(pu.pair_values(a, b), d.pair_values(a, b), starts)
     tol_beta = _tol(args, BETA_SERIES_TOL)
-    # W P U = I (x) |psi><psi|, PSD of rank dim; W is unitary
-    wm = operator_from_pairing(pairing, swapped=True)
-    rec = {
+    rec = {  # W P U = I (x) |psi><psi|, PSD of rank dim; W is unitary
         "trace": complex(np.trace(m)),
-        "trace_norm": trace_norm(wm),
-        "operator_norm": operator_norm(wm),
+        "trace_norm": pu.trace_norm,
+        "operator_norm": pu.operator_norm,
         "pu_adjoint_residual": adjoint_residual,
         "beta_series_residual": beta_res,
         "beta_tolerance": tol_beta,
@@ -374,7 +371,7 @@ def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
     top = build_tracial_operator(d)
     recon = reconstruct_from_product_diagonal(product_diagonal_of(top), d.dim)
-    m = top.m_op
+    m = top.x_op
     recon -= m  # in place: each d^4 complex array is 268 MB at d = 64
     resid = float(np.linalg.norm(recon) / max(1.0, np.linalg.norm(m)))
     tol = _tol(args, RECONSTRUCTION_TOL)
@@ -499,7 +496,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
     try:

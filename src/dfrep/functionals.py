@@ -27,16 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
+    _pair_side,
     as_matrix,
     check_projection_stack,
     ginibre,
     haar_from_ginibre,
     hermiticity_residual,
     mat,
+    operator_from_pairing,
+    operator_norm,
     pairing_realignment,
     pairing_values,
     rank_one_matrices,
@@ -47,6 +51,7 @@ from .linalg import (
     sample_projections,
     spectral_projections,
     swap_right,
+    trace_norm,
     unit_vector,
 )
 from .tolerances import DEFAULT_TOLERANCES, GRAM_HERMITICITY_REL
@@ -165,14 +170,43 @@ class OperatorBackedFunctional(DecoherenceFunctional):
     X is realigned once, here, into its pairing matrix
     ``P[(a,b), (c,e)] = D(E_ab, E_ce)`` (see
     :func:`dfrep.linalg.pairing_realignment`), and every evaluation is a
-    product with P: ``D(x, y) = vec(x) P vec(y)^T``.  The constructor does
-    not check the representation conditions on X; use
+    product with P: ``D(x, y) = vec(x) P vec(y)^T``.  It is the one holder
+    of a P (the extracted X, the bounded M, the pure state's P U); X and
+    the norms of ``W X`` are read off P, the norms on first read.  The
+    constructor does not check the representation conditions on X; use
     :func:`dfrep.ils.df_from_operator` for the validated route.
     """
 
     def __init__(self, x_op):
         self.pairing = pairing_realignment(as_matrix(x_op, "x_op"))
         self.dim = math.isqrt(len(self.pairing))
+
+    @classmethod
+    def from_pairing(cls, pairing):
+        """The functional with pairing matrix ``pairing``, held as it is."""
+        self = cls.__new__(cls)
+        self.dim = _pair_side(pairing, "pairing")
+        self.pairing = pairing
+        return self
+
+    @property
+    def x_op(self) -> np.ndarray:
+        """X itself, rebuilt from P on each read."""
+        return operator_from_pairing(self.pairing)
+
+    @cached_property
+    def trace_norm(self) -> float:
+        """``||X||_1 = ||W X||_1`` (W is unitary).  W X is Hermitian exactly
+        when the swap residual vanishes, so its guarded Hermitian route
+        replaces the SVD of X whenever the residual is at round-off; when
+        W X is also positive semidefinite, a Cholesky certificate gives
+        ``tr(W X)`` without eigvalsh.  W X is a fresh array, never P."""
+        return trace_norm(operator_from_pairing(self.pairing, swapped=True), overwrite_a=True)
+
+    @cached_property
+    def operator_norm(self) -> float:
+        """``||X|| = ||W X||``, from a fresh W X (exactly Hermitian for M)."""
+        return operator_norm(operator_from_pairing(self.pairing, swapped=True), overwrite_a=True)
 
     def bilinear(self, x, y) -> complex:
         return complex(pairing_values(mat(x)[None], mat(y)[None], self.pairing)[0])

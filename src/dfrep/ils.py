@@ -6,7 +6,9 @@ operator X on H (x) H through
 
     ``d(p, q) = tr((p (x) q) X)``.
 
-X is held as its pairing matrix, the values of D on matrix units,
+X is returned as the operator-backed functional
+(:class:`~dfrep.functionals.OperatorBackedFunctional`) that holds its
+pairing matrix, the values of D on matrix units,
 
     ``P[(a,b), (c,e)] = D(E_ab, E_ce) = X[(b,e), (a,c)]``,
 
@@ -61,9 +63,7 @@ pivoted partial Cholesky (low rank); only an indefinite H pays for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -73,14 +73,10 @@ from .functionals import (
     _check_dim,
 )
 from .linalg import (
-    as_matrix,
-    operator_from_pairing,
-    pairing_realignment,
     pairing_trace,
     pairing_values,
     sample_projections,
     swap_adjoint_residual,
-    trace_norm,
 )
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -183,34 +179,6 @@ def polarization_unit_table(dim: int, atom_table) -> np.ndarray:
     return units
 
 
-@dataclass(frozen=True, eq=False)
-class ILSOperator:
-    """Candidate trace-pairing representative X on H (x) H, held as its
-    pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)``.
-
-    A plain holder: the three operator conditions are reported by
-    :func:`verify_ils_conditions`, and the trace norm, which feeds the
-    tensor-boundedness sweeps, is computed on first read.
-    """
-
-    pairing: np.ndarray
-    dim: int
-
-    @property
-    def x_op(self) -> np.ndarray:
-        """X itself, rebuilt from P on each read."""
-        return operator_from_pairing(self.pairing)
-
-    @cached_property
-    def trace_norm(self) -> float:
-        """``||X||_1 = ||W X||_1`` (W is unitary).  W X is Hermitian exactly
-        when the swap residual vanishes, so its guarded Hermitian route
-        replaces the SVD of X whenever the residual is at round-off; when
-        W X is also positive semidefinite, a Cholesky certificate gives
-        ``tr(W X)`` without eigvalsh.  W X is a fresh array, never P."""
-        return trace_norm(operator_from_pairing(self.pairing, swapped=True), overwrite_a=True)
-
-
 @dataclass(frozen=True)
 class ConditionsReport:
     """Residuals for the three operator conditions."""
@@ -271,15 +239,15 @@ def _sample_positivity_min(pairing: np.ndarray, dim: int, samples: int, seed: in
     return float(np.min(pairing_values(p, p, pairing).real))
 
 
-def ils_operator_from_matrix(x_op) -> ILSOperator:
+def ils_operator_from_matrix(x_op) -> OperatorBackedFunctional:
     """Wrap a dense operator on H (x) H, realigned once into P."""
-    pairing = pairing_realignment(as_matrix(x_op, "x_op"))
-    return ILSOperator(pairing=pairing, dim=math.isqrt(len(pairing)))
+    return OperatorBackedFunctional(x_op)
 
 
-def extract_ils(d: DecoherenceFunctional, *, allow_dim_two: bool = False) -> ILSOperator:
+def extract_ils(d: DecoherenceFunctional, *, allow_dim_two: bool = False) -> OperatorBackedFunctional:
     """Recover the trace-pairing operator X of a functional at its
-    truncation dimension ``d.dim``, as its pairing matrix.
+    truncation dimension ``d.dim``, as the functional holding its pairing
+    matrix.
 
     ``allow_dim_two`` bypasses the dimension-three exclusion for sweep
     diagnostics over backends that carry an intrinsic bilinear extension
@@ -287,11 +255,11 @@ def extract_ils(d: DecoherenceFunctional, *, allow_dim_two: bool = False) -> ILS
     hypotheses of the representation theorems.
     """
     _check_dim(d.dim, "trace-pairing extraction", allow_dim_two=allow_dim_two)
-    return ILSOperator(pairing=bilinear_unit_table(d), dim=d.dim)
+    return OperatorBackedFunctional.from_pairing(bilinear_unit_table(d))
 
 
 def verify_ils_conditions(
-    x: ILSOperator,
+    x: OperatorBackedFunctional,
     samples: int = 200,
     seed: int = 0,
     tol: float = DEFAULT_TOLERANCES["conditions"],
@@ -319,8 +287,7 @@ def df_from_operator(
     Raises :class:`ConditionViolationError` naming the failed conditions.
     """
     d = OperatorBackedFunctional(x_op)
-    holder = ILSOperator(d.pairing, d.dim)
-    report = verify_ils_conditions(holder, samples=samples, seed=seed, tol=tol)
+    report = verify_ils_conditions(d, samples=samples, seed=seed, tol=tol)
     if not report.passed:
         raise ConditionViolationError(report)
     return d

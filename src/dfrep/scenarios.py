@@ -160,10 +160,16 @@ class Scenario:
             raise ScenarioError(f"dimension {dim} exceeds the dense limit {MAX_DIM}")
         if self.kind == "pure_state":
             return PureStateFunctional(_pad(self.payload["amplitudes"], dim))
+        if self.kind in ("operator", "form") and dim > d0:
+            # Zero-padding X or G through the inclusion of the first d0 basis
+            # vectors zero-pads P, since the realignment permutes entries.
+            p4 = np.zeros((dim,) * 4, dtype=complex)
+            p4[:d0, :d0, :d0, :d0] = self._functional.pairing.reshape((d0,) * 4)
+            return self._functional.from_pairing(p4.reshape(dim * dim, dim * dim))
         if self.kind == "operator":
-            return OperatorBackedFunctional(_embed_pair_operator(self.payload["matrix"], d0, dim))
+            return OperatorBackedFunctional(self.payload["matrix"])
         if self.kind == "form":
-            return FormBackedFunctional(_embed_pair_operator(self.payload["gram"], d0, dim))
+            return FormBackedFunctional(self.payload["gram"])
         if self.kind == "class_operator":
             schedules = [[_pad(p, dim) for p in sched] for sched in self.payload["schedules"]]
             for sched in schedules:
@@ -185,16 +191,6 @@ def _pad(a: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros((dim,) * a.ndim, dtype=complex)
     out[(slice(0, len(a)),) * a.ndim] = a
     return out
-
-
-def _embed_pair_operator(x0: np.ndarray, d0: int, dim: int) -> np.ndarray:
-    """Zero-embed an operator on H0 (x) H0 into H (x) H via the inclusion
-    of the first d0 basis vectors."""
-    if dim == d0:
-        return x0
-    x4 = np.zeros((dim, dim, dim, dim), dtype=complex)
-    x4[:d0, :d0, :d0, :d0] = x0.reshape(d0, d0, d0, d0)
-    return x4.reshape(dim * dim, dim * dim)
 
 
 def _payload(kind: str, fn: dict, dim: int) -> dict:

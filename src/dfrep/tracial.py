@@ -28,9 +28,8 @@ M, G and the trace-pairing operator X of :func:`dfrep.ils.extract_ils` are
 index transposes of one pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)``:
 G is P with its column pair transposed, ``G = P W``, and the family sum M
 is the operator whose pairing matrix is ``G W`` for G made Hermitian, that
-is ``M = (X + W X^dag W)/2``.  :class:`TracialOperator` holds that P
-alone; G and M are rebuilt from P only when read, and the families only on
-demand.
+is ``M = (X + W X^dag W)/2``.  M is the operator-backed functional holding
+that P, as the extracted X is; G is ``swap_right(P)``.
 
 At a fixed finite truncation every functional is tracially bounded, so the
 interesting content is the sweep behaviour: for the pure-state functional
@@ -46,14 +45,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .functionals import DecoherenceFunctional, _check_dim
+from .functionals import DecoherenceFunctional, OperatorBackedFunctional, _check_dim
 from .ils import bilinear_unit_table, polarization_unit_table
 from .linalg import (
     Projection,
     hermiticity_residual,
     mat,
     operator_from_pairing,
-    operator_norm,
     pairing_realignment,
     rank_one_product_diagonal,
     rank_one_vectors,
@@ -171,44 +169,18 @@ def hermitian_form_decomposition(d: DecoherenceFunctional) -> Decomposition:
     return _decompose_gram(gram_matrix(d), d.dim)
 
 
-@dataclass(frozen=True, eq=False)
-class TracialOperator:
-    """Bounded representative M with ``d(p, q) = tr(M (p (x) q))`` on
-    finite-rank projections, held as its pairing matrix: the Gram matrix
-    with its column pair transposed, ``pairing = G W``, which is the
-    trace-pairing matrix of :func:`dfrep.ils.extract_ils` made Hermitian.
-    A plain holder of P alone: G, M, its operator norm and the family
-    sizes are computed from P when read."""
-
-    pairing: np.ndarray
-    dim: int
-
-    @property
-    def gram(self) -> np.ndarray:
-        """G, the index transpose ``swap_right(P)``, fresh on each read."""
-        return swap_right(self.pairing)
-
-    @property
-    def m_op(self) -> np.ndarray:
-        """M itself, rebuilt from P on each read."""
-        return operator_from_pairing(self.pairing)
-
-    @cached_property
-    def operator_norm(self) -> float:
-        """``||M|| = ||W M||``; W M is exactly Hermitian because G is."""
-        return operator_norm(operator_from_pairing(self.pairing, swapped=True), overwrite_a=True)
-
-    @cached_property
-    def family_sizes(self) -> tuple:
-        """``(len(x_family), len(y_family))`` of the signed families whose
-        Kronecker sum is M (:func:`hermitian_form_decomposition`), read off
-        the inertia of the Gram eigenvalues without eigenvectors."""
-        w = np.linalg.eigvalsh(self.gram)
-        w = w[_kept(w)]
-        return int(np.count_nonzero(w > 0)), int(np.count_nonzero(w <= 0))
+def family_sizes(m: OperatorBackedFunctional) -> tuple:
+    """``(len(x_family), len(y_family))`` of the signed families whose
+    Kronecker sum is M (:func:`hermitian_form_decomposition`), read off
+    the inertia of the eigenvalues of ``G = swap_right(m.pairing)`` without
+    eigenvectors.  G must be Hermitian, as it is for the M of
+    :func:`build_tracial_operator`."""
+    w = np.linalg.eigvalsh(swap_right(m.pairing))
+    w = w[_kept(w)]
+    return int(np.count_nonzero(w > 0)), int(np.count_nonzero(w <= 0))
 
 
-def build_tracial_operator(d: DecoherenceFunctional) -> TracialOperator:
+def build_tracial_operator(d: DecoherenceFunctional) -> OperatorBackedFunctional:
     """Assemble the bounded operator M of d at ``d.dim`` from its Hermitian
     Gram matrix, held as the pairing matrix ``G W``.
 
@@ -216,7 +188,7 @@ def build_tracial_operator(d: DecoherenceFunctional) -> TracialOperator:
     tracial-boundedness evidence across dimensions is the separate
     estimate of :func:`dfrep.probes.tracial_bound_probe`.
     """
-    return TracialOperator(pairing=swap_right(gram_matrix(d)), dim=d.dim)
+    return OperatorBackedFunctional.from_pairing(swap_right(gram_matrix(d)))
 
 
 def pure_state_projector(psi) -> np.ndarray:
@@ -265,19 +237,19 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
 
 
 def _pairing_of(m) -> np.ndarray:
-    """The pairing matrix of M: a TracialOperator's own, else M realigned."""
-    return m.pairing if isinstance(m, TracialOperator) else pairing_realignment(m)
+    """The pairing matrix of M: an operator-backed functional's own, else M realigned."""
+    return m.pairing if isinstance(m, OperatorBackedFunctional) else pairing_realignment(m)
 
 
 def product_diagonal_of(m) -> "callable":
     """Diagonal oracle ``f(alpha, beta) = <M(alpha (x) beta), alpha (x) beta>``
-    of a dense ``(d^2, d^2)`` operator or a :class:`TracialOperator`, for
-    feeding the reconstructor.
+    of a dense ``(d^2, d^2)`` operator or an operator-backed functional,
+    for feeding the reconstructor.
 
     ``alpha`` and ``beta`` are broadcastable ``(..., d)`` stacks of vectors;
     the result has their broadcast batch shape, and is a complex scalar for
-    two single vectors.  M is realigned once, here (a TracialOperator's
-    pairing matrix P is read as it is).  Each call brings the two stacks to
+    two single vectors.  M is realigned once, here (a functional's pairing
+    matrix P is read as it is).  Each call brings the two stacks to
     one rank and reads the values off P on the vectors' supports with
     :func:`dfrep.linalg.rank_one_product_diagonal`, the reader of the
     operator backend's atom table, so a pair of two-point vectors costs 16
@@ -327,8 +299,8 @@ def evaluate_double_sum(m, p: Projection, q: Projection, block_rank: int) -> com
 
 def double_sum_table(m, ps, qs, block_ranks) -> list:
     """``out[s][k] = evaluate_double_sum(m, ps[s], qs[s], block_ranks[k])``
-    as nested lists, with M realigned once (a TracialOperator's pairing
-    matrix is read as it is) and every projection eigendecomposed once for
+    as nested lists, with M realigned once (a functional's pairing matrix
+    is read as it is) and every projection eigendecomposed once for
     all block ranks.
 
     ``ps`` and ``qs`` hold validated projections, as Projection objects or

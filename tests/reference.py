@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dfrep.functionals import DecoherenceFunctional, _check_dim, _combine_hermitian_parts
+from dfrep.functionals import DecoherenceFunctional, OperatorBackedFunctional, _check_dim, _combine_hermitian_parts
 from dfrep.histories import ClassOperatorModel
-from dfrep.ils import ILSOperator
 from dfrep.linalg import (
     MAX_DIM_PAIR,
     DimensionLimitError,
@@ -194,7 +193,7 @@ def beta_of_product_projection(d: DecoherenceFunctional, vector_terms) -> comple
 # --- The trace-pairing representation ----------------------------------------
 
 
-def evaluate_ils(x: ILSOperator, p, q) -> complex:
+def evaluate_ils(x: OperatorBackedFunctional, p, q) -> complex:
     """tr((p (x) q) X) for projections of the truncation dimension."""
     return kron_trace(p, q, x.x_op)
 

@@ -193,11 +193,11 @@ def test_criterion_06_tracial_pairing_and_double_sum():
                 p = random_projection(dim, int(rng.integers(1, dim + 1)), rng)
                 q = random_projection(dim, int(rng.integers(1, dim + 1)), rng)
                 direct = d.evaluate(p, q)
-                assert abs(kron_trace(p, q, top.m_op) - direct) <= 1e-9
+                assert abs(kron_trace(p, q, top.x_op) - direct) <= 1e-9
             for _ in range(10):
                 p = random_projection(dim, int(rng.integers(1, dim + 1)), rng)
                 q = random_projection(dim, int(rng.integers(1, dim + 1)), rng)
-                direct = kron_trace(p, q, top.m_op)
+                direct = kron_trace(p, q, top.x_op)
                 for block_rank in (1, 2, dim):
                     val = evaluate_double_sum(top, p, q, block_rank)
                     assert abs(val - direct) <= 1e-10

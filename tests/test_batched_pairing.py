@@ -294,7 +294,7 @@ class TestSampledDiagnosticsKeepDraws:
         pq = block_projections(dim, 2 * samples, gen)  # p and q alternate
         ref = max(abs(d.evaluate(p, q) - kron_trace(p, q, x)) for p, q in zip(pq[0::2], pq[1::2]))
         assert ref > 1e-6
-        assert _pairing_residual(d, pairing_realignment(x), samples, seed) == pytest.approx(
+        assert _pairing_residual(d, OperatorBackedFunctional(x), samples, seed) == pytest.approx(
             ref, rel=1e-10
         )
 

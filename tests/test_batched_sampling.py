@@ -486,7 +486,7 @@ class TestGeneratorCalls:
                 lambda n: _blocks(n) + 1,
             ),
             "pairing_residual": (
-                lambda n: _pairing_residual(d, d.pairing, n, 0),
+                lambda n: _pairing_residual(d, d, n, 0),
                 lambda n: _blocks(2 * n),
             ),
             "tracial_command": (  # pairing residual plus the 20 double-sum pairs

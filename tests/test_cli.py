@@ -262,6 +262,13 @@ class TestBasicRuns:
     def test_missing_file_exit_two(self, capsys):
         assert run_cli(capsys, "check-axioms", "--scenario", "/nonexistent.json")[0] == 2
 
+    def test_non_utf8_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "check-axioms", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read scenario:") and "Traceback" not in err
+
     def test_out_json_format(self, capsys, paths, tmp_path):
         out_file = tmp_path / "res.json"
         code, out, _ = run_cli(

@@ -33,7 +33,7 @@ from dfrep.linalg import (
     trace_norm,
 )
 from dfrep.tolerances import HERMITIAN_ROUTE_REL
-from dfrep.tracial import product_diagonal_of
+from dfrep.tracial import family_sizes, product_diagonal_of
 from reference import ElementaryTensorSum, _scalar_product_diagonal_of
 from conftest import (
     block_tensor_terms,
@@ -268,7 +268,7 @@ class TestHermitianNormRoute:
         if dim > 1:
             top = build_tracial_operator(OperatorBackedFunctional(x))
             kept = top.pairing.copy()
-            assert top.operator_norm == pytest.approx(_svd(top.m_op).max(), rel=1e-13)
+            assert top.operator_norm == pytest.approx(_svd(top.x_op).max(), rel=1e-13)
             assert np.array_equal(top.pairing, kept)
 
 
@@ -403,7 +403,7 @@ class TestLazyTraceNorm:
             top = build_tracial_operator(form)
             assert "operator_norm" not in vars(top)
         norm = top.operator_norm
-        assert norm == pytest.approx(_svd(top.m_op).max(), rel=1e-13)
+        assert norm == pytest.approx(_svd(top.x_op).max(), rel=1e-13)
         _forbid(monkeypatch, *NORM_KERNELS)
         assert top.operator_norm == norm
 
@@ -415,10 +415,10 @@ class TestTracialWithoutEigenvectors:
         if kind == "operator":  # the random X of _random_backends is not swap-Hermitian
             d = OperatorBackedFunctional(random_valid_pairing_operator(4, rng))
         top = build_tracial_operator(d)
-        assert top.operator_norm == pytest.approx(_svd(top.m_op).max(), rel=1e-13)
+        assert top.operator_norm == pytest.approx(_svd(top.x_op).max(), rel=1e-13)
         with monkeypatch.context() as m:
             _forbid(m, "eigh")
-            sizes = top.family_sizes
+            sizes = family_sizes(top)
         dec = hermitian_form_decomposition(d)
         assert sizes == (len(dec.x_family), len(dec.y_family))
 

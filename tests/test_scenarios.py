@@ -283,6 +283,24 @@ class TestFamilyEmbedding:
             trace_norm(x), abs=1e-10
         )
 
+    @pytest.mark.parametrize("name", ["operator_product_state_dim3.json", "form_dim3.json"])
+    def test_embedding_pads_the_held_pairing(self, name):
+        """The embedded functional holds the pairing matrix of the old route,
+        which zero-padded the payload X or G and then realigned it."""
+        from pathlib import Path
+
+        from dfrep.linalg import pairing_realignment, swap_right
+
+        s = parse_scenario((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
+        payload = s.payload["matrix" if s.kind == "operator" else "gram"]
+        x4 = np.zeros((6,) * 4, dtype=complex)
+        x4[:3, :3, :3, :3] = payload.reshape((3,) * 4)
+        padded = x4.reshape(36, 36)
+        d6 = s.functional_at(6)
+        old = pairing_realignment(padded) if s.kind == "operator" else swap_right(padded)
+        assert type(d6) is type(s.build())
+        assert np.array_equal(d6.pairing, old)
+
     def test_class_operator_embedding_stays_normalized(self):
         s = parse_scenario(class_operator_scenario_text(dim=3))
         d6 = s.functional_at(6)

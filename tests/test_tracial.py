@@ -28,6 +28,7 @@ from dfrep import (
     zero_projection,
 )
 from dfrep.linalg import Projection, haar_unitary, pairing_realignment, sample_projections, swap_right
+from dfrep.ils import df_from_operator, ils_operator_from_matrix
 from dfrep.tracial import (
     double_sum_table,
     product_diagonal_of,
@@ -136,27 +137,27 @@ class TestTracialOperator:
         for _ in range(50):
             p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
             q = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
-            assert abs(kron_trace(p, q, top.m_op) - d.evaluate(p, q)) <= 1e-9
+            assert abs(kron_trace(p, q, top.x_op) - d.evaluate(p, q)) <= 1e-9
 
     def test_matches_source_operator(self, rng):
         dim = 3
         x0 = np.kron(rho_half_half(dim), rho_half_half(dim))
         top = build_tracial_operator(OperatorBackedFunctional(x0))
         # the pairing determines the operator uniquely at fixed truncation
-        assert np.linalg.norm(top.m_op - x0) <= 1e-9
+        assert np.linalg.norm(top.x_op - x0) <= 1e-9
 
     def test_pure_state_unit_diagonal(self):
         dim = 4
         top = build_tracial_operator(PureStateFunctional(_e(dim, 0)))
         p = basis_proj(dim, 0)
-        assert kron_trace(p, p, top.m_op) == pytest.approx(1.0, abs=1e-10)
+        assert kron_trace(p, p, top.x_op) == pytest.approx(1.0, abs=1e-10)
 
     def test_entangled_vector_expectation(self):
         # <M xi, xi> = 1/2 for xi = (e1 (x) e2 + e2 (x) e1)/sqrt(2)
         dim = 4
         top = build_tracial_operator(PureStateFunctional(_e(dim, 0)))
         xi = (np.kron(_e(dim, 0), _e(dim, 1)) + np.kron(_e(dim, 1), _e(dim, 0))) / np.sqrt(2)
-        assert np.vdot(xi, top.m_op @ xi) == pytest.approx(0.5, abs=1e-12)
+        assert np.vdot(xi, top.x_op @ xi) == pytest.approx(0.5, abs=1e-12)
 
 
 def _random_form(dim, rng):
@@ -198,7 +199,7 @@ class TestRealignedRepresentative:
         dec = hermitian_form_decomposition(d)
         if kind == "random_form":
             assert len(dec.signature) == dim * dim  # full rank
-        assert _rel(build_tracial_operator(d).m_op, dec.pairing_operator()) <= 1e-12
+        assert _rel(build_tracial_operator(d).x_op, dec.pairing_operator()) <= 1e-12
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_matches_family_sum_with_dropped_eigenvalues(self, dim, rng):
@@ -206,14 +207,14 @@ class TestRealignedRepresentative:
         d = PureStateFunctional(psi / np.linalg.norm(psi))
         dec = hermitian_form_decomposition(d)
         assert len(dec.signature) < dim * dim
-        assert _rel(build_tracial_operator(d).m_op, dec.pairing_operator()) <= 1e-12
+        assert _rel(build_tracial_operator(d).x_op, dec.pairing_operator()) <= 1e-12
 
     @pytest.mark.parametrize("dim", [4, 5])
     @pytest.mark.parametrize("kind", KINDS)
     def test_equals_swap_symmetrised_trace_pairing_operator(self, kind, dim, rng):
         d = _fixture(kind, dim, rng)
         x = extract_ils(d).x_op
-        m = build_tracial_operator(d).m_op
+        m = build_tracial_operator(d).x_op
         assert _rel(m, (x + _swap_adjoint(x, dim)) / 2) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1.0, 40.0])
@@ -237,7 +238,7 @@ class TestRealignedRepresentative:
                 build_tracial_operator(d)
         else:
             top = build_tracial_operator(d)
-            assert _rel(top.m_op, (x + _swap_adjoint(x, dim)) / 2) <= 1e-12
+            assert _rel(top.x_op, (x + _swap_adjoint(x, dim)) / 2) <= 1e-12
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_building_and_reading_m_runs_no_eigh(self, kind, rng, monkeypatch):
@@ -250,7 +251,7 @@ class TestRealignedRepresentative:
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", refuse)
             top = build_tracial_operator(d)
-            assert top.m_op.shape == (dim * dim, dim * dim)
+            assert top.x_op.shape == (dim * dim, dim * dim)
             assert np.isfinite(top.operator_norm)
 
 
@@ -314,13 +315,32 @@ class TestOnePairingMatrix:
         top = build_tracial_operator(d)
         assert np.abs(top.pairing - x.pairing).max() <= 1e-12 * scale
         # X[(b,e), (a,c)] = M[(b,e), (a,c)] = P[(a,b), (c,e)] and G[(a,b), (c,e)] = P[(a,b), (e,c)]
-        for holder, op in ((x, x.x_op), (top, top.m_op)):
+        for holder, op in ((x, x.x_op), (top, top.x_op)):
             p4 = holder.pairing.reshape(dim, dim, dim, dim)
             assert np.array_equal(op, np.einsum("abce->beac", p4).reshape(dim * dim, dim * dim))
             assert np.array_equal(pairing_realignment(op), holder.pairing)
         p4 = top.pairing.reshape(dim, dim, dim, dim)
-        assert np.array_equal(top.gram, np.einsum("abce->abec", p4).reshape(dim * dim, dim * dim))
-        assert np.array_equal(swap_right(top.gram), top.pairing)
+        assert np.array_equal(swap_right(top.pairing), np.einsum("abce->abec", p4).reshape(dim * dim, dim * dim))
+        assert np.array_equal(swap_right(swap_right(top.pairing)), top.pairing)
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("kind", ["operator", "pure_state", "form", "class_operator"])
+    def test_one_class_holds_the_pairing_matrix(self, kind, dim):
+        """The extracted X, the bounded M, the validated inverse and the
+        dense wrapper are all operator-backed functionals that evaluate d
+        again, with norms computed only when read."""
+        d = backend_fixtures(dim)[kind]
+        x = extract_ils(d)
+        holders = (x, build_tracial_operator(d), df_from_operator(x.x_op), ils_operator_from_matrix(x.x_op))
+        pq = sample_projections(dim, 40, np.random.default_rng(dim))
+        p, q = pq[0::2], pq[1::2]
+        ref = d.pair_values(p, q)
+        for holder in holders:
+            assert type(holder) is OperatorBackedFunctional and holder.dim == dim
+            assert np.abs(holder.pair_values(p, q) - ref).max() <= 1e-12
+            assert not {"trace_norm", "operator_norm"} & set(vars(holder))
+            assert holder.trace_norm >= holder.operator_norm > 0
+            assert {"trace_norm", "operator_norm"} <= set(vars(holder))
 
     def test_holds_one_quartic_array(self):
         """Only P is held after the build; G is read off it, not stored."""
@@ -446,7 +466,7 @@ class TestReconstructor:
         # reconstruct the difference from its product diagonal
         dim = 3
         d = backend_fixtures(dim)["pure_state"]
-        m1 = build_tracial_operator(d).m_op
+        m1 = build_tracial_operator(d).x_op
         m2 = extract_ils(d).x_op
         diff = m1 - m2
         recon = reconstruct_from_product_diagonal(product_diagonal_of(diff), dim)
@@ -468,7 +488,7 @@ class TestDoubleSum:
         top = build_tracial_operator(d)
         p = random_projection(dim, 3, rng)
         q = random_projection(dim, 2, rng)
-        direct = kron_trace(p, q, top.m_op)
+        direct = kron_trace(p, q, top.x_op)
         assert evaluate_double_sum(top, p, q, dim) == pytest.approx(direct, abs=1e-12)
 
     def test_block_rank_invariance(self, rng):
@@ -480,7 +500,7 @@ class TestDoubleSum:
         v1 = evaluate_double_sum(top, p, q, 1)
         v2 = evaluate_double_sum(top, p, q, 2)
         assert abs(v1 - v2) <= 1e-10
-        assert abs(v1 - kron_trace(p, q, top.m_op)) <= 1e-10
+        assert abs(v1 - kron_trace(p, q, top.x_op)) <= 1e-10
 
     def test_table_matches_per_block_route_exactly(self, rng):
         # Reference: each (pair, block rank) decomposed and paired on its own,
@@ -501,7 +521,7 @@ class TestDoubleSum:
                     rows_p = np.stack([b.matrix.reshape(-1) for b in pb])
                     rows_q = np.stack([b.matrix.reshape(-1) for b in qb])
                     ref = complex(np.sum((rows_p @ top.pairing) @ rows_q.T))
-                    oracle = sum(trace_pair(kron(a.matrix, b.matrix), top.m_op) for a in pb for b in qb)
+                    oracle = sum(trace_pair(kron(a.matrix, b.matrix), top.x_op) for a in pb for b in qb)
                     assert abs(ref - oracle) <= 1e-12 * max(1.0, abs(oracle))
                 assert table[s][k] == ref
                 assert evaluate_double_sum(top, p, q, br) == ref
@@ -520,7 +540,7 @@ class TestDoubleSum:
 
         monkeypatch.setattr(Projection, "__post_init__", refuse)
         table = np.asarray(double_sum_table(top, p, q, [1, 2, dim]))
-        ref = np.array([trace_pair(kron(a, b), top.m_op) for a, b in zip(p, q)])
+        ref = np.array([trace_pair(kron(a, b), top.x_op) for a, b in zip(p, q)])
         assert np.abs(table - ref[:, None]).max() <= 1e-10
 
     def test_rejects_block_rank_below_one(self, rng):
