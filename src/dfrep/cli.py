@@ -41,6 +41,7 @@ from .linalg import (
     block_draws,
     pairing_trace,
     pairing_values,
+    projection_blocks,
     rank_one_proj,
     sample_projections,
 )
@@ -168,12 +169,16 @@ class ResultRecord:
 def _pairing_residual(d, x, samples: int, seed: int) -> float:
     """Max |d(p, q) - tr((p (x) q) X)| over seeded random projection pairs,
     drawn p, q alternately, for the operator-backed functional x of X; each
-    side is one batched evaluation."""
+    side is one batched evaluation per block of
+    :func:`dfrep.linalg.projection_blocks`."""
     dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim, 17]))
-    pq = sample_projections(dim, 2 * samples, rng)
-    p, q = pq[0::2], pq[1::2]
-    return float(np.max(np.abs(d.pair_values(p, q) - x.pair_values(p, q))))
+
+    def residual(pq):
+        p, q = pq[0::2], pq[1::2]
+        return np.max(np.abs(d.pair_values(p, q) - x.pair_values(p, q)))
+
+    return float(max(map(residual, projection_blocks(dim, 2 * samples, rng))))
 
 
 def _random_tensor_sums(dim: int, count: int, rng):
@@ -238,8 +243,8 @@ def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
-    # An operator scenario's functional already holds the pairing matrix P.
-    x = d if scenario.kind == "operator" else extract_ils(d)
+    # An operator or form scenario's functional already holds the pairing matrix P.
+    x = d if isinstance(d, OperatorBackedFunctional) else extract_ils(d)
     tol = _tol(args, scenario.tolerance("conditions"))
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
     rec = {
@@ -501,6 +506,7 @@ def main(argv=None) -> int:
         return 2
     try:
         scenario = parse_scenario(text)
+        del text  # not held while the command runs
         record = run_command(args.command, scenario, args)
     except ValueError as exc:
         # ScenarioError, DimensionExclusionError and DimensionLimitError

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -136,6 +136,13 @@ class DecoherenceFunctional:
         return self.pair_table(
             rank_one_matrices(*left, self.dim), rank_one_matrices(*right, self.dim)
         )
+
+    def rank_one_table_against(self, right):
+        """The function ``left -> rank_one_pair_table(left, right)`` for one
+        right-hand atom set, which the extraction holds fixed while it calls
+        the function once per block of left atoms.  A backend whose table
+        has a right-hand factor forms it once, here."""
+        return partial(self.rank_one_pair_table, right=right)
 
     def pair_values(self, left, right) -> np.ndarray:
         """Values ``D(left[s], right[s])`` on two equal-length stacks: the
@@ -255,11 +262,22 @@ class FactoredStateFunctional(DecoherenceFunctional):
         return l @ r.T
 
     def rank_one_pair_table(self, left, right) -> np.ndarray:
-        # D(|v><v|, |w><w|) = (v^dag F)(F^dag w)(w^dag v)
-        sv, cv = left
+        return self.rank_one_table_against(right)(left)
+
+    def rank_one_table_against(self, right):
+        # D(|v><v|, |w><w|) = (v^dag F)(F^dag w)(w^dag v); the columns w^dag
+        # and F^dag w of the right-hand atoms are formed once.
         w = rank_one_vectors(*right, self.dim)
-        table = rank_one_rows(sv, cv, np.ascontiguousarray(w.T).conj())
-        table *= rank_one_rows(sv, cv.conj(), self.factor) @ (w @ self.factor.conj()).T
+        w_dag = np.ascontiguousarray(w.T).conj()
+        f_dag_w = (w @ self.factor.conj()).T
+        del w
+
+        def table(left):
+            sv, cv = left
+            out = rank_one_rows(sv, cv, w_dag)
+            out *= rank_one_rows(sv, cv.conj(), self.factor) @ f_dag_w
+            return out
+
         return table
 
     def pair_values(self, left, right) -> np.ndarray:

@@ -63,6 +63,7 @@ pivoted partial Cholesky (low rank); only an indefinite H pays for
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ from .functionals import (
 from .linalg import (
     pairing_trace,
     pairing_values,
-    sample_projections,
+    projection_blocks,
     swap_adjoint_residual,
 )
 from .tolerances import DEFAULT_TOLERANCES
@@ -83,9 +84,13 @@ from .tolerances import DEFAULT_TOLERANCES
 _SQ2 = np.sqrt(2.0)
 
 
-# Left atoms per rank-one pair-table call in :func:`bilinear_unit_table`;
-# blocks hold whole pair groups, the first one after the basis atoms.
-ATOM_BLOCK = 256
+# Left atoms per rank-one pair-table call in :func:`polarization_unit_table`;
+# blocks hold whole pair groups, the first one after the basis atoms.  A
+# block's (ATOM_BLOCK, N) complex table is 16 ATOM_BLOCK N bytes, 8.3 MB at
+# d = 64 (N = 8128), and the backend and the fold hold a few of them at
+# once (33 MB each at 256 atoms).  The right-hand factors of the table are
+# formed once, not per block, so the smaller block costs no time.
+ATOM_BLOCK = 64
 
 # Expansion of (E_ab, E_ba), a < b, over the four atoms of the pair (a, b):
 #     E_ab + E_ba = p_{u+} - p_{u-},   E_ab - E_ba = i (p_{v+} - p_{v-}).
@@ -145,23 +150,27 @@ def bilinear_unit_table(d: DecoherenceFunctional) -> np.ndarray:
     ``d.dim``, from the backend's closed-form
     :meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_pair_table`
     on the polarization atoms (see :func:`polarization_unit_table`)."""
-    return polarization_unit_table(d.dim, d.rank_one_pair_table)
+    return polarization_unit_table(d.dim, d.rank_one_table_against)
 
 
-def polarization_unit_table(dim: int, atom_table) -> np.ndarray:
+def polarization_unit_table(dim: int, table_against) -> np.ndarray:
     """The pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)`` of a bilinear
     D on ``dim x dim`` matrices, from its values on the polarization atoms.
 
-    ``atom_table(left, right)`` returns ``D(|v_s><v_s|, |w_t><w_t|)`` for
-    two sparse atom sets ``(support, coeff)`` of :func:`polarization_atoms`
-    as a ``(len(left), len(right))`` array.  It is called once per block of
-    at most ``ATOM_BLOCK`` left atoms (the basis atoms and then whole pair
-    groups) against all N atoms.  Each block is folded into matrix units on
-    both sides (:func:`_fold_rows`, :func:`_fold_columns`), and its rows
+    ``table_against(right)`` is called once, with all N atoms as the right
+    set, and returns a function ``rows(left)`` whose value is
+    ``D(|v_s><v_s|, |w_t><w_t|)`` as a ``(len(left), N)`` array, for the
+    sparse atom sets ``(support, coeff)`` of :func:`polarization_atoms`.
+    ``rows`` is called once per block of at most ``ATOM_BLOCK`` left atoms
+    (the basis atoms and then whole pair groups), so what depends on the
+    right set alone is formed once.  Each block is folded into matrix units
+    on both sides (:func:`_fold_rows`, :func:`_fold_columns`), and its rows
     and columns are put in row-major unit order by one fixed permutation.
     The atoms span all matrices, so any bilinear D is recovered.  Peak
-    memory is O(ATOM_BLOCK N + dim^4); no ``(N, dim, dim)`` atom stack and
-    no N x N table is built.
+    memory is the ``dim^4`` complex output plus a few ``(ATOM_BLOCK, N)``
+    complex tables of ``16 ATOM_BLOCK N`` bytes each (the backend's table
+    and its folds); no ``(N, dim, dim)`` atom stack and no N x N table is
+    built.
     """
     support, coeff = polarization_atoms(dim)
     n_atoms = len(support)
@@ -170,9 +179,10 @@ def polarization_unit_table(dim: int, atom_table) -> np.ndarray:
     units = np.empty((dim * dim, dim * dim), dtype=complex)
     first = dim + 4 * ((ATOM_BLOCK - dim) // 4)
     bounds = [0, *range(first, n_atoms, ATOM_BLOCK), n_atoms]
+    rows_of = table_against((support, coeff))
     unit = 0  # atom-order index of the block's first matrix unit
     for start, stop in zip(bounds, bounds[1:]):
-        table = atom_table((support[start:stop], coeff[start:stop]), (support, coeff))
+        table = rows_of((support[start:stop], coeff[start:stop]))
         rows = _fold_columns(_fold_rows(table, dim if start == 0 else 0), dim)[:, cols]
         units[order[unit : unit + len(rows)]] = rows
         unit += len(rows)
@@ -230,13 +240,14 @@ class ConditionViolationError(ValueError):
 
 def _sample_positivity_min(pairing: np.ndarray, dim: int, samples: int, seed: int) -> float:
     """Min of Re tr((p (x) p) X) over basis rank-one plus seeded random
-    projections across all ranks, evaluated in one batched pairing with P."""
+    projections across all ranks, one batched pairing with P per block of
+    :func:`dfrep.linalg.projection_blocks`, so no ``(samples, dim, dim)``
+    stack is held."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
     eye = np.eye(dim, dtype=complex)
-    p = np.concatenate(
-        [eye[:, :, None] * eye[:, None, :], eye[None], sample_projections(dim, samples, rng, 1)]
-    )
-    return float(np.min(pairing_values(p, p, pairing).real))
+    basis = np.concatenate([eye[:, :, None] * eye[:, None, :], eye[None]])
+    blocks = itertools.chain([basis], projection_blocks(dim, samples, rng, 1))
+    return float(min(map(lambda p: np.min(pairing_values(p, p, pairing).real), blocks)))
 
 
 def ils_operator_from_matrix(x_op) -> OperatorBackedFunctional:

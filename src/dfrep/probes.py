@@ -32,7 +32,7 @@ from .linalg import (
     MAX_TERMS,
     DimensionLimitError,
     block_draws,
-    sample_projections,
+    projection_blocks,
     stack_norms,
 )
 from .tolerances import MIN_DIMS_FOR_SLOPE, SLOPE_THRESHOLD, SPREAD_THRESHOLD, TENSOR_VECTOR_FLOOR
@@ -52,9 +52,9 @@ def boundedness_probe(
     if dim is None:
         dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-    # p and q alternate in the stack, so the first n pairs do not depend on samples.
-    pq = sample_projections(dim, 2 * samples, rng)
-    return float(np.max(np.abs(d.pair_values(pq[0::2], pq[1::2]))))
+    # p and q alternate in each block, so the first n pairs do not depend on samples.
+    blocks = projection_blocks(dim, 2 * samples, rng)
+    return float(max(map(lambda pq: np.max(np.abs(d.pair_values(pq[0::2], pq[1::2]))), blocks)))
 
 
 def _sample_tensor_vectors(dim: int, samples: int, rng):

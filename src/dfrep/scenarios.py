@@ -50,7 +50,7 @@ from .functionals import (
     PureStateFunctional,
 )
 from .histories import ClassOperatorModel, standard_df
-from .linalg import MAX_DIM
+from .linalg import MAX_DIM, operator_from_pairing, swap_right
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -114,15 +114,38 @@ def _real_array(node, path: str, shape) -> np.ndarray:
 
 
 def _complex_array(node, path: str, shape) -> np.ndarray:
+    """The complex array of a ``{"re", "im"}`` node, whose lists are popped
+    out of the JSON tree, and so freed, as each is converted."""
     if not isinstance(node, dict) or "re" not in node:
         raise ScenarioError(f"{path}: expected an object with 're' (and optional 'im') arrays")
     _reject_unknown(node, ("re", "im"), path + ".")
-    re = _real_array(node["re"], path + ".re", shape)
-    return re + 1j * (_real_array(node["im"], path + ".im", shape) if "im" in node else 0.0)
+    re = _real_array(node.pop("re"), path + ".re", shape)
+    if "im" not in node:
+        return re + 1j * 0.0
+    out = 1j * _real_array(node.pop("im"), path + ".im", shape)
+    out += re  # re + 1j * im, without a second complex temporary
+    return out
+
+
+# The payload that an operator or form functional holds as its pairing
+# matrix P; the scenario keeps no copy once the functional is built.
+_HELD = {"operator": "matrix", "form": "gram"}
+
+# Characters of scenario text hashed per update: no full-size encoded copy.
+_HASH_SLICE = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A parsed scenario: its dimension, seed, kind, payload arrays and
+    tolerances, and the SHA-256 of its text.
+
+    An operator or form scenario keeps no defining matrix: its payload is
+    empty once :meth:`build` has run (which :func:`parse_scenario` does),
+    and X or G is an index transpose of the functional's pairing matrix P
+    (see :func:`serialize_scenario`).
+    """
+
     dimension: int
     seed: int
     kind: str
@@ -140,7 +163,9 @@ class Scenario:
 
     @cached_property
     def _functional(self) -> DecoherenceFunctional:
-        return self._embedded(self.dimension)
+        d = self._embedded(self.dimension)
+        self.payload.pop(_HELD.get(self.kind), None)  # d holds P
+        return d
 
     def functional_at(self, dim: int) -> DecoherenceFunctional:
         """The scenario's functional embedded at truncation ``dim``.
@@ -197,7 +222,7 @@ def _payload(kind: str, fn: dict, dim: int) -> dict:
     shapes = {"amplitudes": (dim,), "matrix": (dim * dim,) * 2, "gram": (dim * dim,) * 2}
     shapes.update(rho=(dim, dim), hamiltonian=(dim, dim))
     payload = {
-        name: _complex_array(fn.get(name), f"functional.{name}", shapes[name])
+        name: _complex_array(fn.pop(name, None), f"functional.{name}", shapes[name])
         for name in _FIELDS[kind]
         if name in shapes
     }
@@ -212,6 +237,14 @@ def _payload(kind: str, fn: dict, dim: int) -> dict:
             for k, sched in enumerate(_list(fn.get("schedules"), "functional.schedules", "schedules"))
         ]
     return payload
+
+
+def _sha256(text: str) -> str:
+    """SHA-256 of the UTF-8 text, encoded one slice at a time."""
+    h = hashlib.sha256()
+    for start in range(0, len(text), _HASH_SLICE):
+        h.update(text[start : start + _HASH_SLICE].encode("utf-8"))
+    return h.hexdigest()
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -262,7 +295,7 @@ def parse_scenario(text: str) -> Scenario:
         kind=kind,
         payload=_payload(kind, fn, dim),
         tolerances=dict(tol),
-        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        sha256=_sha256(text),
     )
     try:
         scenario.build()
@@ -278,9 +311,17 @@ def _array_node(arr: np.ndarray) -> dict:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical JSON text; ``parse_scenario`` of the output reproduces the
-    scenario's fields."""
+    scenario's fields.  The X or G that an operator or form scenario does
+    not keep is read back off its functional's pairing matrix P, as the
+    exact index transpose :func:`dfrep.linalg.operator_from_pairing` or
+    :func:`dfrep.linalg.swap_right`."""
     fn: dict = {"type": s.kind}
-    for name, value in s.payload.items():
+    payload = dict(s.payload)
+    if s.kind in _HELD:
+        pairing = s.build().pairing
+        held = operator_from_pairing(pairing) if s.kind == "operator" else swap_right(pairing)
+        payload[_HELD[s.kind]] = held
+    for name, value in payload.items():
         if name == "times":
             fn[name] = list(value)
         elif name == "schedules":

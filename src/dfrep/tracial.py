@@ -229,11 +229,16 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError("dimension must be >= 1")
 
-    def atom_table(left, right):
-        vals = f(rank_one_vectors(*left, dim)[:, None], rank_one_vectors(*right, dim)[None])
-        return np.broadcast_to(np.asarray(vals, dtype=complex), (len(left[0]), len(right[0])))
+    def table_against(right):
+        beta = rank_one_vectors(*right, dim)[None]  # densified once
 
-    return operator_from_pairing(polarization_unit_table(dim, atom_table))
+        def rows(left):
+            vals = f(rank_one_vectors(*left, dim)[:, None], beta)
+            return np.broadcast_to(np.asarray(vals, dtype=complex), (len(left[0]), beta.shape[1]))
+
+        return rows
+
+    return operator_from_pairing(polarization_unit_table(dim, table_against))
 
 
 def _pairing_of(m) -> np.ndarray:

@@ -170,24 +170,34 @@ class TestBlockedUnitTable:
                 assert np.abs(unit - expect).max() <= 1e-15
 
     # N = 2 d^2 - d: 15 atoms at d = 3 (below one block), 276 at d = 12
-    # (one full block plus a partial one).
-    @pytest.mark.parametrize("dim,n_blocks", [(3, 1), (12, 2)])
+    # (full blocks plus a partial one).
+    @pytest.mark.parametrize("dim", [3, 12])
     @pytest.mark.parametrize("kind", ["operator", "class_operator"])
-    def test_matches_dense_combine(self, kind, dim, n_blocks, rng):
+    def test_matches_dense_combine(self, kind, dim, rng):
         n_atoms = 2 * dim * dim - dim
         assert n_atoms % ATOM_BLOCK != 0
+        # The first block holds the basis atoms and whole pair groups, the
+        # later ones ATOM_BLOCK atoms each.
+        first = dim + 4 * ((ATOM_BLOCK - dim) // 4)
+        n_blocks = 1 + max(0, -(-(n_atoms - first) // ATOM_BLOCK))
+        assert dim == 3 or n_blocks > 1  # d = 12 spans several blocks
         d = _random_backends(dim, rng)[kind]
         atoms, index, coeffs = frozen_polarization_atoms(dim)
         dense = _dense_coeffs(index, coeffs, n_atoms)
         ref = dense @ d.pair_table(atoms, atoms) @ dense.T
         blocks = []
-        original = d.rank_one_pair_table
+        original = d.rank_one_table_against
 
-        def recording(left, right):
-            blocks.append((len(left[0]), len(right[0])))
-            return original(left, right)
+        def recording(right):
+            rows_of = original(right)
 
-        d.rank_one_pair_table = recording
+            def rows(left):
+                blocks.append((len(left[0]), len(right[0])))
+                return rows_of(left)
+
+            return rows
+
+        d.rank_one_table_against = recording
         units = bilinear_unit_table(d)
         assert np.abs(units - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
         # The whole N x N atom table is never requested at once.

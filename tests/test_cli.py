@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dfrep import cli
 from dfrep.cli import SWEEP_CSV_HEADER, json_text, main
 from conftest import (
     backend_fixtures,
@@ -14,10 +15,11 @@ from conftest import (
     operator_scenario_text,
     product_state_operator,
     pure_state_scenario_text,
+    random_valid_pairing_operator,
     rho_half_half,
     skew_corrupted_operator,
 )
-from dfrep import ClassOperatorModel, gram_matrix
+from dfrep import ClassOperatorModel, OperatorBackedFunctional, gram_matrix
 
 MALFORMED = "{this is not json"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -136,6 +138,21 @@ class TestBasicRuns:
         code, _, _ = run_cli(capsys, "sweep", "--scenario", scenario, "--dims", "3,4", "--samples", "20")
         assert code == 0
         assert built == [3, 4]
+
+    def test_verify_conditions_reads_a_form_scenarios_held_pairing(self, capsys, tmp_path, monkeypatch):
+        """A form scenario's functional holds P, so verify-conditions checks
+        it as it is, without re-extracting it through the atom table."""
+        x = random_valid_pairing_operator(5, np.random.default_rng(5))  # Haar-rotated densities
+        gram = gram_matrix(OperatorBackedFunctional(x))
+        path = _write(tmp_path, "form5.json", form_scenario_text(gram))
+
+        def forbidden(d):
+            raise AssertionError("verify-conditions re-extracted a held pairing matrix")
+
+        monkeypatch.setattr(cli, "extract_ils", forbidden)
+        code, out, _ = run_cli(capsys, "verify-conditions", "--scenario", path)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
 
     def test_extract_ils_dim_two_exit_code(self, capsys, paths):
         code, out, err = run_cli(capsys, "extract-ils", "--scenario", paths["ps2"])

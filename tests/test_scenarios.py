@@ -14,6 +14,7 @@ from dfrep import (
     random_projection,
 )
 from dfrep.histories import ClassOperatorFunctional
+from dfrep.linalg import operator_from_pairing, pairing_realignment, swap_right
 from dfrep.scenarios import ScenarioError, parse_scenario, serialize_scenario
 from conftest import (
     backend_fixtures,
@@ -226,6 +227,7 @@ class TestRoundTrip:
         assert s2.seed == s1.seed
         assert s2.kind == s1.kind
         assert s2.tolerances == s1.tolerances
+        assert sorted(s2.payload) == sorted(s1.payload)
         for key, val in s1.payload.items():
             if key in ("times",):
                 assert s2.payload[key] == val
@@ -235,6 +237,19 @@ class TestRoundTrip:
                         assert np.allclose(pa, pb)
             else:
                 assert np.allclose(s2.payload[key], val)
+        # An operator or form scenario keeps X or G only in its functional's
+        # P; the rebuilt X, G or psi survives the round trip exactly.
+        if s1.kind in ("operator", "form", "pure_state"):
+            assert np.array_equal(_defining_data(s2), _defining_data(s1))
+
+
+def _defining_data(s):
+    """The X, G or psi of an operator, form or pure-state scenario, rebuilt
+    from its functional."""
+    d = s.build()
+    if s.kind == "operator":
+        return operator_from_pairing(d.pairing)
+    return swap_right(d.pairing) if s.kind == "form" else d.psi
 
 
 class TestShippedScenarios:
@@ -277,7 +292,6 @@ class TestFamilyEmbedding:
         x = product_state_operator(rho_half_half(3))
         s = parse_scenario(operator_scenario_text(x))
         from dfrep import trace_norm
-        from dfrep.linalg import operator_from_pairing
 
         assert trace_norm(operator_from_pairing(s.functional_at(6).pairing)) == pytest.approx(
             trace_norm(x), abs=1e-10
@@ -286,20 +300,18 @@ class TestFamilyEmbedding:
     @pytest.mark.parametrize("name", ["operator_product_state_dim3.json", "form_dim3.json"])
     def test_embedding_pads_the_held_pairing(self, name):
         """The embedded functional holds the pairing matrix of the old route,
-        which zero-padded the payload X or G and then realigned it."""
+        which zero-padded X (or G) and then realigned it; X and G are read
+        off the held P, which the scenario keeps in their place."""
         from pathlib import Path
 
-        from dfrep.linalg import pairing_realignment, swap_right
-
         s = parse_scenario((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
-        payload = s.payload["matrix" if s.kind == "operator" else "gram"]
-        x4 = np.zeros((6,) * 4, dtype=complex)
-        x4[:3, :3, :3, :3] = payload.reshape((3,) * 4)
-        padded = x4.reshape(36, 36)
+        p = s.build().pairing
         d6 = s.functional_at(6)
-        old = pairing_realignment(padded) if s.kind == "operator" else swap_right(padded)
         assert type(d6) is type(s.build())
-        assert np.array_equal(d6.pairing, old)
+        for defining, realign in ((operator_from_pairing(p), pairing_realignment), (swap_right(p), swap_right)):
+            x4 = np.zeros((6,) * 4, dtype=complex)
+            x4[:3, :3, :3, :3] = defining.reshape((3,) * 4)
+            assert np.array_equal(d6.pairing, realign(x4.reshape(36, 36)))
 
     def test_class_operator_embedding_stays_normalized(self):
         s = parse_scenario(class_operator_scenario_text(dim=3))

@@ -1,0 +1,83 @@
+"""Working sets of the parse, the extraction and the sampled positivity.
+
+Bytes are counted with ``tracemalloc``, which traces numpy's buffers and
+the interpreter's objects alike; unlike RSS, the counts do not depend on
+the machine or on what the process did before.  Each bound is the value
+measured when it was set plus the margin stated next to it.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dfrep.functionals import OperatorBackedFunctional
+from dfrep.ils import ATOM_BLOCK, _sample_positivity_min, bilinear_unit_table
+from dfrep.linalg import pairing_realignment
+from dfrep.scenarios import parse_scenario
+from conftest import backend_fixtures, operator_scenario_text, random_valid_pairing_operator
+
+
+def _traced(fn, *args):
+    """``fn(*args)`` with the traced bytes it allocated: the peak above the
+    bytes held before the call, and the bytes still held after it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base, held - base
+
+
+class TestParse:
+    def test_operator_scenario_holds_one_pairing_matrix(self, rng):
+        """At d = 12 the text is 0.99 MB and P is 0.33 MB.  The JSON tree
+        is freed array by array as it is converted, and the scenario keeps
+        no X beside the functional's P."""
+        dim = 12
+        text = operator_scenario_text(random_valid_pairing_operator(dim, rng))
+        scenario, peak, held = _traced(parse_scenario, text)
+        p_bytes = dim**4 * 16
+        assert scenario.payload == {}
+        assert scenario.build().pairing.nbytes == p_bytes
+        # Measured 1.02 P (two d^4 arrays, 2.02 P, when X was kept); 25 % margin.
+        assert held <= 1.25 * p_bytes
+        # Measured 1.56 len(text) (2.70 with the whole tree and a full-size
+        # encoded copy alive at once); 28 % margin.
+        assert peak <= 2.0 * len(text)
+
+
+class TestExtraction:
+    @pytest.mark.parametrize("kind", ["operator", "form", "pure_state", "class_operator"])
+    def test_unit_table_temporaries_are_block_sized(self, kind, rng):
+        """Beyond the output P, the fold of :func:`polarization_unit_table`
+        holds a few ``(ATOM_BLOCK, N)`` complex tables of one block."""
+        dim = 16
+        n_atoms = 2 * dim * dim - dim
+        d = backend_fixtures(dim)[kind]
+        if kind == "operator":  # a dense P with no zero pattern
+            d = OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
+        units, peak, _ = _traced(bilinear_unit_table, d)
+        extra = peak - units.nbytes
+        # Measured 5.17 tables of 16 ATOM_BLOCK N bytes; 16 % margin.
+        assert extra <= 6 * ATOM_BLOCK * n_atoms * 16
+        # Measured 2.50 P; 20 % margin (9.02 P with 256-atom blocks).
+        assert extra <= 3 * units.nbytes
+
+
+class TestSampledPositivity:
+    def test_no_stack_of_all_samples(self, rng):
+        """The positivity minimum reduces one validated block of
+        projections at a time, so the (1000, 12, 12) stack of all samples
+        (2.3 MB) is never allocated."""
+        dim, samples = 12, 1000
+        pairing = pairing_realignment(random_valid_pairing_operator(dim, rng))
+        _, peak, _ = _traced(_sample_positivity_min, pairing, dim, samples, 3)
+        stack = samples * dim * dim * 16
+        # Measured 0.59 stacks (2.04 when the stack and its pairing were
+        # formed); 27 % margin.
+        assert peak <= 0.75 * stack
