@@ -18,17 +18,22 @@ byte-identical numeric output.  Timing fields (``timings_ms``,
 ``elapsed_ms``) are the one exception and are documented as such.
 
 Exit status: 0 pass-verdicts, 1 violation-verdicts, 2 input errors.
+
+The process entry, for ``python -m dfrep.cli`` and the ``dfrep`` script, is
+:func:`run`; it calls :func:`main` and then freezes the heap, so the exit
+pays no garbage collection.  Callers in a long-lived process call
+:func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -133,17 +138,17 @@ def records_csv(records, header_keys=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class ResultRecord:
     """Machine-readable result of one command run."""
 
-    command: str
-    verdict: str
-    seed: int
-    records: list
-    scenario_sha256: str
-    timings_ms: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+    def __init__(self, command: str, verdict: str, seed: int, records: list, scenario_sha256: str):
+        self.command = command
+        self.verdict = verdict
+        self.seed = seed
+        self.records = records
+        self.scenario_sha256 = scenario_sha256
+        self.timings_ms = {}
+        self.extras = {}
 
     def payload(self) -> dict:
         out = {
@@ -375,10 +380,11 @@ def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
 def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
     d = scenario.build()
     top = build_tracial_operator(d)
-    recon = reconstruct_from_product_diagonal(product_diagonal_of(top), d.dim)
-    m = top.x_op
-    recon -= m  # in place: each d^4 complex array is 268 MB at d = 64
-    resid = float(np.linalg.norm(recon) / max(1.0, np.linalg.norm(m)))
+    # ||L - M||_F compared in pairing space: the operators L and M are index
+    # transposes of their pairing matrices, which have the same norms.
+    units = reconstruct_from_product_diagonal(product_diagonal_of(top), d.dim, pairing=True)
+    units -= top.pairing  # in place: each d^4 complex array is 268 MB at d = 64
+    resid = float(np.linalg.norm(units) / max(1.0, np.linalg.norm(top.pairing)))
     tol = _tol(args, RECONSTRUCTION_TOL)
     rec = {"reconstruction_residual": resid, "tolerance": tol}
     return _result(
@@ -521,5 +527,19 @@ def main(argv=None) -> int:
     return record.exit_code
 
 
+def run() -> int:
+    """The process entry: :func:`main`, then ``gc.freeze()``.
+
+    Freezing moves every object the process holds into the permanent
+    generation, which the interpreter's exit-time collection does not walk;
+    that collection otherwise costs about a tenth of a cold command on the
+    shipped scenarios.  :func:`main` itself leaves the collector alone, as
+    it also runs in long-lived processes.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -26,8 +26,8 @@ The associated objects used by the representation modules:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -331,8 +331,7 @@ class FormBackedFunctional(OperatorBackedFunctional):
     pair_table = OperatorBackedFunctional.pair_table
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Sampled residuals for the four decoherence-functional axioms."""
 
     hermiticity_residual: float
@@ -463,7 +462,6 @@ def _combine_hermitian_parts(xm, ym, pair) -> complex:
     return pair(xr, yr) + 1j * pair(xi, yr) + 1j * pair(xr, yi) - pair(xi, yi)
 
 
-@dataclass(frozen=True, eq=False)
 class BilinearForm:
     """The bounded bilinear extension D of a decoherence functional.
 
@@ -477,7 +475,8 @@ class BilinearForm:
     randomized re-decomposition check is in ``tests/reference.py``).
     """
 
-    source: DecoherenceFunctional
+    def __init__(self, source: DecoherenceFunctional):
+        self.source = source
 
     def __call__(self, x, y) -> complex:
         xm = as_matrix(mat(x), "x")

@@ -16,7 +16,7 @@ The induced decoherence functional on history pairs is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .linalg import Projection, as_matrix, hermiticity_residual
 from .tolerances import DEFAULT_TOLERANCES, MODEL_TOL, ORTHOGONALITY_TOL
 
 
-@dataclass(frozen=True, eq=False)
 class ClassOperatorModel:
     """Initial state, dynamics and projective schedules for standard-QM
     histories.
@@ -42,15 +41,18 @@ class ClassOperatorModel:
     S^dag`` with ``S = rho_eigenvectors`` and ``(H + H^dag)/2 = V
     diag(energies) V^dag`` with ``V = eigenbasis``.  All four arrays are
     stored read-only, and nothing is cached on the model afterwards, so it
-    can be shared between callers.
+    can be shared between callers.  Models compare by identity.
     """
 
-    dim: int
-    rho: np.ndarray
-    hamiltonian: np.ndarray
-    times: tuple
-    schedules: tuple
+    def __init__(self, dim: int, rho, hamiltonian, times, schedules):
+        self.dim = dim
+        self.rho = rho
+        self.hamiltonian = hamiltonian
+        self.times = times
+        self.schedules = schedules
+        self.__post_init__()
 
+    # The validation is its own method, where per-class wrappers find it.
     def __post_init__(self):
         rho = as_matrix(self.rho, "rho")
         ham = as_matrix(self.hamiltonian, "hamiltonian")
@@ -93,14 +95,14 @@ class ClassOperatorModel:
                     if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > MODEL_TOL:
                         raise ValueError(f"schedules[{k}]: projections {i} and {j} are not orthogonal")
             schedules.append(tuple(projs))
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "hamiltonian", ham)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "schedules", tuple(schedules))
-        object.__setattr__(self, "rho_eigenvalues", rho_eigenvalues)
-        object.__setattr__(self, "rho_eigenvectors", rho_eigenvectors)
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "eigenbasis", eigenbasis)
+        self.rho = rho
+        self.hamiltonian = ham
+        self.times = times
+        self.schedules = tuple(schedules)
+        self.rho_eigenvalues = rho_eigenvalues
+        self.rho_eigenvectors = rho_eigenvectors
+        self.energies = energies
+        self.eigenbasis = eigenbasis
 
     def propagator(self, t: float) -> np.ndarray:
         """U(t) = exp(-i t H) = V diag(exp(-i t lambda)) V^dag from the
@@ -143,8 +145,7 @@ def standard_df(model: ClassOperatorModel) -> ClassOperatorFunctional:
     return ClassOperatorFunctional(model)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Interference diagnostics for a candidate consistent set."""
 
     off_diagonal_max: float

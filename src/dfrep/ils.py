@@ -64,7 +64,7 @@ pivoted partial Cholesky (low rank); only an indefinite H pays for
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,8 +189,7 @@ def polarization_unit_table(dim: int, table_against) -> np.ndarray:
     return units
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
+class ConditionsReport(NamedTuple):
     """Residuals for the three operator conditions."""
 
     swap_adjoint_residual: float

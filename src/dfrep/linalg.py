@@ -9,7 +9,6 @@ through explicit seeds or generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,26 +62,35 @@ def unit_vector(v, name: str = "vector") -> np.ndarray:
 
 def hermiticity_residual(a: np.ndarray) -> float:
     """``||a - a^dag||_F / max(1, ||a||_F)``: the relative residual that
-    every Hermiticity check compares with its tolerance."""
-    return float(np.linalg.norm(a - a.conj().T)) / max(1.0, float(np.linalg.norm(a)))
+    every Hermiticity check compares with its tolerance.  The skew norm is
+    accumulated over the block pairs of :func:`_block_pairs`, one block
+    temporary at a time, so no full-size ``a^dag`` or difference is formed."""
+    skew2 = 0.0
+    for r, c in _block_pairs(len(a)):
+        diff = np.conjugate(a[c, r].T, order="C")  # contiguous, so vdot copies nothing
+        diff -= a[r, c]
+        skew2 += (1.0 if r == c else 2.0) * float(np.vdot(diff, diff).real)
+    return math.sqrt(skew2) / max(1.0, float(np.linalg.norm(a)))
 
 
-@dataclass(frozen=True, eq=False)
 class Projection:
     """An orthogonal projection together with its integer rank.
 
     Invariants (checked on construction, relative to the Frobenius scale):
     idempotency ``||P^2 - P||_F <= TOL_PROJ``, Hermiticity
     ``||P - P^dag||_F <= TOL_PROJ`` and ``rank = round(Re tr P)``.
+    Projections compare by identity and are not changed after construction.
     """
 
-    matrix: np.ndarray
-    rank: int
+    def __init__(self, matrix, rank: int):
+        self.matrix = matrix
+        self.rank = rank
+        self.__post_init__()
 
+    # The validation is its own method, where per-class wrappers find it.
     def __post_init__(self):
-        m = as_matrix(self.matrix, "projection")
-        object.__setattr__(self, "matrix", m)
-        check_projection_stack(m[None], (self.rank,))
+        self.matrix = as_matrix(self.matrix, "projection")
+        check_projection_stack(self.matrix[None], (self.rank,))
 
     @property
     def dim(self) -> int:
@@ -324,10 +332,22 @@ def rank_one_product_diagonal(left, right, pairing) -> np.ndarray:
         for b in range(s.shape[1]):
             y += (c[:, a].conj() * c[:, b])[:, None, None] * p4[s[:, b], s[:, a]]
     y = y.reshape(sv.shape[:-1] + (dim * dim,))
+    if sw.ndim == sv.ndim > 1 and sv.shape[-2] == 1 and all(n == 1 for n in sw.shape[:-2]):
+        # A column of left vectors against one row of right ones, as in
+        # every atom table: each term is one 1-D gather along the last axis.
+        y, sw, cw = y[..., 0, :], sw.reshape(sw.shape[-2:]), cw.reshape(cw.shape[-2:])
+
+        def read(flat):
+            return y[..., flat]
+
+    else:
+
+        def read(flat):
+            return np.take_along_axis(y, flat[..., None], -1)[..., 0]
+
     # The generator sum beats accumulating into a preallocated table here.
     return sum(
-        cw[..., a].conj() * cw[..., b]
-        * np.take_along_axis(y, (sw[..., b] * dim + sw[..., a])[..., None], -1)[..., 0]
+        cw[..., a].conj() * cw[..., b] * read(sw[..., b] * dim + sw[..., a])
         for a in range(sw.shape[-1])
         for b in range(sw.shape[-1])
     )
@@ -400,8 +420,14 @@ def _hermitian_part(a: np.ndarray, overwrite_a: bool):
         skew2 += weight * float(np.linalg.norm(blk - mirror)) ** 2 / 4
     if np.sqrt(n * skew2) > HERMITIAN_ROUTE_REL * np.sqrt(herm2):
         return None
-    h = a if overwrite_a else a.copy()
-    for r, c in _block_pairs(n):
+    return hermitize_in_place(a if overwrite_a else a.copy())
+
+
+def hermitize_in_place(h: np.ndarray) -> np.ndarray:
+    """Overwrite the square h with its Hermitian part ``(h + h^dag)/2``,
+    one block pair of :func:`_block_pairs` at a time, and return it.  Each
+    entry is the one ``(h + h.conj().T) / 2`` gives, bit for bit."""
+    for r, c in _block_pairs(len(h)):
         part = (h[r, c] + h[c, r].conj().T) / 2
         h[r, c] = part
         h[c, r] = part.conj().T

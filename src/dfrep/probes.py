@@ -21,7 +21,7 @@ seeds and sample counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +123,7 @@ def tracial_bound_probe(d: DecoherenceFunctional, samples: int = 1000, seed: int
     return sup
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Per-dimension trace norms and beta suprema with a growth verdict."""
 
     dims: tuple

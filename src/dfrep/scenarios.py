@@ -38,7 +38,6 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -135,7 +134,6 @@ _HELD = {"operator": "matrix", "form": "gram"}
 _HASH_SLICE = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
 class Scenario:
     """A parsed scenario: its dimension, seed, kind, payload arrays and
     tolerances, and the SHA-256 of its text.
@@ -143,15 +141,18 @@ class Scenario:
     An operator or form scenario keeps no defining matrix: its payload is
     empty once :meth:`build` has run (which :func:`parse_scenario` does),
     and X or G is an index transpose of the functional's pairing matrix P
-    (see :func:`serialize_scenario`).
+    (see :func:`serialize_scenario`).  Scenarios compare by identity.
     """
 
-    dimension: int
-    seed: int
-    kind: str
-    payload: dict
-    tolerances: dict
-    sha256: str = field(default="", compare=False)
+    def __init__(
+        self, dimension: int, seed: int, kind: str, payload: dict, tolerances: dict, sha256: str = ""
+    ):
+        self.dimension = dimension
+        self.seed = seed
+        self.kind = kind
+        self.payload = payload
+        self.tolerances = tolerances
+        self.sha256 = sha256
 
     def tolerance(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))

@@ -40,7 +40,6 @@ trace-pairing representative grows linearly with the dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,6 +49,7 @@ from .ils import bilinear_unit_table, polarization_unit_table
 from .linalg import (
     Projection,
     hermiticity_residual,
+    hermitize_in_place,
     mat,
     operator_from_pairing,
     pairing_realignment,
@@ -78,22 +78,23 @@ def gram_matrix(d: DecoherenceFunctional, dim: int | None = None) -> np.ndarray:
     g = swap_right(bilinear_unit_table(d))
     if hermiticity_residual(g) > GRAM_HERMITICITY_REL:
         raise GramHermiticityError("Gram matrix is not Hermitian; the functional violates Hermiticity")
-    return (g + g.conj().T) / 2
+    return hermitize_in_place(g)
 
 
-@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Signed families reproducing beta on the algebraic tensor product.
 
     ``signature`` holds the retained Gram eigenvalues sorted descending;
     positive ones correspond (in order) to ``x_family``, negative ones to
-    ``y_family``.  Family sizes never exceed dim^2.
+    ``y_family``.  Family sizes never exceed dim^2.  Decompositions
+    compare by identity.
     """
 
-    x_family: tuple
-    y_family: tuple
-    signature: tuple
-    dim: int
+    def __init__(self, x_family: tuple, y_family: tuple, signature: tuple, dim: int):
+        self.x_family = x_family
+        self.y_family = y_family
+        self.signature = signature
+        self.dim = dim
 
     @cached_property
     def _flat_families(self):
@@ -210,7 +211,7 @@ def pure_state_m(psi) -> np.ndarray:
     return swap_right(pure_state_projector(psi))
 
 
-def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
+def reconstruct_from_product_diagonal(f, dim: int, *, pairing: bool = False) -> np.ndarray:
     """Recover an operator on H (x) H from its diagonal on product vectors.
 
     ``f(alpha, beta)`` must return ``<L(alpha (x) beta), alpha (x) beta>``
@@ -224,7 +225,9 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
     ``N = 2 dim^2 - dim`` atoms, and the values must broadcast to
     ``(B, N)`` (a scalar, as from ``lambda a, b: 0.0``, does).  The zero
     oracle reconstructs the zero operator; for inputs that are not genuine
-    product diagonals the output is unspecified.
+    product diagonals the output is unspecified.  With ``pairing`` the
+    fold's pairing matrix of L is returned as it is, without the index
+    transpose to L.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -238,7 +241,8 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
 
         return rows
 
-    return operator_from_pairing(polarization_unit_table(dim, table_against))
+    units = polarization_unit_table(dim, table_against)
+    return units if pairing else operator_from_pairing(units)
 
 
 def _pairing_of(m) -> np.ndarray:

@@ -8,6 +8,8 @@ from dfrep.linalg import (
     DimensionLimitError,
     Projection,
     haar_unitary,
+    hermiticity_residual,
+    hermitize_in_place,
     identity_projection,
     kron_trace,
     random_projection,
@@ -158,6 +160,21 @@ class TestTraceNorm:
         u = haar_unitary(4, rng)
         v = haar_unitary(4, rng)
         assert abs(trace_norm(u @ a @ v) - trace_norm(a)) <= 1e-8
+
+
+class TestBlockedHermiticity:
+    # 289 and 600 exceed the 256-wide split block, so block pairs are covered.
+    @pytest.mark.parametrize("n", [3, 289, 600])
+    def test_match_the_full_size_formulas(self, n, rng):
+        """The residual accumulated over block pairs matches the full-size
+        norm, and the in-place Hermitian part is (a + a^dag)/2 bit for bit."""
+        a = _cmat(rng, n)
+        full = np.linalg.norm(a - a.conj().T) / max(1.0, np.linalg.norm(a))
+        assert hermiticity_residual(a) == pytest.approx(full, rel=1e-12)
+        h = a.copy()
+        assert hermitize_in_place(h) is h
+        assert np.array_equal(h, (a + a.conj().T) / 2)
+        assert hermiticity_residual(h) == 0.0
 
 
 class TestRankOneProj:

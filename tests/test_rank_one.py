@@ -155,6 +155,12 @@ class TestRankOnePairTables:
         v = rank_one_vectors(*atoms, dim)
         table = OperatorBackedFunctional(x).rank_one_pair_table(atoms, atoms)
         assert np.array_equal(table, product_diagonal_of(x)(v[:, None], v[None]))
+        # The row read of a (n, 1) against a (1, n) batch gives the bits of
+        # the elementwise read of the whole (n, n) grid.
+        n, k = atoms[0].shape
+        rows = tuple(np.broadcast_to(a[:, None], (n, n, k)) for a in atoms)
+        cols = tuple(np.broadcast_to(a[None], (n, n, k)) for a in atoms)
+        assert np.array_equal(table, linalg.rank_one_product_diagonal(rows, cols, pairing_realignment(x)))
 
     def test_reader_on_wide_supports_and_mismatched_batch_ranks(self, rng):
         """Supports of three and four entries, some repeated, as an

@@ -28,7 +28,7 @@ from dfrep import (
     zero_projection,
 )
 from dfrep.linalg import Projection, haar_unitary, pairing_realignment, sample_projections, swap_right
-from dfrep.ils import df_from_operator, ils_operator_from_matrix
+from dfrep.ils import bilinear_unit_table, df_from_operator, ils_operator_from_matrix
 from dfrep.tracial import (
     double_sum_table,
     product_diagonal_of,
@@ -64,6 +64,13 @@ class TestGram:
         g = gram_matrix(base)
         again = gram_matrix(FormBackedFunctional(g))
         assert np.linalg.norm(again - g) <= 1e-10
+
+    def test_hermitian_part_of_a_multi_block_gram(self, rng):
+        """At d = 17 (n = 289) G spans two block rows; it is made Hermitian
+        in place with the bits of (G + G^dag)/2."""
+        d = OperatorBackedFunctional(random_valid_pairing_operator(17, rng))
+        raw = swap_right(bilinear_unit_table(d))
+        assert np.array_equal(gram_matrix(d), (raw + raw.conj().T) / 2)
 
     def test_pure_state_gram_is_psd(self):
         dim = 4

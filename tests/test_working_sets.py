@@ -1,4 +1,5 @@
-"""Working sets of the parse, the extraction and the sampled positivity.
+"""Working sets of the parse, the extraction, the sampled positivity, the
+Hermiticity checks and the reconstruction.
 
 Bytes are counted with ``tracemalloc``, which traces numpy's buffers and
 the interpreter's objects alike; unlike RSS, the counts do not depend on
@@ -8,16 +9,24 @@ measured when it was set plus the margin stated next to it.
 
 from __future__ import annotations
 
+import argparse
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dfrep.functionals import OperatorBackedFunctional
+from dfrep import tracial
+from dfrep.cli import run_command
+from dfrep.functionals import FormBackedFunctional, OperatorBackedFunctional
 from dfrep.ils import ATOM_BLOCK, _sample_positivity_min, bilinear_unit_table
-from dfrep.linalg import pairing_realignment
+from dfrep.linalg import pairing_realignment, swap_right
 from dfrep.scenarios import parse_scenario
-from conftest import backend_fixtures, operator_scenario_text, random_valid_pairing_operator
+from conftest import (
+    backend_fixtures,
+    operator_scenario_text,
+    pure_state_scenario_text,
+    random_valid_pairing_operator,
+)
 
 
 def _traced(fn, *args):
@@ -81,3 +90,56 @@ class TestSampledPositivity:
         # Measured 0.59 stacks (2.04 when the stack and its pairing were
         # formed); 27 % margin.
         assert peak <= 0.75 * stack
+
+
+class TestHermiticityChecks:
+    """At d = 24 the Gram matrix G (5.3 MB) spans three block rows of
+    ``linalg._SPLIT_BLOCK``, so the blocked checks are blocked here."""
+
+    def test_form_functional_forms_no_full_size_adjoint(self, rng):
+        """Beyond the P it keeps, the form backend's Hermiticity check
+        holds one block of ``G - G^dag`` at a time."""
+        dim = 24
+        g = swap_right(pairing_realignment(random_valid_pairing_operator(dim, rng)))
+        g = (g + g.conj().T) / 2
+        _, peak, held = _traced(FormBackedFunctional, g)
+        assert held <= 1.1 * g.nbytes
+        # Measured 1.42 G (3.02 with the full-size G^dag and G - G^dag); 23 % margin.
+        assert peak <= 1.75 * g.nbytes
+
+    @pytest.mark.parametrize("kind", ["operator", "pure_state"])
+    def test_gram_matrix_is_made_hermitian_in_place(self, kind, rng):
+        """The Gram assembly peaks at the unit table's P and its index
+        transpose G; the check and the Hermitian part add block temporaries."""
+        dim = 24
+        d = backend_fixtures(dim)[kind]
+        if kind == "operator":
+            d = OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
+        g, peak, _ = _traced(tracial.gram_matrix, d)
+        # Measured 2.07-2.10 G (3.02 with the full-size check and the
+        # out-of-place (G + G^dag)/2); 19 % margin.
+        assert peak <= 2.5 * g.nbytes
+
+
+class TestReconstruct:
+    def test_comparison_holds_two_pairing_matrices(self, monkeypatch):
+        """``reconstruct`` compares the fold's pairing matrix with M's in
+        place: from the end of the fold to the end of the command, M's P and
+        the fold's output are the only d^4 arrays (at d = 12 the fold's own
+        block tables, not these, set the command's peak)."""
+        dim = 12
+        scenario = parse_scenario(pure_state_scenario_text(dim))
+        fold = tracial.polarization_unit_table
+
+        def fold_then_reset_peak(*args):
+            out = fold(*args)
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(tracial, "polarization_unit_table", fold_then_reset_peak)
+        args = argparse.Namespace(tolerance=None, seed=None)
+        record, peak, _ = _traced(run_command, "reconstruct", scenario, args)
+        assert record.verdict == "pass"
+        # Measured 2.01 P (3.01 with the transpose of the fold's output to
+        # L and a fresh M beside M's P); 12 % margin.
+        assert peak <= 2.25 * dim**4 * 16
