@@ -382,7 +382,7 @@ def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
     top = build_tracial_operator(d)
     # ||L - M||_F compared in pairing space: the operators L and M are index
     # transposes of their pairing matrices, which have the same norms.
-    units = reconstruct_from_product_diagonal(product_diagonal_of(top), d.dim, pairing=True)
+    units = reconstruct_from_product_diagonal(product_diagonal_of(top), d.dim)
     units -= top.pairing  # in place: each d^4 complex array is 268 MB at d = 64
     resid = float(np.linalg.norm(units) / max(1.0, np.linalg.norm(top.pairing)))
     tol = _tol(args, RECONSTRUCTION_TOL)

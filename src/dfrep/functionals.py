@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    Frozen,
     _pair_side,
     as_matrix,
     check_projection_stack,
@@ -462,7 +463,7 @@ def _combine_hermitian_parts(xm, ym, pair) -> complex:
     return pair(xr, yr) + 1j * pair(xi, yr) + 1j * pair(xr, yi) - pair(xi, yi)
 
 
-class BilinearForm:
+class BilinearForm(Frozen):
     """The bounded bilinear extension D of a decoherence functional.
 
     Values are assembled constructively from d on projections: each argument
@@ -476,7 +477,7 @@ class BilinearForm:
     """
 
     def __init__(self, source: DecoherenceFunctional):
-        self.source = source
+        vars(self)["source"] = source
 
     def __call__(self, x, y) -> complex:
         xm = as_matrix(mat(x), "x")

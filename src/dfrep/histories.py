@@ -21,11 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import DecoherenceFunctional, FactoredStateFunctional
-from .linalg import Projection, as_matrix, hermiticity_residual
+from .linalg import Frozen, Projection, as_matrix, hermiticity_residual
 from .tolerances import DEFAULT_TOLERANCES, MODEL_TOL, ORTHOGONALITY_TOL
 
 
-class ClassOperatorModel:
+class ClassOperatorModel(Frozen):
     """Initial state, dynamics and projective schedules for standard-QM
     histories.
 
@@ -41,15 +41,12 @@ class ClassOperatorModel:
     S^dag`` with ``S = rho_eigenvectors`` and ``(H + H^dag)/2 = V
     diag(energies) V^dag`` with ``V = eigenbasis``.  All four arrays are
     stored read-only, and nothing is cached on the model afterwards, so it
-    can be shared between callers.  Models compare by identity.
+    can be shared between callers.  Models are immutable and compare by
+    identity.
     """
 
     def __init__(self, dim: int, rho, hamiltonian, times, schedules):
-        self.dim = dim
-        self.rho = rho
-        self.hamiltonian = hamiltonian
-        self.times = times
-        self.schedules = schedules
+        vars(self).update(dim=dim, rho=rho, hamiltonian=hamiltonian, times=times, schedules=schedules)
         self.__post_init__()
 
     # The validation is its own method, where per-class wrappers find it.
@@ -95,14 +92,16 @@ class ClassOperatorModel:
                     if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > MODEL_TOL:
                         raise ValueError(f"schedules[{k}]: projections {i} and {j} are not orthogonal")
             schedules.append(tuple(projs))
-        self.rho = rho
-        self.hamiltonian = ham
-        self.times = times
-        self.schedules = tuple(schedules)
-        self.rho_eigenvalues = rho_eigenvalues
-        self.rho_eigenvectors = rho_eigenvectors
-        self.energies = energies
-        self.eigenbasis = eigenbasis
+        vars(self).update(
+            rho=rho,
+            hamiltonian=ham,
+            times=times,
+            schedules=tuple(schedules),
+            rho_eigenvalues=rho_eigenvalues,
+            rho_eigenvectors=rho_eigenvectors,
+            energies=energies,
+            eigenbasis=eigenbasis,
+        )
 
     def propagator(self, t: float) -> np.ndarray:
         """U(t) = exp(-i t H) = V diag(exp(-i t lambda)) V^dag from the

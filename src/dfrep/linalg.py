@@ -62,34 +62,42 @@ def unit_vector(v, name: str = "vector") -> np.ndarray:
 
 def hermiticity_residual(a: np.ndarray) -> float:
     """``||a - a^dag||_F / max(1, ||a||_F)``: the relative residual that
-    every Hermiticity check compares with its tolerance.  The skew norm is
-    accumulated over the block pairs of :func:`_block_pairs`, one block
-    temporary at a time, so no full-size ``a^dag`` or difference is formed."""
-    skew2 = 0.0
-    for r, c in _block_pairs(len(a)):
-        diff = np.conjugate(a[c, r].T, order="C")  # contiguous, so vdot copies nothing
-        diff -= a[r, c]
-        skew2 += (1.0 if r == c else 2.0) * float(np.vdot(diff, diff).real)
-    return math.sqrt(skew2) / max(1.0, float(np.linalg.norm(a)))
+    every Hermiticity check compares with its tolerance.  No full-size
+    ``a^dag`` or difference is formed (see :func:`_skew_norm2`)."""
+    return math.sqrt(_skew_norm2(a)) / max(1.0, float(np.linalg.norm(a)))
 
 
-class Projection:
+class Frozen:
+    """Base of the value classes: an instance refuses attribute assignment
+    and deletion, as a frozen dataclass does, so the checks made on
+    construction keep holding.  Constructors set their fields with
+    ``vars(self).update``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class Projection(Frozen):
     """An orthogonal projection together with its integer rank.
 
     Invariants (checked on construction, relative to the Frobenius scale):
     idempotency ``||P^2 - P||_F <= TOL_PROJ``, Hermiticity
     ``||P - P^dag||_F <= TOL_PROJ`` and ``rank = round(Re tr P)``.
-    Projections compare by identity and are not changed after construction.
+    Projections are immutable and compare by identity.
     """
 
     def __init__(self, matrix, rank: int):
-        self.matrix = matrix
-        self.rank = rank
+        vars(self).update(matrix=matrix, rank=rank)
         self.__post_init__()
 
     # The validation is its own method, where per-class wrappers find it.
     def __post_init__(self):
-        self.matrix = as_matrix(self.matrix, "projection")
+        vars(self)["matrix"] = as_matrix(self.matrix, "projection")
         check_projection_stack(self.matrix[None], (self.rank,))
 
     @property
@@ -408,19 +416,28 @@ def _hermitian_part(a: np.ndarray, overwrite_a: bool):
     taken when ``sqrt(n) ||S||_F <= HERMITIAN_ROUTE_REL ||H||_F``; as
     ``||H||_1 >= ||H||_F`` and ``||H||_2 >= ||H||_F / sqrt(n)``, both bounds
     are then at most ``HERMITIAN_ROUTE_REL`` times the norm of H that is
-    returned.  The Frobenius norms are accumulated over block pairs, and H
-    overwrites a only with ``overwrite_a`` and only once the route is taken.
+    returned.  ``||S||_F`` is accumulated over block pairs, ``||H||_F^2 =
+    ||a||_F^2 - ||S||_F^2``, and H overwrites a only with ``overwrite_a``
+    and only once the route is taken.
     """
     n = len(a)
-    skew2 = herm2 = 0.0
-    for r, c in _block_pairs(n):
-        blk, mirror = a[r, c], a[c, r].conj().T
-        weight = 1.0 if r == c else 2.0  # block (c, r) of H and S mirrors (r, c)
-        herm2 += weight * float(np.linalg.norm(blk + mirror)) ** 2 / 4
-        skew2 += weight * float(np.linalg.norm(blk - mirror)) ** 2 / 4
+    # H and the skew part are orthogonal in the Frobenius inner product.
+    skew2 = _skew_norm2(a) / 4
+    herm2 = max(float(np.linalg.norm(a)) ** 2 - skew2, 0.0)
     if np.sqrt(n * skew2) > HERMITIAN_ROUTE_REL * np.sqrt(herm2):
         return None
     return hermitize_in_place(a if overwrite_a else a.copy())
+
+
+def _skew_norm2(a: np.ndarray) -> float:
+    """``||a - a^dag||_F^2`` of the square a, accumulated one block pair of
+    :func:`_block_pairs` at a time in one contiguous block temporary."""
+    skew2 = 0.0
+    for r, c in _block_pairs(len(a)):
+        diff = np.conjugate(a[c, r].T, order="C")  # contiguous, so vdot copies nothing
+        diff -= a[r, c]
+        skew2 += (1.0 if r == c else 2.0) * float(np.vdot(diff, diff).real)
+    return skew2
 
 
 def hermitize_in_place(h: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ from .functionals import (
     PureStateFunctional,
 )
 from .histories import ClassOperatorModel, standard_df
-from .linalg import MAX_DIM, operator_from_pairing, swap_right
+from .linalg import MAX_DIM, Frozen, operator_from_pairing, swap_right
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -134,25 +134,23 @@ _HELD = {"operator": "matrix", "form": "gram"}
 _HASH_SLICE = 1 << 20
 
 
-class Scenario:
+class Scenario(Frozen):
     """A parsed scenario: its dimension, seed, kind, payload arrays and
     tolerances, and the SHA-256 of its text.
 
     An operator or form scenario keeps no defining matrix: its payload is
     empty once :meth:`build` has run (which :func:`parse_scenario` does),
     and X or G is an index transpose of the functional's pairing matrix P
-    (see :func:`serialize_scenario`).  Scenarios compare by identity.
+    (see :func:`serialize_scenario`).  Its fields cannot be reassigned,
+    and scenarios compare by identity.
     """
 
     def __init__(
         self, dimension: int, seed: int, kind: str, payload: dict, tolerances: dict, sha256: str = ""
     ):
-        self.dimension = dimension
-        self.seed = seed
-        self.kind = kind
-        self.payload = payload
-        self.tolerances = tolerances
-        self.sha256 = sha256
+        vars(self).update(
+            dimension=dimension, seed=seed, kind=kind, payload=payload, tolerances=tolerances, sha256=sha256
+        )
 
     def tolerance(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))

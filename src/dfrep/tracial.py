@@ -19,10 +19,11 @@ yields the bounded operator
 
 with ``d(p, q) = tr(M (p (x) q))`` on finite-rank projections; M is unique
 among bounded operators with that property (see
-:func:`reconstruct_from_product_diagonal`, which recovers any bounded
-operator from its diagonal on product vectors and in particular shows that
-a vanishing product diagonal forces the zero operator; it reads that
-diagonal on the polarization atoms and folds it as the extraction folds d).
+:func:`reconstruct_from_product_diagonal`, which recovers the pairing
+matrix of any bounded operator from its diagonal on product vectors and in
+particular shows that a vanishing product diagonal forces the zero
+operator; it reads that diagonal on the polarization atoms and folds it as
+the extraction folds d).
 
 M, G and the trace-pairing operator X of :func:`dfrep.ils.extract_ils` are
 index transposes of one pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)``:
@@ -47,11 +48,11 @@ import numpy as np
 from .functionals import DecoherenceFunctional, OperatorBackedFunctional, _check_dim
 from .ils import bilinear_unit_table, polarization_unit_table
 from .linalg import (
+    Frozen,
     Projection,
     hermiticity_residual,
     hermitize_in_place,
     mat,
-    operator_from_pairing,
     pairing_realignment,
     rank_one_product_diagonal,
     rank_one_vectors,
@@ -81,20 +82,17 @@ def gram_matrix(d: DecoherenceFunctional, dim: int | None = None) -> np.ndarray:
     return hermitize_in_place(g)
 
 
-class Decomposition:
+class Decomposition(Frozen):
     """Signed families reproducing beta on the algebraic tensor product.
 
     ``signature`` holds the retained Gram eigenvalues sorted descending;
     positive ones correspond (in order) to ``x_family``, negative ones to
     ``y_family``.  Family sizes never exceed dim^2.  Decompositions
-    compare by identity.
+    are immutable and compare by identity.
     """
 
     def __init__(self, x_family: tuple, y_family: tuple, signature: tuple, dim: int):
-        self.x_family = x_family
-        self.y_family = y_family
-        self.signature = signature
-        self.dim = dim
+        vars(self).update(x_family=x_family, y_family=y_family, signature=signature, dim=dim)
 
     @cached_property
     def _flat_families(self):
@@ -211,23 +209,22 @@ def pure_state_m(psi) -> np.ndarray:
     return swap_right(pure_state_projector(psi))
 
 
-def reconstruct_from_product_diagonal(f, dim: int, *, pairing: bool = False) -> np.ndarray:
-    """Recover an operator on H (x) H from its diagonal on product vectors.
+def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
+    """Recover an operator L on H (x) H from its diagonal on product vectors,
+    as the pairing matrix of L (``operator_from_pairing`` of it is L).
 
     ``f(alpha, beta)`` must return ``<L(alpha (x) beta), alpha (x) beta>``
     for some operator L.  On polarization atoms v, w that is
     ``D(|v><v|, |w><w|)`` for the bilinear D with the pairing matrix of L;
     the atoms span all matrices, so the extraction's fold
     (:func:`dfrep.ils.polarization_unit_table`) recovers that pairing
-    matrix, and with it L.  The oracle is called once per atom block:
-    ``alpha`` has shape ``(B, 1, dim)`` for at most ``ATOM_BLOCK`` left
-    atoms and ``beta`` has shape ``(1, N, dim)`` for all
-    ``N = 2 dim^2 - dim`` atoms, and the values must broadcast to
+    matrix, which is returned as the fold yields it.  The oracle is called
+    once per atom block: ``alpha`` has shape ``(B, 1, dim)`` for at most
+    ``ATOM_BLOCK`` left atoms and ``beta`` has shape ``(1, N, dim)`` for
+    all ``N = 2 dim^2 - dim`` atoms, and the values must broadcast to
     ``(B, N)`` (a scalar, as from ``lambda a, b: 0.0``, does).  The zero
     oracle reconstructs the zero operator; for inputs that are not genuine
-    product diagonals the output is unspecified.  With ``pairing`` the
-    fold's pairing matrix of L is returned as it is, without the index
-    transpose to L.
+    product diagonals the output is unspecified.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -241,8 +238,7 @@ def reconstruct_from_product_diagonal(f, dim: int, *, pairing: bool = False) -> 
 
         return rows
 
-    units = polarization_unit_table(dim, table_against)
-    return units if pairing else operator_from_pairing(units)
+    return polarization_unit_table(dim, table_against)
 
 
 def _pairing_of(m) -> np.ndarray:

@@ -35,6 +35,7 @@ from dfrep import (
 )
 from dfrep.cli import json_text, main
 from dfrep.ils import ils_operator_from_matrix
+from dfrep.linalg import operator_from_pairing
 from dfrep.tracial import product_diagonal_of
 from reference import ElementaryTensorSum, bilinear_refined, householder_basis, trace_pair
 from conftest import (
@@ -215,7 +216,7 @@ def test_criterion_07_polarization_reconstructor():
             dim = dims[count % len(dims)]
             n = dim * dim
             m0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            out = reconstruct_from_product_diagonal(product_diagonal_of(m0), dim)
+            out = operator_from_pairing(reconstruct_from_product_diagonal(product_diagonal_of(m0), dim))
             assert np.linalg.norm(out - m0) <= 1e-9 * max(1.0, np.linalg.norm(m0))
             count += 1
 

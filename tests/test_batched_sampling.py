@@ -43,6 +43,7 @@ from dfrep.linalg import (
     haar_from_ginibre,
     haar_unitary,
     kron_trace,
+    operator_from_pairing,
     pairing_realignment,
     pairing_values,
     sample_projections,
@@ -557,7 +558,7 @@ class TestReconstructor:
         monkeypatch.setattr(tracial, "pairing_realignment", spy)
         f = product_diagonal_of(m)
         assert realigned == [(n, n)]
-        out = reconstruct_from_product_diagonal(f, dim)
+        out = operator_from_pairing(reconstruct_from_product_diagonal(f, dim))
         assert realigned == [(n, n)]  # none inside the d^2 oracle calls
         ref = _scalar_reconstruct(_scalar_product_diagonal_of(m), dim)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -601,7 +602,7 @@ class TestReconstructor:
             calls.append((alpha.shape, beta.shape))
             return oracle(alpha, beta)
 
-        out = reconstruct_from_product_diagonal(spy, dim)
+        out = operator_from_pairing(reconstruct_from_product_diagonal(spy, dim))
         n_atoms = 2 * dim * dim - dim
         assert len(calls) == -(-n_atoms // ATOM_BLOCK)
         assert all(a[0] <= ATOM_BLOCK and a[1:] == (1, dim) for a, _ in calls)
@@ -615,7 +616,7 @@ class TestReconstructor:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         w = swap_operator(dim)
         assert np.abs(m - m.conj().T).max() > 0.1 and np.abs(w @ m @ w - m).max() > 0.1
-        out = reconstruct_from_product_diagonal(product_diagonal_of(m), dim)
+        out = operator_from_pairing(reconstruct_from_product_diagonal(product_diagonal_of(m), dim))
         ref = _scalar_reconstruct(_scalar_product_diagonal_of(m), dim)
         assert np.abs(ref - m).max() <= 1e-12 * np.abs(m).max()
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()

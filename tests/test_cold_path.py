@@ -25,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from dfrep import cli
+from dfrep import BilinearForm, cli, hermitian_form_decomposition
+from dfrep.scenarios import parse_scenario
 from conftest import operator_scenario_text, skew_corrupted_operator
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +95,33 @@ def test_cold_cli_process_imports_no_dataclasses():
     assert "dataclasses" not in imported
 
 
+def _value_objects():
+    """One instance of each class that was a frozen dataclass."""
+    text = (SCENARIOS / "class_operator_trivial_dim3.json").read_text()
+    scenario = parse_scenario(text)
+    d = scenario.build()
+    return {
+        "Projection": d.model.schedules[0][0],
+        "ClassOperatorModel": d.model,
+        "Scenario": scenario,
+        "Decomposition": hermitian_form_decomposition(d),
+        "BilinearForm": BilinearForm(d),
+    }
+
+
+def test_value_classes_refuse_reassignment():
+    """Without dataclasses the value classes still refuse to reassign or
+    delete a field, so what their construction checked keeps holding."""
+    for name, obj in _value_objects().items():
+        field = next(iter(vars(obj)))
+        before = vars(obj)[field]
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        assert vars(obj)[field] is before, name
+
+
 # Each case: the argv of one run and its exit code (0 pass, 1 violation, 2 input error).
 _CASES = {
     "pass": (["check-axioms", "--scenario", str(SCENARIOS / "operator_product_state_dim3.json")], 0),
@@ -146,20 +174,19 @@ def _script_target() -> str:
         return tomllib.load(fh)["project"]["scripts"]["dfrep"]
 
 
-def test_script_target_is_the_process_entry():
-    module, _, attr = _script_target().partition(":")
-    assert getattr(importlib.import_module(module), attr) is cli.run
-
-
 @pytest.mark.parametrize("name", list(_CASES))
 def test_process_entries_return_mains_exit_codes(name, tmp_path):
-    """The ``dfrep`` script target and ``python -m dfrep.cli`` exit with
-    ``main``'s code and print its output; only the script froze the heap."""
+    """The ``dfrep`` script target is ``run``; it and ``python -m dfrep.cli``
+    exit with ``main``'s code and print its output; only the script froze
+    the heap."""
     argv = _case_argv(name, tmp_path)
     code, out, err = _in_process(argv)
     assert code == _CASES[name][1]
 
-    proc = _fresh("-c", _ENTRY, _script_target(), *argv)
+    target = _script_target()
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
+    proc = _fresh("-c", _ENTRY, target, *argv)
     script = json.loads(proc.stdout)
     assert script["code"] == code
     assert _untimed(script["stdout"]) == _untimed(out)

@@ -27,7 +27,14 @@ from dfrep import (
     trace_norm,
     zero_projection,
 )
-from dfrep.linalg import Projection, haar_unitary, pairing_realignment, sample_projections, swap_right
+from dfrep.linalg import (
+    Projection,
+    haar_unitary,
+    operator_from_pairing,
+    pairing_realignment,
+    sample_projections,
+    swap_right,
+)
 from dfrep.ils import bilinear_unit_table, df_from_operator, ils_operator_from_matrix
 from dfrep.tracial import (
     double_sum_table,
@@ -455,8 +462,8 @@ class TestReconstructor:
 
     def test_identity(self):
         dim = 3
-        out = reconstruct_from_product_diagonal(
-            product_diagonal_of(np.eye(dim * dim)), dim
+        out = operator_from_pairing(
+            reconstruct_from_product_diagonal(product_diagonal_of(np.eye(dim * dim)), dim)
         )
         assert np.linalg.norm(out - np.eye(dim * dim)) <= 1e-10
 
@@ -465,7 +472,7 @@ class TestReconstructor:
             m0 = rng.standard_normal((dim * dim, dim * dim)) + 1j * rng.standard_normal(
                 (dim * dim, dim * dim)
             )
-            out = reconstruct_from_product_diagonal(product_diagonal_of(m0), dim)
+            out = operator_from_pairing(reconstruct_from_product_diagonal(product_diagonal_of(m0), dim))
             assert np.linalg.norm(out - m0) <= 1e-9 * max(1.0, np.linalg.norm(m0))
 
     def test_uniqueness_of_tracial_operator(self):
