@@ -13,10 +13,10 @@ from .functionals import (
     extend_to_bilinear,
 )
 from .histories import (
+    ClassOperatorFunctional,
     ClassOperatorModel,
     ConsistencyReport,
     consistency_report,
-    standard_df,
 )
 from .ils import (
     ConditionViolationError,

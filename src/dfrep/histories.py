@@ -139,11 +139,6 @@ class ClassOperatorFunctional(FactoredStateFunctional):
     pair_table = FactoredStateFunctional.pair_table
 
 
-def standard_df(model: ClassOperatorModel) -> ClassOperatorFunctional:
-    """Decoherence functional generated by a class-operator model."""
-    return ClassOperatorFunctional(model)
-
-
 class ConsistencyReport(NamedTuple):
     """Interference diagnostics for a candidate consistent set."""
 

@@ -48,7 +48,7 @@ from .functionals import (
     OperatorBackedFunctional,
     PureStateFunctional,
 )
-from .histories import ClassOperatorModel, standard_df
+from .histories import ClassOperatorFunctional, ClassOperatorModel
 from .linalg import MAX_DIM, Frozen, operator_from_pairing, swap_right
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -206,7 +206,7 @@ class Scenario(Frozen):
                 times=self.payload["times"],
                 schedules=schedules,
             )
-            return standard_df(model)
+            return ClassOperatorFunctional(model)
         raise ScenarioError(f"functional.type: unknown kind {self.kind!r}")
 
 

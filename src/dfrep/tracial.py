@@ -41,7 +41,6 @@ trace-pairing representative grows linearly with the dimension.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -85,29 +84,26 @@ def gram_matrix(d: DecoherenceFunctional, dim: int | None = None) -> np.ndarray:
 class Decomposition(Frozen):
     """Signed families reproducing beta on the algebraic tensor product.
 
-    ``signature`` holds the retained Gram eigenvalues sorted descending;
-    positive ones correspond (in order) to ``x_family``, negative ones to
-    ``y_family``.  Family sizes never exceed dim^2.  Decompositions
-    are immutable and compare by identity.
+    ``signature`` holds the retained Gram eigenvalues sorted descending and
+    ``rows`` the one read-only ``(k, dim^2)`` array of the families: row i
+    is ``vec(F_i^T) = sqrt(|lambda_i|) g_i`` for the eigenvector g_i of
+    ``lambda_i``.  Each ``F_i = rows[i].reshape(dim, dim).T`` is a view of
+    it; those of the positive eigenvalues make up ``x_family`` and the rest
+    ``y_family``, in signature order.  k never exceeds dim^2.
+    Decompositions are immutable and compare by identity.
     """
 
-    def __init__(self, x_family: tuple, y_family: tuple, signature: tuple, dim: int):
-        vars(self).update(x_family=x_family, y_family=y_family, signature=signature, dim=dim)
+    def __init__(self, rows: np.ndarray, signature: tuple, dim: int):
+        rows = np.ascontiguousarray(rows, dtype=complex).view()
+        rows.flags.writeable = False
+        vars(self).update(rows=rows, signature=signature, dim=dim)
 
-    @cached_property
-    def _flat_families(self):
-        """Signs and flattened families for :meth:`beta`: rows of ``left``
-        are ``vec(F_i^T)`` and rows of ``right`` are ``conj(vec(F_i))``, so
-        ``tr(a F_i) = vec(a) . left[i]`` and ``tr(b F_i^dag) = vec(b) . right[i]``."""
-        dim = self.dim
-        fam = np.array(self.x_family + self.y_family, dtype=complex)
-        fam = fam.reshape(-1, dim, dim)
-        signs = np.concatenate(
-            [np.ones(len(self.x_family)), -np.ones(len(self.y_family))]
-        )
-        left = fam.transpose(0, 2, 1).reshape(len(fam), dim * dim)
-        right = fam.reshape(len(fam), dim * dim).conj()
-        return signs, left, right
+    def _views(self, positive: bool) -> tuple:
+        d = self.dim
+        return tuple(r.reshape(d, d).T for r, lam in zip(self.rows, self.signature) if (lam > 0) == positive)
+
+    x_family = property(lambda self: self._views(True))
+    y_family = property(lambda self: self._views(False))
 
     def beta(self, s) -> complex:
         """beta(S) evaluated through the decomposition families:
@@ -119,11 +115,14 @@ class Decomposition(Frozen):
 
     def term_values(self, a, b) -> np.ndarray:
         """``beta(a_m (x) b_m)`` for each pair of two equal-length
-        ``(n, dim, dim)`` stacks, in one contraction with the families."""
-        signs, left, right = self._flat_families
+        ``(n, dim, dim)`` stacks, in one contraction with the families:
+        ``tr(a F_i) = vec(a) . rows[i]`` and ``tr(b F_i^dag) = vec(b) . conj(vec(F_i))``."""
+        k, d = len(self.rows), self.dim
+        # Rows conj(vec(F_i)), copied so that b is summed in its own (p, q) order.
+        right = np.conjugate(self.rows.reshape(k, d, d).transpose(0, 2, 1), order="C").reshape(k, d * d)
         a = np.asarray(a, dtype=complex).reshape(len(a), -1)
         b = np.asarray(b, dtype=complex).reshape(len(b), -1)
-        return ((a @ left.T) * (b @ right.T)) @ signs
+        return ((a @ self.rows.T) * (b @ right.T)) @ np.sign(self.signature)
 
     def pairing_operator(self) -> np.ndarray:
         """``sum_i X_i (x) X_i^dag - sum_i Y_i (x) Y_i^dag`` on H (x) H, summed literally."""
@@ -144,15 +143,16 @@ def _kept(w: np.ndarray) -> np.ndarray:
 
 def _decompose_gram(g: np.ndarray, dim: int) -> Decomposition:
     """The signed families of a Hermitian Gram matrix (see
-    :func:`hermitian_form_decomposition`)."""
+    :func:`hermitian_form_decomposition`); G is released once ``eigh``
+    returns."""
     w, v = np.linalg.eigh(g)
-    keep = _kept(w)
-    order = np.argsort(-w[keep])
-    w, v = w[keep][order], v[:, keep][:, order]
-    fam = np.sqrt(np.abs(w))[:, None, None] * v.T.reshape(-1, dim, dim).transpose(0, 2, 1)
-    return Decomposition(
-        x_family=tuple(fam[w > 0]), y_family=tuple(fam[w <= 0]), signature=tuple(w.tolist()), dim=dim
-    )
+    del g
+    keep = np.flatnonzero(_kept(w))
+    idx = keep[np.argsort(-w[keep])]
+    w, rows = w[idx], v.T[idx]  # the kept eigenvectors g_i as rows, descending
+    del v
+    rows *= np.sqrt(np.abs(w))[:, None]
+    return Decomposition(rows, signature=tuple(w.tolist()), dim=dim)
 
 
 def hermitian_form_decomposition(d: DecoherenceFunctional) -> Decomposition:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dfrep import (
+    ClassOperatorFunctional,
     ClassOperatorModel,
     FormBackedFunctional,
     OperatorBackedFunctional,
     Projection,
     PureStateFunctional,
     gram_matrix,
-    standard_df,
 )
 from dfrep.linalg import SAMPLE_BLOCK, haar_unitary
 
@@ -81,7 +81,7 @@ def backend_fixtures(dim: int):
     psi[0] = 1.0
     pure = PureStateFunctional(psi)
     form = FormBackedFunctional(gram_matrix(operator))
-    class_op = standard_df(trivial_model(dim, rho=np.diag([0.5, 0.3] + [0.2 / (dim - 2)] * (dim - 2)).astype(complex)))
+    class_op = ClassOperatorFunctional(trivial_model(dim, rho=np.diag([0.5, 0.3] + [0.2 / (dim - 2)] * (dim - 2)).astype(complex)))
     return {
         "operator": operator,
         "pure_state": pure,

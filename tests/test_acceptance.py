@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dfrep import (
+    ClassOperatorFunctional,
     OperatorBackedFunctional,
     PureStateFunctional,
     build_tracial_operator,
@@ -28,7 +29,6 @@ from dfrep import (
     pure_state_m,
     random_projection,
     reconstruct_from_product_diagonal,
-    standard_df,
     trace_norm,
     tracial_bound_probe,
     verify_ils_conditions,
@@ -237,7 +237,7 @@ def test_criterion_08_extension_well_definedness():
 def test_criterion_09_standard_qm_consistency():
     with criterion(9, "trivial-dynamics consistency", 5.0):
         model = trivial_model(3)
-        d = standard_df(model)
+        d = ClassOperatorFunctional(model)
         report = consistency_report(d, list(model.schedules[0]), tolerance=1e-12)
         assert report.off_diagonal_max <= 1e-12
         assert abs(report.total - 1.0) <= 1e-12

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from dfrep import (
+    ClassOperatorFunctional,
     ClassOperatorModel,
     DecoherenceFunctional,
     FormBackedFunctional,
     OperatorBackedFunctional,
     Projection,
     PureStateFunctional,
-    standard_df,
     swap_operator,
     verify_ils_conditions,
 )
@@ -66,7 +66,7 @@ def _random_backends(dim: int, rng) -> dict:
         "operator": OperatorBackedFunctional(x),
         "pure_state": PureStateFunctional(psi / np.linalg.norm(psi)),
         "form": FormBackedFunctional((g + g.conj().T) / 2),
-        "class_operator": standard_df(model),
+        "class_operator": ClassOperatorFunctional(model),
     }
 
 
@@ -314,7 +314,8 @@ class TestStackedBeta:
         dim = 3
         xs = tuple(_cmats(rng, 2, dim))
         ys = tuple(_cmats(rng, 3, dim))
-        dec = Decomposition(x_family=xs, y_family=ys, signature=(), dim=dim)
+        rows = [f.T.reshape(-1) for f in xs + ys]  # vec(F_i^T)
+        dec = Decomposition(rows, signature=(1.0,) * len(xs) + (-1.0,) * len(ys), dim=dim)
         s = ElementaryTensorSum(tuple(zip(_cmats(rng, 3, dim), _cmats(rng, 3, dim))))
         ref = 0.0 + 0.0j
         for a, b in s.terms:
@@ -323,7 +324,7 @@ class TestStackedBeta:
         assert abs(dec.beta(s) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_empty_families_and_dimension_check(self, rng):
-        dec = Decomposition(x_family=(), y_family=(), signature=(), dim=3)
+        dec = Decomposition(np.empty((0, 9)), signature=(), dim=3)
         s = ElementaryTensorSum(((_cmats(rng, 1, 3)[0], _cmats(rng, 1, 3)[0]),))
         assert dec.beta(s) == 0
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from dfrep import (
+    ClassOperatorFunctional,
     ClassOperatorModel,
     DecoherenceFunctional,
     FormBackedFunctional,
@@ -32,7 +33,6 @@ from dfrep import (
     gram_matrix,
     random_projection,
     reconstruct_from_product_diagonal,
-    standard_df,
 )
 from dfrep.cli import _pairing_residual, _random_tensor_sums, main
 from dfrep.ils import ATOM_BLOCK
@@ -217,7 +217,7 @@ def _valid_backends(dim, rng) -> dict:
         "operator": operator,
         "pure_state": PureStateFunctional(psi / np.linalg.norm(psi)),
         "form": FormBackedFunctional(gram_matrix(operator)),
-        "class_operator": standard_df(model),
+        "class_operator": ClassOperatorFunctional(model),
     }
 
 

@@ -11,7 +11,6 @@ from dfrep import (
     consistency_report,
     identity_projection,
     random_projection,
-    standard_df,
     zero_projection,
 )
 from dfrep.histories import ClassOperatorFunctional
@@ -85,13 +84,13 @@ class TestClassOperator:
 
 class TestStandardDf:
     def test_normalization(self):
-        d = standard_df(trivial_model(3))
+        d = ClassOperatorFunctional(trivial_model(3))
         one = identity_projection(3)
         assert d.evaluate(one, one) == pytest.approx(1.0, abs=1e-12)
 
     def test_trivial_dynamics_diagonal(self, rng):
         model = trivial_model(4)
-        d = standard_df(model)
+        d = ClassOperatorFunctional(model)
         p = random_projection(4, 2, rng)
         # d(p, p) = tr(p rho p) = tr(p rho)
         assert d.evaluate(p, p) == pytest.approx(
@@ -100,7 +99,7 @@ class TestStandardDf:
 
     def test_pure_state_orthogonal_events(self):
         rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        d = standard_df(trivial_model(3, rho=rho))
+        d = ClassOperatorFunctional(trivial_model(3, rho=rho))
         # direct trace oracle: tr(E11 rho E22) = 0
         assert d.evaluate(basis_proj(3, 0), basis_proj(3, 1)) == pytest.approx(0.0, abs=1e-14)
 
@@ -114,12 +113,12 @@ class TestStandardDf:
             times=(0.9,),
             schedules=(_basis_schedule(3),),
         )
-        report = check_axioms(standard_df(model), samples=200, seed=5)
+        report = check_axioms(ClassOperatorFunctional(model), samples=200, seed=5)
         assert report.passed
 
     def test_history_pair_values_match_single_time(self):
         model = trivial_model(3)
-        d = standard_df(model)
+        d = ClassOperatorFunctional(model)
         for i in range(3):
             for j in range(3):
                 via_history = history_pair_value(
@@ -163,7 +162,7 @@ class TestOneStandardFunctional:
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi /= np.linalg.norm(psi)
         pure = PureStateFunctional(psi)
-        classop = standard_df(trivial_model(dim, rho=np.outer(psi, psi.conj())))
+        classop = ClassOperatorFunctional(trivial_model(dim, rho=np.outer(psi, psi.conj())))
         p = sample_projections(dim, 12, rng)
         q = sample_projections(dim, 12, rng)
         atoms = polarization_atoms(dim)
@@ -189,7 +188,7 @@ class TestOneStandardFunctional:
             times=(t,),
             schedules=(tuple(np.outer(frame[:, i], frame[:, i].conj()) for i in range(dim)),),
         )
-        d = standard_df(model)
+        d = ClassOperatorFunctional(model)
 
         def ref_table(left, right):
             return np.array(
@@ -311,7 +310,7 @@ class TestModelImmutability:
         u = model.propagator(0.9)
         u[:] = 0.0  # a caller's array, not shared state
         class_operator(model, HomogeneousHistory((1, 2)))
-        standard_df(model)
+        ClassOperatorFunctional(model)
         assert vars(model).keys() == before.keys()
         assert all(vars(model)[k] is v for k, v in before.items())
         assert np.linalg.norm(model.propagator(0.9)) == pytest.approx(2.0, abs=1e-12)
@@ -371,13 +370,13 @@ class TestOrthogonalDecompose:
 
 class TestConsistencyReport:
     def test_unit_set(self):
-        d = standard_df(trivial_model(3))
+        d = ClassOperatorFunctional(trivial_model(3))
         report = consistency_report(d, [identity_projection(3)])
         assert report.consistent
         assert report.total == pytest.approx(1.0, abs=1e-12)
 
     def test_complement_pair_sums_to_one(self, rng):
-        d = standard_df(trivial_model(4))
+        d = ClassOperatorFunctional(trivial_model(4))
         p = random_projection(4, 2, rng)
         comp = identity_projection(4).matrix - p.matrix
         report = consistency_report(d, [p.matrix, comp])
@@ -386,7 +385,7 @@ class TestConsistencyReport:
 
     def test_trivial_dynamics_schedule(self):
         model = trivial_model(3)
-        d = standard_df(model)
+        d = ClassOperatorFunctional(model)
         report = consistency_report(d, [p.matrix for p in model.schedules[0]])
         assert report.off_diagonal_max <= 1e-12
         # probabilities are tr(p_i rho)
@@ -395,7 +394,7 @@ class TestConsistencyReport:
         assert report.total == pytest.approx(1.0, abs=1e-12)
 
     def test_non_orthogonal_set_rejected(self):
-        d = standard_df(trivial_model(3))
+        d = ClassOperatorFunctional(trivial_model(3))
         p = basis_proj(3, 0)
         with pytest.raises(ValueError, match="orthogonal"):
             consistency_report(d, [p, p])
@@ -410,7 +409,7 @@ class TestConsistencyReport:
             times=(1.1,),
             schedules=(_basis_schedule(3),),
         )
-        d = standard_df(model)
+        d = ClassOperatorFunctional(model)
         fam = [p.matrix for p in model.schedules[0]]
         weak = consistency_report(d, fam, mode="weak")
         medium = consistency_report(d, fam, mode="medium")

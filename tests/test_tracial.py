@@ -141,6 +141,47 @@ class TestDecomposition:
         with pytest.raises(DimensionExclusionError):
             hermitian_form_decomposition(PureStateFunctional(_e(2, 0)))
 
+    def test_families_are_read_only_views_of_rows(self):
+        dim = 4
+        dec = hermitian_form_decomposition(backend_fixtures(dim)["class_operator"])
+        families = dec.x_family + dec.y_family
+        assert dec.rows.shape == (len(dec.signature), dim * dim) == (len(families), dim * dim)
+        for row, f in zip(dec.rows, families):
+            assert np.shares_memory(f, dec.rows)
+            assert np.array_equal(f, row.reshape(dim, dim).T)
+            with pytest.raises(ValueError, match="read-only"):
+                f[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            dec.rows[0, 0] = 1.0
+
+    def test_zero_gram_gives_no_rows_and_zero_terms(self, rng):
+        dim = 3
+        dec = hermitian_form_decomposition(FormBackedFunctional(np.zeros((dim * dim, dim * dim), dtype=complex)))
+        assert dec.rows.shape == (0, dim * dim)
+        a, b = rng.standard_normal((2, 5, dim, dim)) + 1j * rng.standard_normal((2, 5, dim, dim))
+        assert np.array_equal(dec.term_values(a, b), np.zeros(5))
+
+    def test_indefinite_form_splits_in_signature_order(self, rng):
+        """Row i is sqrt(|lambda_i|) times a unit eigenvector of G for
+        lambda_i; the positive eigenvalues' rows make up x_family and the
+        negative ones' y_family, each in descending order."""
+        dim = 3
+        lam = np.array([3.0, 2.0, 1.0, 0.5, 0.0, 0.0, -0.25, -1.5, -2.5])
+        u = haar_unitary(dim * dim, rng)
+        g = (u * lam) @ u.conj().T
+        g = (g + g.conj().T) / 2
+        d = FormBackedFunctional(g)
+        dec = hermitian_form_decomposition(d)
+        assert_allclose(dec.signature, lam[lam != 0], atol=1e-12)
+        assert (len(dec.x_family), len(dec.y_family)) == (4, 3)
+        for row, w, f in zip(dec.rows, dec.signature, dec.x_family + dec.y_family):
+            assert_allclose(f.T.reshape(-1), row)
+            assert_allclose(np.vdot(row, row).real, abs(w), atol=1e-12)
+            assert_allclose(g @ row, w * row, atol=1e-12)
+        a, b = rng.standard_normal((2, 20, dim, dim)) + 1j * rng.standard_normal((2, 20, dim, dim))
+        assert_allclose(dec.term_values(a, b), d.pair_values(a, b), atol=1e-12)
+        assert_allclose(dec.pairing_operator(), operator_from_pairing(swap_right(g)), atol=1e-12)
+
 
 class TestTracialOperator:
     @pytest.mark.parametrize("kind", ["operator", "pure_state", "form", "class_operator"])

@@ -1,5 +1,5 @@
 """Working sets of the parse, the extraction, the sampled positivity, the
-Hermiticity checks and the reconstruction.
+Hermiticity checks, the Gram decomposition and the reconstruction.
 
 Bytes are counted with ``tracemalloc``, which traces numpy's buffers and
 the interpreter's objects alike; unlike RSS, the counts do not depend on
@@ -119,6 +119,37 @@ class TestHermiticityChecks:
         # Measured 2.07-2.10 G (3.02 with the full-size check and the
         # out-of-place (G + G^dag)/2); 19 % margin.
         assert peak <= 2.5 * g.nbytes
+
+
+class TestDecomposition:
+    """At d = 24 the full-rank class-operator fixture keeps all d^2 Gram
+    eigenvalues, so the family array, like G, is one d^4 complex array
+    (5.3 MB)."""
+
+    def test_families_are_held_once(self, rng):
+        """G is released once ``eigh`` returns, the kept eigenvectors are
+        gathered and scaled in one array, and ``term_values`` contracts
+        with that array and a per-call copy of its conjugate."""
+        dim = 24
+        d = backend_fixtures(dim)["class_operator"]
+        a, b = rng.standard_normal((2, 5, dim, dim)) + 1j * rng.standard_normal((2, 5, dim, dim))
+
+        def decompose_and_contract():
+            dec = tracial.hermitian_form_decomposition(d)
+            dec.term_values(a, b)
+            return dec
+
+        dec, peak, _ = _traced(tracial.hermitian_form_decomposition, d)
+        assert len(dec.signature) == dim * dim
+        d4 = dim**4 * 16
+        # Measured 2.15 d^4, set by the Gram assembly (4.02 with G, the
+        # eigenvectors, their reordered copies and the sign-split stacks
+        # alive together); 16 % margin.
+        assert peak <= 2.5 * d4
+        _, _, held = _traced(decompose_and_contract)
+        # Measured 1.00 d^4 (3.02 with the split stacks and the cached
+        # flattened pair beside them); 25 % margin.
+        assert held <= 1.25 * d4
 
 
 class TestReconstruct:
