@@ -10,7 +10,7 @@ Usage: ``dfrep <command> --scenario <file> [flags]`` with commands
     sweep              trace-norm/beta sweep across truncation dimensions
     demo-pure-state    the P U construction and its identities
     consistency        interference report for a projective family
-    reconstruct        product-diagonal polarization round trip on M
+    reconstruct        polarization-atom round trip on M (the extraction run on M)
 
 All randomness derives from the scenario seed (or ``--seed``); numeric
 output is formatted at 17 significant digits so identical inputs give
@@ -40,7 +40,7 @@ import numpy as np
 
 from .functionals import OperatorBackedFunctional, check_axioms
 from .histories import consistency_report
-from .ils import extract_ils, verify_ils_conditions
+from .ils import bilinear_unit_table, extract_ils, verify_ils_conditions
 from .linalg import (
     MAX_TERMS,
     block_draws,
@@ -65,10 +65,8 @@ from .tracial import (
     double_sum_table,
     family_sizes,
     hermitian_form_decomposition,
-    product_diagonal_of,
     pure_state_m,
     pure_state_projector,
-    reconstruct_from_product_diagonal,
 )
 
 # The commands that take --samples, with their defaults.
@@ -209,7 +207,7 @@ def _max_sum_residual(values, ref, starts) -> float:
 
 
 def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> ResultRecord:
-    d = scenario.build()
+    d = scenario.functional
     tol = _tol(args, scenario.tolerance("axioms"))
     report = check_axioms(d, samples=args.samples, seed=seed, tol=tol)
     rec = {
@@ -226,7 +224,7 @@ def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 
 def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
-    d = scenario.build()
+    d = scenario.functional
     x = extract_ils(d)
     tol = _tol(args, scenario.tolerance("conditions"))
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
@@ -247,7 +245,7 @@ def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 
 def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
-    d = scenario.build()
+    d = scenario.functional
     # An operator or form scenario's functional already holds the pairing matrix P.
     x = d if isinstance(d, OperatorBackedFunctional) else extract_ils(d)
     tol = _tol(args, scenario.tolerance("conditions"))
@@ -266,7 +264,7 @@ def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 
 def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
-    d = scenario.build()
+    d = scenario.functional
     dec = hermitian_form_decomposition(d)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 23]))
     a, b, starts = _random_tensor_sums(d.dim, args.samples, rng)
@@ -287,7 +285,7 @@ def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 
 def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
-    d = scenario.build()
+    d = scenario.functional
     top = build_tracial_operator(d)
     pairing = _pairing_residual(d, top, args.samples, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 29]))
@@ -329,8 +327,8 @@ def _cmd_sweep(scenario: Scenario, args, seed: int) -> ResultRecord:
 def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
     if scenario.kind != "pure_state":
         raise ScenarioError("demo-pure-state requires a pure_state scenario")
-    d = scenario.build()
-    psi = scenario.payload["amplitudes"]
+    d = scenario.functional
+    psi = d.psi
     m = pure_state_m(psi)
     dim = scenario.dimension
     # (PU)(PU)^dag must reproduce P.
@@ -357,7 +355,7 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 
 def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
-    d = scenario.build()
+    d = scenario.functional
     if scenario.kind == "class_operator":
         family = list(d.model.schedules[0])
     else:
@@ -378,11 +376,11 @@ def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
 
 
 def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
-    d = scenario.build()
+    d = scenario.functional
     top = build_tracial_operator(d)
-    # ||L - M||_F compared in pairing space: the operators L and M are index
-    # transposes of their pairing matrices, which have the same norms.
-    units = reconstruct_from_product_diagonal(product_diagonal_of(top), d.dim)
+    # ||L - M||_F for L the extraction run on M, compared in pairing space: the
+    # operators L and M are index transposes of their pairing matrices, of equal norms.
+    units = bilinear_unit_table(top)
     units -= top.pairing  # in place: each d^4 complex array is 268 MB at d = 64
     resid = float(np.linalg.norm(units) / max(1.0, np.linalg.norm(top.pairing)))
     tol = _tol(args, RECONSTRUCTION_TOL)

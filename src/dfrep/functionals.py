@@ -80,6 +80,13 @@ def _check_dim(dim: int, what: str, allow_dim_two: bool = False):
         raise DimensionExclusionError(dim, what)
 
 
+def _zero_padded(a: np.ndarray, shape) -> np.ndarray:
+    """``a`` zero-padded at the end of every axis to ``shape``."""
+    out = np.zeros(shape, dtype=complex)
+    out[tuple(map(slice, a.shape))] = a
+    return out
+
+
 def _rows(stack) -> np.ndarray:
     """An ``(n, d, d)`` stack flattened row-major to ``(n, d*d)``."""
     a = np.asarray(stack, dtype=complex)
@@ -197,6 +204,13 @@ class OperatorBackedFunctional(DecoherenceFunctional):
         self.pairing = pairing
         return self
 
+    def embedded(self, dim: int) -> OperatorBackedFunctional:
+        """The functional at truncation ``dim >= self.dim``, of the same
+        class: P zero-padded as a ``(d, d, d, d)`` array, which is X (or G)
+        zero-padded, as the realignment only permutes entries."""
+        p4 = _zero_padded(self.pairing.reshape((self.dim,) * 4), (dim,) * 4)
+        return self.from_pairing(p4.reshape(dim * dim, dim * dim))
+
     @property
     def x_op(self) -> np.ndarray:
         """X itself, rebuilt from P on each read."""
@@ -247,6 +261,12 @@ class FactoredStateFunctional(DecoherenceFunctional):
     def __init__(self, factor):
         self.factor = np.asarray(factor, dtype=complex)
         self.dim = len(self.factor)
+
+    def embedded(self, dim: int) -> FactoredStateFunctional:
+        """The factored state at truncation ``dim >= self.dim``: F
+        zero-padded to ``(dim, r)``.  A class operator embeds as this plain
+        factored state, with no model."""
+        return FactoredStateFunctional(_zero_padded(self.factor, (dim, self.factor.shape[1])))
 
     def _sides(self, left, right):
         # Rows vec(a F) and vec(b^T conj F), whose dot product is tr(a F F^dag b).
@@ -301,6 +321,10 @@ class PureStateFunctional(FactoredStateFunctional):
     def __init__(self, psi):
         self.psi = unit_vector(psi, "psi")
         super().__init__(self.psi[:, None])
+
+    def embedded(self, dim: int) -> PureStateFunctional:
+        """The pure state at truncation ``dim >= self.dim``: psi zero-padded."""
+        return PureStateFunctional(_zero_padded(self.psi, (dim,)))
 
     # Its own entry in the class dictionary, where per-backend wrappers find it.
     pair_table = FactoredStateFunctional.pair_table

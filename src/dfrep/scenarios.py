@@ -13,7 +13,7 @@ literal syntax), so they stay portable:
       }
     }
 
-Functional types and their payloads:
+Functional types and their fields:
 
 * ``operator``        — ``matrix``: d^2 x d^2 operator on H (x) H;
 * ``pure_state``      — ``amplitudes``: unit vector of length d;
@@ -26,10 +26,11 @@ Functional types and their payloads:
 The parser checks structure, types, shapes, finiteness and the dimension
 bounds; every semantic invariant (unit norm, Hermiticity, positivity, unit
 trace, ascending times, schedules resolving the identity) is checked once,
-by the constructor that owns it, and the parser prefixes its message with
-the field path.  Scenarios embed into larger dimensions (zero-padding; a
-class-operator schedule absorbs the complement into its last projection)
-so one file can drive a sweep.
+by the constructor of the functional, and the parser prefixes its message
+with the field path.  A :class:`Scenario` keeps that functional and no
+other copy of its data.  It embeds into larger dimensions by one rule, so
+one file can drive a sweep: the functional zero-pads the one array it
+holds (P of an operator or form, psi, or the factor F of a class operator).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import hashlib
 import itertools
 import json
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class ScenarioError(ValueError):
     """Invalid scenario text; the message names the offending field."""
 
 
-# The payload fields of each functional type, besides ``type``.
+# The fields of each functional type, besides ``type``.
 _FIELDS = {
     "operator": ("matrix",),
     "pure_state": ("amplitudes",),
@@ -66,6 +66,9 @@ _FIELDS = {
 }
 
 KINDS = tuple(_FIELDS)
+
+# The constructor of each kind whose functional is built from one array.
+_BACKENDS = dict(operator=OperatorBackedFunctional, pure_state=PureStateFunctional, form=FormBackedFunctional)
 
 
 def _is_number(v, types=(int, float)) -> bool:
@@ -126,116 +129,72 @@ def _complex_array(node, path: str, shape) -> np.ndarray:
     return out
 
 
-# The payload that an operator or form functional holds as its pairing
-# matrix P; the scenario keeps no copy once the functional is built.
-_HELD = {"operator": "matrix", "form": "gram"}
-
 # Characters of scenario text hashed per update: no full-size encoded copy.
 _HASH_SLICE = 1 << 20
 
 
 class Scenario(Frozen):
-    """A parsed scenario: its dimension, seed, kind, payload arrays and
+    """A parsed scenario: its dimension, seed, kind, functional and
     tolerances, and the SHA-256 of its text.
 
-    An operator or form scenario keeps no defining matrix: its payload is
-    empty once :meth:`build` has run (which :func:`parse_scenario` does),
-    and X or G is an index transpose of the functional's pairing matrix P
-    (see :func:`serialize_scenario`).  Its fields cannot be reassigned,
-    and scenarios compare by identity.
+    The functional is the one copy of the scenario's data: X, G, psi and
+    the class-operator model are read off it (see
+    :func:`serialize_scenario`).  Its fields cannot be reassigned, and
+    scenarios compare by identity.
     """
 
     def __init__(
-        self, dimension: int, seed: int, kind: str, payload: dict, tolerances: dict, sha256: str = ""
+        self, dimension: int, seed: int, kind: str, functional, tolerances: dict, sha256: str = ""
     ):
         vars(self).update(
-            dimension=dimension, seed=seed, kind=kind, payload=payload, tolerances=tolerances, sha256=sha256
+            dimension=dimension, seed=seed, kind=kind, functional=functional, tolerances=tolerances,
+            sha256=sha256,
         )
 
     def tolerance(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
-    def build(self) -> DecoherenceFunctional:
-        """The functional at the scenario's dimension, built once (by
-        :func:`parse_scenario`, to validate it)."""
-        return self._functional
-
-    @cached_property
-    def _functional(self) -> DecoherenceFunctional:
-        d = self._embedded(self.dimension)
-        self.payload.pop(_HELD.get(self.kind), None)  # d holds P
-        return d
-
     def functional_at(self, dim: int) -> DecoherenceFunctional:
-        """The scenario's functional embedded at truncation ``dim``.
-
-        ``dim == dimension`` returns the functional of :meth:`build`;
-        larger dimensions zero-pad the defining data.
+        """The scenario's functional embedded at truncation ``dim``:
+        :attr:`functional` itself at the scenario's dimension, and its
+        ``embedded(dim)``, which zero-pads the one array it holds, above it.
         """
-        return self._functional if dim == self.dimension else self._embedded(dim)
-
-    def _embedded(self, dim: int) -> DecoherenceFunctional:
-        d0 = self.dimension
-        if dim < d0:
-            raise ScenarioError(
-                f"cannot embed a dimension-{d0} scenario into dimension {dim}"
-            )
+        if dim < self.dimension:
+            raise ScenarioError(f"cannot embed a dimension-{self.dimension} scenario into dimension {dim}")
         if dim > MAX_DIM:
             raise ScenarioError(f"dimension {dim} exceeds the dense limit {MAX_DIM}")
-        if self.kind == "pure_state":
-            return PureStateFunctional(_pad(self.payload["amplitudes"], dim))
-        if self.kind in ("operator", "form") and dim > d0:
-            # Zero-padding X or G through the inclusion of the first d0 basis
-            # vectors zero-pads P, since the realignment permutes entries.
-            p4 = np.zeros((dim,) * 4, dtype=complex)
-            p4[:d0, :d0, :d0, :d0] = self._functional.pairing.reshape((d0,) * 4)
-            return self._functional.from_pairing(p4.reshape(dim * dim, dim * dim))
-        if self.kind == "operator":
-            return OperatorBackedFunctional(self.payload["matrix"])
-        if self.kind == "form":
-            return FormBackedFunctional(self.payload["gram"])
-        if self.kind == "class_operator":
-            schedules = [[_pad(p, dim) for p in sched] for sched in self.payload["schedules"]]
-            for sched in schedules:
-                if sched:  # keep the schedule a resolution of the identity
-                    sched[-1][d0:, d0:] = np.eye(dim - d0)
-            model = ClassOperatorModel(
-                dim=dim,
-                rho=_pad(self.payload["rho"], dim),
-                hamiltonian=_pad(self.payload["hamiltonian"], dim),
-                times=self.payload["times"],
-                schedules=schedules,
-            )
-            return ClassOperatorFunctional(model)
-        raise ScenarioError(f"functional.type: unknown kind {self.kind!r}")
+        return self.functional if dim == self.dimension else self.functional.embedded(dim)
 
 
-def _pad(a: np.ndarray, dim: int) -> np.ndarray:
-    """Zero-pad a vector or square matrix to side ``dim``."""
-    out = np.zeros((dim,) * a.ndim, dtype=complex)
-    out[(slice(0, len(a)),) * a.ndim] = a
-    return out
+def _functional(kind: str, fn: dict, dim: int) -> DecoherenceFunctional:
+    """The functional of a ``functional`` node, built from its converted
+    arrays; each array is popped out of the node as it is converted and
+    handed to the constructor, which checks every semantic invariant."""
 
+    def array(name, shape):
+        return _complex_array(fn.pop(name, None), f"functional.{name}", shape)
 
-def _payload(kind: str, fn: dict, dim: int) -> dict:
-    shapes = {"amplitudes": (dim,), "matrix": (dim * dim,) * 2, "gram": (dim * dim,) * 2}
-    shapes.update(rho=(dim, dim), hamiltonian=(dim, dim))
-    payload = {
-        name: _complex_array(fn.pop(name, None), f"functional.{name}", shapes[name])
-        for name in _FIELDS[kind]
-        if name in shapes
-    }
     if kind == "class_operator":
+        rho, hamiltonian = array("rho", (dim, dim)), array("hamiltonian", (dim, dim))
         times = _list(fn.get("times"), "functional.times", "numbers")
-        payload["times"] = [_finite(t, f"functional.times[{k}]") for k, t in enumerate(times)]
-        payload["schedules"] = [
+        times = [_finite(t, f"functional.times[{k}]") for k, t in enumerate(times)]
+        schedules = [
             [
                 _complex_array(p, f"functional.schedules[{k}][{j}]", (dim, dim))
                 for j, p in enumerate(_list(sched, f"functional.schedules[{k}]", "projections"))
             ]
             for k, sched in enumerate(_list(fn.get("schedules"), "functional.schedules", "schedules"))
         ]
-    return payload
+        try:
+            return ClassOperatorFunctional(ClassOperatorModel(dim, rho, hamiltonian, times, schedules))
+        except ValueError as exc:  # the message starts with the argument it rejects
+            raise ScenarioError(f"functional.{exc}") from None
+    (name,) = _FIELDS[kind]
+    held = array(name, (dim,) if kind == "pure_state" else (dim * dim,) * 2)
+    try:
+        return _BACKENDS[kind](held)
+    except ValueError as exc:
+        raise ScenarioError(f"functional.{name}: {exc}") from None
 
 
 def _sha256(text: str) -> str:
@@ -252,7 +211,7 @@ def parse_scenario(text: str) -> Scenario:
     Raises :class:`ScenarioError` whose message starts with the field path.
     A class-operator model's messages start with the argument it rejects
     and get the prefix ``functional.``; the other constructors take a
-    single payload array, whose path is prefixed whole.
+    single array, whose path is prefixed whole.
     """
     try:
         doc = json.loads(text)
@@ -288,20 +247,14 @@ def parse_scenario(text: str) -> Scenario:
         )
     _reject_unknown(fn, ("type", *_FIELDS[kind]), "functional.")
 
-    scenario = Scenario(
+    return Scenario(
         dimension=dim,
         seed=seed,
         kind=kind,
-        payload=_payload(kind, fn, dim),
+        functional=_functional(kind, fn, dim),
         tolerances=dict(tol),
         sha256=_sha256(text),
     )
-    try:
-        scenario.build()
-    except ValueError as exc:
-        where = "functional." if kind == "class_operator" else f"functional.{_FIELDS[kind][0]}: "
-        raise ScenarioError(where + str(exc)) from None
-    return scenario
 
 
 def _array_node(arr: np.ndarray) -> dict:
@@ -310,23 +263,22 @@ def _array_node(arr: np.ndarray) -> dict:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical JSON text; ``parse_scenario`` of the output reproduces the
-    scenario's fields.  The X or G that an operator or form scenario does
-    not keep is read back off its functional's pairing matrix P, as the
-    exact index transpose :func:`dfrep.linalg.operator_from_pairing` or
-    :func:`dfrep.linalg.swap_right`."""
+    scenario's fields.  The defining arrays are read off the functional: X
+    or G as the exact index transpose
+    :func:`dfrep.linalg.operator_from_pairing` or
+    :func:`dfrep.linalg.swap_right` of its pairing matrix P, psi as it is,
+    and a class operator's rho, H, times and schedules off its model."""
+    d = s.functional
     fn: dict = {"type": s.kind}
-    payload = dict(s.payload)
-    if s.kind in _HELD:
-        pairing = s.build().pairing
-        held = operator_from_pairing(pairing) if s.kind == "operator" else swap_right(pairing)
-        payload[_HELD[s.kind]] = held
-    for name, value in payload.items():
-        if name == "times":
-            fn[name] = list(value)
-        elif name == "schedules":
-            fn[name] = [[_array_node(p) for p in sched] for sched in value]
-        else:
-            fn[name] = _array_node(value)
+    if s.kind == "class_operator":
+        m = d.model
+        fn.update(rho=_array_node(m.rho), hamiltonian=_array_node(m.hamiltonian), times=list(m.times))
+        fn["schedules"] = [[_array_node(p.matrix) for p in sched] for sched in m.schedules]
+    elif s.kind == "pure_state":
+        fn["amplitudes"] = _array_node(d.psi)
+    else:
+        held = operator_from_pairing(d.pairing) if s.kind == "operator" else swap_right(d.pairing)
+        fn[_FIELDS[s.kind][0]] = _array_node(held)
     doc = {
         "dimension": s.dimension,
         "seed": s.seed,

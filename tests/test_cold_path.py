@@ -99,7 +99,7 @@ def _value_objects():
     """One instance of each class that was a frozen dataclass."""
     text = (SCENARIOS / "class_operator_trivial_dim3.json").read_text()
     scenario = parse_scenario(text)
-    d = scenario.build()
+    d = scenario.functional
     return {
         "Projection": d.model.schedules[0][0],
         "ClassOperatorModel": d.model,

@@ -13,6 +13,7 @@ from dfrep import (
     identity_projection,
     random_projection,
 )
+from dfrep.functionals import FactoredStateFunctional
 from dfrep.histories import ClassOperatorFunctional
 from dfrep.linalg import operator_from_pairing, pairing_realignment, swap_right
 from dfrep.scenarios import ScenarioError, parse_scenario, serialize_scenario
@@ -24,6 +25,7 @@ from conftest import (
     operator_scenario_text,
     product_state_operator,
     pure_state_scenario_text,
+    random_density,
     rho_half_half,
 )
 
@@ -33,12 +35,12 @@ class TestParse:
         s = parse_scenario(pure_state_scenario_text(dim=3))
         assert s.dimension == 3
         assert s.kind == "pure_state"
-        assert isinstance(s.build(), PureStateFunctional)
+        assert isinstance(s.functional, PureStateFunctional)
 
     def test_operator_scenario_evaluates(self):
         x = product_state_operator(rho_half_half(3))
         s = parse_scenario(operator_scenario_text(x))
-        d = s.build()
+        d = s.functional
         assert isinstance(d, OperatorBackedFunctional)
         # downstream oracle: d(E11, E11) = tr(E11 rho)^2 = 1/4
         assert d.evaluate(basis_proj(3, 0), basis_proj(3, 0)) == pytest.approx(0.25, abs=1e-12)
@@ -46,11 +48,11 @@ class TestParse:
     def test_form_scenario(self):
         base = backend_fixtures(3)["operator"]
         s = parse_scenario(form_scenario_text(gram_matrix(base)))
-        assert isinstance(s.build(), FormBackedFunctional)
+        assert isinstance(s.functional, FormBackedFunctional)
 
     def test_class_operator_scenario(self):
         s = parse_scenario(class_operator_scenario_text(dim=3))
-        d = s.build()
+        d = s.functional
         assert isinstance(d, ClassOperatorFunctional)
         one = identity_projection(3)
         assert d.evaluate(one, one) == pytest.approx(1.0, abs=1e-12)
@@ -95,7 +97,7 @@ class TestParse:
         doc = json.loads(pure_state_scenario_text(dim=3))
         del doc["functional"]["amplitudes"]["im"]
         s = parse_scenario(json.dumps(doc))
-        assert np.allclose(s.payload["amplitudes"].imag, 0.0)
+        assert np.allclose(s.functional.psi.imag, 0.0)
 
     def test_unknown_type(self):
         doc = json.loads(pure_state_scenario_text(dim=3))
@@ -218,6 +220,9 @@ class TestRoundTrip:
             lambda: operator_scenario_text(product_state_operator(rho_half_half(3))),
             lambda: form_scenario_text(gram_matrix(backend_fixtures(3)["operator"])),
             lambda: class_operator_scenario_text(dim=3),
+            lambda: class_operator_scenario_text(
+                dim=3, hamiltonian=np.diag([1.0, 2.0, 3.5]), times=(0.5, 1.0)
+            ),
         ],
     )
     def test_serialize_parse_identity(self, text_builder):
@@ -227,29 +232,40 @@ class TestRoundTrip:
         assert s2.seed == s1.seed
         assert s2.kind == s1.kind
         assert s2.tolerances == s1.tolerances
-        assert sorted(s2.payload) == sorted(s1.payload)
-        for key, val in s1.payload.items():
-            if key in ("times",):
-                assert s2.payload[key] == val
+        # The defining arrays, read off each functional, survive the round
+        # trip exactly.
+        a1, a2 = _defining_data(s1), _defining_data(s2)
+        assert sorted(a2) == sorted(a1)
+        for key, val in a1.items():
+            if key == "times":
+                assert a2[key] == val
             elif key == "schedules":
-                for sa, sb in zip(val, s2.payload[key]):
+                assert len(a2[key]) == len(val)
+                for sa, sb in zip(val, a2[key]):
+                    assert len(sa) == len(sb)
                     for pa, pb in zip(sa, sb):
-                        assert np.allclose(pa, pb)
+                        assert np.array_equal(pa, pb)
             else:
-                assert np.allclose(s2.payload[key], val)
-        # An operator or form scenario keeps X or G only in its functional's
-        # P; the rebuilt X, G or psi survives the round trip exactly.
-        if s1.kind in ("operator", "form", "pure_state"):
-            assert np.array_equal(_defining_data(s2), _defining_data(s1))
+                assert np.array_equal(a2[key], val)
 
 
-def _defining_data(s):
-    """The X, G or psi of an operator, form or pure-state scenario, rebuilt
-    from its functional."""
-    d = s.build()
+def _defining_data(s) -> dict:
+    """The X, G, psi or class-operator model arrays of a scenario, read off
+    its functional."""
+    d = s.functional
     if s.kind == "operator":
-        return operator_from_pairing(d.pairing)
-    return swap_right(d.pairing) if s.kind == "form" else d.psi
+        return {"matrix": operator_from_pairing(d.pairing)}
+    if s.kind == "form":
+        return {"gram": swap_right(d.pairing)}
+    if s.kind == "pure_state":
+        return {"amplitudes": d.psi}
+    m = d.model
+    return {
+        "rho": m.rho,
+        "hamiltonian": m.hamiltonian,
+        "times": m.times,
+        "schedules": [[p.matrix for p in sched] for sched in m.schedules],
+    }
 
 
 class TestShippedScenarios:
@@ -261,7 +277,7 @@ class TestShippedScenarios:
         assert files, "scenario samples missing"
         for path in files:
             s = parse_scenario(path.read_text())
-            d = s.build()
+            d = s.functional
             one = identity_projection(s.dimension)
             assert d.evaluate(one, one) == pytest.approx(1.0, abs=1e-10), path.name
 
@@ -271,13 +287,13 @@ class TestFamilyEmbedding:
         s = parse_scenario(pure_state_scenario_text(dim=3))
         d5 = s.functional_at(5)
         assert d5.dim == 5
-        assert np.allclose(d5.psi[:3], s.payload["amplitudes"])
+        assert np.allclose(d5.psi[:3], s.functional.psi)
         assert np.allclose(d5.psi[3:], 0.0)
 
     def test_operator_embedding_preserves_small_projections(self, rng):
         x = product_state_operator(rho_half_half(3))
         s = parse_scenario(operator_scenario_text(x))
-        d3 = s.build()
+        d3 = s.functional
         d5 = s.functional_at(5)
         for _ in range(20):
             p3 = random_projection(3, int(rng.integers(0, 4)), rng)
@@ -299,19 +315,36 @@ class TestFamilyEmbedding:
 
     @pytest.mark.parametrize("name", ["operator_product_state_dim3.json", "form_dim3.json"])
     def test_embedding_pads_the_held_pairing(self, name):
-        """The embedded functional holds the pairing matrix of the old route,
-        which zero-padded X (or G) and then realigned it; X and G are read
-        off the held P, which the scenario keeps in their place."""
+        """The embedded functional, of the same class, holds the pairing
+        matrix of X (or G) zero-padded and then realigned: padding P as a
+        four-index array pads X and G, whose entries it only permutes."""
         from pathlib import Path
 
         s = parse_scenario((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
-        p = s.build().pairing
+        p = s.functional.pairing
         d6 = s.functional_at(6)
-        assert type(d6) is type(s.build())
+        assert type(d6) is type(s.functional)
         for defining, realign in ((operator_from_pairing(p), pairing_realignment), (swap_right(p), swap_right)):
             x4 = np.zeros((6,) * 4, dtype=complex)
             x4[:3, :3, :3, :3] = defining.reshape((3,) * 4)
             assert np.array_equal(d6.pairing, realign(x4.reshape(36, 36)))
+
+    def test_class_operator_embedding_pads_the_factor(self, rng):
+        """A class operator with a non-trivial H and t_1 > 0 embeds as the
+        factored state whose F is the scenario's F zero-padded, bitwise; no
+        model is rebuilt, and no eigh runs again, at the larger dimension."""
+        h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        s = parse_scenario(
+            class_operator_scenario_text(
+                dim=5, rho=random_density(5, rng), hamiltonian=h + h.conj().T, times=(0.5, 1.0)
+            )
+        )
+        d8 = s.functional_at(8)
+        assert type(d8) is FactoredStateFunctional
+        f = s.functional.factor
+        padded = np.zeros((8, f.shape[1]), dtype=complex)
+        padded[:5] = f
+        assert np.array_equal(d8.factor, padded)
 
     def test_class_operator_embedding_stays_normalized(self):
         s = parse_scenario(class_operator_scenario_text(dim=3))

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dfrep import tracial
+from dfrep import ils, tracial
 from dfrep.cli import run_command
 from dfrep.functionals import FormBackedFunctional, OperatorBackedFunctional
 from dfrep.ils import ATOM_BLOCK, _sample_positivity_min, bilinear_unit_table
@@ -51,8 +51,8 @@ class TestParse:
         text = operator_scenario_text(random_valid_pairing_operator(dim, rng))
         scenario, peak, held = _traced(parse_scenario, text)
         p_bytes = dim**4 * 16
-        assert scenario.payload == {}
-        assert scenario.build().pairing.nbytes == p_bytes
+        assert not hasattr(scenario, "payload")
+        assert scenario.functional.pairing.nbytes == p_bytes
         # Measured 1.02 P (two d^4 arrays, 2.02 P, when X was kept); 25 % margin.
         assert held <= 1.25 * p_bytes
         # Measured 1.56 len(text) (2.70 with the whole tree and a full-size
@@ -160,14 +160,14 @@ class TestReconstruct:
         block tables, not these, set the command's peak)."""
         dim = 12
         scenario = parse_scenario(pure_state_scenario_text(dim))
-        fold = tracial.polarization_unit_table
+        fold = ils.polarization_unit_table
 
         def fold_then_reset_peak(*args):
             out = fold(*args)
             tracemalloc.reset_peak()
             return out
 
-        monkeypatch.setattr(tracial, "polarization_unit_table", fold_then_reset_peak)
+        monkeypatch.setattr(ils, "polarization_unit_table", fold_then_reset_peak)
         args = argparse.Namespace(tolerance=None, seed=None)
         record, peak, _ = _traced(run_command, "reconstruct", scenario, args)
         assert record.verdict == "pass"
