@@ -12,12 +12,17 @@ Usage: ``dfrep <command> --scenario <file> [flags]`` with commands
     consistency        interference report for a projective family
     reconstruct        polarization-atom round trip on M (the extraction run on M)
 
+Each ``_cmd_*`` handler returns its ``records`` and ``verdict`` in a dict;
+:func:`run_command` adds ``command``, ``seed``, ``scenario_sha256`` and
+``timings_ms``, and :func:`_emit` prints that summary.
+
 All randomness derives from the scenario seed (or ``--seed``); numeric
 output is formatted at 17 significant digits so identical inputs give
 byte-identical numeric output.  Timing fields (``timings_ms``,
 ``elapsed_ms``) are the one exception and are documented as such.
 
-Exit status: 0 pass-verdicts, 1 violation-verdicts, 2 input errors.
+Exit status: 1 for a ``violation`` verdict, 0 for any other (``pass`` and
+the three sweep verdicts), 2 for an input error or a non-finite result.
 
 The process entry, for ``python -m dfrep.cli`` and the ``dfrep`` script, is
 :func:`run`; it calls :func:`main` and then freezes the heap, so the exit
@@ -50,13 +55,7 @@ from .linalg import (
     rank_one_proj,
     sample_projections,
 )
-from .probes import (
-    VERDICT_DIVERGENCE,
-    VERDICT_INCONCLUSIVE,
-    VERDICT_TENSOR_BOUNDED,
-    sweep_dims,
-    tensor_bound_probe,
-)
+from .probes import sweep_dims, tensor_bound_probe
 from .scenarios import Scenario, ScenarioError, parse_scenario
 from .tolerances import BETA_SERIES_TOL, IDENTITY_TOL, RECONSTRUCTION_TOL
 from .tracial import (
@@ -82,16 +81,18 @@ _DEFAULT_SAMPLES = {
 
 SWEEP_CSV_HEADER = "dim,trace_norm,sup_beta_rank_one,elapsed_ms"
 
-_PASS_VERDICTS = {"pass", VERDICT_TENSOR_BOUNDED, VERDICT_DIVERGENCE, VERDICT_INCONCLUSIVE}
-
 
 # ---------------------------------------------------------------------------
 # Deterministic serialization: floats at 17 significant digits, sorted keys.
 
 
+class NonFiniteOutputError(ValueError):
+    """A NaN or an infinity in the output; ``args[0]`` is its field, as ``.records[0].residual``."""
+
+
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError("non-finite numeric output")
+        raise NonFiniteOutputError("")
     return format(float(x), ".17g")
 
 
@@ -110,22 +111,30 @@ def json_text(obj) -> str:
         return json.dumps(obj)
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(f"{json.dumps(str(k))}:{json_text(v)}" for k, v in items) + "}"
+        members = (f"{json.dumps(str(k))}:{_member_text(f'.{k}', v)}" for k, v in items)
+        return "{" + ",".join(members) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(json_text(v) for v in obj) + "]"
+        return "[" + ",".join(_member_text(f"[{i}]", v) for i, v in enumerate(obj)) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _member_text(name: str, value) -> str:
+    """``json_text(value)`` for the member ``name`` (``.key`` or ``[i]``) of a dict or list."""
+    try:
+        return json_text(value)
+    except NonFiniteOutputError as exc:
+        raise NonFiniteOutputError(name + exc.args[0]) from None
+
+
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
+    """A string as it is, a complex number as ``a+bj``, a list quoted as one cell."""
+    if isinstance(v, str):
+        return v
     if isinstance(v, (complex, np.complexfloating)):
         return f"{_fmt_float(v.real)}{'+' if v.imag >= 0 else '-'}{_fmt_float(abs(v.imag))}j"
-    return str(v)
+    if isinstance(v, (list, tuple)):
+        return f'"{json_text(v)}"'  # numbers only, so no quote inside to double
+    return json_text(v)
 
 
 def records_csv(records, header_keys=None) -> str:
@@ -134,35 +143,6 @@ def records_csv(records, header_keys=None) -> str:
     for rec in records:
         lines.append(",".join(_csv_cell(rec.get(k, "")) for k in keys))
     return "\n".join(lines) + "\n"
-
-
-class ResultRecord:
-    """Machine-readable result of one command run."""
-
-    def __init__(self, command: str, verdict: str, seed: int, records: list, scenario_sha256: str):
-        self.command = command
-        self.verdict = verdict
-        self.seed = seed
-        self.records = records
-        self.scenario_sha256 = scenario_sha256
-        self.timings_ms = {}
-        self.extras = {}
-
-    def payload(self) -> dict:
-        out = {
-            "command": self.command,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "records": self.records,
-            "scenario_sha256": self.scenario_sha256,
-            "timings_ms": self.timings_ms,
-        }
-        out.update(self.extras)
-        return out
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.verdict in _PASS_VERDICTS else 1
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +186,7 @@ def _max_sum_residual(values, ref, starts) -> float:
     return float(np.max(np.abs(np.add.reduceat(values, starts) - np.add.reduceat(ref, starts))))
 
 
-def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> ResultRecord:
+def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> dict:
     d = scenario.functional
     tol = _tol(args, scenario.tolerance("axioms"))
     report = check_axioms(d, samples=args.samples, seed=seed, tol=tol)
@@ -220,10 +200,10 @@ def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> ResultRecord:
         "tolerance": tol,
     }
     rec.update({f"{k}_ok": v for k, v in report.verdicts().items()})
-    return _result("check-axioms", scenario, seed, [rec], "pass" if report.passed else "violation")
+    return {"records": [rec], "verdict": "pass" if report.passed else "violation"}
 
 
-def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
+def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> dict:
     d = scenario.functional
     x = extract_ils(d)
     tol = _tol(args, scenario.tolerance("conditions"))
@@ -241,10 +221,10 @@ def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> ResultRecord:
         "samples": args.samples,
     }
     rec.update({f"{k}_ok": v for k, v in conds.verdicts().items()})
-    return _result("extract-ils", scenario, seed, [rec], "pass" if ok else "violation")
+    return {"records": [rec], "verdict": "pass" if ok else "violation"}
 
 
-def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
+def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> dict:
     d = scenario.functional
     # An operator or form scenario's functional already holds the pairing matrix P.
     x = d if isinstance(d, OperatorBackedFunctional) else extract_ils(d)
@@ -258,12 +238,10 @@ def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> ResultRecord:
         "tolerance": conds.tol,
     }
     rec.update({f"{k}_ok": v for k, v in conds.verdicts().items()})
-    return _result(
-        "verify-conditions", scenario, seed, [rec], "pass" if conds.passed else "violation"
-    )
+    return {"records": [rec], "verdict": "pass" if conds.passed else "violation"}
 
 
-def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
+def _cmd_decompose(scenario: Scenario, args, seed: int) -> dict:
     d = scenario.functional
     dec = hermitian_form_decomposition(d)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 23]))
@@ -279,12 +257,10 @@ def _cmd_decompose(scenario: Scenario, args, seed: int) -> ResultRecord:
         "tolerance": tol,
         "samples": args.samples,
     }
-    return _result(
-        "decompose", scenario, seed, [rec], "pass" if worst <= tol else "violation"
-    )
+    return {"records": [rec], "verdict": "pass" if worst <= tol else "violation"}
 
 
-def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
+def _cmd_tracial(scenario: Scenario, args, seed: int) -> dict:
     d = scenario.functional
     top = build_tracial_operator(d)
     pairing = _pairing_residual(d, top, args.samples, seed)
@@ -309,22 +285,24 @@ def _cmd_tracial(scenario: Scenario, args, seed: int) -> ResultRecord:
         "samples": args.samples,
     }
     ok = pairing <= tol and double_res <= IDENTITY_TOL
-    return _result("tracial", scenario, seed, [rec], "pass" if ok else "violation")
+    return {"records": [rec], "verdict": "pass" if ok else "violation"}
 
 
-def _cmd_sweep(scenario: Scenario, args, seed: int) -> ResultRecord:
+def _cmd_sweep(scenario: Scenario, args, seed: int) -> dict:
     try:  # every dimension, before any is extracted
         dims = sweep_dims(args.dims, max(2, scenario.dimension))
     except ValueError as exc:
         raise ScenarioError(f"--dims: {exc}") from None
     report = tensor_bound_probe(scenario.functional_at, dims, samples=args.samples, seed=seed)
-    result = _result("sweep", scenario, seed, report.records(), report.verdict)
-    result.extras["growth_slope"] = report.growth_slope
-    result.extras["samples"] = report.samples
-    return result
+    return {
+        "records": report.records(),
+        "verdict": report.verdict,
+        "growth_slope": report.growth_slope,
+        "samples": report.samples,
+    }
 
 
-def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
+def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> dict:
     if scenario.kind != "pure_state":
         raise ScenarioError("demo-pure-state requires a pure_state scenario")
     d = scenario.functional
@@ -351,10 +329,10 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> ResultRecord:
         and adjoint_residual <= IDENTITY_TOL
         and beta_res <= tol_beta
     )
-    return _result("demo-pure-state", scenario, seed, [rec], "pass" if ok else "violation")
+    return {"records": [rec], "verdict": "pass" if ok else "violation"}
 
 
-def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
+def _cmd_consistency(scenario: Scenario, args, seed: int) -> dict:
     d = scenario.functional
     if scenario.kind == "class_operator":
         family = list(d.model.schedules[0])
@@ -370,12 +348,10 @@ def _cmd_consistency(scenario: Scenario, args, seed: int) -> ResultRecord:
         "tolerance": tol,
         "set_size": len(family),
     }
-    return _result(
-        "consistency", scenario, seed, [rec], "pass" if report.consistent else "violation"
-    )
+    return {"records": [rec], "verdict": "pass" if report.consistent else "violation"}
 
 
-def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
+def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> dict:
     d = scenario.functional
     top = build_tracial_operator(d)
     # ||L - M||_F for L the extraction run on M, compared in pairing space: the
@@ -385,9 +361,7 @@ def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> ResultRecord:
     resid = float(np.linalg.norm(units) / max(1.0, np.linalg.norm(top.pairing)))
     tol = _tol(args, RECONSTRUCTION_TOL)
     rec = {"reconstruction_residual": resid, "tolerance": tol}
-    return _result(
-        "reconstruct", scenario, seed, [rec], "pass" if resid <= tol else "violation"
-    )
+    return {"records": [rec], "verdict": "pass" if resid <= tol else "violation"}
 
 
 _HANDLERS = {
@@ -410,29 +384,21 @@ def _tol(args, default: float) -> float:
     return args.tolerance if args.tolerance is not None else default
 
 
-def _result(command, scenario, seed, records, verdict) -> ResultRecord:
-    return ResultRecord(
-        command=command,
-        verdict=verdict,
-        seed=seed,
-        records=records,
-        scenario_sha256=scenario.sha256,
-    )
-
-
-def run_command(command: str, scenario: Scenario, args) -> ResultRecord:
-    """Dispatch one command; returns the result record with timings.  A
+def run_command(command: str, scenario: Scenario, args) -> dict:
+    """Dispatch one command; returns its summary, the handler's fields plus
+    ``command``, ``seed``, ``scenario_sha256`` and ``timings_ms``.  A
     non-Hermitian Gram matrix is a ``violation``, not an input error."""
     if command not in _HANDLERS:
         raise ScenarioError(f"unknown command {command!r}")
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else scenario.seed
     try:
-        record = _HANDLERS[command](scenario, args, seed)
+        summary = _HANDLERS[command](scenario, args, seed)
     except GramHermiticityError as exc:
-        record = _result(command, scenario, seed, [{"error": str(exc)}], "violation")
-    record.timings_ms["total"] = (time.perf_counter() - t0) * 1e3
-    return record
+        summary = {"records": [{"error": str(exc)}], "verdict": "violation"}
+    summary.update(command=command, seed=seed, scenario_sha256=scenario.sha256)
+    summary["timings_ms"] = {"total": (time.perf_counter() - t0) * 1e3}
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
 _main_parser = functools.cache(build_parser)
 
 
-def _emit(record: ResultRecord, args) -> None:
-    text = json_text(record.payload()) + "\n"
+def _emit(summary: dict, args) -> None:
+    text = json_text(summary) + "\n"
     sys.stdout.write(text)
     if args.out:
-        fmt = args.fmt or ("csv" if record.command == "sweep" else "json")
-        header = SWEEP_CSV_HEADER.split(",") if record.command == "sweep" else None
-        Path(args.out).write_text(text if fmt == "json" else records_csv(record.records, header))
+        sweep = summary["command"] == "sweep"
+        header = SWEEP_CSV_HEADER.split(",") if sweep else None
+        csv = (args.fmt or ("csv" if sweep else "json")) == "csv"
+        Path(args.out).write_text(records_csv(summary["records"], header) if csv else text)
 
 
 def main(argv=None) -> int:
@@ -511,18 +478,21 @@ def main(argv=None) -> int:
     try:
         scenario = parse_scenario(text)
         del text  # not held while the command runs
-        record = run_command(args.command, scenario, args)
+        summary = run_command(args.command, scenario, args)
     except ValueError as exc:
         # ScenarioError, DimensionExclusionError and DimensionLimitError
         # are all input errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(record, args)
+        _emit(summary, args)
+    except NonFiniteOutputError as exc:  # raised before anything is written
+        print(f"error: non-finite numeric output in {exc.args[0].lstrip('.')}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    return record.exit_code
+    return 1 if summary["verdict"] == "violation" else 0
 
 
 def run() -> int:

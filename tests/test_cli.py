@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -319,6 +320,27 @@ class TestBasicRuns:
         assert len(lines) == 2
         assert "hermiticity_residual" in lines[0]
 
+    @pytest.mark.parametrize(
+        "command,scenario,list_key",
+        [
+            ("tracial", "pure_state_dim3.json", "block_ranks"),
+            ("consistency", "class_operator_trivial_dim3.json", "diagonals"),
+        ],
+    )
+    def test_out_csv_list_cell_is_one_quoted_json_cell(self, command, scenario, list_key, capsys, tmp_path):
+        """A list in a record is one CSV cell, its JSON text quoted, so every
+        row has one cell per header key."""
+        out_file = tmp_path / "res.csv"
+        argv = [command, "--scenario", str(SCENARIOS / scenario), "--out", str(out_file), "--format", "csv"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        with out_file.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows and all(len(row) == len(header) for row in rows)
+        cell = rows[0][header.index(list_key)]
+        assert cell == json_text(json.loads(out)["records"][0][list_key])
+        assert isinstance(json.loads(cell), list)
+
     def test_block_rank_flag(self, capsys, paths):
         code, out, _ = run_cli(
             capsys, "tracial", "--scenario", paths["op3"], "--block-rank", "3"
@@ -374,6 +396,30 @@ class TestExitCodeMatrix:
                 argv += ["--dims", "3,4", "--samples", "30"]
             code, _, _ = run_cli(capsys, *argv)
             assert code == expected, (command, key, code)
+
+
+class TestViolationRecords:
+    @pytest.mark.parametrize("command", ["decompose", "tracial", "reconstruct"])
+    def test_non_hermitian_gram_is_a_violation_record(self, command, capsys, paths):
+        """A skew-corrupted operator's Gram matrix is not Hermitian: the
+        command exits 1 with one record that holds only the error."""
+        code, out, err = run_cli(capsys, command, "--scenario", paths["op3_skew"])
+        doc = json.loads(out)
+        assert (code, err) == (1, "")
+        assert (doc["command"], doc["verdict"]) == (command, "violation")
+        assert doc["records"] == [{"error": doc["records"][0]["error"]}]
+        assert "not Hermitian" in doc["records"][0]["error"]
+
+    def test_non_finite_result_is_an_input_error(self, capsys, tmp_path):
+        """Finite entries of X whose residual overflows to inf/inf: exit 2
+        with an error line naming the field, and nothing on stdout."""
+        x = np.zeros((9, 9))
+        x[0, 0], x[4, 4], x[1, 3], x[8, 8] = 1e200, -1e200, 1e200, 1.0
+        path = _write(tmp_path, "huge.json", operator_scenario_text(x))
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, "reconstruct", "--scenario", path)
+        assert (code, out) == (2, "")
+        assert err == "error: non-finite numeric output in records[0].reconstruction_residual\n"
 
 
 class TestDeterminism:

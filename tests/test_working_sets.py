@@ -170,7 +170,7 @@ class TestReconstruct:
         monkeypatch.setattr(ils, "polarization_unit_table", fold_then_reset_peak)
         args = argparse.Namespace(tolerance=None, seed=None)
         record, peak, _ = _traced(run_command, "reconstruct", scenario, args)
-        assert record.verdict == "pass"
+        assert record["verdict"] == "pass"
         # Measured 2.01 P (3.01 with the transpose of the fold's output to
         # L and a fresh M beside M's P); 12 % margin.
         assert peak <= 2.25 * dim**4 * 16
