@@ -40,7 +40,6 @@ from .linalg import (
 )
 from .probes import (
     SweepReport,
-    boundedness_probe,
     tensor_bound_probe,
     tracial_bound_probe,
 )

@@ -22,7 +22,8 @@ byte-identical numeric output.  Timing fields (``timings_ms``,
 ``elapsed_ms``) are the one exception and are documented as such.
 
 Exit status: 1 for a ``violation`` verdict, 0 for any other (``pass`` and
-the three sweep verdicts), 2 for an input error or a non-finite result.
+the three sweep verdicts), 2 for an input error, an intermediate overflow or
+a non-finite result.
 
 The process entry, for ``python -m dfrep.cli`` and the ``dfrep`` script, is
 :func:`run`; it calls :func:`main` and then freezes the heap, so the exit
@@ -187,20 +188,9 @@ def _max_sum_residual(values, ref, starts) -> float:
 
 
 def _cmd_check_axioms(scenario: Scenario, args, seed: int) -> dict:
-    d = scenario.functional
     tol = _tol(args, scenario.tolerance("axioms"))
-    report = check_axioms(d, samples=args.samples, seed=seed, tol=tol)
-    rec = {
-        "hermiticity_residual": report.hermiticity_residual,
-        "positivity_min": report.positivity_min,
-        "positivity_imag_max": report.positivity_imag_max,
-        "normalization_residual": report.normalization_residual,
-        "orthoadditivity_residual": report.orthoadditivity_residual,
-        "samples": report.samples,
-        "tolerance": tol,
-    }
-    rec.update({f"{k}_ok": v for k, v in report.verdicts().items()})
-    return {"records": [rec], "verdict": "pass" if report.passed else "violation"}
+    report = check_axioms(scenario.functional, samples=args.samples, seed=seed, tol=tol)
+    return {"records": [report._asdict()], "verdict": "pass" if report.passed else "violation"}
 
 
 def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> dict:
@@ -219,8 +209,10 @@ def _cmd_extract_ils(scenario: Scenario, args, seed: int) -> dict:
         "pairing_residual": pairing,
         "pairing_tolerance": tol_pair,
         "samples": args.samples,
+        "hermiticity_ok": conds.hermiticity_ok,
+        "positivity_ok": conds.positivity_ok,
+        "normalization_ok": conds.normalization_ok,
     }
-    rec.update({f"{k}_ok": v for k, v in conds.verdicts().items()})
     return {"records": [rec], "verdict": "pass" if ok else "violation"}
 
 
@@ -230,15 +222,7 @@ def _cmd_verify_conditions(scenario: Scenario, args, seed: int) -> dict:
     x = d if isinstance(d, OperatorBackedFunctional) else extract_ils(d)
     tol = _tol(args, scenario.tolerance("conditions"))
     conds = verify_ils_conditions(x, samples=args.samples, seed=seed, tol=tol)
-    rec = {
-        "swap_adjoint_residual": conds.swap_adjoint_residual,
-        "positivity_min": conds.positivity_min,
-        "normalization_residual": conds.normalization_residual,
-        "samples": args.samples,
-        "tolerance": conds.tol,
-    }
-    rec.update({f"{k}_ok": v for k, v in conds.verdicts().items()})
-    return {"records": [rec], "verdict": "pass" if conds.passed else "violation"}
+    return {"records": [conds._asdict()], "verdict": "pass" if conds.passed else "violation"}
 
 
 def _cmd_decompose(scenario: Scenario, args, seed: int) -> dict:
@@ -340,15 +324,7 @@ def _cmd_consistency(scenario: Scenario, args, seed: int) -> dict:
         family = [rank_one_proj(e) for e in np.eye(d.dim)]
     tol = _tol(args, scenario.tolerance("consistency"))
     report = consistency_report(d, family, tolerance=tol)
-    rec = {
-        "off_diagonal_max": report.off_diagonal_max,
-        "diagonals": list(report.diagonals),
-        "total": report.total,
-        "mode": report.mode,
-        "tolerance": tol,
-        "set_size": len(family),
-    }
-    return {"records": [rec], "verdict": "pass" if report.consistent else "violation"}
+    return {"records": [report._asdict()], "verdict": "pass" if report.consistent else "violation"}
 
 
 def _cmd_reconstruct(scenario: Scenario, args, seed: int) -> dict:
@@ -387,15 +363,19 @@ def _tol(args, default: float) -> float:
 def run_command(command: str, scenario: Scenario, args) -> dict:
     """Dispatch one command; returns its summary, the handler's fields plus
     ``command``, ``seed``, ``scenario_sha256`` and ``timings_ms``.  A
-    non-Hermitian Gram matrix is a ``violation``, not an input error."""
+    non-Hermitian Gram matrix is a ``violation``, not an input error; an
+    overflow or invalid operation inside the command is an input error."""
     if command not in _HANDLERS:
         raise ScenarioError(f"unknown command {command!r}")
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else scenario.seed
     try:
-        summary = _HANDLERS[command](scenario, args, seed)
+        with np.errstate(over="raise", invalid="raise"):
+            summary = _HANDLERS[command](scenario, args, seed)
     except GramHermiticityError as exc:
         summary = {"records": [{"error": str(exc)}], "verdict": "violation"}
+    except FloatingPointError as exc:
+        raise ScenarioError(f"{command}: {exc}") from None
     summary.update(command=command, seed=seed, scenario_sha256=scenario.sha256)
     summary["timings_ms"] = {"total": (time.perf_counter() - t0) * 1e3}
     return summary

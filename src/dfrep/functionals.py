@@ -357,7 +357,7 @@ class FormBackedFunctional(OperatorBackedFunctional):
 
 
 class AxiomReport(NamedTuple):
-    """Sampled residuals for the four decoherence-functional axioms."""
+    """Sampled residuals and a verdict per axiom: the ``check-axioms`` record."""
 
     hermiticity_residual: float
     positivity_min: float
@@ -365,38 +365,20 @@ class AxiomReport(NamedTuple):
     normalization_residual: float
     orthoadditivity_residual: float
     samples: int
-    seed: int
-    tol: float
-
-    @property
-    def hermiticity_ok(self) -> bool:
-        return self.hermiticity_residual <= self.tol
-
-    @property
-    def positivity_ok(self) -> bool:
-        # Diagonal values with tiny imaginary parts are treated as real;
-        # larger imaginary parts count as violations in their own right.
-        return self.positivity_min >= -self.tol and self.positivity_imag_max <= self.tol
-
-    @property
-    def normalization_ok(self) -> bool:
-        return self.normalization_residual <= self.tol
-
-    @property
-    def orthoadditivity_ok(self) -> bool:
-        return self.orthoadditivity_residual <= self.tol
+    tolerance: float
+    hermiticity_ok: bool
+    positivity_ok: bool
+    normalization_ok: bool
+    orthoadditivity_ok: bool
 
     @property
     def passed(self) -> bool:
-        return all(self.verdicts().values())
-
-    def verdicts(self) -> dict:
-        return {
-            "hermiticity": self.hermiticity_ok,
-            "positivity": self.positivity_ok,
-            "normalization": self.normalization_ok,
-            "orthoadditivity": self.orthoadditivity_ok,
-        }
+        return (
+            self.hermiticity_ok
+            and self.positivity_ok
+            and self.normalization_ok
+            and self.orthoadditivity_ok
+        )
 
 
 def _hermiticity_residual(d, pool, samples: int, rng) -> float:
@@ -458,22 +440,27 @@ def check_axioms(
     )
     herm = max(_hermiticity_residual(d, pool, n, rng) for n in sample_blocks(samples))
     v = d.pair_values(pool, pool)
-    pos_min = np.min(v.real)
-    pos_imag = np.max(np.abs(v.imag))
-    norm_res = abs(d.evaluate(eye, eye) - 1.0)
+    pos_min = float(np.min(v.real))
+    pos_imag = float(np.max(np.abs(v.imag)))
+    norm_res = float(abs(d.evaluate(eye, eye) - 1.0))
     ortho = 0.0
     if dim >= 2:
         ortho = max(_orthoadditivity_residual(d, pool, n, rng) for n in sample_blocks(samples))
 
     return AxiomReport(
-        hermiticity_residual=float(herm),
-        positivity_min=float(pos_min),
-        positivity_imag_max=float(pos_imag),
-        normalization_residual=float(norm_res),
-        orthoadditivity_residual=float(ortho),
+        hermiticity_residual=herm,
+        positivity_min=pos_min,
+        positivity_imag_max=pos_imag,
+        normalization_residual=norm_res,
+        orthoadditivity_residual=ortho,
         samples=samples,
-        seed=seed,
-        tol=tol,
+        tolerance=tol,
+        hermiticity_ok=herm <= tol,
+        # Diagonal values with tiny imaginary parts are treated as real;
+        # larger imaginary parts count as violations in their own right.
+        positivity_ok=pos_min >= -tol and pos_imag <= tol,
+        normalization_ok=norm_res <= tol,
+        orthoadditivity_ok=ortho <= tol,
     )
 
 

@@ -140,14 +140,18 @@ class ClassOperatorFunctional(FactoredStateFunctional):
 
 
 class ConsistencyReport(NamedTuple):
-    """Interference diagnostics for a candidate consistent set."""
+    """Interference diagnostics for a candidate set: the ``consistency`` record."""
 
     off_diagonal_max: float
     diagonals: tuple
     total: float
-    consistent: bool
     tolerance: float
     mode: str
+    set_size: int
+
+    @property
+    def consistent(self) -> bool:
+        return self.off_diagonal_max <= self.tolerance
 
 
 def consistency_report(
@@ -187,10 +191,10 @@ def consistency_report(
     off = float(np.max(off_vals, initial=0.0))
     diags = tuple(float(v) for v in table.diagonal().real)
     return ConsistencyReport(
-        off_diagonal_max=float(off),
+        off_diagonal_max=off,
         diagonals=diags,
         total=float(sum(diags)),
-        consistent=off <= tolerance,
         tolerance=tolerance,
         mode=mode,
+        set_size=len(projs),
     )

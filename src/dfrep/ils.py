@@ -190,40 +190,24 @@ def polarization_unit_table(dim: int, table_against) -> np.ndarray:
 
 
 class ConditionsReport(NamedTuple):
-    """Residuals for the three operator conditions."""
+    """Residuals and a verdict per operator condition: the ``verify-conditions`` record."""
 
     swap_adjoint_residual: float
     positivity_min: float
     normalization_residual: float
     samples: int
-    seed: int
-    tol: float
-
-    @property
-    def hermiticity_ok(self) -> bool:
-        return self.swap_adjoint_residual <= self.tol
-
-    @property
-    def positivity_ok(self) -> bool:
-        return self.positivity_min >= -self.tol
-
-    @property
-    def normalization_ok(self) -> bool:
-        return self.normalization_residual <= self.tol
+    tolerance: float
+    hermiticity_ok: bool
+    positivity_ok: bool
+    normalization_ok: bool
 
     @property
     def passed(self) -> bool:
         return self.hermiticity_ok and self.positivity_ok and self.normalization_ok
 
-    def verdicts(self) -> dict:
-        return {
-            "hermiticity": self.hermiticity_ok,
-            "positivity": self.positivity_ok,
-            "normalization": self.normalization_ok,
-        }
-
     def failed(self) -> tuple:
-        return tuple(name for name, ok in self.verdicts().items() if not ok)
+        names = ("hermiticity", "positivity", "normalization")
+        return tuple(name for name in names if not getattr(self, f"{name}_ok"))
 
 
 class ConditionViolationError(ValueError):
@@ -278,13 +262,18 @@ def verify_ils_conditions(
     the swap residual, the positivity minimum over ``samples`` seeded
     projections (see :func:`_sample_positivity_min`) and ``|tr X - 1|``."""
     p = x.pairing
+    swap = swap_adjoint_residual(p)
+    pos_min = _sample_positivity_min(p, x.dim, samples, seed)
+    norm_res = float(abs(pairing_trace(p) - 1.0))
     return ConditionsReport(
-        swap_adjoint_residual=swap_adjoint_residual(p),
-        positivity_min=_sample_positivity_min(p, x.dim, samples, seed),
-        normalization_residual=float(abs(pairing_trace(p) - 1.0)),
+        swap_adjoint_residual=swap,
+        positivity_min=pos_min,
+        normalization_residual=norm_res,
         samples=samples,
-        seed=seed,
-        tol=tol,
+        tolerance=tol,
+        hermiticity_ok=swap <= tol,
+        positivity_ok=pos_min >= -tol,
+        normalization_ok=norm_res <= tol,
     )
 
 

@@ -1,9 +1,7 @@
 """Boundedness diagnostics across truncation dimensions.
 
-Three probes, all seeded and deterministic:
+Two probes, both seeded and deterministic:
 
-* :func:`boundedness_probe` — plain boundedness, ``max |d(p, q)|`` over
-  random projection pairs of all ranks;
 * :func:`tracial_bound_probe` — ``sup |beta(p_xi)|`` over random unit
   vectors in the algebraic tensor subspace (sums of one to four elementary
   tensors);
@@ -32,7 +30,6 @@ from .linalg import (
     MAX_TERMS,
     DimensionLimitError,
     block_draws,
-    projection_blocks,
     stack_norms,
 )
 from .tolerances import MIN_DIMS_FOR_SLOPE, SLOPE_THRESHOLD, SPREAD_THRESHOLD, TENSOR_VECTOR_FLOOR
@@ -40,21 +37,6 @@ from .tolerances import MIN_DIMS_FOR_SLOPE, SLOPE_THRESHOLD, SPREAD_THRESHOLD, T
 VERDICT_TENSOR_BOUNDED = "tensor_bounded_evidence"
 VERDICT_DIVERGENCE = "divergence_evidence"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-
-def boundedness_probe(
-    d: DecoherenceFunctional, dim: int | None = None, samples: int = 500, seed: int = 0
-) -> float:
-    """Running max of |d(p, q)| over seeded random projection pairs across
-    all ranks.  Non-decreasing in ``samples`` for a fixed seed."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if dim is None:
-        dim = d.dim
-    rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-    # p and q alternate in each block, so the first n pairs do not depend on samples.
-    blocks = projection_blocks(dim, 2 * samples, rng)
-    return float(max(map(lambda pq: np.max(np.abs(d.pair_values(pq[0::2], pq[1::2]))), blocks)))
 
 
 def _sample_tensor_vectors(dim: int, samples: int, rng):

@@ -20,7 +20,18 @@ from conftest import (
     rho_half_half,
     skew_corrupted_operator,
 )
-from dfrep import ClassOperatorModel, OperatorBackedFunctional, gram_matrix
+from dfrep import (
+    AxiomReport,
+    ClassOperatorModel,
+    ConditionsReport,
+    ConsistencyReport,
+    OperatorBackedFunctional,
+    check_axioms,
+    consistency_report,
+    gram_matrix,
+    verify_ils_conditions,
+)
+from dfrep.scenarios import parse_scenario
 
 MALFORMED = "{this is not json"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -411,15 +422,86 @@ class TestViolationRecords:
         assert "not Hermitian" in doc["records"][0]["error"]
 
     def test_non_finite_result_is_an_input_error(self, capsys, tmp_path):
-        """Finite entries of X whose residual overflows to inf/inf: exit 2
-        with an error line naming the field, and nothing on stdout."""
-        x = np.zeros((9, 9))
-        x[0, 0], x[4, 4], x[1, 3], x[8, 8] = 1e200, -1e200, 1e200, 1.0
-        path = _write(tmp_path, "huge.json", operator_scenario_text(x))
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(capsys, "reconstruct", "--scenario", path)
+        """Finite entries of X whose residual overflows: exit 2 with an error
+        line naming the command and the overflow, and nothing on stdout."""
+        code, out, err = run_cli(capsys, "reconstruct", "--scenario", _huge_scenario(tmp_path))
         assert (code, out) == (2, "")
-        assert err == "error: non-finite numeric output in records[0].reconstruction_residual\n"
+        assert err.startswith("error: reconstruct: overflow encountered")
+
+    @pytest.mark.parametrize(
+        "command,expected",
+        [
+            ("sweep", 2),
+            ("extract-ils", 2),
+            ("tracial", 2),
+            ("decompose", 2),
+            ("check-axioms", 1),
+            ("verify-conditions", 1),
+            ("consistency", 0),
+        ],
+    )
+    def test_intermediate_overflow_is_an_input_error(self, command, expected, capsys, tmp_path):
+        """An overflow inside a command fails it instead of printing a numpy
+        warning; the commands whose arithmetic stays finite keep their verdicts."""
+        code, out, err = run_cli(capsys, command, "--scenario", _huge_scenario(tmp_path))
+        assert code == expected
+        if expected == 2:
+            assert out == ""
+            assert err.startswith(f"error: {command}: overflow encountered")
+        else:
+            assert err == ""
+
+    def test_non_finite_field_is_named(self):
+        with pytest.raises(cli.NonFiniteOutputError) as exc:
+            json_text({"records": [{"tolerance": 1.0, "residual": float("nan")}]})
+        assert exc.value.args[0] == ".records[0].residual"
+
+
+def _huge_scenario(tmp_path) -> str:
+    """An operator scenario whose entries are finite but whose products
+    overflow (|X| entries of 1e200)."""
+    x = np.zeros((9, 9))
+    x[0, 0], x[4, 4], x[1, 3], x[8, 8] = 1e200, -1e200, 1e200, 1.0
+    return _write(tmp_path, "huge.json", operator_scenario_text(x))
+
+
+# command -> (scenario, report type, the library check with the flags below)
+REPORT_CHECKS = {
+    "check-axioms": (
+        "operator_product_state_dim3.json",
+        AxiomReport,
+        lambda d: check_axioms(d, samples=40, seed=3, tol=1e-7),
+    ),
+    "verify-conditions": (
+        "operator_product_state_dim3.json",
+        ConditionsReport,
+        lambda d: verify_ils_conditions(d, samples=40, seed=3, tol=1e-7),
+    ),
+    "consistency": (
+        "class_operator_trivial_dim3.json",
+        ConsistencyReport,
+        lambda d: consistency_report(d, d.model.schedules[0], tolerance=1e-7),
+    ),
+}
+
+
+class TestReportRecords:
+    @pytest.mark.parametrize("command", sorted(REPORT_CHECKS))
+    def test_record_is_the_library_report(self, command, capsys):
+        """The command prints its check's report as it is: the same keys and
+        the same values as the library call with the same seed, samples and
+        tolerance."""
+        name, report_type, check = REPORT_CHECKS[command]
+        path = SCENARIOS / name
+        argv = [command, "--scenario", str(path), "--seed", "3", "--tolerance", "1e-7"]
+        if command != "consistency":
+            argv += ["--samples", "40"]
+        code, out, _ = run_cli(capsys, *argv)
+        (rec,) = json.loads(out)["records"]
+        assert code == 0
+        assert set(rec) == set(report_type._fields)
+        report = check(parse_scenario(path.read_text()).functional)
+        assert rec == json.loads(json_text(report._asdict()))
 
 
 class TestDeterminism:

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from dfrep import (
-    FormBackedFunctional,
     OperatorBackedFunctional,
     PureStateFunctional,
-    boundedness_probe,
     extract_ils,
     operator_norm,
     pure_state_m,
@@ -41,33 +39,6 @@ def _pure_family(n):
 def _constant_family(n):
     rho = rho_half_half(n)
     return OperatorBackedFunctional(np.kron(rho, rho))
-
-
-class TestBoundednessProbe:
-    def test_holder_bound_operator_backend(self):
-        rho = rho_half_half(4)
-        x0 = np.kron(rho, rho)
-        d = OperatorBackedFunctional(x0)
-        assert boundedness_probe(d, samples=300, seed=1) <= trace_norm(x0) + 1e-9
-
-    def test_zero_functional(self):
-        d = FormBackedFunctional(np.zeros((9, 9), dtype=complex))
-        assert boundedness_probe(d, samples=100, seed=2) == 0.0
-
-    def test_pure_state_cauchy_schwarz(self):
-        d = _pure_family(5)
-        assert boundedness_probe(d, samples=300, seed=3) <= 1 + 1e-9
-
-    def test_monotone_in_samples(self):
-        d = _pure_family(4)
-        vals = [boundedness_probe(d, samples=n, seed=7) for n in (10, 50, 200)]
-        assert vals[0] <= vals[1] <= vals[2]
-
-    def test_deterministic_per_seed(self):
-        d = _pure_family(4)
-        assert boundedness_probe(d, samples=100, seed=9) == boundedness_probe(
-            d, samples=100, seed=9
-        )
 
 
 class TestTracialBoundProbe:
@@ -171,15 +142,6 @@ class TestSampling:
 class TestMonotoneSuprema:
     """Running suprema across block boundaries: exactly non-decreasing in
     ``samples`` and equal to the running max of the per-sample values."""
-
-    def test_boundedness_probe(self):
-        d = OperatorBackedFunctional(extract_ils(_pure_family(4)).x_op)
-        sups = [boundedness_probe(d, samples=n, seed=2) for n in BLOCK_SPANS]
-        assert sups == sorted(sups)
-        pq = sample_projections(4, 2 * 700, _seeded(2, 4))
-        vals = np.abs(d.pair_values(pq[0::2], pq[1::2]))
-        for n, sup in zip(BLOCK_SPANS, sups):
-            assert sup == pytest.approx(float(np.max(vals[:n])), rel=1e-14)
 
     def test_tracial_bound_probe(self):
         dim, seed = 4, 2
