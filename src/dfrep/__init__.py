@@ -38,11 +38,7 @@ from .linalg import (
     trace_norm,
     zero_projection,
 )
-from .probes import (
-    SweepReport,
-    tensor_bound_probe,
-    tracial_bound_probe,
-)
+from .probes import SweepReport, tensor_bound_probe
 from .tracial import (
     Decomposition,
     GramHermiticityError,

@@ -277,13 +277,7 @@ def _cmd_sweep(scenario: Scenario, args, seed: int) -> dict:
         dims = sweep_dims(args.dims, max(2, scenario.dimension))
     except ValueError as exc:
         raise ScenarioError(f"--dims: {exc}") from None
-    report = tensor_bound_probe(scenario.functional_at, dims, samples=args.samples, seed=seed)
-    return {
-        "records": report.records(),
-        "verdict": report.verdict,
-        "growth_slope": report.growth_slope,
-        "samples": report.samples,
-    }
+    return tensor_bound_probe(scenario.functional_at, dims, samples=args.samples, seed=seed)._asdict()
 
 
 def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> dict:

@@ -26,7 +26,7 @@ The associated objects used by the representation modules:
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -130,27 +130,22 @@ class DecoherenceFunctional:
             [[self.bilinear(a, b) for b in right] for a in left], dtype=complex
         )
 
-    def rank_one_pair_table(self, left, right) -> np.ndarray:
-        """Matrix of values ``D(|v_s><v_s|, |w_t><w_t|)`` for rank-one
-        operands in the sparse ``(support, coeff)`` form of
+    def rank_one_table_against(self, right):
+        """The function ``left -> [D(|v_s><v_s|, |w_t><w_t|)]`` for one set
+        of rank-one right operands ``w_t``, which the extraction holds fixed
+        while it calls the function once per block of left atoms.  Operands
+        are in the sparse ``(support, coeff)`` form of
         :func:`dfrep.linalg.rank_one_vectors`.
 
         The default materialises the projections and calls
         :meth:`pair_table`; every backend overrides it with a closed form
-        that reads only the entries on the supports, which is what lets the
-        representation extractors work on the atoms of
-        :func:`dfrep.ils.polarization_atoms` without a dense atom stack.
+        that reads only the entries on the supports and forms the table's
+        right-hand factor once, which is what lets the representation
+        extractors work on the atoms of :func:`dfrep.ils.polarization_atoms`
+        without a dense atom stack.
         """
-        return self.pair_table(
-            rank_one_matrices(*left, self.dim), rank_one_matrices(*right, self.dim)
-        )
-
-    def rank_one_table_against(self, right):
-        """The function ``left -> rank_one_pair_table(left, right)`` for one
-        right-hand atom set, which the extraction holds fixed while it calls
-        the function once per block of left atoms.  A backend whose table
-        has a right-hand factor forms it once, here."""
-        return partial(self.rank_one_pair_table, right=right)
+        r = rank_one_matrices(*right, self.dim)
+        return lambda left: self.pair_table(rank_one_matrices(*left, self.dim), r)
 
     def pair_values(self, left, right) -> np.ndarray:
         """Values ``D(left[s], right[s])`` on two equal-length stacks: the
@@ -236,9 +231,14 @@ class OperatorBackedFunctional(DecoherenceFunctional):
     def pair_table(self, left, right) -> np.ndarray:
         return (_rows(left) @ self.pairing) @ _rows(right).T
 
-    def rank_one_pair_table(self, left, right) -> np.ndarray:
-        (sv, cv), (sw, cw) = left, right
-        return rank_one_product_diagonal((sv[:, None], cv[:, None]), (sw[None], cw[None]), self.pairing)
+    def rank_one_table_against(self, right):
+        sw, cw = right
+
+        def table(left):
+            sv, cv = left
+            return rank_one_product_diagonal((sv[:, None], cv[:, None]), (sw[None], cw[None]), self.pairing)
+
+        return table
 
     def pair_values(self, left, right) -> np.ndarray:
         left, right = self._value_stacks(left, right)
@@ -281,9 +281,6 @@ class FactoredStateFunctional(DecoherenceFunctional):
     def pair_table(self, left, right) -> np.ndarray:
         l, r = self._sides(left, right)
         return l @ r.T
-
-    def rank_one_pair_table(self, left, right) -> np.ndarray:
-        return self.rank_one_table_against(right)(left)
 
     def rank_one_table_against(self, right):
         # D(|v><v|, |w><w|) = (v^dag F)(F^dag w)(w^dag v); the columns w^dag

@@ -151,7 +151,7 @@ class ConsistencyReport(NamedTuple):
 
     @property
     def consistent(self) -> bool:
-        return self.off_diagonal_max <= self.tolerance
+        return self.off_diagonal_max <= self.tolerance and min(self.diagonals) >= -self.tolerance
 
 
 def consistency_report(
@@ -164,8 +164,8 @@ def consistency_report(
 
     ``mode="weak"`` flags the set consistent when the largest off-diagonal
     ``|Re d(h_i, h_j)|`` is at most ``tolerance``; ``mode="medium"`` uses
-    ``|d(h_i, h_j)|`` instead.  The diagonal values then act as the
-    probabilities of the set.
+    ``|d(h_i, h_j)|`` instead.  The diagonal values act as the set's
+    probabilities, and one below ``-tolerance`` makes it inconsistent too.
     """
     if mode not in ("weak", "medium"):
         raise ValueError(f"unknown consistency mode {mode!r}")

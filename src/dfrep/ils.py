@@ -31,7 +31,7 @@ Every atom ``|v><v|`` has v supported on at most two basis vectors, so the
 atoms are passed in the sparse form ``(support, coeff)`` of
 :func:`polarization_atoms` and no ``(N, dim, dim)`` stack is built.  Each
 backend evaluates d on such pairs in closed form
-(:meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_pair_table`):
+(:meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_table_against`):
 ``<v (x) w|X|v (x) w>`` from 16 entries of P for the operator and form
 backends (:func:`dfrep.linalg.rank_one_product_diagonal`, which also reads
 the reconstructor's product diagonal), and ``(v^dag F)(F^dag w)(w^dag v)``
@@ -148,7 +148,7 @@ def _fold_columns(t: np.ndarray, dim: int) -> np.ndarray:
 def bilinear_unit_table(d: DecoherenceFunctional) -> np.ndarray:
     """The pairing matrix ``P[(a,b), (c,e)] = D(E_ab, E_ce)`` of d at
     ``d.dim``, from the backend's closed-form
-    :meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_pair_table`
+    :meth:`~dfrep.functionals.DecoherenceFunctional.rank_one_table_against`
     on the polarization atoms (see :func:`polarization_unit_table`)."""
     return polarization_unit_table(d.dim, d.rank_one_table_against)
 

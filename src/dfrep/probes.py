@@ -1,19 +1,16 @@
 """Boundedness diagnostics across truncation dimensions.
 
-Two probes, both seeded and deterministic:
-
-* :func:`tracial_bound_probe` — ``sup |beta(p_xi)|`` over random unit
-  vectors in the algebraic tensor subspace (sums of one to four elementary
-  tensors);
-* :func:`tensor_bound_probe` — a sweep over truncation dimensions recording
-  the trace norm of the extracted trace-pairing operator per dimension,
-  whose growth or stabilization is the finite-size evidence for the
-  trace-class dichotomy.
+:func:`tensor_bound_probe` sweeps truncation dimensions, seeded and
+deterministic.  Per dimension it records the trace norm of the extracted
+trace-pairing operator, whose growth or stabilization is the finite-size
+evidence for the trace-class dichotomy, and ``sup |beta(p_xi)|`` over
+random unit vectors in the algebraic tensor subspace (sums of one to four
+elementary tensors).
 
 Verdicts are labelled *evidence*, never proofs: a certified decision is not
 possible from finitely many truncations, so the sweep thresholds in
 :mod:`dfrep.tolerances` are declared cutoffs and every report embeds its
-seeds and sample counts.
+sample count.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functionals import DecoherenceFunctional
 from .ils import extract_ils
 from .linalg import (
     MAX_DIM,
@@ -71,63 +67,36 @@ def _sample_tensor_vectors(dim: int, samples: int, rng):
         yield rows, terms
 
 
-def _sup_beta_rank_one(x_op: np.ndarray, dim: int, samples: int, seed: int):
-    """sup |beta(p_xi)| via the pairing identity ``beta(p_xi) = <X xi, xi>``,
-    with the number of samples per term count.
+def _sup_beta_rank_one(x_op: np.ndarray, dim: int, samples: int, seed: int) -> float:
+    """sup |beta(p_xi)| via the pairing identity ``beta(p_xi) = <X xi, xi>``.
 
     The identity holds exactly for the extracted trace-pairing operator
     (both sides are the same linear functional on the algebraic tensor
     product); the definitional term-pair route is kept as a test oracle in
-    ``tests/reference.py``.  Each block of samples is evaluated and dropped
-    before the next is drawn.
+    ``tests/reference.py``.  The estimate is a running max, deterministic
+    per seed and exactly non-decreasing in ``samples``.  Each block of
+    samples is evaluated and dropped before the next is drawn.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
     sup = 0.0
-    counts = np.zeros(MAX_TERMS + 1, dtype=int)
-    for rows, terms in _sample_tensor_vectors(dim, samples, rng):
+    for rows, _ in _sample_tensor_vectors(dim, samples, rng):
         vals = np.abs(np.einsum("nd,nd->n", rows.conj(), rows @ x_op.T))
         sup = max(sup, float(np.max(vals)))
-        counts += np.bincount(terms, minlength=MAX_TERMS + 1)
-    return sup, {t: int(c) for t, c in enumerate(counts) if c}
-
-
-def tracial_bound_probe(d: DecoherenceFunctional, samples: int = 1000, seed: int = 0) -> float:
-    """Estimate ``sup |beta(p_xi)|`` over the algebraic tensor subspace.
-
-    A uniformly bounded sup across dimensions is the signature of tracial
-    boundedness; the estimate is a running max, deterministic per seed and
-    exactly non-decreasing in the sample count.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    x = extract_ils(d, allow_dim_two=True)
-    sup, _ = _sup_beta_rank_one(x.x_op, x.dim, samples, seed)
     return sup
 
 
 class SweepReport(NamedTuple):
-    """Per-dimension trace norms and beta suprema with a growth verdict."""
+    """The ``sweep`` summary: one record per dimension (``dim``,
+    ``trace_norm``, ``sup_beta_rank_one``, ``elapsed_ms``) and the verdict."""
 
-    dims: tuple
-    trace_norms: tuple
-    sup_beta_rank_one: tuple
-    elapsed_ms: tuple
-    length_counts: tuple
-    growth_slope: float
+    records: list
     verdict: str
-    seed: int
+    growth_slope: float
     samples: int
 
-    def records(self):
-        return [
-            {
-                "dim": self.dims[i],
-                "trace_norm": self.trace_norms[i],
-                "sup_beta_rank_one": self.sup_beta_rank_one[i],
-                "elapsed_ms": self.elapsed_ms[i],
-            }
-            for i in range(len(self.dims))
-        ]
+    @property
+    def dims(self) -> tuple:
+        return tuple(r["dim"] for r in self.records)
 
 
 def _sweep_verdict(dims, trace_norms, slope) -> str:
@@ -170,36 +139,25 @@ def tensor_bound_probe(d_family, dims, samples: int = 1000, seed: int = 0) -> Sw
     ``d_family(dim)`` must return the truncation of the functional at that
     dimension.  Per dimension the trace-pairing operator is extracted and
     its trace norm recorded together with the beta supremum over sampled
-    tensor-subspace projections (the latter is exactly the value of
-    :func:`tracial_bound_probe` at the same dimension and seed, so the
-    tracial estimate never exceeds the sweep's by construction).
+    tensor-subspace projections.
 
     Dimension two is admitted in sweeps: trace norms of truncated pairing
     operators are well defined for the intrinsic backends even where the
     representation theorems do not apply.
     """
     dims = sweep_dims(dims)
-    trace_norms = []
-    sups = []
-    elapsed = []
-    lengths = []
+    records = []
     for dim in dims:
         t0 = time.perf_counter()
         x = _extract_member(d_family, dim)
-        sup, counts = _sup_beta_rank_one(x.x_op, dim, samples, seed)
-        trace_norms.append(x.trace_norm)
-        sups.append(sup)
-        lengths.append(tuple(sorted(counts.items())))
-        elapsed.append((time.perf_counter() - t0) * 1e3)
+        records.append(
+            {
+                "dim": dim,
+                "trace_norm": x.trace_norm,
+                "sup_beta_rank_one": _sup_beta_rank_one(x.x_op, dim, samples, seed),
+                "elapsed_ms": (time.perf_counter() - t0) * 1e3,
+            }
+        )
+    trace_norms = [r["trace_norm"] for r in records]
     slope = float(np.polyfit(dims, trace_norms, 1)[0]) if len(dims) >= 2 else 0.0
-    return SweepReport(
-        dims=tuple(dims),
-        trace_norms=tuple(trace_norms),
-        sup_beta_rank_one=tuple(sups),
-        elapsed_ms=tuple(elapsed),
-        length_counts=tuple(lengths),
-        growth_slope=slope,
-        verdict=_sweep_verdict(dims, trace_norms, slope),
-        seed=seed,
-        samples=samples,
-    )
+    return SweepReport(records, _sweep_verdict(dims, trace_norms, slope), slope, samples)

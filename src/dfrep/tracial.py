@@ -184,8 +184,8 @@ def build_tracial_operator(d: DecoherenceFunctional) -> OperatorBackedFunctional
     Gram matrix, held as the pairing matrix ``G W``.
 
     At a fixed truncation every functional yields a finite M; the
-    tracial-boundedness evidence across dimensions is the separate
-    estimate of :func:`dfrep.probes.tracial_bound_probe`.
+    tracial-boundedness evidence across dimensions is the sweep's
+    ``sup_beta_rank_one`` column (:func:`dfrep.probes.tensor_bound_probe`).
     """
     return OperatorBackedFunctional.from_pairing(swap_right(gram_matrix(d)))
 

@@ -29,8 +29,8 @@ from dfrep import (
     pure_state_m,
     random_projection,
     reconstruct_from_product_diagonal,
+    tensor_bound_probe,
     trace_norm,
-    tracial_bound_probe,
     verify_ils_conditions,
 )
 from dfrep.cli import json_text, main
@@ -127,7 +127,7 @@ def test_criterion_03_pure_state_dichotomy():
             d = PureStateFunctional(_e(dim, 0))
             x = extract_ils(d, allow_dim_two=True)
             assert abs(x.trace_norm - dim) <= 1e-8, dim
-            sup = tracial_bound_probe(d, samples=10**4, seed=dim)
+            sup = tensor_bound_probe(lambda n: d, [dim], samples=10**4, seed=dim).records[0]["sup_beta_rank_one"]
             assert sup <= 1 + 1e-9, (dim, sup)
 
 

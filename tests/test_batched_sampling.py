@@ -49,7 +49,7 @@ from dfrep.linalg import (
     spectral_projections,
     swap_operator,
 )
-from dfrep.probes import _sample_tensor_vectors, tracial_bound_probe
+from dfrep.probes import _sample_tensor_vectors, tensor_bound_probe
 from dfrep import tracial
 from dfrep.tracial import product_diagonal_of
 from reference import (
@@ -468,8 +468,8 @@ class TestGeneratorCalls:
                 _blocks,
             ),
             "check_axioms": (lambda n: check_axioms(d, samples=n), _blocks),
-            "tracial_bound_probe": (  # plus the extraction's positivity sample
-                lambda n: tracial_bound_probe(d, samples=n),
+            "tensor_bound_probe": (  # one dimension, plus one more generator
+                lambda n: tensor_bound_probe(lambda m: d, [dim], samples=n),
                 lambda n: _blocks(n) + 1,
             ),
             "pairing_residual": (
@@ -489,7 +489,7 @@ class TestGeneratorCalls:
             "tensor_vectors",
             "tensor_sums",
             "check_axioms",
-            "tracial_bound_probe",
+            "tensor_bound_probe",
             "pairing_residual",
             "tracial_command",
         ],

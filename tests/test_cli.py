@@ -29,6 +29,7 @@ from dfrep import (
     check_axioms,
     consistency_report,
     gram_matrix,
+    tensor_bound_probe,
     verify_ils_conditions,
 )
 from dfrep.scenarios import parse_scenario
@@ -93,6 +94,10 @@ def paths(tmp_path):
             form_scenario_text(gram_matrix(backend_fixtures(3)["operator"])),
         ),
         "co3": _write(tmp_path, "co3.json", class_operator_scenario_text(dim=3)),
+        # Hermitian, unit trace and interference-free on the basis, but d(e1, e1) = -0.5.
+        "op3_negative": _write(
+            tmp_path, "op3n.json", operator_scenario_text(np.diag([1.5, 0, 0, 0, -0.5, 0, 0, 0, 0]))
+        ),
         "bad": _write(tmp_path, "bad.json", MALFORMED),
         "tmp": tmp_path,
     }
@@ -386,14 +391,14 @@ SAMPLING_COMMANDS = {
 
 # command -> (fixture key, expected exit code) for each scenario class
 EXIT_MATRIX = {
-    "check-axioms": [("ps3", 0), ("op3_scaled", 1), ("bad", 2)],
+    "check-axioms": [("ps3", 0), ("op3_scaled", 1), ("op3_negative", 1), ("bad", 2)],
     "extract-ils": [("op3", 0), ("op3_scaled", 1), ("bad", 2), ("ps2", 2)],
-    "verify-conditions": [("op3", 0), ("op3_skew", 1), ("bad", 2)],
+    "verify-conditions": [("op3", 0), ("op3_skew", 1), ("op3_negative", 1), ("bad", 2)],
     "decompose": [("ps3", 0), ("op3_skew", 1), ("bad", 2)],
     "tracial": [("op3", 0), ("op3_skew", 1), ("bad", 2)],
     "sweep": [("ps3", 0), ("op3", 0), ("bad", 2)],
     "demo-pure-state": [("ps3", 0), ("op3", 2), ("bad", 2)],
-    "consistency": [("co3", 0), ("op3", 1), ("bad", 2)],
+    "consistency": [("co3", 0), ("op3", 1), ("op3_negative", 1), ("bad", 2)],
     "reconstruct": [("op3", 0), ("op3_skew", 1), ("ps2", 2), ("bad", 2)],
 }
 
@@ -437,7 +442,7 @@ class TestViolationRecords:
             ("decompose", 2),
             ("check-axioms", 1),
             ("verify-conditions", 1),
-            ("consistency", 0),
+            ("consistency", 1),
         ],
     )
     def test_intermediate_overflow_is_an_input_error(self, command, expected, capsys, tmp_path):
@@ -502,6 +507,21 @@ class TestReportRecords:
         assert set(rec) == set(report_type._fields)
         report = check(parse_scenario(path.read_text()).functional)
         assert rec == json.loads(json_text(report._asdict()))
+
+    def test_sweep_summary_is_the_library_report(self, capsys):
+        """sweep prints tensor_bound_probe's report as it is: with the keys
+        every command adds dropped and elapsed_ms masked, the summary is the
+        report's ``_asdict()`` for the same family, dims, samples and seed."""
+        path = SCENARIOS / "pure_state_dim3.json"
+        argv = ["sweep", "--scenario", str(path), "--dims", "3,4,5", "--samples", "40", "--seed", "3"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        for key in ("command", "seed", "scenario_sha256", "timings_ms"):
+            del doc[key]
+        scenario = parse_scenario(path.read_text())
+        report = tensor_bound_probe(scenario.functional_at, [3, 4, 5], samples=40, seed=3)
+        assert _strip_timings(doc) == _strip_timings(json.loads(json_text(report._asdict())))
 
 
 class TestDeterminism:

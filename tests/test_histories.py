@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from dfrep import (
     ClassOperatorModel,
+    OperatorBackedFunctional,
     PureStateFunctional,
     check_axioms,
     consistency_report,
@@ -155,7 +156,7 @@ class TestOneStandardFunctional:
     both evaluate tr(x F F^dag y) through one factored route."""
 
     def test_one_rank_one_route(self):
-        assert PureStateFunctional.rank_one_pair_table is ClassOperatorFunctional.rank_one_pair_table
+        assert PureStateFunctional.rank_one_table_against is ClassOperatorFunctional.rank_one_table_against
 
     @pytest.mark.parametrize("dim", [3, 5, 8])
     def test_pure_state_is_the_class_operator(self, dim, rng):
@@ -165,13 +166,11 @@ class TestOneStandardFunctional:
         classop = ClassOperatorFunctional(trivial_model(dim, rho=np.outer(psi, psi.conj())))
         p = sample_projections(dim, 12, rng)
         q = sample_projections(dim, 12, rng)
-        atoms = polarization_atoms(dim)
-        for method, args in (
-            ("pair_table", (p, q)),
-            ("pair_values", (p, q)),
-            ("rank_one_pair_table", (atoms, _random_supports(rng, dim, 9))),
-        ):
-            assert_allclose(getattr(classop, method)(*args), getattr(pure, method)(*args), rtol=0, atol=1e-12)
+        atoms, right = polarization_atoms(dim), _random_supports(rng, dim, 9)
+        for method in ("pair_table", "pair_values"):
+            assert_allclose(getattr(classop, method)(p, q), getattr(pure, method)(p, q), rtol=0, atol=1e-12)
+        got = classop.rank_one_table_against(right)(atoms)
+        assert_allclose(got, pure.rank_one_table_against(right)(atoms), rtol=0, atol=1e-12)
         for a, b in zip(p, q):
             assert abs(classop.evaluate(a, b) - pure.evaluate(a, b)) <= 1e-12
 
@@ -201,7 +200,7 @@ class TestOneStandardFunctional:
         assert_allclose(d.pair_values(p, q), np.diagonal(ref_table(p, q)), rtol=0, atol=1e-12)
         left, right = polarization_atoms(dim), _random_supports(rng, dim, 7)
         ref = ref_table(rank_one_matrices(*left, dim), rank_one_matrices(*right, dim))
-        assert_allclose(d.rank_one_pair_table(left, right), ref, rtol=0, atol=1e-12)
+        assert_allclose(d.rank_one_table_against(right)(left), ref, rtol=0, atol=1e-12)
 
 
 def _expm_taylor(a):
@@ -392,6 +391,17 @@ class TestConsistencyReport:
         expect = tuple(float(np.trace(p.matrix @ model.rho).real) for p in model.schedules[0])
         assert report.diagonals == pytest.approx(expect, abs=1e-12)
         assert report.total == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_probability_is_inconsistent(self):
+        # X diagonal with X[0][0] = 1.5 and X[4][4] = -0.5: Hermitian, unit
+        # trace and interference-free on the basis, but d(e1, e1) = -0.5.
+        x = np.diag([1.5, 0, 0, 0, -0.5, 0, 0, 0, 0]).astype(complex)
+        fam = [basis_proj(3, i) for i in range(3)]
+        report = consistency_report(OperatorBackedFunctional(x), fam)
+        assert report.off_diagonal_max == 0.0
+        assert report.diagonals == (1.5, -0.5, 0.0)
+        assert not report.consistent
+        assert consistency_report(OperatorBackedFunctional(x), fam, tolerance=0.5).consistent
 
     def test_non_orthogonal_set_rejected(self):
         d = ClassOperatorFunctional(trivial_model(3))

@@ -11,7 +11,6 @@ from dfrep import (
     pure_state_m,
     tensor_bound_probe,
     trace_norm,
-    tracial_bound_probe,
 )
 from dfrep.linalg import sample_projections
 from dfrep.probes import (
@@ -41,11 +40,16 @@ def _constant_family(n):
     return OperatorBackedFunctional(np.kron(rho, rho))
 
 
+def _sup_beta(d, samples, seed):
+    """The sweep's sup |beta(p_xi)| estimate for the one functional d."""
+    return _sup_beta_rank_one(extract_ils(d, allow_dim_two=True).x_op, d.dim, samples, seed)
+
+
 class TestTracialBoundProbe:
     def test_pure_state_bounded_by_operator_norm(self):
         # |<PU xi, xi>| <= ||PU|| = 1 for every unit xi
         d = _pure_family(6)
-        sup = tracial_bound_probe(d, samples=2000, seed=1)
+        sup = _sup_beta(d, samples=2000, seed=1)
         assert sup <= 1 + 1e-9
         assert sup > 0.0
 
@@ -53,12 +57,12 @@ class TestTracialBoundProbe:
         rho = rho_half_half(4)
         x0 = np.kron(rho, rho)
         d = OperatorBackedFunctional(x0)
-        sup = tracial_bound_probe(d, samples=1000, seed=2)
+        sup = _sup_beta(d, samples=1000, seed=2)
         assert sup <= trace_norm(x0) + 1e-9
 
     def test_monotone_in_samples_exactly(self):
         d = _pure_family(4)
-        vals = [tracial_bound_probe(d, samples=n, seed=11) for n in (10, 100, 500)]
+        vals = [_sup_beta(d, samples=n, seed=11) for n in (10, 100, 500)]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_elementary_vector_matches_projection_pair(self, rng):
@@ -96,7 +100,7 @@ class TestTracialBoundProbe:
                 assert abs(fast - slow) <= 1e-9, kind
 
     def test_works_at_dimension_two(self):
-        assert tracial_bound_probe(_pure_family(2), samples=200, seed=4) <= 1 + 1e-9
+        assert _sup_beta(_pure_family(2), samples=200, seed=4) <= 1 + 1e-9
 
 
 def _tensor_rows(dim, samples, rng):
@@ -143,11 +147,11 @@ class TestMonotoneSuprema:
     """Running suprema across block boundaries: exactly non-decreasing in
     ``samples`` and equal to the running max of the per-sample values."""
 
-    def test_tracial_bound_probe(self):
+    def test_sup_beta_rank_one(self):
         dim, seed = 4, 2
         d = _pure_family(dim)
         x_op = extract_ils(d).x_op
-        sups = [tracial_bound_probe(d, samples=n, seed=seed) for n in BLOCK_SPANS]
+        sups = [_sup_beta(d, samples=n, seed=seed) for n in BLOCK_SPANS]
         assert sups == sorted(sups)
         rows, _ = _tensor_rows(dim, 700, _seeded(seed, dim))
         vals = np.abs(np.einsum("nd,nd->n", rows.conj(), rows @ x_op.T))
@@ -162,10 +166,9 @@ class TestSupBetaBlocks:
         dim, seed = 4, 3
         x_op = extract_ils(PureStateFunctional(_e(dim, 1))).x_op
         x_op = x_op + 0.1 * np.random.default_rng(0).standard_normal(x_op.shape)
-        sup, counts = _sup_beta_rank_one(x_op, dim, samples, seed)
-        xis, ref_counts = _tensor_rows(dim, samples, _seeded(seed, dim))
+        sup = _sup_beta_rank_one(x_op, dim, samples, seed)
+        xis, _ = _tensor_rows(dim, samples, _seeded(seed, dim))
         ref = float(np.max(np.abs(np.einsum("nd,nd->n", xis.conj(), xis @ x_op.T))))
-        assert counts == ref_counts
         assert sup == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -173,16 +176,17 @@ class TestTensorBoundProbe:
     def test_constant_family_stabilizes(self):
         report = tensor_bound_probe(_constant_family, [3, 4, 5, 6], samples=200, seed=1)
         assert report.verdict == VERDICT_TENSOR_BOUNDED
-        assert max(report.trace_norms) - min(report.trace_norms) <= 1e-8
+        trace_norms = [r["trace_norm"] for r in report.records]
+        assert max(trace_norms) - min(trace_norms) <= 1e-8
         assert abs(report.growth_slope) <= 1e-8
 
     def test_pure_state_family_diverges(self):
         report = tensor_bound_probe(_pure_family, list(range(2, 9)), samples=300, seed=1)
         assert report.verdict == VERDICT_DIVERGENCE
-        for n, tn in zip(report.dims, report.trace_norms):
-            assert tn == pytest.approx(n, abs=1e-8)
+        for r in report.records:
+            assert r["trace_norm"] == pytest.approx(r["dim"], abs=1e-8)
         assert report.growth_slope == pytest.approx(1.0, abs=1e-6)
-        assert all(s <= 1 + 1e-9 for s in report.sup_beta_rank_one)
+        assert all(r["sup_beta_rank_one"] <= 1 + 1e-9 for r in report.records)
 
     def test_verdicts_stable_across_seeds(self):
         for seed in range(1, 11):
@@ -191,22 +195,14 @@ class TestTensorBoundProbe:
             r2 = tensor_bound_probe(_pure_family, [2, 3, 4, 5, 6], samples=50, seed=seed)
             assert r2.verdict != VERDICT_TENSOR_BOUNDED
 
-    def test_sup_column_equals_tracial_probe(self):
-        samples, seed = 150, 3
-        report = tensor_bound_probe(_pure_family, [3, 4, 5], samples=samples, seed=seed)
-        for dim, sup in zip(report.dims, report.sup_beta_rank_one):
-            assert sup == tracial_bound_probe(
-                _pure_family(dim), samples=samples, seed=seed
-            )
-
     def test_records_shape(self):
         report = tensor_bound_probe(_constant_family, [3, 4, 5], samples=20, seed=2)
-        recs = report.records()
+        assert report._fields == ("records", "verdict", "growth_slope", "samples")
+        assert report.dims == (3, 4, 5)
+        recs = report.records
         assert [r["dim"] for r in recs] == [3, 4, 5]
         assert all(set(r) == {"dim", "trace_norm", "sup_beta_rank_one", "elapsed_ms"} for r in recs)
         assert report.samples == 20
-        assert report.seed == 2
-        assert len(report.length_counts) == 3
 
     def test_dims_validation(self):
         with pytest.raises(ValueError):
@@ -228,7 +224,7 @@ class TestPureStateSignature:
         # sweep-level witness separating the two boundedness notions
         report = tensor_bound_probe(_pure_family, list(range(2, 7)), samples=500, seed=8)
         assert report.verdict == VERDICT_DIVERGENCE
-        assert all(s <= 1 + 1e-9 for s in report.sup_beta_rank_one)
+        assert all(r["sup_beta_rank_one"] <= 1 + 1e-9 for r in report.records)
         for n in report.dims:
             assert operator_norm(pure_state_m(_e(n, 0))) <= 1 + 1e-9
 

@@ -17,12 +17,12 @@ from dfrep import (
     df_from_operator,
     hermitian_form_decomposition,
     swap_operator,
-    tracial_bound_probe,
     verify_ils_conditions,
 )
 from dfrep import functionals, ils, linalg, tracial
 from dfrep.cli import _random_tensor_sums, main
 from dfrep.ils import extract_ils, ils_operator_from_matrix, polarization_atoms
+from dfrep.probes import _sup_beta_rank_one
 from dfrep.linalg import (
     haar_unitary,
     operator_norm,
@@ -108,7 +108,7 @@ class TestRankOnePairTables:
         d = _random_backends(dim, rng)[kind]
         support, coeff = polarization_atoms(dim)
         atoms = rank_one_matrices(support, coeff, dim)
-        fast = d.rank_one_pair_table((support, coeff), (support, coeff))
+        fast = d.rank_one_table_against((support, coeff))((support, coeff))
         assert fast.shape == (len(support), len(support))
         assert _rel(fast, d.pair_table(atoms, atoms)) <= 1e-12
 
@@ -119,12 +119,12 @@ class TestRankOnePairTables:
         d = _random_backends(dim, rng)[kind]
         left = (rng.integers(0, dim, (7, 2)), _cmat(rng, 7)[:, :2])
         right = (rng.integers(0, dim, (9, 2)), _cmat(rng, 9)[:, :2])
-        fast = d.rank_one_pair_table(left, right)
+        fast = d.rank_one_table_against(right)(left)
         ref = DecoherenceFunctional.pair_table(
             d, rank_one_matrices(*left, dim), rank_one_matrices(*right, dim)
         )
         assert _rel(fast, ref) <= 1e-12
-        assert _rel(DecoherenceFunctional.rank_one_pair_table(d, left, right), ref) <= 1e-12
+        assert _rel(DecoherenceFunctional.rank_one_table_against(d, right)(left), ref) <= 1e-12
 
     def test_operator_table_and_oracle_share_one_reader(self, rng, monkeypatch):
         """The operator backend's atom table and the reconstructor's oracle
@@ -142,7 +142,7 @@ class TestRankOnePairTables:
             monkeypatch.setattr(module, "rank_one_product_diagonal", spy)
         atoms = polarization_atoms(dim)
         n = len(atoms[0])
-        OperatorBackedFunctional(x).rank_one_pair_table(atoms, atoms)
+        OperatorBackedFunctional(x).rank_one_table_against(atoms)(atoms)
         assert calls == [((n, 1, 2), (1, n, 2))]
         product_diagonal_of(x)(_cmat(rng, dim)[:, None], _cmat(rng, dim)[None])
         assert calls[1:] == [((dim, 1, dim), (1, dim, dim))]
@@ -153,7 +153,7 @@ class TestRankOnePairTables:
         assert np.abs(x - x.conj().T).max() > 0.1
         atoms = polarization_atoms(dim)
         v = rank_one_vectors(*atoms, dim)
-        table = OperatorBackedFunctional(x).rank_one_pair_table(atoms, atoms)
+        table = OperatorBackedFunctional(x).rank_one_table_against(atoms)(atoms)
         assert np.array_equal(table, product_diagonal_of(x)(v[:, None], v[None]))
         # The row read of a (n, 1) against a (1, n) batch gives the bits of
         # the elementwise read of the whole (n, n) grid.
@@ -375,7 +375,7 @@ class TestLazyTraceNorm:
         assert main(["verify-conditions", "--scenario", str(scenario)]) == 0
         assert '"verdict":"pass"' in capsys.readouterr().out
         d = df_from_operator(x)
-        assert tracial_bound_probe(d, samples=20) > 0
+        assert _sup_beta_rank_one(extract_ils(d, allow_dim_two=True).x_op, d.dim, 20, 0) > 0
         holder = ils_operator_from_matrix(x)
         assert "trace_norm" not in vars(holder)
         with pytest.raises(AssertionError):
@@ -392,7 +392,7 @@ class TestLazyTraceNorm:
         for name in ("_sample_positivity_min", "swap_adjoint_residual"):
             monkeypatch.setattr(ils, name, raiser)
         d = OperatorBackedFunctional(random_valid_pairing_operator(4, rng))
-        assert tracial_bound_probe(d, samples=20) > 0
+        assert _sup_beta_rank_one(extract_ils(d, allow_dim_two=True).x_op, d.dim, 20, 0) > 0
         scenario = ROOT / "scenarios" / "pure_state_dim3.json"
         assert main(["sweep", "--scenario", str(scenario), "--dims", "3,4", "--samples", "20"]) == 0
         assert '"command":"sweep"' in capsys.readouterr().out
