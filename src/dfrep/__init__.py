@@ -28,7 +28,6 @@ from .ils import (
 from .linalg import (
     DimensionLimitError,
     Projection,
-    identity_projection,
     kron_trace,
     operator_norm,
     random_projection,
@@ -36,7 +35,6 @@ from .linalg import (
     spectral_projections,
     swap_operator,
     trace_norm,
-    zero_projection,
 )
 from .probes import SweepReport, tensor_bound_probe
 from .tracial import (

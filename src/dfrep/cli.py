@@ -54,7 +54,6 @@ from .linalg import (
     pairing_values,
     projection_blocks,
     rank_one_proj,
-    sample_projections,
 )
 from .probes import sweep_dims, tensor_bound_probe
 from .scenarios import Scenario, ScenarioError, parse_scenario
@@ -175,8 +174,8 @@ def _random_tensor_sums(dim: int, count: int, rng):
     first n sums do not depend on ``count``.
     """
     # The term counts and the normals of every block; each block is freed once concatenated.
-    counts, z = tuple(zip(*block_draws(rng, count, 1, MAX_TERMS + 1, (4, dim, dim)))) or ((), ())
-    z = np.concatenate(z) if z else np.empty((0, 4, dim, dim))
+    counts, z = zip(*block_draws(rng, count, 1, MAX_TERMS + 1, (4, dim, dim)))
+    z = np.concatenate(z)
     starts = np.cumsum(np.concatenate([[0], *counts]))[:-1]
     return z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3], starts
 
@@ -252,7 +251,7 @@ def _cmd_tracial(scenario: Scenario, args, seed: int) -> dict:
     block_ranks = sorted({1, 2 if d.dim >= 2 else 1, d.dim})
     if args.block_rank is not None and args.block_rank not in block_ranks:
         block_ranks.append(args.block_rank)
-    pq = sample_projections(d.dim, 40, rng, min_rank=1)  # 20 pairs, p and q alternating
+    pq = next(projection_blocks(d.dim, 40, rng, min_rank=1))  # 20 pairs, p and q alternating
     p, q = pq[0::2], pq[1::2]
     sums = np.asarray(double_sum_table(top, p, q, block_ranks))
     double_res = float(np.max(np.abs(sums - pairing_values(p, q, top.pairing)[:, None])))

@@ -44,12 +44,12 @@ from .linalg import (
     operator_norm,
     pairing_realignment,
     pairing_values,
+    projection_blocks,
     rank_one_matrices,
     rank_one_product_diagonal,
     rank_one_rows,
     rank_one_vectors,
     sample_blocks,
-    sample_projections,
     spectral_projections,
     swap_right,
     trace_norm,
@@ -424,16 +424,14 @@ def check_axioms(
     evidence, not proof).  Orthoadditivity draws random orthogonal pairs
     from Haar frames.  Deterministic per seed.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     dim = d.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     # Each family (pool projections, Hermiticity pairs, orthogonal splits)
     # is drawn and evaluated per block of SAMPLE_BLOCK samples, with a few
-    # vectorised generator calls per block; see sample_projections.
+    # vectorised generator calls per block; see projection_blocks.
     eye = np.eye(dim, dtype=complex)
     pool = np.concatenate(
-        [eye[None], eye[:, :, None] * eye[:, None, :], sample_projections(dim, samples, rng)]
+        [eye[None], eye[:, :, None] * eye[:, None, :], *projection_blocks(dim, samples, rng)]
     )
     herm = max(_hermiticity_residual(d, pool, n, rng) for n in sample_blocks(samples))
     v = d.pair_values(pool, pool)

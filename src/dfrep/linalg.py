@@ -166,14 +166,6 @@ def check_projection_stack(mats, ranks) -> np.ndarray:
     raise ValueError(f"{where} trace {tr[k]:.3g} inconsistent with declared rank {r[k]:g}")
 
 
-def identity_projection(dim: int) -> Projection:
-    return Projection(np.eye(dim, dtype=complex), dim)
-
-
-def zero_projection(dim: int) -> Projection:
-    return Projection(np.zeros((dim, dim), dtype=complex), 0)
-
-
 def mat(x) -> np.ndarray:
     """Matrix payload of a Projection, or the array itself."""
     if isinstance(x, Projection):
@@ -618,7 +610,10 @@ MAX_TERMS = 4
 
 
 def sample_blocks(count: int) -> list:
-    """Sizes of the consecutive sample blocks covering ``count`` samples."""
+    """Sizes of the consecutive sample blocks covering ``count`` samples,
+    and the one sample-count rule: fewer than one raises ``ValueError``."""
+    if count < 1:
+        raise ValueError("samples must be >= 1")
     return [min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)]
 
 
@@ -673,24 +668,15 @@ def projection_blocks(dim: int, count: int, rng, min_rank: int = 0):
     and every block is validated with :func:`check_projection_stack`.  A
     caller that reduces each block to a number (through ``map``, which
     drops a block before it asks for the next) holds one block at a time;
-    pairs drawn alternately stay inside a block, as SAMPLE_BLOCK is even."""
+    pairs drawn alternately stay inside a block, as SAMPLE_BLOCK is even.
+    It is the one projection sampler: a whole stack is the concatenation
+    of its blocks, and up to SAMPLE_BLOCK projections are its first."""
     draws = block_draws(rng, count, min_rank, dim + 1, units=lambda r: _factor_sizes(dim, r))
     for ranks, normals in draws:
         stack = _projections(dim, ranks, normals)
         del normals  # freed before the validation temporaries are allocated
         yield check_projection_stack(stack, ranks)
         del stack  # not held while the next block is drawn
-
-
-def sample_projections(dim: int, count: int, rng, min_rank: int = 0) -> np.ndarray:
-    """The ``(count, dim, dim)`` stack of the blocks of
-    :func:`projection_blocks`."""
-    out = np.empty((count, dim, dim), dtype=complex)
-    start = 0
-    for block in projection_blocks(dim, count, rng, min_rank):
-        out[start : start + len(block)] = block
-        start += len(block)
-    return out
 
 
 def random_projection(dim: int, rank: int, seed) -> Projection:

@@ -26,6 +26,7 @@ from .linalg import (
     MAX_TERMS,
     DimensionLimitError,
     block_draws,
+    sample_blocks,
     stack_norms,
 )
 from .tolerances import MIN_DIMS_FOR_SLOPE, SLOPE_THRESHOLD, SPREAD_THRESHOLD, TENSOR_VECTOR_FLOOR
@@ -146,6 +147,7 @@ def tensor_bound_probe(d_family, dims, samples: int = 1000, seed: int = 0) -> Sw
     representation theorems do not apply.
     """
     dims = sweep_dims(dims)
+    sample_blocks(samples)  # the sample-count rule, before any member is extracted
     records = []
     for dim in dims:
         t0 = time.perf_counter()

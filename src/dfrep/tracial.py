@@ -309,7 +309,7 @@ def double_sum_table(m, ps, qs, block_ranks) -> list:
     all block ranks.
 
     ``ps`` and ``qs`` hold validated projections, as Projection objects or
-    as matrices (such as a ``sample_projections`` stack); each range, and
+    as matrices (such as a ``projection_blocks`` block); each range, and
     so each rank, is read off the ``eigh`` that splits it into blocks.
     """
     if any(br < 1 for br in block_ranks):

@@ -202,7 +202,7 @@ def block_layout_draws(rng, count, low, high, unit, units=lambda k: k):
 
 
 def block_projections(dim, count, rng, min_rank=0) -> list:
-    """``count`` projections drawn as ``sample_projections`` draws them,
+    """``count`` projections drawn as ``projection_blocks`` draws them,
     each built on its own from the QR of its Gaussian columns."""
     out = []
     draws = block_layout_draws(

@@ -5,7 +5,7 @@ Each definition here is the scalar, term-by-term form of an object that
 algebraic tensor product, the history class operators ``C_h`` and the
 history-pair values ``d(h, k)``, the refined bilinear extension, the
 16-term double-polarization reconstructor, and the matrix helpers they are
-written in.  No CLI command reaches this module and
+written in (with the identity and zero projections).  No CLI command reaches this module and
 ``dfrep`` does not import it; the tests import it as ``reference``.
 """
 
@@ -121,6 +121,14 @@ def trace_pair(a, x) -> complex:
     if am.shape != xm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {xm.shape}")
     return complex(np.einsum("ij,ji->", am, xm))
+
+
+def identity_projection(dim: int) -> Projection:
+    return Projection(np.eye(dim, dtype=complex), dim)
+
+
+def zero_projection(dim: int) -> Projection:
+    return Projection(np.zeros((dim, dim), dtype=complex), 0)
 
 
 # --- beta and the bilinear extension -----------------------------------------

@@ -32,11 +32,13 @@ from dfrep import (
     gram_matrix,
     random_projection,
     reconstruct_from_product_diagonal,
+    verify_ils_conditions,
 )
 from dfrep.cli import _pairing_residual, _random_tensor_sums, main
 from dfrep.ils import ATOM_BLOCK
 from dfrep.linalg import (
     SAMPLE_BLOCK,
+    block_draws,
     check_projection_stack,
     ginibre,
     haar_from_ginibre,
@@ -45,11 +47,12 @@ from dfrep.linalg import (
     operator_from_pairing,
     pairing_realignment,
     pairing_values,
-    sample_projections,
+    projection_blocks,
+    sample_blocks,
     spectral_projections,
     swap_operator,
 )
-from dfrep.probes import _sample_tensor_vectors, tensor_bound_probe
+from dfrep.probes import _sample_tensor_vectors, _sup_beta_rank_one, tensor_bound_probe
 from dfrep import tracial
 from dfrep.tracial import product_diagonal_of
 from reference import (
@@ -239,11 +242,13 @@ class TestDraws:
 
     @pytest.mark.parametrize("min_rank", [0, 1])
     @pytest.mark.parametrize("count", [60, 300])
-    def test_sample_projections_match_block_reference(self, min_rank, count):
+    def test_projection_blocks_match_block_reference(self, min_rank, count):
         dim = 5
         a = np.random.default_rng(np.random.SeedSequence([9, dim]))
         b = np.random.default_rng(np.random.SeedSequence([9, dim]))
-        stack = sample_projections(dim, count, a, min_rank)
+        blocks = list(projection_blocks(dim, count, a, min_rank))
+        assert [len(block) for block in blocks] == sample_blocks(count)
+        stack = np.concatenate(blocks)
         ref = block_projections(dim, count, b, min_rank)
         for s in range(count):
             assert np.abs(stack[s] - ref[s].matrix).max() <= 1e-15
@@ -269,7 +274,7 @@ class TestDraws:
 
 class TestProjectionStackCheck:
     def test_accepts_valid_and_names_failing_index(self, rng):
-        good = sample_projections(4, 6, rng, 1)
+        good = next(projection_blocks(4, 6, rng, 1))
         ranks = np.rint(np.trace(good, axis1=1, axis2=2).real).astype(int)
         assert np.array_equal(check_projection_stack(good, ranks), good)
         cases = {
@@ -287,7 +292,7 @@ class TestProjectionStackCheck:
             check_projection_stack(good, wrong)
 
     def test_same_criteria_as_projection(self, rng):
-        p = sample_projections(4, 1, rng, 1)[0]
+        p = next(projection_blocks(4, 1, rng, 1))[0]
         rank = int(round(np.trace(p).real))
         for m, r in ((p, rank), (p + 1e-7 * np.eye(4), rank), (p, rank + 1), (0.9 * p, rank)):
             try:
@@ -303,7 +308,7 @@ class TestProjectionStackCheck:
             assert ok == expect_ok
 
     def test_non_finite_is_a_value_error(self, rng):
-        bad = sample_projections(3, 2, rng)
+        bad = next(projection_blocks(3, 2, rng))
         bad[1, 0, 0] = np.inf
         with pytest.raises(ValueError, match="projection 1 has non-finite"):
             check_projection_stack(bad, [1, 1])
@@ -439,6 +444,20 @@ def _blocks(n):
     return -(-n // SAMPLE_BLOCK)
 
 
+def _counted_generators(monkeypatch) -> list:
+    """Make ``np.random.default_rng`` return a :class:`CountingGenerator`
+    and return the list each new one is appended to."""
+    made = []
+    real = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        made.append(CountingGenerator(real(*args, **kwargs)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    return made
+
+
 class TestGeneratorCalls:
     """Each sampled check calls the generator a few times per block of
     ``SAMPLE_BLOCK`` samples, never once per sample."""
@@ -455,8 +474,8 @@ class TestGeneratorCalls:
         scenario = str(self.SCENARIO)
         # site -> (call with n samples, blocks of samples it draws)
         return {
-            "sample_projections": (
-                lambda n: sample_projections(dim, n, np.random.default_rng(0)),
+            "projection_blocks": (
+                lambda n: list(projection_blocks(dim, n, np.random.default_rng(0))),
                 _blocks,
             ),
             "tensor_vectors": (
@@ -485,7 +504,7 @@ class TestGeneratorCalls:
     @pytest.mark.parametrize(
         "site",
         [
-            "sample_projections",
+            "projection_blocks",
             "tensor_vectors",
             "tensor_sums",
             "check_axioms",
@@ -496,20 +515,44 @@ class TestGeneratorCalls:
     )
     def test_calls_per_block(self, site, monkeypatch, capsys):
         run, blocks = self._sites(4)[site]
-        made = []
-        real = np.random.default_rng
-
-        def counting_rng(*args, **kwargs):
-            made.append(CountingGenerator(real(*args, **kwargs)))
-            return made[-1]
-
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        made = _counted_generators(monkeypatch)
         for n in (50, 300, 700):
             made.clear()
             run(n)
             calls = sum(g.calls for g in made)
             assert 0 < calls <= self.PER_BLOCK * blocks(n), (site, n, calls)
         capsys.readouterr()
+
+
+class TestSampleCountRule:
+    """``linalg.sample_blocks`` is the one sample-count rule: every sampled
+    entry point refuses fewer than one sample before its first draw, and
+    the sweep before its first extraction."""
+
+    SITES = {
+        "tensor_bound_probe": lambda d, n: tensor_bound_probe(lambda m: d, [d.dim], samples=n),
+        "verify_ils_conditions": lambda d, n: verify_ils_conditions(d, samples=n),
+        "check_axioms": lambda d, n: check_axioms(d, samples=n),
+        "pairing_residual": lambda d, n: _pairing_residual(d, d, n, 0),
+        "tensor_sums": lambda d, n: _random_tensor_sums(d.dim, n, np.random.default_rng(0)),
+        "sup_beta_rank_one": lambda d, n: _sup_beta_rank_one(d.x_op, d.dim, n, 0),
+        "projection_blocks": lambda d, n: next(projection_blocks(d.dim, n, np.random.default_rng(0))),
+        "block_draws": lambda d, n: next(block_draws(np.random.default_rng(0), n, 1, 5)),
+    }
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("site", list(SITES))
+    def test_refuses_fewer_than_one_sample(self, site, samples, monkeypatch):
+        d = _valid_backends(3, np.random.default_rng(5))["operator"]
+        made = _counted_generators(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep member was extracted")
+
+        monkeypatch.setattr("dfrep.probes.extract_ils", refuse)
+        with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+            self.SITES[site](d, samples)
+        assert sum(g.calls for g in made) == 0
 
 
 class TestRefinedBilinear:

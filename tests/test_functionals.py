@@ -12,7 +12,6 @@ from dfrep import (
     check_axioms,
     extend_to_bilinear,
     gram_matrix,
-    identity_projection,
     kron_trace,
     random_projection,
     rank_one_proj,
@@ -22,6 +21,7 @@ from reference import (
     beta,
     beta_of_product_projection,
     bilinear_refined,
+    identity_projection,
     sesquilinear_q,
 )
 from conftest import backend_fixtures, basis_proj, rho_half_half

@@ -10,21 +10,21 @@ from dfrep import (
     PureStateFunctional,
     check_axioms,
     consistency_report,
-    identity_projection,
     random_projection,
-    zero_projection,
 )
 from dfrep.histories import ClassOperatorFunctional
 from dfrep.ils import polarization_atoms
-from dfrep.linalg import haar_unitary, rank_one_matrices, sample_projections
+from dfrep.linalg import haar_unitary, projection_blocks, rank_one_matrices
 from dfrep.tolerances import MODEL_TOL as _MODEL_TOL
 from reference import (
     HomogeneousHistory,
     class_operator,
     heisenberg,
     history_pair_value,
+    identity_projection,
     iter_homogeneous_histories,
     orthogonal_decompose,
+    zero_projection,
 )
 from conftest import basis_proj, rho_half_half, trivial_model
 
@@ -164,8 +164,8 @@ class TestOneStandardFunctional:
         psi /= np.linalg.norm(psi)
         pure = PureStateFunctional(psi)
         classop = ClassOperatorFunctional(trivial_model(dim, rho=np.outer(psi, psi.conj())))
-        p = sample_projections(dim, 12, rng)
-        q = sample_projections(dim, 12, rng)
+        p = next(projection_blocks(dim, 12, rng))
+        q = next(projection_blocks(dim, 12, rng))
         atoms, right = polarization_atoms(dim), _random_supports(rng, dim, 9)
         for method in ("pair_table", "pair_values"):
             assert_allclose(getattr(classop, method)(p, q), getattr(pure, method)(p, q), rtol=0, atol=1e-12)
@@ -194,8 +194,8 @@ class TestOneStandardFunctional:
                 [[np.trace(heisenberg(model, a, t) @ rho @ heisenberg(model, b, t)) for b in right] for a in left]
             )
 
-        p = sample_projections(dim, 10, rng)
-        q = sample_projections(dim, 10, rng)
+        p = next(projection_blocks(dim, 10, rng))
+        q = next(projection_blocks(dim, 10, rng))
         assert_allclose(d.pair_table(p, q), ref_table(p, q), rtol=0, atol=1e-12)
         assert_allclose(d.pair_values(p, q), np.diagonal(ref_table(p, q)), rtol=0, atol=1e-12)
         left, right = polarization_atoms(dim), _random_supports(rng, dim, 7)

@@ -12,17 +12,15 @@ from dfrep import (
     PureStateFunctional,
     df_from_operator,
     extract_ils,
-    identity_projection,
     random_projection,
     swap_operator,
     verify_ils_conditions,
-    zero_projection,
 )
 from dfrep.ils import (
     bilinear_unit_table,
     ils_operator_from_matrix,
 )
-from reference import evaluate_ils, functional_to_operator
+from reference import evaluate_ils, functional_to_operator, identity_projection, zero_projection
 from conftest import (
     backend_fixtures,
     basis_proj,

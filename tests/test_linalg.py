@@ -10,16 +10,21 @@ from dfrep.linalg import (
     haar_unitary,
     hermiticity_residual,
     hermitize_in_place,
-    identity_projection,
     kron_trace,
     random_projection,
     rank_one_proj,
     spectral_projections,
     swap_operator,
     trace_norm,
+)
+from reference import (
+    ElementaryTensorSum,
+    identity_projection,
+    kron,
+    projector_tensor_sum,
+    trace_pair,
     zero_projection,
 )
-from reference import ElementaryTensorSum, kron, projector_tensor_sum, trace_pair
 
 
 def _cmat(rng, dim):

@@ -12,7 +12,7 @@ from dfrep import (
     tensor_bound_probe,
     trace_norm,
 )
-from dfrep.linalg import sample_projections
+from dfrep.linalg import projection_blocks
 from dfrep.probes import (
     VERDICT_DIVERGENCE,
     VERDICT_INCONCLUSIVE,
@@ -138,7 +138,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("min_rank", [0, 1])
     def test_projection_prefix_stability(self, min_rank):
-        stacks = {n: sample_projections(4, n, _seeded(5, 4), min_rank) for n in BLOCK_SPANS}
+        stacks = {n: np.concatenate([*projection_blocks(4, n, _seeded(5, 4), min_rank)]) for n in BLOCK_SPANS}
         for n in BLOCK_SPANS[:-1]:
             assert np.array_equal(stacks[n], stacks[700][:n])
 

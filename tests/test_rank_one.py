@@ -446,8 +446,8 @@ class TestBatchedBetaChecks:
             ref_b += [t[1] for t in terms]
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
         assert list(starts) == ref_starts
-        empty = _random_tensor_sums(dim, 0, np.random.default_rng(11))
-        assert [len(v) for v in empty] == [0, 0, 0]
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            _random_tensor_sums(dim, 0, np.random.default_rng(11))
 
     def test_term_values_sum_to_beta(self, rng):
         dec = hermitian_form_decomposition(_random_backends(3, rng)["form"])

@@ -10,13 +10,13 @@ from dfrep import (
     OperatorBackedFunctional,
     PureStateFunctional,
     gram_matrix,
-    identity_projection,
     random_projection,
 )
 from dfrep.functionals import FactoredStateFunctional
 from dfrep.histories import ClassOperatorFunctional
 from dfrep.linalg import operator_from_pairing, pairing_realignment, swap_right
 from dfrep.scenarios import ScenarioError, parse_scenario, serialize_scenario
+from reference import identity_projection
 from conftest import (
     backend_fixtures,
     basis_proj,

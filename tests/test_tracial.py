@@ -17,7 +17,6 @@ from dfrep import (
     extract_ils,
     gram_matrix,
     hermitian_form_decomposition,
-    identity_projection,
     kron_trace,
     operator_norm,
     pure_state_m,
@@ -25,14 +24,13 @@ from dfrep import (
     reconstruct_from_product_diagonal,
     swap_operator,
     trace_norm,
-    zero_projection,
 )
 from dfrep.linalg import (
     Projection,
     haar_unitary,
     operator_from_pairing,
     pairing_realignment,
-    sample_projections,
+    projection_blocks,
     swap_right,
 )
 from dfrep.ils import bilinear_unit_table, df_from_operator, ils_operator_from_matrix
@@ -41,7 +39,15 @@ from dfrep.tracial import (
     product_diagonal_of,
     pure_state_projector,
 )
-from reference import ElementaryTensorSum, householder_basis, kron, orthogonal_decompose, trace_pair
+from reference import (
+    ElementaryTensorSum,
+    householder_basis,
+    identity_projection,
+    kron,
+    orthogonal_decompose,
+    trace_pair,
+    zero_projection,
+)
 from conftest import backend_fixtures, basis_proj, random_valid_pairing_operator, rho_half_half
 from test_batched_pairing import _random_backends
 
@@ -387,7 +393,7 @@ class TestOnePairingMatrix:
         d = backend_fixtures(dim)[kind]
         x = extract_ils(d)
         holders = (x, build_tracial_operator(d), df_from_operator(x.x_op), ils_operator_from_matrix(x.x_op))
-        pq = sample_projections(dim, 40, np.random.default_rng(dim))
+        pq = next(projection_blocks(dim, 40, np.random.default_rng(dim)))
         p, q = pq[0::2], pq[1::2]
         ref = d.pair_values(p, q)
         for holder in holders:
@@ -582,12 +588,12 @@ class TestDoubleSum:
                 assert evaluate_double_sum(top, p, q, br) == ref
 
     def test_sampled_stack_builds_no_projection(self, rng, monkeypatch):
-        """The stack of sample_projections is validated once, when drawn;
+        """A block of projection_blocks is validated once, when drawn;
         the table reads each rank off its own eigh and constructs no
         Projection."""
         dim = 4
         top = build_tracial_operator(backend_fixtures(dim)["operator"])
-        pq = sample_projections(dim, 8, rng, min_rank=1)
+        pq = next(projection_blocks(dim, 8, rng, min_rank=1))
         p, q = pq[0::2], pq[1::2]
 
         def refuse(self):
