@@ -141,7 +141,7 @@ class DecoherenceFunctional:
         :meth:`pair_table`; every backend overrides it with a closed form
         that reads only the entries on the supports and forms the table's
         right-hand factor once, which is what lets the representation
-        extractors work on the atoms of :func:`dfrep.ils.polarization_atoms`
+        extractors work on the d^2 atoms of :func:`dfrep.ils.polarization_atoms`
         without a dense atom stack.
         """
         r = rank_one_matrices(*right, self.dim)

@@ -14,17 +14,17 @@ pairing matrix, the values of D on matrix units,
 
 so ``d(p, q) = vec(p) P vec(q)^T`` (see :mod:`dfrep.linalg`, which alone
 knows the index layout); every matrix unit is a fixed complex combination of rank-one
-projections onto the six polarization vectors
+projections onto the d^2 polarization vectors
 
-    ``e_a,  e_b,  (e_a +/- e_b)/sqrt(2),  (e_a +/- i e_b)/sqrt(2)``,
+    ``e_a``,  ``u = (e_a + e_b)/sqrt(2)``  and  ``v = (e_a + i e_b)/sqrt(2)``  (a < b),
 
 so the whole construction only ever evaluates d on projections.  The
-combination coefficients follow from
+combination coefficients follow from ``p_u + p_{u'} = E_aa + E_bb`` for
+``u' = (e_a - e_b)/sqrt(2)``, and likewise for v:
 
-    ``E_ab + E_ba = p_{u+} - p_{u-}``,
-    ``E_ab - E_ba = i (p_{v+} - p_{v-})``,
+    ``E_ab + E_ba = 2 p_u - E_aa - E_bb``,
+    ``E_ab - E_ba = i (2 p_v - E_aa - E_bb)``;
 
-with ``u+- = (e_a +- e_b)/sqrt(2)`` and ``v+- = (e_a +- i e_b)/sqrt(2)``;
 the linear system is solved in closed form, never by least squares.
 
 Every atom ``|v><v|`` has v supported on at most two basis vectors, so the
@@ -37,9 +37,10 @@ backends (:func:`dfrep.linalg.rank_one_product_diagonal`, which also reads
 the reconstructor's product diagonal), and ``(v^dag F)(F^dag w)(w^dag v)``
 for the factored state ``rho' = F F^dag`` of a pure state or class
 operator.  The base-class default materialises the projections, so X still
-comes from d on projections alone.  The pair groups of four atoms fold into ``(E_ab, E_ba)`` through
-one fixed 2x4 coefficient block (:func:`polarization_unit_table`, which
-also serves the product-diagonal reconstructor of :mod:`dfrep.tracial`).
+comes from d on projections alone.  Each block of the atom table is folded
+into ``(E_ab, E_ba)`` on both sides by the same closed form
+(:func:`polarization_unit_table`, which also serves the product-diagonal
+reconstructor of :mod:`dfrep.tracial`).
 
 The axioms of d translate into three operator conditions on X, all read
 off P (for (i), ``P[a,b,c,e] = conj P[e,c,b,a]``):
@@ -85,64 +86,52 @@ _SQ2 = np.sqrt(2.0)
 
 
 # Left atoms per rank-one pair-table call in :func:`polarization_unit_table`;
-# blocks hold whole pair groups, the first one after the basis atoms.  A
-# block's (ATOM_BLOCK, N) complex table is 16 ATOM_BLOCK N bytes, 8.3 MB at
-# d = 64 (N = 8128), and the backend and the fold hold a few of them at
-# once (33 MB each at 256 atoms).  The right-hand factors of the table are
-# formed once, not per block, so the smaller block costs no time.
+# past the basis atoms, every block boundary falls between two pairs.  A
+# block's (ATOM_BLOCK, N) complex table is 16 ATOM_BLOCK N bytes, 4.2 MB at
+# d = 64 (N = 4096), and the backend and the fold hold a few of them at
+# once.  The right-hand factors of the table are formed once, not per block,
+# so the smaller block costs no time.
 ATOM_BLOCK = 64
-
-# Expansion of (E_ab, E_ba), a < b, over the four atoms of the pair (a, b):
-#     E_ab + E_ba = p_{u+} - p_{u-},   E_ab - E_ba = i (p_{v+} - p_{v-}).
-_PAIR_COEFFS = np.array([[0.5, -0.5, 0.5j, -0.5j], [0.5, -0.5, -0.5j, 0.5j]])
 
 
 def polarization_atoms(dim: int):
     """The rank-one polarization projections ``|v><v|`` in sparse form.
 
-    Returns ``(support, coeff)``, two ``(N, 2)`` arrays with
-    ``N = 2 dim^2 - dim`` and ``v_s = sum_k coeff[s, k] e_{support[s, k]}``
-    (see :func:`dfrep.linalg.rank_one_vectors`).  The first ``dim`` atoms
-    are the basis projections ``e_a`` (support ``(a, a)``, coefficients
-    ``(1, 0)``); then each pair ``a < b``, in row-major order, contributes
-    the group ``(e_a + e_b, e_a - e_b, e_a + i e_b, e_a - i e_b)/sqrt(2)``,
-    whose projections expand ``E_ab`` and ``E_ba`` through the fixed 2x4
-    block ``_PAIR_COEFFS``; ``E_aa`` is atom ``a`` itself.
+    Returns ``(support, coeff)``, two ``(N, 2)`` arrays with ``N = dim^2``
+    and ``v_s = sum_k coeff[s, k] e_{support[s, k]}`` (see
+    :func:`dfrep.linalg.rank_one_vectors`).  The first ``dim`` atoms are the
+    basis projections ``e_a`` (support ``(a, a)``, coefficients ``(1, 0)``);
+    then each pair ``a < b``, in row-major order, contributes
+    ``u = (e_a + e_b)/sqrt(2)`` and ``v = (e_a + i e_b)/sqrt(2)``, whose
+    projections expand ``E_ab`` and ``E_ba`` with ``E_aa`` and ``E_bb``
+    (:func:`_pair_units`).  The atoms are a basis of all matrices.
     """
     ia, ib = np.triu_indices(dim, 1)
-    support = np.empty((dim + 4 * len(ia), 2), dtype=np.intp)
+    support = np.empty((dim + 2 * len(ia), 2), dtype=np.intp)
     coeff = np.zeros(support.shape, dtype=complex)
     support[:dim] = np.arange(dim)[:, None]
     coeff[:dim, 0] = 1.0
-    support[dim:] = np.repeat(np.stack([ia, ib], axis=1), 4, axis=0)
+    support[dim:] = np.repeat(np.stack([ia, ib], axis=1), 2, axis=0)
     coeff[dim:, 0] = 1.0 / _SQ2
-    coeff[dim:, 1] = np.tile(np.array([1.0, -1.0, 1.0j, -1.0j]) / _SQ2, len(ia))
+    coeff[dim:, 1] = np.tile(np.array([1.0, 1.0j]) / _SQ2, len(ia))
     return support, coeff
 
 
-def _unit_order(dim: int) -> np.ndarray:
-    """Row-major index ``a*dim + b`` of each matrix unit in atom order:
-    ``E_aa`` for every a, then ``(E_ab, E_ba)`` for each pair ``a < b``."""
-    ia, ib = np.triu_indices(dim, 1)
-    pairs = np.stack([ia * dim + ib, ib * dim + ia], axis=1).reshape(-1)
-    return np.concatenate([np.arange(dim) * (dim + 1), pairs])
-
-
-def _fold_rows(t: np.ndarray, head: int) -> np.ndarray:
-    """Fold atom rows into matrix-unit rows in atom order: the first
-    ``head`` rows are basis atoms and pass through, and every later group
-    of four becomes the rows of ``(E_ab, E_ba)`` by one reshape and one
-    matmul with ``_PAIR_COEFFS``."""
-    pairs = _PAIR_COEFFS @ t[head:].reshape(-1, 4, t.shape[1])
-    return np.concatenate([t[:head], pairs.reshape(-1, t.shape[1])])
-
-
-def _fold_columns(t: np.ndarray, dim: int) -> np.ndarray:
-    """Fold the columns of all N atoms into matrix units in atom order: the
-    ``dim`` basis columns pass through, and each pair group is folded by
-    one reshape and one matmul with ``_PAIR_COEFFS``."""
-    pairs = t[:, dim:].reshape(len(t), -1, 4) @ _PAIR_COEFFS.T
-    return np.concatenate([t[:, :dim], pairs.reshape(len(t), -1)], axis=1)
+def _pair_units(u, v, e_aa, e_bb):
+    """``(E_ab, E_ba) = (s + i t, s - i t)`` from the values ``u`` on
+    ``p_u``, ``v`` on ``p_v`` and ``e_aa``, ``e_bb`` on ``E_aa``, ``E_bb``,
+    with ``s = u - m`` and ``t = v - m`` for ``m = (e_aa + e_bb)/2``, term
+    by term, so on either side of a bilinear table.  ``e_aa`` and ``e_bb``
+    must be fresh arrays: they are overwritten, which spares two
+    block-sized temporaries."""
+    m = np.add(e_aa, e_bb, out=e_aa)
+    m *= 0.5
+    s = np.subtract(u, m, out=e_bb)
+    t = np.subtract(v, m, out=m)
+    t *= 1j
+    e_ab = s + t
+    s -= t
+    return e_ab, s
 
 
 def bilinear_unit_table(d: DecoherenceFunctional) -> np.ndarray:
@@ -162,30 +151,39 @@ def polarization_unit_table(dim: int, table_against) -> np.ndarray:
     ``D(|v_s><v_s|, |w_t><w_t|)`` as a ``(len(left), N)`` array, for the
     sparse atom sets ``(support, coeff)`` of :func:`polarization_atoms`.
     ``rows`` is called once per block of at most ``ATOM_BLOCK`` left atoms
-    (the basis atoms and then whole pair groups), so what depends on the
-    right set alone is formed once.  Each block is folded into matrix units
-    on both sides (:func:`_fold_rows`, :func:`_fold_columns`), and its rows
-    and columns are put in row-major unit order by one fixed permutation.
-    The atoms span all matrices, so any bilinear D is recovered.  Peak
-    memory is the ``dim^4`` complex output plus a few ``(ATOM_BLOCK, N)``
-    complex tables of ``16 ATOM_BLOCK N`` bytes each (the backend's table
-    and its folds); no ``(N, dim, dim)`` atom stack and no N x N table is
-    built.
+    (the basis atoms and then whole pairs), so what depends on the right set
+    alone is formed once.  Each block is folded into matrix units by
+    :func:`_pair_units`, first its columns, from the basis columns of the
+    block itself, then its rows, from the rows of ``E_aa`` that the basis
+    atoms have already written into P.  The atoms span all matrices, so any
+    bilinear D is recovered.  Peak memory is the ``dim^4`` complex output
+    plus a few ``(ATOM_BLOCK, N)`` complex tables of ``16 ATOM_BLOCK N``
+    bytes each (the backend's table and its fold); no ``(N, dim, dim)`` atom
+    stack and no N x N table is built.
     """
     support, coeff = polarization_atoms(dim)
     n_atoms = len(support)
-    order = _unit_order(dim)
-    cols = np.argsort(order)  # atom-order column of each row-major unit
+    ia, ib = np.triu_indices(dim, 1)
+    aa, ab, ba = np.arange(dim) * (dim + 1), ia * dim + ib, ib * dim + ia
     units = np.empty((dim * dim, dim * dim), dtype=complex)
-    first = dim + 4 * ((ATOM_BLOCK - dim) // 4)
+    first = dim + 2 * ((ATOM_BLOCK - dim) // 2)
     bounds = [0, *range(first, n_atoms, ATOM_BLOCK), n_atoms]
     rows_of = table_against((support, coeff))
-    unit = 0  # atom-order index of the block's first matrix unit
     for start, stop in zip(bounds, bounds[1:]):
         table = rows_of((support[start:stop], coeff[start:stop]))
-        rows = _fold_columns(_fold_rows(table, dim if start == 0 else 0), dim)[:, cols]
-        units[order[unit : unit + len(rows)]] = rows
-        unit += len(rows)
+        cols = np.empty_like(table)
+        cols[:, aa] = table[:, :dim]
+        cols[:, ab], cols[:, ba] = _pair_units(
+            table[:, dim::2], table[:, dim + 1 :: 2], table[:, ia], table[:, ib]
+        )
+        del table  # freed before the row fold
+        head = max(0, min(stop, dim) - start)  # basis atoms in the block
+        units[aa[start : start + head]] = cols[:head]
+        pairs = slice((start + head - dim) // 2, (stop - dim) // 2)
+        units[ab[pairs]], units[ba[pairs]] = _pair_units(
+            cols[head::2], cols[head + 1 :: 2], units[aa[ia[pairs]]], units[aa[ib[pairs]]]
+        )
+        del cols  # freed before the next block's table is formed
     return units
 
 

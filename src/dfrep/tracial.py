@@ -221,7 +221,7 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
     matrix, which is returned as the fold yields it.  The oracle is called
     once per atom block: ``alpha`` has shape ``(B, 1, dim)`` for at most
     ``ATOM_BLOCK`` left atoms and ``beta`` has shape ``(1, N, dim)`` for
-    all ``N = 2 dim^2 - dim`` atoms, and the values must broadcast to
+    all ``N = dim^2`` atoms, and the values must broadcast to
     ``(B, N)`` (a scalar, as from ``lambda a, b: 0.0``, does).  The zero
     oracle reconstructs the zero operator; for inputs that are not genuine
     product diagonals the output is unspecified.

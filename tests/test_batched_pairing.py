@@ -25,6 +25,7 @@ from dfrep import (
 from dfrep.cli import _pairing_residual
 from dfrep.ils import (
     ATOM_BLOCK,
+    _pair_units,
     _sample_positivity_min,
     bilinear_unit_table,
     ils_operator_from_matrix,
@@ -155,35 +156,37 @@ class TestBlockedUnitTable:
     def test_expansion_reproduces_matrix_units(self):
         dim = 4
         support, coeff = polarization_atoms(dim)
-        assert support.shape == coeff.shape == (2 * dim * dim - dim, 2)
+        assert support.shape == coeff.shape == (dim * dim, 2)
         atoms = rank_one_matrices(support, coeff, dim)
         frozen_atoms, index, coeffs = frozen_polarization_atoms(dim)
-        assert np.abs(atoms - frozen_atoms).max() <= 1e-15
-        assert atoms.shape == (2 * dim * dim - dim, dim, dim)
+        # The basis atoms, then (e_a + e_b, e_a + i e_b)/sqrt(2) for each
+        # pair: the first and third atoms of each frozen group of four.
+        groups = dim + 4 * np.arange(dim * (dim - 1) // 2)[:, None] + [0, 2]
+        assert np.abs(atoms - frozen_atoms[np.r_[:dim, groups.ravel()]]).max() <= 1e-15
         assert index.shape == coeffs.shape == (dim * dim, 4)
         for a in range(dim):
             for b in range(dim):
                 row = a * dim + b
-                unit = np.einsum("k,kij->ij", coeffs[row], atoms[index[row]])
+                unit = np.einsum("k,kij->ij", coeffs[row], frozen_atoms[index[row]])
                 expect = np.zeros((dim, dim))
                 expect[a, b] = 1.0
                 assert np.abs(unit - expect).max() <= 1e-15
 
-    # N = 2 d^2 - d: 15 atoms at d = 3 (below one block), 276 at d = 12
-    # (full blocks plus a partial one).
+    # N = d^2: 9 atoms at d = 3 (below one block), 144 at d = 12 (full
+    # blocks plus a partial one).
     @pytest.mark.parametrize("dim", [3, 12])
     @pytest.mark.parametrize("kind", ["operator", "class_operator"])
     def test_matches_dense_combine(self, kind, dim, rng):
-        n_atoms = 2 * dim * dim - dim
+        n_atoms = dim * dim
         assert n_atoms % ATOM_BLOCK != 0
-        # The first block holds the basis atoms and whole pair groups, the
-        # later ones ATOM_BLOCK atoms each.
-        first = dim + 4 * ((ATOM_BLOCK - dim) // 4)
+        # The first block holds the basis atoms and whole pairs, the later
+        # ones ATOM_BLOCK atoms each.
+        first = dim + 2 * ((ATOM_BLOCK - dim) // 2)
         n_blocks = 1 + max(0, -(-(n_atoms - first) // ATOM_BLOCK))
         assert dim == 3 or n_blocks > 1  # d = 12 spans several blocks
         d = _random_backends(dim, rng)[kind]
         atoms, index, coeffs = frozen_polarization_atoms(dim)
-        dense = _dense_coeffs(index, coeffs, n_atoms)
+        dense = _dense_coeffs(index, coeffs, len(atoms))
         ref = dense @ d.pair_table(atoms, atoms) @ dense.T
         blocks = []
         original = d.rank_one_table_against
@@ -205,8 +208,9 @@ class TestBlockedUnitTable:
         assert sum(rows for rows, _ in blocks) == n_atoms
         assert all(rows <= ATOM_BLOCK and cols == n_atoms for rows, cols in blocks)
 
-    # The grouped fold against the index/coeff combine it replaced, at d = 3
-    # (one block) and at d = 12, where N = 276 is not a multiple of the block.
+    # The fold against the index/coeff combine of the frozen four-atom
+    # groups, at d = 3 (one block) and at d = 12, where N = 144 is not a
+    # multiple of the block.
     @pytest.mark.parametrize("dim", [3, 12])
     @pytest.mark.parametrize("kind", ["operator", "pure_state", "form", "class_operator"])
     def test_matches_frozen_combine(self, kind, dim, rng):
@@ -228,6 +232,49 @@ class TestBlockedUnitTable:
         monkeypatch.setattr("dfrep.functionals.rank_one_matrices", forbidden)
         for d in backends.values():
             assert bilinear_unit_table(d).shape == (25, 25)
+
+
+class TestBasisFold:
+    """The d^2 atoms are a basis, and the fold is exact at the block edges."""
+
+    # d = 23: the first block ends partway through the pairs; d = 64: the
+    # first block holds the basis atoms alone.
+    @pytest.mark.parametrize("dim", [1, 2, 3, 23, 64])
+    def test_recovers_a_generic_operator(self, dim, rng):
+        n = dim * dim
+        # A non-Hermitian X with no zero pattern, so every entry of P
+        # matters; drawn as one (n, n) complex view with no temporaries.
+        x = rng.standard_normal((n, n, 2)).view(complex)[..., 0]
+        d = OperatorBackedFunctional(x)
+        del x
+        ref = d.pairing  # pairing_realignment(x), held once
+        scale = np.abs(ref).max()
+        units = bilinear_unit_table(d)
+        units -= ref  # in place: at d = 64 each copy is 268 MB
+        assert np.abs(units).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("block", [4, 6])
+    def test_more_basis_atoms_than_a_block(self, block, rng, monkeypatch):
+        """With d > ATOM_BLOCK the basis rows span several blocks; with
+        blocks of 6 atoms, one starts among them and ends among the pairs."""
+        dim = 7
+        monkeypatch.setattr("dfrep.ils.ATOM_BLOCK", block)
+        x = _cmats(rng, 1, dim * dim)[0]
+        units = bilinear_unit_table(OperatorBackedFunctional(x))
+        ref = pairing_realignment(x)
+        assert np.abs(units - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 23])
+    def test_atoms_are_a_basis_with_a_closed_form_expansion(self, dim):
+        atoms = rank_one_matrices(*polarization_atoms(dim), dim)
+        assert np.linalg.matrix_rank(atoms.reshape(dim * dim, -1)) == dim * dim
+        ia, ib = np.triu_indices(dim, 1)
+        pair = dim + 2 * np.arange(len(ia))
+        e_ab, e_ba = _pair_units(atoms[pair], atoms[pair + 1], atoms[ia], atoms[ib])
+        eye = np.eye(dim * dim).reshape(dim, dim, dim, dim)
+        assert np.abs(atoms[:dim] - eye[np.arange(dim), np.arange(dim)]).max() <= 1e-15
+        assert np.abs(e_ab - eye[ia, ib]).max(initial=0.0) <= 1e-15
+        assert np.abs(e_ba - eye[ib, ia]).max(initial=0.0) <= 1e-15
 
 
 def rectangular_pairing(x, dp: int, dq: int) -> np.ndarray:

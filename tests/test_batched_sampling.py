@@ -631,7 +631,7 @@ class TestReconstructor:
             return oracle(alpha, beta)
 
         out = operator_from_pairing(reconstruct_from_product_diagonal(spy, dim))
-        n_atoms = 2 * dim * dim - dim
+        n_atoms = dim * dim
         assert len(calls) == -(-n_atoms // ATOM_BLOCK)
         assert all(a[0] <= ATOM_BLOCK and a[1:] == (1, dim) for a, _ in calls)
         assert all(b == (1, n_atoms, dim) for _, b in calls)

@@ -66,16 +66,18 @@ class TestExtraction:
         """Beyond the output P, the fold of :func:`polarization_unit_table`
         holds a few ``(ATOM_BLOCK, N)`` complex tables of one block."""
         dim = 16
-        n_atoms = 2 * dim * dim - dim
+        n_atoms = dim * dim
         d = backend_fixtures(dim)[kind]
         if kind == "operator":  # a dense P with no zero pattern
             d = OperatorBackedFunctional(random_valid_pairing_operator(dim, rng))
         units, peak, _ = _traced(bilinear_unit_table, d)
         extra = peak - units.nbytes
-        # Measured 5.17 tables of 16 ATOM_BLOCK N bytes; 16 % margin.
-        assert extra <= 6 * ATOM_BLOCK * n_atoms * 16
-        # Measured 2.50 P; 20 % margin (9.02 P with 256-atom blocks).
-        assert extra <= 3 * units.nbytes
+        # Measured 4.92 tables of 16 ATOM_BLOCK N bytes (5.17 tables of
+        # the larger N = 2 d^2 - d of the four-atom frame); 17 % margin.
+        assert extra <= 5.75 * ATOM_BLOCK * n_atoms * 16
+        # Measured 1.23 P; 18 % margin (2.50 P with the four-atom frame,
+        # 9.02 P with 256-atom blocks).
+        assert extra <= 1.45 * units.nbytes
 
 
 class TestSampledPositivity:
