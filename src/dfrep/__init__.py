@@ -3,14 +3,12 @@ operator representations on H (x) H."""
 
 from .functionals import (
     AxiomReport,
-    BilinearForm,
     DecoherenceFunctional,
     DimensionExclusionError,
     FormBackedFunctional,
     OperatorBackedFunctional,
     PureStateFunctional,
     check_axioms,
-    extend_to_bilinear,
 )
 from .histories import (
     ClassOperatorFunctional,
@@ -19,9 +17,7 @@ from .histories import (
     consistency_report,
 )
 from .ils import (
-    ConditionViolationError,
     ConditionsReport,
-    df_from_operator,
     extract_ils,
     verify_ils_conditions,
 )
@@ -32,7 +28,6 @@ from .linalg import (
     operator_norm,
     random_projection,
     rank_one_proj,
-    spectral_projections,
     swap_operator,
     trace_norm,
 )

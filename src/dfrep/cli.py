@@ -18,7 +18,10 @@ Each ``_cmd_*`` handler returns its ``records`` and ``verdict`` in a dict;
 
 All randomness derives from the scenario seed (or ``--seed``); numeric
 output is formatted at 17 significant digits so identical inputs give
-byte-identical numeric output.  Timing fields (``timings_ms``,
+byte-identical numeric output on the same numpy and BLAS build with the
+same number of BLAS threads.  Another thread count may move the last
+digits of a float (a threaded BLAS sums in another order), but not a
+verdict, string, integer or boolean.  Timing fields (``timings_ms``,
 ``elapsed_ms``) are the one exception and are documented as such.
 
 Exit status: 1 for a ``violation`` verdict, 0 for any other (``pass`` and

@@ -1,5 +1,4 @@
-"""Decoherence functionals: evaluation backends, axiom checks, and the
-bounded bilinear extension.
+"""Decoherence functionals: evaluation backends and the axiom checks.
 
 A decoherence functional is a complex-valued map ``d(p, q)`` on ordered
 pairs of projections satisfying four axioms:
@@ -12,9 +11,12 @@ pairs of projections satisfying four axioms:
 Each backend here also carries a canonical *bilinear* extension ``D(x, y)``
 defined on all matrices, which restricts to ``d`` on projections.  For
 dimension >= 3 (the dimension-two case is excluded by the representation
-theory) the extension of a bounded functional is unique, so the canonical
-extension and the constructive spectral extension in
-:func:`extend_to_bilinear` agree; the test suite verifies this.
+theory) the extension of a bounded functional is unique.  The library
+constructs D from d one way: :mod:`dfrep.ils` folds the values of d on the
+d^2 polarization atoms into D's values on matrix units.  The constructive
+spectral extension, which assembles D from d on spectral projections, is
+the test oracle in ``tests/reference.py`` that every backend's ``bilinear``
+is checked against.
 
 The associated objects used by the representation modules:
 
@@ -32,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    Frozen,
     _pair_side,
     as_matrix,
     check_projection_stack,
@@ -50,7 +51,6 @@ from .linalg import (
     rank_one_rows,
     rank_one_vectors,
     sample_blocks,
-    spectral_projections,
     swap_right,
     trace_norm,
     unit_vector,
@@ -183,8 +183,8 @@ class OperatorBackedFunctional(DecoherenceFunctional):
     product with P: ``D(x, y) = vec(x) P vec(y)^T``.  It is the one holder
     of a P (the extracted X, the bounded M, the pure state's P U); X and
     the norms of ``W X`` are read off P, the norms on first read.  The
-    constructor does not check the representation conditions on X; use
-    :func:`dfrep.ils.df_from_operator` for the validated route.
+    constructor does not check the representation conditions on X; a
+    caller reads them from :func:`dfrep.ils.verify_ils_conditions`.
     """
 
     def __init__(self, x_op):
@@ -457,53 +457,3 @@ def check_axioms(
         normalization_ok=norm_res <= tol,
         orthoadditivity_ok=ortho <= tol,
     )
-
-
-def _combine_hermitian_parts(xm, ym, pair) -> complex:
-    """Split x and y into Hermitian parts ``xr + i xi`` and combine the four
-    ``pair`` values bilinearly, in the order (xr, yr), (xi, yr), (xr, yi), (xi, yi)."""
-    xr = (xm + xm.conj().T) / 2
-    xi = (xm - xm.conj().T) / 2j
-    yr = (ym + ym.conj().T) / 2
-    yi = (ym - ym.conj().T) / 2j
-    return pair(xr, yr) + 1j * pair(xi, yr) + 1j * pair(xr, yi) - pair(xi, yi)
-
-
-class BilinearForm(Frozen):
-    """The bounded bilinear extension D of a decoherence functional.
-
-    Values are assembled constructively from d on projections: each argument
-    is split into Hermitian parts, each part is spectrally decomposed, and
-
-        ``D(x, y) = sum_{j,k} lambda_j mu_k d(p_j, q_k)``
-
-    combined bilinearly over the four Hermitian-part pairs.  By
-    orthoadditivity this is independent of the decomposition chosen (the
-    randomized re-decomposition check is in ``tests/reference.py``).
-    """
-
-    def __init__(self, source: DecoherenceFunctional):
-        vars(self)["source"] = source
-
-    def __call__(self, x, y) -> complex:
-        xm = as_matrix(mat(x), "x")
-        ym = as_matrix(mat(y), "y")
-        if xm.shape[0] != self.source.dim or ym.shape[0] != self.source.dim:
-            raise ValueError("dimension mismatch with the source functional")
-        return _combine_hermitian_parts(xm, ym, self._hermitian_pair)
-
-    def _hermitian_pair(self, a, b) -> complex:
-        pa = spectral_projections(a)
-        pb = spectral_projections(b)
-        lam = np.array([w for w, _ in pa])
-        mu = np.array([w for w, _ in pb])
-        table = self.source.pair_table(
-            np.stack([p.matrix for _, p in pa]), np.stack([q.matrix for _, q in pb])
-        )
-        return complex(lam @ table @ mu)
-
-
-def extend_to_bilinear(d: DecoherenceFunctional) -> BilinearForm:
-    """Extend d to the bounded bilinear form D (dimension >= 3 only)."""
-    _check_dim(d.dim, "bilinear extension")
-    return BilinearForm(d)

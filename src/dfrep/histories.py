@@ -30,9 +30,10 @@ class ClassOperatorModel(Frozen):
     histories.
 
     Invariants: rho is positive semidefinite with unit trace; the
-    Hamiltonian is Hermitian; times are non-negative (rho is prepared at
-    t = 0) and strictly ascending, with one schedule each; every schedule
-    is a family of pairwise orthogonal projections summing to the identity.
+    Hamiltonian is Hermitian; there is at least one time, and the times
+    are non-negative (rho is prepared at t = 0) and strictly ascending,
+    with one schedule each; every schedule is a family of pairwise
+    orthogonal projections summing to the identity.
     A rejection message starts with the argument it rejects (``rho:``,
     ``times[k]:``, ``schedules[k][j]:`` ...), for callers to prefix a path.
 
@@ -67,6 +68,8 @@ class ClassOperatorModel(Frozen):
         for a in (rho_eigenvalues, rho_eigenvectors, energies, eigenbasis):
             a.flags.writeable = False
         times = tuple(float(t) for t in self.times)
+        if not times:
+            raise ValueError("times: need at least one time")
         for k, t in enumerate(times):
             if not t >= 0.0:
                 raise ValueError(f"times[{k}]: must be non-negative (got {t:g})")
@@ -132,7 +135,7 @@ class ClassOperatorFunctional(FactoredStateFunctional):
         self.model = model
         lam, v = model.rho_eigenvalues, model.rho_eigenvectors
         keep = lam > 0
-        u = model.propagator(model.times[0] if model.times else 0.0)
+        u = model.propagator(model.times[0])
         super().__init__(u @ (v[:, keep] * np.sqrt(lam[keep])))
 
     # Its own entry in the class dictionary, where per-backend wrappers find it.

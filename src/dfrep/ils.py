@@ -203,21 +203,6 @@ class ConditionsReport(NamedTuple):
     def passed(self) -> bool:
         return self.hermiticity_ok and self.positivity_ok and self.normalization_ok
 
-    def failed(self) -> tuple:
-        names = ("hermiticity", "positivity", "normalization")
-        return tuple(name for name in names if not getattr(self, f"{name}_ok"))
-
-
-class ConditionViolationError(ValueError):
-    """An operator failed one or more of the three representation conditions."""
-
-    def __init__(self, report: ConditionsReport):
-        self.report = report
-        self.failed = report.failed()
-        super().__init__(
-            "operator violates representation conditions: " + ", ".join(self.failed)
-        )
-
 
 def _sample_positivity_min(pairing: np.ndarray, dim: int, samples: int, seed: int) -> float:
     """Min of Re tr((p (x) p) X) over basis rank-one plus seeded random
@@ -273,18 +258,3 @@ def verify_ils_conditions(
         positivity_ok=pos_min >= -tol,
         normalization_ok=norm_res <= tol,
     )
-
-
-def df_from_operator(
-    x_op, tol: float = DEFAULT_TOLERANCES["conditions"], samples: int = 200, seed: int = 0
-) -> OperatorBackedFunctional:
-    """Validated inverse of the extraction: wrap an operator on H (x) H as
-    a decoherence functional after checking the three conditions.
-
-    Raises :class:`ConditionViolationError` naming the failed conditions.
-    """
-    d = OperatorBackedFunctional(x_op)
-    report = verify_ils_conditions(d, samples=samples, seed=seed, tol=tol)
-    if not report.passed:
-        raise ConditionViolationError(report)
-    return d

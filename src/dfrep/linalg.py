@@ -13,9 +13,7 @@ import math
 import numpy as np
 
 from .tolerances import (
-    EIG_MERGE_REL,
     HERMITIAN_ROUTE_REL,
-    SCALE_FLOOR,
     TOL_PROJ,
     UNIT_NORM_TOL,
 )
@@ -353,31 +351,6 @@ def rank_one_product_diagonal(left, right, pairing) -> np.ndarray:
     )
 
 
-def spectral_projections(h):
-    """Spectral decomposition of a Hermitian matrix (within ``TOL_PROJ``,
-    relative) into (eigenvalue, Projection) pairs with ascending eigenvalues.
-
-    Eigenvalues with gaps below ``EIG_MERGE_REL * ||h||`` are merged into a
-    single projection, so degenerate eigenspaces come out as one block and
-    the output is stable under unitary noise in the eigenvector basis.
-    """
-    hm = as_matrix(h, "hermitian matrix")
-    if hermiticity_residual(hm) > TOL_PROJ:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(hm)
-    spectral_scale = max(float(np.max(np.abs(w))), SCALE_FLOOR)
-    gap = EIG_MERGE_REL * spectral_scale
-    out = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > gap:
-            block = v[:, start:i]
-            proj = block @ block.conj().T
-            out.append((float(np.mean(w[start:i])), Projection(proj, i - start)))
-            start = i
-    return out
-
-
 # Side of the square blocks in which the Hermitian part is split off and
 # factored.  Each block pair makes a few complex temporaries of
 # 16 _SPLIT_BLOCK^2 bytes, 1 MB at 256 (4 MB at 512), and the smaller
@@ -577,9 +550,9 @@ def _as_rng(seed) -> np.random.Generator:
 
 def ginibre(rows: int, cols: int, rng, count: int | None = None) -> np.ndarray:
     """Complex Ginibre matrix, or a ``(count, rows, cols)`` stack of them
-    from one call: the draw behind :func:`haar_unitary` (real parts first,
-    then imaginary parts), and the layout of each random projection's
-    factor."""
+    from one call (real parts first, then imaginary parts): the draw behind
+    the Haar frames of :func:`haar_from_ginibre`, and the layout of each
+    random projection's factor."""
     lead = () if count is None else (count,)
     z = rng.standard_normal((2,) + lead + (rows, cols))  # the same stream as two draws
     return z[0] + 1j * z[1]
@@ -592,11 +565,6 @@ def haar_from_ginibre(g) -> np.ndarray:
     ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph = ph / np.abs(ph)
     return q * ph[..., None, :]
-
-
-def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix."""
-    return haar_from_ginibre(ginibre(dim, dim, _as_rng(seed)))
 
 
 # Samples per block of every sampled check.  A block draws the discrete

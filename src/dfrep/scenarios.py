@@ -1,4 +1,4 @@
-"""Scenario files: parsing, serialization, and functional construction.
+"""Scenario files: parsing and functional construction.
 
 Scenarios are JSON objects with explicit real/imaginary arrays (no complex
 literal syntax), so they stay portable:
@@ -49,7 +49,7 @@ from .functionals import (
     PureStateFunctional,
 )
 from .histories import ClassOperatorFunctional, ClassOperatorModel
-from .linalg import MAX_DIM, Frozen, operator_from_pairing, swap_right
+from .linalg import MAX_DIM, Frozen
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -137,10 +137,12 @@ class Scenario(Frozen):
     """A parsed scenario: its dimension, seed, kind, functional and
     tolerances, and the SHA-256 of its text.
 
-    The functional is the one copy of the scenario's data: X, G, psi and
-    the class-operator model are read off it (see
-    :func:`serialize_scenario`).  Its fields cannot be reassigned, and
-    scenarios compare by identity.
+    The functional is the one copy of the scenario's data: X and G are
+    exact index transposes of its pairing matrix P
+    (:func:`dfrep.linalg.operator_from_pairing`,
+    :func:`dfrep.linalg.swap_right`), psi is held as parsed, and a class
+    operator's rho, H, times and schedules are on its ``model``.  Its
+    fields cannot be reassigned, and scenarios compare by identity.
     """
 
     def __init__(
@@ -255,34 +257,3 @@ def parse_scenario(text: str) -> Scenario:
         tolerances=dict(tol),
         sha256=_sha256(text),
     )
-
-
-def _array_node(arr: np.ndarray) -> dict:
-    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
-
-
-def serialize_scenario(s: Scenario) -> str:
-    """Canonical JSON text; ``parse_scenario`` of the output reproduces the
-    scenario's fields.  The defining arrays are read off the functional: X
-    or G as the exact index transpose
-    :func:`dfrep.linalg.operator_from_pairing` or
-    :func:`dfrep.linalg.swap_right` of its pairing matrix P, psi as it is,
-    and a class operator's rho, H, times and schedules off its model."""
-    d = s.functional
-    fn: dict = {"type": s.kind}
-    if s.kind == "class_operator":
-        m = d.model
-        fn.update(rho=_array_node(m.rho), hamiltonian=_array_node(m.hamiltonian), times=list(m.times))
-        fn["schedules"] = [[_array_node(p.matrix) for p in sched] for sched in m.schedules]
-    elif s.kind == "pure_state":
-        fn["amplitudes"] = _array_node(d.psi)
-    else:
-        held = operator_from_pairing(d.pairing) if s.kind == "operator" else swap_right(d.pairing)
-        fn[_FIELDS[s.kind][0]] = _array_node(held)
-    doc = {
-        "dimension": s.dimension,
-        "seed": s.seed,
-        "tolerances": s.tolerances,
-        "functional": fn,
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)

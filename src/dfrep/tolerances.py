@@ -32,7 +32,8 @@ TENSOR_NORM2_FLOOR = 1e-24
 # --- Numerical routes -------------------------------------------------------
 
 # Degenerate eigenvalues closer than this (relative to the spectral scale)
-# are merged into a single spectral projection.
+# are merged into a single spectral projection by the spectral extension,
+# the test oracle in tests/reference.py.
 EIG_MERGE_REL = 1e-8
 
 # Gram eigenvalues below this fraction of the spectral scale are dropped;

@@ -12,7 +12,8 @@ from dfrep import (
     PureStateFunctional,
     gram_matrix,
 )
-from dfrep.linalg import SAMPLE_BLOCK, haar_unitary
+from dfrep.linalg import SAMPLE_BLOCK
+from reference import haar_unitary
 
 
 def rho_half_half(dim: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Definitional reference code that the tests check the library against.
 
 Each definition here is the scalar, term-by-term form of an object that
-``dfrep`` computes by a batched route: the linear functional beta on the
-algebraic tensor product, the history class operators ``C_h`` and the
-history-pair values ``d(h, k)``, the refined bilinear extension, the
+``dfrep`` computes by a batched route: the bounded bilinear extension D
+assembled from spectral decompositions (and its randomly refined variant),
+the linear functional beta on the algebraic tensor product, the history
+class operators ``C_h`` and the history-pair values ``d(h, k)``, the
 16-term double-polarization reconstructor, and the matrix helpers they are
-written in (with the identity and zero projections).  No CLI command reaches this module and
-``dfrep`` does not import it; the tests import it as ``reference``.
+written in (spectral projections, Haar unitaries, the identity and zero
+projections).  No CLI command reaches this module and ``dfrep`` does not
+import it; the tests import it as ``reference``.
 """
 
 from __future__ import annotations
@@ -16,22 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dfrep.functionals import DecoherenceFunctional, OperatorBackedFunctional, _check_dim, _combine_hermitian_parts
+from dfrep.functionals import DecoherenceFunctional, OperatorBackedFunctional, _check_dim
 from dfrep.histories import ClassOperatorModel
 from dfrep.linalg import (
     MAX_DIM_PAIR,
     DimensionLimitError,
     Projection,
+    _as_rng,
     as_matrix,
     as_vector,
     check_projection_stack,
-    haar_unitary,
+    ginibre,
+    haar_from_ginibre,
+    hermiticity_residual,
     kron_trace,
     mat,
-    spectral_projections,
     unit_vector,
 )
-from dfrep.tolerances import TENSOR_NORM2_FLOOR
+from dfrep.tolerances import EIG_MERGE_REL, SCALE_FLOOR, TENSOR_NORM2_FLOOR, TOL_PROJ
 from dfrep.tracial import _column_blocks, _range_columns
 
 # --- Dense algebra on H (x) H ------------------------------------------------
@@ -123,6 +127,36 @@ def trace_pair(a, x) -> complex:
     return complex(np.einsum("ij,ji->", am, xm))
 
 
+def haar_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix."""
+    return haar_from_ginibre(ginibre(dim, dim, _as_rng(seed)))
+
+
+def spectral_projections(h):
+    """Spectral decomposition of a Hermitian matrix (within ``TOL_PROJ``,
+    relative) into (eigenvalue, Projection) pairs with ascending eigenvalues.
+
+    Eigenvalues with gaps below ``EIG_MERGE_REL * ||h||`` are merged into a
+    single projection, so degenerate eigenspaces come out as one block and
+    the output is stable under unitary noise in the eigenvector basis.
+    """
+    hm = as_matrix(h, "hermitian matrix")
+    if hermiticity_residual(hm) > TOL_PROJ:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(hm)
+    spectral_scale = max(float(np.max(np.abs(w))), SCALE_FLOOR)
+    gap = EIG_MERGE_REL * spectral_scale
+    out = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > gap:
+            block = v[:, start:i]
+            proj = block @ block.conj().T
+            out.append((float(np.mean(w[start:i])), Projection(proj, i - start)))
+            start = i
+    return out
+
+
 def identity_projection(dim: int) -> Projection:
     return Projection(np.eye(dim, dtype=complex), dim)
 
@@ -132,6 +166,56 @@ def zero_projection(dim: int) -> Projection:
 
 
 # --- beta and the bilinear extension -----------------------------------------
+
+
+def _combine_hermitian_parts(xm, ym, pair) -> complex:
+    """Split x and y into Hermitian parts ``xr + i xi`` and combine the four
+    ``pair`` values bilinearly, in the order (xr, yr), (xi, yr), (xr, yi), (xi, yi)."""
+    xr = (xm + xm.conj().T) / 2
+    xi = (xm - xm.conj().T) / 2j
+    yr = (ym + ym.conj().T) / 2
+    yi = (ym - ym.conj().T) / 2j
+    return pair(xr, yr) + 1j * pair(xi, yr) + 1j * pair(xr, yi) - pair(xi, yi)
+
+
+@dataclass(frozen=True, eq=False)
+class BilinearForm:
+    """The bounded bilinear extension D of a decoherence functional.
+
+    Values are assembled constructively from d on projections: each argument
+    is split into Hermitian parts, each part is spectrally decomposed, and
+
+        ``D(x, y) = sum_{j,k} lambda_j mu_k d(p_j, q_k)``
+
+    combined bilinearly over the four Hermitian-part pairs.  By
+    orthoadditivity this is independent of the decomposition chosen (see
+    :func:`bilinear_refined`).
+    """
+
+    source: DecoherenceFunctional
+
+    def __call__(self, x, y) -> complex:
+        xm = as_matrix(mat(x), "x")
+        ym = as_matrix(mat(y), "y")
+        if xm.shape[0] != self.source.dim or ym.shape[0] != self.source.dim:
+            raise ValueError("dimension mismatch with the source functional")
+        return _combine_hermitian_parts(xm, ym, self._hermitian_pair)
+
+    def _hermitian_pair(self, a, b) -> complex:
+        pa = spectral_projections(a)
+        pb = spectral_projections(b)
+        lam = np.array([w for w, _ in pa])
+        mu = np.array([w for w, _ in pb])
+        table = self.source.pair_table(
+            np.stack([p.matrix for _, p in pa]), np.stack([q.matrix for _, q in pb])
+        )
+        return complex(lam @ table @ mu)
+
+
+def extend_to_bilinear(d: DecoherenceFunctional) -> BilinearForm:
+    """Extend d to the bounded bilinear form D (dimension >= 3 only)."""
+    _check_dim(d.dim, "bilinear extension")
+    return BilinearForm(d)
 
 
 def bilinear_refined(d: DecoherenceFunctional, x, y, rng) -> complex:

@@ -21,7 +21,6 @@ from dfrep import (
     build_tracial_operator,
     check_axioms,
     consistency_report,
-    df_from_operator,
     evaluate_double_sum,
     extract_ils,
     hermitian_form_decomposition,
@@ -81,7 +80,8 @@ def test_criterion_01_ils_round_trip():
             for k in range(20):
                 rng = np.random.default_rng(1000 + 7 * k + dim)
                 x0 = random_valid_pairing_operator(dim, rng)
-                d = df_from_operator(x0, samples=50, seed=k)
+                d = OperatorBackedFunctional(x0)
+                assert verify_ils_conditions(d, samples=50, seed=k).passed, (dim, k)
                 x = extract_ils(d)
                 assert np.abs(x.x_op - x0).max() <= 1e-9, (dim, k)
 

@@ -32,7 +32,6 @@ from dfrep.ils import (
     polarization_atoms,
 )
 from dfrep.linalg import (
-    haar_unitary,
     kron_trace,
     pairing_realignment,
     pairing_values,
@@ -40,7 +39,7 @@ from dfrep.linalg import (
     swap_adjoint_residual,
 )
 from dfrep.tracial import Decomposition
-from reference import ElementaryTensorSum, kron, trace_pair
+from reference import ElementaryTensorSum, haar_unitary, kron, trace_pair
 from conftest import block_projections, random_density, random_valid_pairing_operator
 
 

@@ -42,14 +42,12 @@ from dfrep.linalg import (
     check_projection_stack,
     ginibre,
     haar_from_ginibre,
-    haar_unitary,
     kron_trace,
     operator_from_pairing,
     pairing_realignment,
     pairing_values,
     projection_blocks,
     sample_blocks,
-    spectral_projections,
     swap_operator,
 )
 from dfrep.probes import _sample_tensor_vectors, _sup_beta_rank_one, tensor_bound_probe
@@ -59,8 +57,10 @@ from reference import (
     _scalar_product_diagonal_of,
     _scalar_reconstruct,
     bilinear_refined,
+    haar_unitary,
     kron,
     orthogonal_decompose,
+    spectral_projections,
     trace_pair,
 )
 from conftest import (

@@ -294,6 +294,17 @@ class TestBasicRuns:
         assert (code, out) == (2, "")
         assert "dimension" in err
 
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_empty_times_exit_two(self, command, capsys, tmp_path):
+        """A class-operator scenario with no times is an input error on
+        every command, named by its field."""
+        doc = json.loads((SCENARIOS / "class_operator_trivial_dim3.json").read_text())
+        doc["functional"].update(times=[], schedules=[])
+        path = _write(tmp_path, "no_times.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--scenario", path)
+        assert (code, out) == (2, "")
+        assert err == "error: functional.times: need at least one time\n"
+
     def test_missing_file_exit_two(self, capsys):
         assert run_cli(capsys, "check-axioms", "--scenario", "/nonexistent.json")[0] == 2
 

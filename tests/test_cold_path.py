@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from dfrep import BilinearForm, cli, hermitian_form_decomposition
+from dfrep import cli, hermitian_form_decomposition
 from dfrep.scenarios import parse_scenario
 from conftest import operator_scenario_text, skew_corrupted_operator
 
@@ -105,7 +105,6 @@ def _value_objects():
         "ClassOperatorModel": d.model,
         "Scenario": scenario,
         "Decomposition": hermitian_form_decomposition(d),
-        "BilinearForm": BilinearForm(d),
     }
 
 

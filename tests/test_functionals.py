@@ -10,7 +10,6 @@ from dfrep import (
     Projection,
     PureStateFunctional,
     check_axioms,
-    extend_to_bilinear,
     gram_matrix,
     kron_trace,
     random_projection,
@@ -21,6 +20,7 @@ from reference import (
     beta,
     beta_of_product_projection,
     bilinear_refined,
+    extend_to_bilinear,
     identity_projection,
     sesquilinear_q,
 )

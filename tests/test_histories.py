@@ -14,11 +14,12 @@ from dfrep import (
 )
 from dfrep.histories import ClassOperatorFunctional
 from dfrep.ils import polarization_atoms
-from dfrep.linalg import haar_unitary, projection_blocks, rank_one_matrices
+from dfrep.linalg import projection_blocks, rank_one_matrices
 from dfrep.tolerances import MODEL_TOL as _MODEL_TOL
 from reference import (
     HomogeneousHistory,
     class_operator,
+    haar_unitary,
     heisenberg,
     history_pair_value,
     identity_projection,

@@ -5,12 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dfrep import (
-    ConditionViolationError,
     DimensionExclusionError,
     OperatorBackedFunctional,
     Projection,
     PureStateFunctional,
-    df_from_operator,
     extract_ils,
     random_projection,
     swap_operator,
@@ -205,30 +203,34 @@ class TestConditions:
         assert verify_ils_conditions(bad).swap_adjoint_residual > 1e-3
 
 
-class TestDfFromOperator:
+class TestOperatorToFunctional:
+    """An operator on H (x) H becomes a decoherence functional as
+    ``OperatorBackedFunctional(x)``, and ``verify_ils_conditions`` says
+    whether it is a valid one."""
+
     def test_valid_round_trip(self, rng):
         x0 = random_valid_pairing_operator(4, rng)
-        d = df_from_operator(x0)
+        d = OperatorBackedFunctional(x0)
+        assert verify_ils_conditions(d).passed
         x = extract_ils(d)
         assert np.abs(x.x_op - x0).max() <= 1e-9
 
     def test_axioms_pass_for_valid_operator(self, rng):
         from dfrep import check_axioms
 
-        d = df_from_operator(random_valid_pairing_operator(3, rng))
+        d = OperatorBackedFunctional(random_valid_pairing_operator(3, rng))
+        assert verify_ils_conditions(d).passed
         assert check_axioms(d, samples=100, seed=6).passed
 
-    def test_zero_trace_rejected_naming_condition(self):
-        x0 = np.zeros((9, 9), dtype=complex)
-        with pytest.raises(ConditionViolationError) as err:
-            df_from_operator(x0)
-        assert "normalization" in str(err.value)
+    def test_zero_trace_fails_normalization(self):
+        r = verify_ils_conditions(OperatorBackedFunctional(np.zeros((9, 9), dtype=complex)))
+        assert not r.normalization_ok
+        assert not r.passed
 
-    def test_skew_rejected_naming_condition(self):
+    def test_skew_fails_hermiticity_only(self):
         x0 = np.kron(rho_half_half(3), rho_half_half(3)) + _skew_corruption(3)
-        with pytest.raises(ConditionViolationError) as err:
-            df_from_operator(x0)
-        assert err.value.failed == ("hermiticity",)
+        r = verify_ils_conditions(OperatorBackedFunctional(x0))
+        assert (r.hermiticity_ok, r.positivity_ok, r.normalization_ok) == (False, True, True)
 
 
 class TestFunctionalToOperator:

@@ -7,21 +7,21 @@ from numpy.testing import assert_allclose
 from dfrep.linalg import (
     DimensionLimitError,
     Projection,
-    haar_unitary,
     hermiticity_residual,
     hermitize_in_place,
     kron_trace,
     random_projection,
     rank_one_proj,
-    spectral_projections,
     swap_operator,
     trace_norm,
 )
 from reference import (
     ElementaryTensorSum,
+    haar_unitary,
     identity_projection,
     kron,
     projector_tensor_sum,
+    spectral_projections,
     trace_pair,
     zero_projection,
 )

@@ -14,7 +14,6 @@ from dfrep import (
     FormBackedFunctional,
     OperatorBackedFunctional,
     build_tracial_operator,
-    df_from_operator,
     hermitian_form_decomposition,
     swap_operator,
     verify_ils_conditions,
@@ -24,7 +23,6 @@ from dfrep.cli import _random_tensor_sums, main
 from dfrep.ils import extract_ils, ils_operator_from_matrix, polarization_atoms
 from dfrep.probes import _sup_beta_rank_one
 from dfrep.linalg import (
-    haar_unitary,
     operator_norm,
     rank_one_matrices,
     operator_from_pairing,
@@ -34,7 +32,7 @@ from dfrep.linalg import (
 )
 from dfrep.tolerances import HERMITIAN_ROUTE_REL
 from dfrep.tracial import family_sizes, product_diagonal_of
-from reference import ElementaryTensorSum, _scalar_product_diagonal_of
+from reference import ElementaryTensorSum, _scalar_product_diagonal_of, haar_unitary
 from conftest import (
     block_tensor_terms,
     product_state_operator,
@@ -368,13 +366,14 @@ class TestCertifiedTraceNorm:
 
 
 class TestLazyTraceNorm:
-    def test_verify_conditions_df_from_operator_and_probe_skip_it(self, rng, monkeypatch, capsys):
+    def test_verify_conditions_and_probe_skip_it(self, rng, monkeypatch, capsys):
         x = random_valid_pairing_operator(4, rng)
         _forbid(monkeypatch, *NORM_KERNELS)
         scenario = ROOT / "scenarios" / "operator_product_state_dim3.json"
         assert main(["verify-conditions", "--scenario", str(scenario)]) == 0
         assert '"verdict":"pass"' in capsys.readouterr().out
-        d = df_from_operator(x)
+        d = OperatorBackedFunctional(x)
+        assert verify_ils_conditions(d).passed
         assert _sup_beta_rank_one(extract_ils(d, allow_dim_two=True).x_op, d.dim, 20, 0) > 0
         holder = ils_operator_from_matrix(x)
         assert "trace_norm" not in vars(holder)

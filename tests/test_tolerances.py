@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import dfrep
-from dfrep import check_axioms, consistency_report, df_from_operator, verify_ils_conditions
+from dfrep import check_axioms, consistency_report, verify_ils_conditions
 from dfrep.tolerances import DEFAULT_TOLERANCES
 
 PACKAGE = Path(dfrep.__file__).resolve().parent
@@ -56,7 +56,6 @@ def test_the_scan_sees_the_table():
     [
         (check_axioms, "tol", "axioms"),
         (verify_ils_conditions, "tol", "conditions"),
-        (df_from_operator, "tol", "conditions"),
         (consistency_report, "tolerance", "consistency"),
     ],
 )

@@ -27,13 +27,12 @@ from dfrep import (
 )
 from dfrep.linalg import (
     Projection,
-    haar_unitary,
     operator_from_pairing,
     pairing_realignment,
     projection_blocks,
     swap_right,
 )
-from dfrep.ils import bilinear_unit_table, df_from_operator, ils_operator_from_matrix
+from dfrep.ils import bilinear_unit_table, ils_operator_from_matrix, verify_ils_conditions
 from dfrep.tracial import (
     double_sum_table,
     product_diagonal_of,
@@ -41,6 +40,7 @@ from dfrep.tracial import (
 )
 from reference import (
     ElementaryTensorSum,
+    haar_unitary,
     householder_basis,
     identity_projection,
     kron,
@@ -387,12 +387,15 @@ class TestOnePairingMatrix:
     @pytest.mark.parametrize("dim", [3, 5])
     @pytest.mark.parametrize("kind", ["operator", "pure_state", "form", "class_operator"])
     def test_one_class_holds_the_pairing_matrix(self, kind, dim):
-        """The extracted X, the bounded M, the validated inverse and the
-        dense wrapper are all operator-backed functionals that evaluate d
-        again, with norms computed only when read."""
+        """The extracted X, the bounded M, X wrapped again as it is and
+        through the dense wrapper are all operator-backed functionals that
+        evaluate d again, with norms computed only when read; X rebuilt
+        from its own matrix still meets the three conditions."""
         d = backend_fixtures(dim)[kind]
         x = extract_ils(d)
-        holders = (x, build_tracial_operator(d), df_from_operator(x.x_op), ils_operator_from_matrix(x.x_op))
+        rewrapped = OperatorBackedFunctional(x.x_op)
+        assert verify_ils_conditions(rewrapped).passed
+        holders = (x, build_tracial_operator(d), rewrapped, ils_operator_from_matrix(x.x_op))
         pq = next(projection_blocks(dim, 40, np.random.default_rng(dim)))
         p, q = pq[0::2], pq[1::2]
         ref = d.pair_values(p, q)
