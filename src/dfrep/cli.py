@@ -251,9 +251,7 @@ def _cmd_tracial(scenario: Scenario, args, seed: int) -> dict:
     top = build_tracial_operator(d)
     pairing = _pairing_residual(d, top, args.samples, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 29]))
-    block_ranks = sorted({1, 2 if d.dim >= 2 else 1, d.dim})
-    if args.block_rank is not None and args.block_rank not in block_ranks:
-        block_ranks.append(args.block_rank)
+    block_ranks = sorted({1, min(2, d.dim), d.dim, args.block_rank} - {None})
     pq = next(projection_blocks(d.dim, 40, rng, min_rank=1))  # 20 pairs, p and q alternating
     p, q = pq[0::2], pq[1::2]
     sums = np.asarray(double_sum_table(top, p, q, block_ranks))
@@ -447,7 +445,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
+        # No newline translation, so that a CRLF file hashes as its bytes.
+        text = Path(args.scenario).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2

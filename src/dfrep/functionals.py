@@ -232,13 +232,7 @@ class OperatorBackedFunctional(DecoherenceFunctional):
         return (_rows(left) @ self.pairing) @ _rows(right).T
 
     def rank_one_table_against(self, right):
-        sw, cw = right
-
-        def table(left):
-            sv, cv = left
-            return rank_one_product_diagonal((sv[:, None], cv[:, None]), (sw[None], cw[None]), self.pairing)
-
-        return table
+        return lambda left: rank_one_product_diagonal(left, right, self.pairing)
 
     def pair_values(self, left, right) -> np.ndarray:
         left, right = self._value_stacks(left, right)

@@ -306,48 +306,31 @@ def vector_supports(v: np.ndarray):
 
 
 def rank_one_product_diagonal(left, right, pairing) -> np.ndarray:
-    """``<v (x) w| X |v (x) w> = tr((|v><v| (x) |w><w|) X)`` for sparse
-    vectors ``left = (support, coeff)`` and ``right`` (see
+    """The ``(n, m)`` table ``<v (x) w| X |v (x) w> = tr((|v><v| (x) |w><w|) X)``
+    for n sparse vectors ``left = (support, coeff)`` of shape ``(n, k)``
+    against m sparse vectors ``right`` of shape ``(m, k')`` (see
     :func:`rank_one_vectors`), with X given by its pairing matrix P (see
     :func:`pairing_realignment`).
 
-    ``support`` and ``coeff`` have shape ``(..., k)``; the batch shapes of
-    the two sides have one rank and broadcast, and so does the result:
-    ``(n, 1)`` against ``(1, m)`` gives an ``(n, m)`` table, two ``(n,)``
-    sets give n values.  Each left vector gathers its whole contiguous rows
+    Each left vector gathers its whole contiguous rows
     ``Y_v[l, j] = sum_{i,k} conj(v_i) v_k P[(k,i), (l,j)]`` of P, and each
     right vector reads the entries of ``Y_v`` on its own support: 16
-    entries of P per pair of two-point vectors, and never a table when the
-    batch shapes are equal.
+    entries of P per pair of two-point vectors.
     """
     (sv, cv), (sw, cw) = left, right
     pm = mat(pairing)
     dim = _pair_side(pm, "pairing")
     p4 = pm.reshape(dim, dim, dim, dim)
-    s, c = sv.reshape(-1, sv.shape[-1]), cv.reshape(-1, cv.shape[-1])
-    y = np.zeros((len(s), dim, dim), dtype=complex)
-    for a in range(s.shape[1]):
-        for b in range(s.shape[1]):
-            y += (c[:, a].conj() * c[:, b])[:, None, None] * p4[s[:, b], s[:, a]]
-    y = y.reshape(sv.shape[:-1] + (dim * dim,))
-    if sw.ndim == sv.ndim > 1 and sv.shape[-2] == 1 and all(n == 1 for n in sw.shape[:-2]):
-        # A column of left vectors against one row of right ones, as in
-        # every atom table: each term is one 1-D gather along the last axis.
-        y, sw, cw = y[..., 0, :], sw.reshape(sw.shape[-2:]), cw.reshape(cw.shape[-2:])
-
-        def read(flat):
-            return y[..., flat]
-
-    else:
-
-        def read(flat):
-            return np.take_along_axis(y, flat[..., None], -1)[..., 0]
-
+    y = np.zeros((len(sv), dim, dim), dtype=complex)
+    for a in range(sv.shape[1]):
+        for b in range(sv.shape[1]):
+            y += (cv[:, a].conj() * cv[:, b])[:, None, None] * p4[sv[:, b], sv[:, a]]
+    y = y.reshape(len(sv), dim * dim)
     # The generator sum beats accumulating into a preallocated table here.
     return sum(
-        cw[..., a].conj() * cw[..., b] * read(sw[..., b] * dim + sw[..., a])
-        for a in range(sw.shape[-1])
-        for b in range(sw.shape[-1])
+        cw[:, a].conj() * cw[:, b] * y[:, sw[:, b] * dim + sw[:, a]]
+        for a in range(sw.shape[1])
+        for b in range(sw.shape[1])
     )
 
 

@@ -251,27 +251,23 @@ def product_diagonal_of(m) -> "callable":
     of a dense ``(d^2, d^2)`` operator or an operator-backed functional,
     for feeding the reconstructor.
 
-    ``alpha`` and ``beta`` are broadcastable ``(..., d)`` stacks of vectors;
-    the result has their broadcast batch shape, and is a complex scalar for
-    two single vectors.  M is realigned once, here (a functional's pairing
-    matrix P is read as it is).  Each call brings the two stacks to
-    one rank and reads the values off P on the vectors' supports with
-    :func:`dfrep.linalg.rank_one_product_diagonal`, the reader of the
-    operator backend's atom table, so a pair of two-point vectors costs 16
-    entries of P and two elementwise ``(n, d)`` stacks cost n values, never
-    an n x n table.
+    ``alpha`` and ``beta`` have the layout that
+    :func:`reconstruct_from_product_diagonal` passes, ``(B, 1, d)`` and
+    ``(1, N, d)``, and the result is the ``(B, N)`` table; any other
+    layout is a ``ValueError``.  M is realigned once, here (a functional's
+    pairing matrix P is read as it is).  Each call reads the table off P on
+    the vectors' supports with :func:`dfrep.linalg.rank_one_product_diagonal`,
+    the reader of the operator backend's atom table, so a pair of two-point
+    vectors costs 16 entries of P.
     """
     pairing = _pairing_of(m)  # ValueError unless m is (d^2, d^2)
     dim = math.isqrt(len(pairing))
 
     def f(alpha, beta):
         a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
-        if a.shape[-1] != dim or b.shape[-1] != dim:
-            raise ValueError(f"dimension mismatch: need (..., {dim}) vectors, got {a.shape} and {b.shape}")
-        a = a.reshape((1,) * (b.ndim - a.ndim) + a.shape)
-        b = b.reshape((1,) * (a.ndim - b.ndim) + b.shape)
-        vals = rank_one_product_diagonal(vector_supports(a), vector_supports(b), pairing)
-        return complex(vals) if vals.ndim == 0 else vals
+        if a.ndim != 3 or b.ndim != 3 or a.shape[1:] != (1, dim) or (b.shape[0], b.shape[2]) != (1, dim):
+            raise ValueError(f"need (B, 1, {dim}) and (1, N, {dim}) vectors, got {a.shape} and {b.shape}")
+        return rank_one_product_diagonal(vector_supports(a[:, 0]), vector_supports(b[0]), pairing)
 
     return f
 

@@ -29,7 +29,6 @@ from dfrep import (
     random_projection,
     reconstruct_from_product_diagonal,
     tensor_bound_probe,
-    trace_norm,
     verify_ils_conditions,
 )
 from dfrep.cli import json_text, main
@@ -41,7 +40,6 @@ from conftest import (
     backend_fixtures,
     basis_proj,
     class_operator_scenario_text,
-    form_scenario_text,
     operator_scenario_text,
     product_state_operator,
     pure_state_scenario_text,

@@ -604,7 +604,7 @@ class TestReconstructor:
         with pytest.raises(ValueError, match=r"\(d\^2, d\^2\)"):
             product_diagonal_of(np.zeros(shape))
 
-    def test_oracle_broadcasts_and_keeps_scalar_calls(self, rng):
+    def test_oracle_fills_the_block_table(self, rng):
         m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         f = product_diagonal_of(m)
         ref = _scalar_product_diagonal_of(m)
@@ -615,9 +615,14 @@ class TestReconstructor:
         for k in range(4):
             for l in range(5):
                 assert _close(vals[k, l], ref(alphas[k, 0], betas[0, l]), 1e-13)
-        single = f(alphas[0, 0], betas[0, 0])
-        assert isinstance(single, complex)
-        assert _close(single, ref(alphas[0, 0], betas[0, 0]), 1e-13)
+
+    def test_oracle_refuses_elementwise_stacks(self, rng):
+        """Only the reconstructor's ``(B, 1, d)`` against ``(1, N, d)``
+        layout is read; two ``(n, d)`` stacks are refused, naming both."""
+        f = product_diagonal_of(rng.standard_normal((9, 9)) + 0j)
+        alphas, betas = rng.standard_normal((2, 6, 3)) + 0j
+        with pytest.raises(ValueError, match=r"got \(6, 3\) and \(6, 3\)"):
+            f(alphas, betas)
 
     @pytest.mark.parametrize("dim", [1, 2, 12, 23])
     def test_one_oracle_call_per_atom_block(self, dim, rng):
@@ -650,7 +655,7 @@ class TestReconstructor:
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("dim", [3, 5])
-    def test_oracle_on_sparse_dense_elementwise_and_single_vectors(self, dim, rng):
+    def test_oracle_on_sparse_and_dense_vectors(self, dim, rng):
         n = dim * dim
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         f, ref = product_diagonal_of(m), _scalar_product_diagonal_of(m)
@@ -670,32 +675,23 @@ class TestReconstructor:
             assert vals.shape == (6, 7)
             want = np.array([[ref(a, b) for b in betas] for a in alphas])
             assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
-        alphas, betas = dense(9), dense(9)
-        vals = f(alphas, betas)
-        assert vals.shape == (9,)
-        want = np.array([ref(a, b) for a, b in zip(alphas, betas)])
-        assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
-        vals = f(alphas[0], betas)  # one vector against a stack
-        assert vals.shape == (9,)
-        assert np.abs(vals - [ref(alphas[0], b) for b in betas]).max() <= 1e-13 * np.abs(want).max()
-        beta = two_sparse(1)[0]
-        single = f(alphas[0], beta)
-        assert isinstance(single, complex)
-        assert _close(single, ref(alphas[0], beta), 1e-13)
 
-    def test_elementwise_stacks_build_no_pair_table(self, rng):
-        n, dim = 4000, 3
+    def test_block_oracle_builds_no_larger_table(self, rng):
+        """A block of atoms against all atoms allocates a few ``(B, N)``
+        tables and the block's ``(B, d^2)`` rows of P, never one entry per
+        pair and support term."""
+        b, n, dim = 64, 4000, 3
         m = rng.standard_normal((dim * dim, dim * dim)) + 0j
         f = product_diagonal_of(m)
-        alphas, betas = rng.standard_normal((2, n, dim)) + 0j
+        alphas, betas = rng.standard_normal((b, 1, dim)) + 0j, rng.standard_normal((1, n, dim)) + 0j
         tracemalloc.start()
         try:
             vals = f(alphas, betas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert vals.shape == (n,)
-        assert peak < n * n * 16 / 20  # an n x n complex table is 256 MB here
+        assert vals.shape == (b, n)
+        assert peak < 5 * vals.nbytes  # dim^2 = 9 terms of (B, N) would be 9 tables
 
     def test_cli_reads_the_held_pairing_matrix(self, monkeypatch, capsys):
         realigned = []

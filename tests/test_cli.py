@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -315,6 +316,18 @@ class TestBasicRuns:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read scenario:") and "Traceback" not in err
 
+    def test_crlf_file_hash_is_the_sha256_of_its_bytes(self, capsys, tmp_path):
+        """The file is read without newline translation, so a CRLF copy of a
+        shipped scenario reports the SHA-256 of its own bytes."""
+        raw = (SCENARIOS / "pure_state_dim3.json").read_bytes()
+        assert b"\r" not in raw
+        path = tmp_path / "crlf.json"
+        path.write_bytes(raw.replace(b"\n", b"\r\n"))
+        for source in (SCENARIOS / "pure_state_dim3.json", path):
+            code, out, _ = run_cli(capsys, "check-axioms", "--scenario", str(source))
+            assert code == 0
+            assert json.loads(out)["scenario_sha256"] == hashlib.sha256(source.read_bytes()).hexdigest()
+
     def test_out_json_format(self, capsys, paths, tmp_path):
         out_file = tmp_path / "res.json"
         code, out, _ = run_cli(
@@ -374,6 +387,12 @@ class TestBasicRuns:
         )
         assert code == 0
         assert 3 in json.loads(out)["records"][0]["block_ranks"]
+
+    def test_block_rank_flag_between_two_and_dim_is_listed_in_order(self, capsys, tmp_path):
+        path = _write(tmp_path, "ps8.json", pure_state_scenario_text(8))
+        code, out, _ = run_cli(capsys, "tracial", "--scenario", path, "--block-rank", "4", "--samples", "5")
+        assert code == 0
+        assert json.loads(out)["records"][0]["block_ranks"] == [1, 2, 4, 8]
 
     def test_tolerance_flag_tightens_verdict(self, capsys, paths, tmp_path):
         # an absurdly tight threshold flips the pairing check to violation

@@ -141,9 +141,9 @@ class TestRankOnePairTables:
         atoms = polarization_atoms(dim)
         n = len(atoms[0])
         OperatorBackedFunctional(x).rank_one_table_against(atoms)(atoms)
-        assert calls == [((n, 1, 2), (1, n, 2))]
+        assert calls == [((n, 2), (n, 2))]
         product_diagonal_of(x)(_cmat(rng, dim)[:, None], _cmat(rng, dim)[None])
-        assert calls[1:] == [((dim, 1, dim), (1, dim, dim))]
+        assert calls[1:] == [((dim, dim), (dim, dim))]
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_operator_table_equals_oracle_on_densified_atoms(self, dim, rng):
@@ -153,34 +153,25 @@ class TestRankOnePairTables:
         v = rank_one_vectors(*atoms, dim)
         table = OperatorBackedFunctional(x).rank_one_table_against(atoms)(atoms)
         assert np.array_equal(table, product_diagonal_of(x)(v[:, None], v[None]))
-        # The row read of a (n, 1) against a (1, n) batch gives the bits of
-        # the elementwise read of the whole (n, n) grid.
-        n, k = atoms[0].shape
-        rows = tuple(np.broadcast_to(a[:, None], (n, n, k)) for a in atoms)
-        cols = tuple(np.broadcast_to(a[None], (n, n, k)) for a in atoms)
-        assert np.array_equal(table, linalg.rank_one_product_diagonal(rows, cols, pairing_realignment(x)))
 
-    def test_reader_on_wide_supports_and_mismatched_batch_ranks(self, rng):
+    def test_reader_on_wide_supports(self, rng):
         """Supports of three and four entries, some repeated, as an
-        ``(n, 1)`` against a ``(1, m)`` batch; then dense vectors with 3 to
-        5 nonzero entries through the oracle at batch ranks 2, 1 and 0."""
+        ``(n, k)`` against an ``(m, k')`` set; then dense vectors with 3 to
+        5 nonzero entries through the oracle."""
         dim = 5
         x = _cmat(rng, dim * dim)
         ref = _scalar_product_diagonal_of(x)
         (sv, cv), (sw, cw) = ((rng.integers(0, dim, (n, k)), _cmat(rng, n)[:, :k]) for n, k in ((4, 3), (6, 4)))
-        vals = linalg.rank_one_product_diagonal((sv[:, None], cv[:, None]), (sw[None], cw[None]), pairing_realignment(x))
+        vals = linalg.rank_one_product_diagonal((sv, cv), (sw, cw), pairing_realignment(x))
         alphas, betas = rank_one_vectors(sv, cv, dim), rank_one_vectors(sw, cw, dim)
         assert vals.shape == (4, 6)
         assert _rel(vals, [[ref(a, b) for b in betas] for a in alphas]) <= 1e-13
         alphas = _cmat(rng, dim)[:4] * (rng.random((4, dim)) < 0.6)
         alphas[:, :3] = _cmat(rng, 4)[:, :3]
         f = product_diagonal_of(x)
-        vals = f(alphas[:, None], betas)
+        vals = f(alphas[:, None], betas[None])
         assert vals.shape == (4, 6)
         assert _rel(vals, [[ref(a, b) for b in betas] for a in alphas]) <= 1e-13
-        vals = f(betas[0], alphas[:, None])
-        assert vals.shape == (4, 1)
-        assert _rel(vals[:, 0], [ref(betas[0], a) for a in alphas]) <= 1e-13
 
     def test_vectors_accumulate_repeated_support(self):
         support = np.array([[0, 2], [1, 1]])

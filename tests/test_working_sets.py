@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from dfrep import ils, tracial
