@@ -429,13 +429,14 @@ _main_parser = functools.cache(build_parser)
 
 
 def _emit(summary: dict, args) -> None:
+    """Write the ``--out`` file, then stdout, so a failed write prints no result."""
     text = json_text(summary) + "\n"
-    sys.stdout.write(text)
     if args.out:
         sweep = summary["command"] == "sweep"
         header = SWEEP_CSV_HEADER.split(",") if sweep else None
         csv = (args.fmt or ("csv" if sweep else "json")) == "csv"
         Path(args.out).write_text(records_csv(summary["records"], header) if csv else text)
+    sys.stdout.write(text)
 
 
 def main(argv=None) -> int:

@@ -188,7 +188,7 @@ class OperatorBackedFunctional(DecoherenceFunctional):
     """
 
     def __init__(self, x_op):
-        self.pairing = pairing_realignment(as_matrix(x_op, "x_op"))
+        self.pairing = as_matrix(pairing_realignment(x_op), "x_op")  # ValueError unless (d^2, d^2), finite
         self.dim = math.isqrt(len(self.pairing))
 
     @classmethod

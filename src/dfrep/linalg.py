@@ -400,14 +400,16 @@ def hermitize_in_place(h: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_certifies(h: np.ndarray) -> bool:
-    """Whether a blocked Cholesky factorization of the Hermitian H succeeds,
-    so that H is positive definite up to its backward error.  H is left
-    unchanged when it fails.
+    """Whether a blocked Cholesky factorization of H succeeds, so that H is
+    positive definite up to its backward error.  H must be exactly
+    Hermitian, as :func:`_hermitian_part` makes it: a failure restores the
+    lower triangle from the untouched upper one and the diagonal blocks
+    from copies, which leaves H bitwise unchanged.
 
-    Left-looking, in ``_SPLIT_BLOCK`` column blocks: L overwrites the lower
-    triangle in place, so no second n^2 array is held.  A failure restores
-    the lower triangle from the untouched upper one and the diagonal blocks
-    from copies.
+    Left-looking, in ``_SPLIT_BLOCK`` column blocks: the off-diagonal
+    blocks of L overwrite the lower triangle in place, so no second n^2
+    array is held.  The diagonal factors are not stored, as no later block
+    reads them.
     """
     n = len(h)
     saved = []
@@ -424,9 +426,7 @@ def _cholesky_certifies(h: np.ndarray) -> bool:
                 h[done, done] = block
                 h[done.stop :, done] = h[done, done.stop :].conj().T
             return False
-        if k + _SPLIT_BLOCK < n:  # the last block's factor is never read
-            h[cols, cols] = lkk
-            h[below, cols] = np.linalg.solve(lkk, h[below, cols].conj().T).conj().T
+        h[below, cols] = np.linalg.solve(lkk, h[below, cols].conj().T).conj().T
     return True
 
 

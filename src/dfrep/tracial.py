@@ -40,8 +40,6 @@ trace-pairing representative grows linearly with the dimension.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .functionals import DecoherenceFunctional, OperatorBackedFunctional, _check_dim
@@ -52,7 +50,6 @@ from .linalg import (
     hermiticity_residual,
     hermitize_in_place,
     mat,
-    pairing_realignment,
     rank_one_product_diagonal,
     rank_one_vectors,
     swap_right,
@@ -141,20 +138,6 @@ def _kept(w: np.ndarray) -> np.ndarray:
     return np.abs(w) >= EIG_DROP_REL * max(scale, SCALE_FLOOR)
 
 
-def _decompose_gram(g: np.ndarray, dim: int) -> Decomposition:
-    """The signed families of a Hermitian Gram matrix (see
-    :func:`hermitian_form_decomposition`); G is released once ``eigh``
-    returns."""
-    w, v = np.linalg.eigh(g)
-    del g
-    keep = np.flatnonzero(_kept(w))
-    idx = keep[np.argsort(-w[keep])]
-    w, rows = w[idx], v.T[idx]  # the kept eigenvectors g_i as rows, descending
-    del v
-    rows *= np.sqrt(np.abs(w))[:, None]
-    return Decomposition(rows, signature=tuple(w.tolist()), dim=dim)
-
-
 def hermitian_form_decomposition(d: DecoherenceFunctional) -> Decomposition:
     """Constructive decomposition of the Hermitian form into signed
     rank-one families.
@@ -165,7 +148,13 @@ def hermitian_form_decomposition(d: DecoherenceFunctional) -> Decomposition:
     ``{X_i}`` / ``{Y_i}`` families.  An all-zero Gram matrix produces empty
     families.
     """
-    return _decompose_gram(gram_matrix(d), d.dim)
+    w, v = np.linalg.eigh(gram_matrix(d))
+    keep = np.flatnonzero(_kept(w))
+    idx = keep[np.argsort(-w[keep])]
+    w, rows = w[idx], v.T[idx]  # the kept eigenvectors g_i as rows, descending
+    del v
+    rows *= np.sqrt(np.abs(w))[:, None]
+    return Decomposition(rows, signature=tuple(w.tolist()), dim=d.dim)
 
 
 def family_sizes(m: OperatorBackedFunctional) -> tuple:
@@ -241,27 +230,21 @@ def reconstruct_from_product_diagonal(f, dim: int) -> np.ndarray:
     return polarization_unit_table(dim, table_against)
 
 
-def _pairing_of(m) -> np.ndarray:
-    """The pairing matrix of M: an operator-backed functional's own, else M realigned."""
-    return m.pairing if isinstance(m, OperatorBackedFunctional) else pairing_realignment(m)
-
-
-def product_diagonal_of(m) -> "callable":
+def product_diagonal_of(m: OperatorBackedFunctional) -> "callable":
     """Diagonal oracle ``f(alpha, beta) = <M(alpha (x) beta), alpha (x) beta>``
-    of a dense ``(d^2, d^2)`` operator or an operator-backed functional,
-    for feeding the reconstructor.
+    of the operator-backed functional that holds M, for feeding the
+    reconstructor.
 
     ``alpha`` and ``beta`` have the layout that
     :func:`reconstruct_from_product_diagonal` passes, ``(B, 1, d)`` and
     ``(1, N, d)``, and the result is the ``(B, N)`` table; any other
-    layout is a ``ValueError``.  M is realigned once, here (a functional's
-    pairing matrix P is read as it is).  Each call reads the table off P on
-    the vectors' supports with :func:`dfrep.linalg.rank_one_product_diagonal`,
-    the reader of the operator backend's atom table, so a pair of two-point
-    vectors costs 16 entries of P.
+    layout is a ``ValueError``.  Each call reads the table off the held
+    pairing matrix P on the vectors' supports with
+    :func:`dfrep.linalg.rank_one_product_diagonal`, the reader of the
+    operator backend's atom table, so a pair of two-point vectors costs
+    16 entries of P.
     """
-    pairing = _pairing_of(m)  # ValueError unless m is (d^2, d^2)
-    dim = math.isqrt(len(pairing))
+    pairing, dim = m.pairing, m.dim
 
     def f(alpha, beta):
         a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
@@ -283,26 +266,25 @@ def _column_blocks(cols: np.ndarray, max_rank: int) -> list:
     return [cols[:, start : start + max_rank] for start in range(0, cols.shape[1], max_rank)]
 
 
-def evaluate_double_sum(m, p: Projection, q: Projection, block_rank: int) -> complex:
+def evaluate_double_sum(m: OperatorBackedFunctional, p: Projection, q: Projection, block_rank: int) -> complex:
     """``sum_i sum_j tr((p_i (x) q_j) M)`` over orthogonal block
     decompositions of p and q with blocks of rank at most ``block_rank``
     (consecutive eigenvectors of each range, as the orthogonal
-    decomposition of ``tests/reference.py`` splits them).
+    decomposition of ``tests/reference.py`` splits them), for the
+    operator-backed functional that holds M.
 
     Every term is one entry of a single block pair table (the product of
-    the block stacks with the pairing matrix of M, see
-    :func:`dfrep.linalg.pairing_realignment`), which is summed.  By trace
-    linearity the value equals ``tr(M (p (x) q))`` for every admissible
-    block decomposition.
+    the block stacks with the held pairing matrix P of M), which is
+    summed.  By trace linearity the value equals ``tr(M (p (x) q))`` for
+    every admissible block decomposition.
     """
     return double_sum_table(m, [p], [q], [block_rank])[0][0]
 
 
-def double_sum_table(m, ps, qs, block_ranks) -> list:
+def double_sum_table(m: OperatorBackedFunctional, ps, qs, block_ranks) -> list:
     """``out[s][k] = evaluate_double_sum(m, ps[s], qs[s], block_ranks[k])``
-    as nested lists, with M realigned once (a functional's pairing matrix
-    is read as it is) and every projection eigendecomposed once for
-    all block ranks.
+    as nested lists, read off the held pairing matrix P of M, with every
+    projection eigendecomposed once for all block ranks.
 
     ``ps`` and ``qs`` hold validated projections, as Projection objects or
     as matrices (such as a ``projection_blocks`` block); each range, and
@@ -310,7 +292,6 @@ def double_sum_table(m, ps, qs, block_ranks) -> list:
     """
     if any(br < 1 for br in block_ranks):
         raise ValueError("max_rank must be >= 1")
-    xr = _pairing_of(m)
     out = []
     for p, q in zip(ps, qs):
         p_cols, q_cols = _range_columns(mat(p)), _range_columns(mat(q))
@@ -321,6 +302,6 @@ def double_sum_table(m, ps, qs, block_ranks) -> list:
         for br in block_ranks:
             pm = np.stack([b @ b.conj().T for b in _column_blocks(p_cols, br)])
             qm = np.stack([b @ b.conj().T for b in _column_blocks(q_cols, br)])
-            row.append(complex(np.sum((pm.reshape(len(pm), -1) @ xr) @ qm.reshape(len(qm), -1).T)))
+            row.append(complex(np.sum((pm.reshape(len(pm), -1) @ m.pairing) @ qm.reshape(len(qm), -1).T)))
         out.append(row)
     return out

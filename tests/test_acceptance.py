@@ -214,7 +214,8 @@ def test_criterion_07_polarization_reconstructor():
             dim = dims[count % len(dims)]
             n = dim * dim
             m0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            out = operator_from_pairing(reconstruct_from_product_diagonal(product_diagonal_of(m0), dim))
+            f = product_diagonal_of(OperatorBackedFunctional(m0))
+            out = operator_from_pairing(reconstruct_from_product_diagonal(f, dim))
             assert np.linalg.norm(out - m0) <= 1e-9 * max(1.0, np.linalg.norm(m0))
             count += 1
 

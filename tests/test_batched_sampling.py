@@ -51,7 +51,7 @@ from dfrep.linalg import (
     swap_operator,
 )
 from dfrep.probes import _sample_tensor_vectors, _sup_beta_rank_one, tensor_bound_probe
-from dfrep import tracial
+from dfrep import functionals
 from dfrep.tracial import product_diagonal_of
 from reference import (
     _scalar_product_diagonal_of,
@@ -583,9 +583,9 @@ class TestReconstructor:
             realigned.append(x.shape)
             return pairing_realignment(x)
 
-        monkeypatch.setattr(tracial, "pairing_realignment", spy)
-        f = product_diagonal_of(m)
-        assert realigned == [(n, n)]
+        monkeypatch.setattr(functionals, "pairing_realignment", spy)
+        f = product_diagonal_of(OperatorBackedFunctional(m))
+        assert realigned == [(n, n)]  # once, where the functional is built
         out = operator_from_pairing(reconstruct_from_product_diagonal(f, dim))
         assert realigned == [(n, n)]  # none inside the d^2 oracle calls
         ref = _scalar_reconstruct(_scalar_product_diagonal_of(m), dim)
@@ -602,11 +602,11 @@ class TestReconstructor:
     @pytest.mark.parametrize("shape", [(5, 5), (9, 8)])
     def test_oracle_rejects_non_pair_operator(self, shape):
         with pytest.raises(ValueError, match=r"\(d\^2, d\^2\)"):
-            product_diagonal_of(np.zeros(shape))
+            OperatorBackedFunctional(np.zeros(shape))
 
     def test_oracle_fills_the_block_table(self, rng):
         m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        f = product_diagonal_of(m)
+        f = product_diagonal_of(OperatorBackedFunctional(m))
         ref = _scalar_product_diagonal_of(m)
         alphas = rng.standard_normal((4, 1, 3)) + 1j * rng.standard_normal((4, 1, 3))
         betas = rng.standard_normal((1, 5, 3)) + 1j * rng.standard_normal((1, 5, 3))
@@ -619,7 +619,7 @@ class TestReconstructor:
     def test_oracle_refuses_elementwise_stacks(self, rng):
         """Only the reconstructor's ``(B, 1, d)`` against ``(1, N, d)``
         layout is read; two ``(n, d)`` stacks are refused, naming both."""
-        f = product_diagonal_of(rng.standard_normal((9, 9)) + 0j)
+        f = product_diagonal_of(OperatorBackedFunctional(rng.standard_normal((9, 9)) + 0j))
         alphas, betas = rng.standard_normal((2, 6, 3)) + 0j
         with pytest.raises(ValueError, match=r"got \(6, 3\) and \(6, 3\)"):
             f(alphas, betas)
@@ -628,7 +628,7 @@ class TestReconstructor:
     def test_one_oracle_call_per_atom_block(self, dim, rng):
         n = dim * dim
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        oracle = product_diagonal_of(m)
+        oracle = product_diagonal_of(OperatorBackedFunctional(m))
         calls = []
 
         def spy(alpha, beta):
@@ -649,7 +649,8 @@ class TestReconstructor:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         w = swap_operator(dim)
         assert np.abs(m - m.conj().T).max() > 0.1 and np.abs(w @ m @ w - m).max() > 0.1
-        out = operator_from_pairing(reconstruct_from_product_diagonal(product_diagonal_of(m), dim))
+        f = product_diagonal_of(OperatorBackedFunctional(m))
+        out = operator_from_pairing(reconstruct_from_product_diagonal(f, dim))
         ref = _scalar_reconstruct(_scalar_product_diagonal_of(m), dim)
         assert np.abs(ref - m).max() <= 1e-12 * np.abs(m).max()
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -658,7 +659,7 @@ class TestReconstructor:
     def test_oracle_on_sparse_and_dense_vectors(self, dim, rng):
         n = dim * dim
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        f, ref = product_diagonal_of(m), _scalar_product_diagonal_of(m)
+        f, ref = product_diagonal_of(OperatorBackedFunctional(m)), _scalar_product_diagonal_of(m)
 
         def dense(*shape):
             return rng.standard_normal(shape + (dim,)) + 1j * rng.standard_normal(shape + (dim,))
@@ -682,7 +683,7 @@ class TestReconstructor:
         pair and support term."""
         b, n, dim = 64, 4000, 3
         m = rng.standard_normal((dim * dim, dim * dim)) + 0j
-        f = product_diagonal_of(m)
+        f = product_diagonal_of(OperatorBackedFunctional(m))
         alphas, betas = rng.standard_normal((b, 1, dim)) + 0j, rng.standard_normal((1, n, dim)) + 0j
         tracemalloc.start()
         try:
@@ -700,11 +701,11 @@ class TestReconstructor:
             realigned.append(np.shape(x))
             return pairing_realignment(x)
 
-        monkeypatch.setattr(tracial, "pairing_realignment", spy)
+        monkeypatch.setattr(functionals, "pairing_realignment", spy)
         scenario = Path(__file__).resolve().parents[1] / "scenarios" / "operator_product_state_dim3.json"
         assert main(["reconstruct", "--scenario", str(scenario)]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
-        assert realigned == []
+        assert realigned == [(9, 9)]  # once, where the scenario builds the functional
 
 
 class TestDoubleSum:
@@ -717,12 +718,12 @@ class TestDoubleSum:
             q = random_projection(dim, int(rng.integers(1, dim + 1)), rng)
             for block_rank in (1, 2, dim):
                 ref = _scalar_double_sum(m, p, q, block_rank)
-                assert _close(evaluate_double_sum(m, p, q, block_rank), ref, 1e-12)
+                assert _close(evaluate_double_sum(OperatorBackedFunctional(m), p, q, block_rank), ref, 1e-12)
 
     def test_zero_projection_gives_zero(self, rng):
         m = rng.standard_normal((9, 9)) + 0j
         zero = Projection(np.zeros((3, 3), dtype=complex), 0)
-        assert evaluate_double_sum(m, zero, random_projection(3, 2, rng), 1) == 0
+        assert evaluate_double_sum(OperatorBackedFunctional(m), zero, random_projection(3, 2, rng), 1) == 0
 
     @pytest.mark.parametrize("dp,dq", [(1, 1), (2, 2), (3, 3), (5, 5), (2, 3)])
     def test_table_entries_are_kron_traces(self, dp, dq, rng):

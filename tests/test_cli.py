@@ -360,6 +360,13 @@ class TestBasicRuns:
         assert len(lines) == 2
         assert "hermiticity_residual" in lines[0]
 
+    def test_failed_out_write_prints_no_result(self, capsys, paths, tmp_path):
+        """An ``--out`` that cannot be written exits 2 with stdout empty."""
+        code, out, err = run_cli(capsys, "check-axioms", "--scenario", paths["ps3"], "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "cannot write output" in err
+
     @pytest.mark.parametrize(
         "command,scenario,list_key",
         [

@@ -142,7 +142,7 @@ class TestRankOnePairTables:
         n = len(atoms[0])
         OperatorBackedFunctional(x).rank_one_table_against(atoms)(atoms)
         assert calls == [((n, 2), (n, 2))]
-        product_diagonal_of(x)(_cmat(rng, dim)[:, None], _cmat(rng, dim)[None])
+        product_diagonal_of(OperatorBackedFunctional(x))(_cmat(rng, dim)[:, None], _cmat(rng, dim)[None])
         assert calls[1:] == [((dim, dim), (dim, dim))]
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -152,7 +152,7 @@ class TestRankOnePairTables:
         atoms = polarization_atoms(dim)
         v = rank_one_vectors(*atoms, dim)
         table = OperatorBackedFunctional(x).rank_one_table_against(atoms)(atoms)
-        assert np.array_equal(table, product_diagonal_of(x)(v[:, None], v[None]))
+        assert np.array_equal(table, product_diagonal_of(OperatorBackedFunctional(x))(v[:, None], v[None]))
 
     def test_reader_on_wide_supports(self, rng):
         """Supports of three and four entries, some repeated, as an
@@ -168,7 +168,7 @@ class TestRankOnePairTables:
         assert _rel(vals, [[ref(a, b) for b in betas] for a in alphas]) <= 1e-13
         alphas = _cmat(rng, dim)[:4] * (rng.random((4, dim)) < 0.6)
         alphas[:, :3] = _cmat(rng, 4)[:, :3]
-        f = product_diagonal_of(x)
+        f = product_diagonal_of(OperatorBackedFunctional(x))
         vals = f(alphas[:, None], betas[None])
         assert vals.shape == (4, 6)
         assert _rel(vals, [[ref(a, b) for b in betas] for a in alphas]) <= 1e-13
@@ -320,6 +320,22 @@ class TestCertifiedTraceNorm:
         h = (wx + wx.conj().T) / 2  # exactly Hermitian, so trace_norm keeps it
         assert np.linalg.eigvalsh(h).min() < -1e-3
         self._assert_falls_through(h, monkeypatch)
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_blocked_cholesky_restores_a_failed_block(self, block, rng):
+        """A -10 pivot planted in any of the four column blocks fails the
+        blocked Cholesky and leaves the exactly Hermitian H bitwise
+        unchanged; without it, the factorization succeeds."""
+        n = 3 * linalg._SPLIT_BLOCK + 17
+        h = _cmat(rng, n)
+        h = h @ h.conj().T / n + np.eye(n)
+        h = (h + h.conj().T) / 2  # exactly Hermitian
+        assert linalg._cholesky_certifies(h.copy())
+        i = block * linalg._SPLIT_BLOCK + 5
+        h[i, i] = -10.0
+        pristine = h.copy()
+        assert not linalg._cholesky_certifies(h)
+        assert h.tobytes() == pristine.tobytes()
 
     @pytest.mark.parametrize("n", [1, 5, 600])
     def test_zero_matrix(self, n, monkeypatch):

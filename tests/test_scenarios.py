@@ -145,6 +145,10 @@ _W = 2e-9  # overlap of two schedule projections: inside the identity
 _TILTED = np.zeros((3, 3))
 _TILTED[:2, :2] = np.outer([_W, np.sqrt(1 - _W**2)], [_W, np.sqrt(1 - _W**2)])
 
+# The JSON number 1e999, which reads as inf; json.dumps writes it as a
+# string, which the test unquotes.
+_OVERFLOW = "1e999"
+
 _BASES = {
     "pure": lambda: pure_state_scenario_text(dim=3),
     "operator": lambda: operator_scenario_text(product_state_operator(rho_half_half(3))),
@@ -196,6 +200,13 @@ REJECTED = [
     ("classop", _set("functional", "schedules", 0, 0, value={"re": (2 * np.eye(3)).tolist()}),
      "functional.schedules[0][0]", False),
     ("classop", lambda doc: doc["functional"].update(times=[], schedules=[]), "functional.times", True),
+    # non-finite and non-numeric array entries
+    ("operator", _set("functional", "matrix", "re", 0, 0, value=float("nan")), "functional.matrix.re", False),
+    ("form", _set("functional", "gram", "im", 0, 0, value=float("inf")), "functional.gram.im", False),
+    ("pure", _set("functional", "amplitudes", "re", 0, value=_OVERFLOW), "functional.amplitudes.re", False),
+    ("classop", _set("functional", "rho", "re", 0, 0, value=None), "functional.rho.re", False),
+    ("classop", _set("functional", "hamiltonian", "re", value=[[1, 0, 0], [0, 2], [0, 0, 3]]),
+     "functional.hamiltonian.re", False),
 ]
 
 
@@ -210,7 +221,7 @@ def test_rejection_starts_with_field_path(base, mutate, path, newly_named):
     doc = json.loads(text)
     mutate(doc)
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(json.dumps(doc))
+        parse_scenario(json.dumps(doc).replace(json.dumps(_OVERFLOW), _OVERFLOW))
     assert str(err.value).startswith(path + ":"), str(err.value)
 
 

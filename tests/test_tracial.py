@@ -513,7 +513,7 @@ class TestReconstructor:
     def test_identity(self):
         dim = 3
         out = operator_from_pairing(
-            reconstruct_from_product_diagonal(product_diagonal_of(np.eye(dim * dim)), dim)
+            reconstruct_from_product_diagonal(product_diagonal_of(OperatorBackedFunctional(np.eye(dim * dim))), dim)
         )
         assert np.linalg.norm(out - np.eye(dim * dim)) <= 1e-10
 
@@ -522,7 +522,8 @@ class TestReconstructor:
             m0 = rng.standard_normal((dim * dim, dim * dim)) + 1j * rng.standard_normal(
                 (dim * dim, dim * dim)
             )
-            out = operator_from_pairing(reconstruct_from_product_diagonal(product_diagonal_of(m0), dim))
+            f = product_diagonal_of(OperatorBackedFunctional(m0))
+            out = operator_from_pairing(reconstruct_from_product_diagonal(f, dim))
             assert np.linalg.norm(out - m0) <= 1e-9 * max(1.0, np.linalg.norm(m0))
 
     def test_uniqueness_of_tracial_operator(self):
@@ -533,7 +534,7 @@ class TestReconstructor:
         m1 = build_tracial_operator(d).x_op
         m2 = extract_ils(d).x_op
         diff = m1 - m2
-        recon = reconstruct_from_product_diagonal(product_diagonal_of(diff), dim)
+        recon = reconstruct_from_product_diagonal(product_diagonal_of(OperatorBackedFunctional(diff)), dim)
         assert np.linalg.norm(recon) <= 1e-8
         assert np.linalg.norm(m1 - m2) <= 1e-8
 
