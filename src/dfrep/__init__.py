@@ -27,7 +27,6 @@ from .linalg import (
     kron_trace,
     operator_norm,
     random_projection,
-    rank_one_proj,
     swap_operator,
     trace_norm,
 )

@@ -56,7 +56,6 @@ from .linalg import (
     pairing_trace,
     pairing_values,
     projection_blocks,
-    rank_one_proj,
 )
 from .probes import sweep_dims, tensor_bound_probe
 from .scenarios import Scenario, ScenarioError, parse_scenario
@@ -248,6 +247,8 @@ def _cmd_decompose(scenario: Scenario, args, seed: int) -> dict:
 
 def _cmd_tracial(scenario: Scenario, args, seed: int) -> dict:
     d = scenario.functional
+    if args.block_rank is not None and args.block_rank > d.dim:
+        raise ScenarioError(f"--block-rank: rank {args.block_rank} exceeds the dimension {d.dim}")
     top = build_tracial_operator(d)
     pairing = _pairing_residual(d, top, args.samples, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, d.dim, 29]))
@@ -313,9 +314,10 @@ def _cmd_demo_pure_state(scenario: Scenario, args, seed: int) -> dict:
 def _cmd_consistency(scenario: Scenario, args, seed: int) -> dict:
     d = scenario.functional
     if scenario.kind == "class_operator":
-        family = list(d.model.schedules[0])
+        family = d.model.schedules[0]
     else:
-        family = [rank_one_proj(e) for e in np.eye(d.dim)]
+        eye = np.eye(d.dim, dtype=complex)
+        family = eye[:, :, None] * eye[:, None, :]
     tol = _tol(args, scenario.tolerance("consistency"))
     report = consistency_report(d, family, tolerance=tol)
     return {"records": [report._asdict()], "verdict": "pass" if report.consistent else "violation"}

@@ -21,8 +21,41 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import DecoherenceFunctional, FactoredStateFunctional
-from .linalg import Frozen, Projection, as_matrix, hermiticity_residual
-from .tolerances import DEFAULT_TOLERANCES, MODEL_TOL, ORTHOGONALITY_TOL
+from .linalg import Frozen, as_matrix, check_projection_stack, hermiticity_residual, mat, stack_norms
+from .tolerances import DEFAULT_TOLERANCES, MODEL_TOL
+
+
+def projective_family(members, path: str = "projections") -> np.ndarray:
+    """The read-only complex ``(n, d, d)`` stack of a projective family:
+    ``n >= 1`` projections of one dimension, pairwise orthogonal with
+    ``||p_i p_j||_F <= MODEL_TOL``.  The one family check, of every
+    schedule of a :class:`ClassOperatorModel` and of every set that
+    :func:`consistency_report` reads.
+
+    Each member is checked on its own by
+    :func:`dfrep.linalg.check_projection_stack` at the rank ``round(Re tr
+    p)``, and a rejection names it as ``path[j]``; the products of one
+    member with all later ones are one batched matmul, and a rejection
+    names the first failing pair in (i, j) order.
+    """
+    mats = []
+    for j, p in enumerate(members):
+        try:
+            m = as_matrix(mat(p), "projection")
+            if mats and m.shape != mats[0].shape:
+                raise ValueError(f"dimension {len(m)} does not match the {len(mats[0])} of member 0")
+            mats.append(check_projection_stack(m[None], np.round(np.trace(m).real))[0])
+        except ValueError as exc:
+            raise ValueError(f"{path}[{j}]: {exc}") from None
+    if not mats:
+        raise ValueError(f"{path}: is empty")
+    stack = np.stack(mats)
+    for i in range(len(stack) - 1):
+        bad = np.flatnonzero(stack_norms(stack[i] @ stack[i + 1 :]) > MODEL_TOL)
+        if bad.size:
+            raise ValueError(f"{path}: projections {i} and {i + 1 + bad[0]} are not orthogonal")
+    stack.flags.writeable = False
+    return stack
 
 
 class ClassOperatorModel(Frozen):
@@ -33,7 +66,8 @@ class ClassOperatorModel(Frozen):
     Hamiltonian is Hermitian; there is at least one time, and the times
     are non-negative (rho is prepared at t = 0) and strictly ascending,
     with one schedule each; every schedule is a family of pairwise
-    orthogonal projections summing to the identity.
+    orthogonal projections summing to the identity, held as the read-only
+    ``(n, d, d)`` stack of :func:`projective_family`.
     A rejection message starts with the argument it rejects (``rho:``,
     ``times[k]:``, ``schedules[k][j]:`` ...), for callers to prefix a path.
 
@@ -79,22 +113,11 @@ class ClassOperatorModel(Frozen):
             raise ValueError(f"schedules: need one per time, got {len(self.schedules)}")
         schedules = []
         for k, sched in enumerate(self.schedules):
-            projs = []
-            for j, p in enumerate(sched):
-                try:
-                    projs.append(p if isinstance(p, Projection) else Projection.from_matrix(p))
-                except ValueError as exc:
-                    raise ValueError(f"schedules[{k}][{j}]: {exc}") from None
-            if not projs:
-                raise ValueError(f"schedules[{k}]: is empty")
-            total = sum(p.matrix for p in projs)
-            if np.linalg.norm(total - np.eye(self.dim)) > MODEL_TOL * self.dim:
+            stack = projective_family(sched, f"schedules[{k}]")
+            total = stack.sum(axis=0)
+            if total.shape != (self.dim,) * 2 or np.linalg.norm(total - np.eye(self.dim)) > MODEL_TOL * self.dim:
                 raise ValueError(f"schedules[{k}]: projections do not sum to the identity")
-            for i in range(len(projs)):
-                for j in range(i + 1, len(projs)):
-                    if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > MODEL_TOL:
-                        raise ValueError(f"schedules[{k}]: projections {i} and {j} are not orthogonal")
-            schedules.append(tuple(projs))
+            schedules.append(stack)
         vars(self).update(
             rho=rho,
             hamiltonian=ham,
@@ -163,7 +186,9 @@ def consistency_report(
     tolerance: float = DEFAULT_TOLERANCES["consistency"],
     mode: str = "weak",
 ) -> ConsistencyReport:
-    """Check a family of pairwise orthogonal projections for consistency.
+    """Check a family of pairwise orthogonal projections, a list or an
+    ``(n, d, d)`` stack that :func:`projective_family` validates, for
+    consistency.
 
     ``mode="weak"`` flags the set consistent when the largest off-diagonal
     ``|Re d(h_i, h_j)|`` is at most ``tolerance``; ``mode="medium"`` uses
@@ -172,24 +197,11 @@ def consistency_report(
     """
     if mode not in ("weak", "medium"):
         raise ValueError(f"unknown consistency mode {mode!r}")
-    projs = [
-        p if isinstance(p, Projection) else Projection.from_matrix(p)
-        for p in projections
-    ]
-    if not projs:
-        raise ValueError("need at least one projection")
-    for i in range(len(projs)):
-        if projs[i].dim != d.dim:
-            raise ValueError(
-                f"dimension mismatch: functional has dim {d.dim}, "
-                f"projection {i} has dim {projs[i].dim}"
-            )
-        for j in range(i + 1, len(projs)):
-            if np.linalg.norm(projs[i].matrix @ projs[j].matrix) > ORTHOGONALITY_TOL:
-                raise ValueError(f"projections {i} and {j} are not orthogonal")
-    stack = np.stack([p.matrix for p in projs])
+    stack = projective_family(projections)
+    if stack.shape[1] != d.dim:
+        raise ValueError(f"dimension mismatch: functional has dim {d.dim}, projections have dim {stack.shape[1]}")
     table = d.pair_table(stack, stack)
-    off_diag = table[~np.eye(len(projs), dtype=bool)]
+    off_diag = table[~np.eye(len(stack), dtype=bool)]
     off_vals = np.abs(off_diag.real) if mode == "weak" else np.abs(off_diag)
     off = float(np.max(off_vals, initial=0.0))
     diags = tuple(float(v) for v in table.diagonal().real)
@@ -199,5 +211,5 @@ def consistency_report(
         total=float(sum(diags)),
         tolerance=tolerance,
         mode=mode,
-        set_size=len(projs),
+        set_size=len(stack),
     )

@@ -98,16 +98,6 @@ class Projection(Frozen):
         vars(self)["matrix"] = as_matrix(self.matrix, "projection")
         check_projection_stack(self.matrix[None], (self.rank,))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def from_matrix(cls, m) -> "Projection":
-        m = as_matrix(m, "projection")
-        rank = int(round(float(np.trace(m).real)))
-        return cls(m, rank)
-
 
 def stack_norms(a: np.ndarray) -> np.ndarray:
     """2-norm of each entry of a complex ``(n, ...)`` stack (the Frobenius
@@ -504,12 +494,6 @@ def operator_norm(a, overwrite_a: bool = False) -> float:
     if h is None:
         return float(np.linalg.norm(am, 2))
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-
-
-def rank_one_proj(xi) -> Projection:
-    """Projection onto the span of a unit vector."""
-    v = unit_vector(xi, "xi")
-    return Projection(np.outer(v, v.conj()), 1)
 
 
 def swap_operator(d: int) -> np.ndarray:

@@ -20,11 +20,9 @@ GRAM_HERMITICITY_REL = 1e-8
 
 # Model invariants hold to this tolerance: relative for the Hermiticity of rho
 # and H; absolute for min eig rho, tr rho and ||p_i p_j||_F; x dim for ||sum p - 1||_F.
+# The ||p_i p_j||_F bound is the one orthogonality tolerance of a projective
+# family, for the schedules of a model and the sets a consistency report reads.
 MODEL_TOL = 1e-9
-
-# Largest ||p_i p_j||_F of two projections that a consistency report
-# accepts as orthogonal.
-ORTHOGONALITY_TOL = 1e-8
 
 # A tensor vector whose squared norm is at most this cannot be normalized.
 TENSOR_NORM2_FLOOR = 1e-24

@@ -6,9 +6,9 @@ assembled from spectral decompositions (and its randomly refined variant),
 the linear functional beta on the algebraic tensor product, the history
 class operators ``C_h`` and the history-pair values ``d(h, k)``, the
 16-term double-polarization reconstructor, and the matrix helpers they are
-written in (spectral projections, Haar unitaries, the identity and zero
-projections).  No CLI command reaches this module and ``dfrep`` does not
-import it; the tests import it as ``reference``.
+written in (spectral projections, Haar unitaries, the identity, zero and
+rank-one projections).  No CLI command reaches this module and ``dfrep``
+does not import it; the tests import it as ``reference``.
 """
 
 from __future__ import annotations
@@ -163,6 +163,12 @@ def identity_projection(dim: int) -> Projection:
 
 def zero_projection(dim: int) -> Projection:
     return Projection(np.zeros((dim, dim), dtype=complex), 0)
+
+
+def rank_one_proj(xi) -> Projection:
+    """Projection onto the span of a unit vector."""
+    v = unit_vector(xi, "xi")
+    return Projection(np.outer(v, v.conj()), 1)
 
 
 # --- beta and the bilinear extension -----------------------------------------

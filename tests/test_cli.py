@@ -401,6 +401,15 @@ class TestBasicRuns:
         assert code == 0
         assert json.loads(out)["records"][0]["block_ranks"] == [1, 2, 4, 8]
 
+    def test_block_rank_above_the_dimension_exit_two(self, capsys):
+        path = str(SCENARIOS / "pure_state_dim3.json")
+        for rank in ("4", "99"):
+            code, out, err = run_cli(capsys, "tracial", "--scenario", path, "--block-rank", rank)
+            assert (code, out) == (2, "")
+            assert err == f"error: --block-rank: rank {rank} exceeds the dimension 3\n"
+        code, out, _ = run_cli(capsys, "tracial", "--scenario", path, "--block-rank", "3", "--samples", "5")
+        assert code == 0 and json.loads(out)["records"][0]["block_ranks"] == [1, 2, 3]
+
     def test_tolerance_flag_tightens_verdict(self, capsys, paths, tmp_path):
         # an absurdly tight threshold flips the pairing check to violation
         # (needs irrational entries; the rho (x) rho residual is exactly 0)

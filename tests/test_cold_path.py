@@ -23,9 +23,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dfrep import cli, hermitian_form_decomposition
+from dfrep import Projection, cli, hermitian_form_decomposition
 from dfrep.scenarios import parse_scenario
 from conftest import operator_scenario_text, skew_corrupted_operator
 
@@ -101,7 +102,7 @@ def _value_objects():
     scenario = parse_scenario(text)
     d = scenario.functional
     return {
-        "Projection": d.model.schedules[0][0],
+        "Projection": Projection(np.eye(3), 3),
         "ClassOperatorModel": d.model,
         "Scenario": scenario,
         "Decomposition": hermitian_form_decomposition(d),

@@ -13,7 +13,6 @@ from dfrep import (
     gram_matrix,
     kron_trace,
     random_projection,
-    rank_one_proj,
 )
 from reference import (
     ElementaryTensorSum,
@@ -22,6 +21,7 @@ from reference import (
     bilinear_refined,
     extend_to_bilinear,
     identity_projection,
+    rank_one_proj,
     sesquilinear_q,
 )
 from conftest import backend_fixtures, basis_proj, rho_half_half

@@ -12,7 +12,7 @@ from dfrep import (
     consistency_report,
     random_projection,
 )
-from dfrep.histories import ClassOperatorFunctional
+from dfrep.histories import ClassOperatorFunctional, projective_family
 from dfrep.ils import polarization_atoms
 from dfrep.linalg import projection_blocks, rank_one_matrices
 from dfrep.tolerances import MODEL_TOL as _MODEL_TOL
@@ -27,7 +27,7 @@ from reference import (
     orthogonal_decompose,
     zero_projection,
 )
-from conftest import basis_proj, rho_half_half, trivial_model
+from conftest import backend_fixtures, basis_proj, rho_half_half, trivial_model
 
 
 def _basis_schedule(dim):
@@ -386,10 +386,10 @@ class TestConsistencyReport:
     def test_trivial_dynamics_schedule(self):
         model = trivial_model(3)
         d = ClassOperatorFunctional(model)
-        report = consistency_report(d, [p.matrix for p in model.schedules[0]])
+        report = consistency_report(d, list(model.schedules[0]))
         assert report.off_diagonal_max <= 1e-12
         # probabilities are tr(p_i rho)
-        expect = tuple(float(np.trace(p.matrix @ model.rho).real) for p in model.schedules[0])
+        expect = tuple(float(np.trace(p @ model.rho).real) for p in model.schedules[0])
         assert report.diagonals == pytest.approx(expect, abs=1e-12)
         assert report.total == pytest.approx(1.0, abs=1e-12)
 
@@ -421,10 +421,73 @@ class TestConsistencyReport:
             schedules=(_basis_schedule(3),),
         )
         d = ClassOperatorFunctional(model)
-        fam = [p.matrix for p in model.schedules[0]]
+        fam = list(model.schedules[0])
         weak = consistency_report(d, fam, mode="weak")
         medium = consistency_report(d, fam, mode="medium")
         assert medium.off_diagonal_max >= weak.off_diagonal_max
+
+
+def _tilted_basis(overlap):
+    """The basis projections of C^3 with e_1 tilted towards e_0, so that
+    ``||p_0 p_1||_F = overlap`` while the three still sum to the identity
+    within ``MODEL_TOL * 3``."""
+    v = np.array([overlap, np.sqrt(1 - overlap**2), 0.0])
+    return [basis_proj(3, 0).matrix, np.outer(v, v), basis_proj(3, 2).matrix]
+
+
+class TestProjectiveFamily:
+    """Every projective family, a model's schedule or a consistency set, is
+    checked by one function against one orthogonality tolerance."""
+
+    def test_overlap_above_model_tol_refused_by_model_and_consistency(self):
+        fam = _tilted_basis(2e-9)
+        assert np.linalg.norm(fam[0] @ fam[1]) > _MODEL_TOL
+        assert np.linalg.norm(sum(fam) - np.eye(3)) <= 3 * _MODEL_TOL
+        with pytest.raises(ValueError, match=r"^schedules\[0\]: projections 0 and 1 are not orthogonal"):
+            ClassOperatorModel(3, rho_half_half(3), np.zeros((3, 3)), (0.0,), (fam,))
+        d = ClassOperatorFunctional(trivial_model(3))
+        with pytest.raises(ValueError, match=r"^projections: projections 0 and 1 are not orthogonal"):
+            consistency_report(d, fam)
+
+    def test_overlap_within_model_tol_accepted_by_both(self):
+        fam = _tilted_basis(5e-10)
+        model = ClassOperatorModel(3, rho_half_half(3), np.zeros((3, 3)), (0.0,), (fam,))
+        assert consistency_report(ClassOperatorFunctional(model), fam).set_size == 3
+
+    def test_first_failing_pair_in_order(self):
+        e = [basis_proj(4, i).matrix for i in range(4)]
+        # (0, 3) and (1, 2) both overlap; (0, 3) comes first in (i, j) order.
+        with pytest.raises(ValueError, match=r"projections 0 and 3 are not orthogonal"):
+            projective_family([e[0], e[1], e[1], e[0]])
+        with pytest.raises(ValueError, match=r"projections 1 and 2 are not orthogonal"):
+            projective_family([e[0], e[1], e[1] + e[2], e[3]])
+
+    def test_bad_member_named_by_index(self):
+        e = [basis_proj(3, i).matrix for i in range(3)]
+        d = ClassOperatorFunctional(trivial_model(3))
+        with pytest.raises(ValueError, match=r"^projections\[1\]: projection is not idempotent"):
+            consistency_report(d, [e[0], 2 * e[1], e[2]])
+        with pytest.raises(ValueError, match=r"^schedules\[0\]\[2\]: projection is not Hermitian"):
+            ClassOperatorModel(3, rho_half_half(3), np.zeros((3, 3)), (0.0,), ([e[0], e[1], e[2] + 1j * e[1]],))
+        with pytest.raises(ValueError, match=r"^projections\[1\]: dimension 2 does not match"):
+            projective_family([np.eye(3), np.eye(2)])
+        with pytest.raises(ValueError, match=r"^projections: is empty"):
+            projective_family([])
+
+    def test_list_and_stack_give_one_report(self, rng):
+        frame = haar_unitary(4, rng)
+        fam = [np.outer(frame[:, i], frame[:, i].conj()) for i in range(2)]
+        fam.append(frame[:, 2:] @ frame[:, 2:].conj().T)
+        d = backend_fixtures(4)["operator"]
+        assert consistency_report(d, fam) == consistency_report(d, np.stack(fam))
+
+    def test_schedules_are_read_only_stacks(self):
+        model = trivial_model(3)
+        (sched,) = model.schedules
+        assert sched.shape == (3, 3, 3) and not sched.flags.writeable
+        assert np.array_equal(sched, np.eye(3)[:, :, None] * np.eye(3)[:, None, :])
+        with pytest.raises(ValueError):
+            sched[0, 0, 0] = 0.0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from dfrep.linalg import (
     hermitize_in_place,
     kron_trace,
     random_projection,
-    rank_one_proj,
     swap_operator,
     trace_norm,
 )
@@ -21,6 +20,7 @@ from reference import (
     identity_projection,
     kron,
     projector_tensor_sum,
+    rank_one_proj,
     spectral_projections,
     trace_pair,
     zero_projection,

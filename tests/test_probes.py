@@ -21,7 +21,7 @@ from dfrep.probes import (
     _sup_beta_rank_one,
     _sweep_verdict,
 )
-from reference import beta_of_product_projection
+from reference import beta_of_product_projection, rank_one_proj
 from conftest import rho_half_half
 
 
@@ -72,7 +72,6 @@ class TestTracialBoundProbe:
         gamma = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         alpha /= np.linalg.norm(alpha)
         gamma /= np.linalg.norm(gamma)
-        from dfrep import rank_one_proj
 
         direct = d.evaluate(rank_one_proj(alpha), rank_one_proj(gamma))
         assert abs(beta_of_product_projection(d, [(alpha, gamma)]) - direct) <= 1e-10

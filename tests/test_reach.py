@@ -40,6 +40,8 @@ UNREACHED = {
     "linalg.kron_trace": _TRACER,
     "linalg.swap_operator": _TRACER,
     "linalg.random_projection": _TRACER,
+    "linalg.Projection.__init__": "the class random_projection returns, " + _TRACER,
+    "linalg.Projection.__post_init__": _TRACER,
     "linalg._as_rng": "the seed of random_projection, " + _TRACER,
     "tracial.Decomposition.beta": _TRACER,
     "tracial.Decomposition.pairing_operator": _TRACER,

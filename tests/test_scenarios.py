@@ -283,7 +283,7 @@ def _defining_data(s) -> dict:
         "rho": m.rho,
         "hamiltonian": m.hamiltonian,
         "times": m.times,
-        "schedules": [[p.matrix for p in sched] for sched in m.schedules],
+        "schedules": [list(sched) for sched in m.schedules],
     }
 
 
